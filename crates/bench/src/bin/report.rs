@@ -19,10 +19,11 @@ use protoquot_protocols::{
 };
 use protoquot_runtime::{
     drive, Conn, DriveConfig, Frame, Gateway, GatewayConfig, GuardProgram, LoopbackConn, MuxClient,
-    MuxTransport, ReactorConfig, ReactorServer, Reply, TcpConn,
+    MuxTransport, ReactorConfig, ReactorServer, Reply, SessionGuard, SessionGuardReference,
 };
 use protoquot_sim::{redirect_transition, FaultPlan, FleetConfig, FleetRunner};
 use protoquot_spec::normalize;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Best-of-3 wall times (ms) of the nfa-blowup-11 safety and progress
@@ -112,47 +113,17 @@ fn loopback_throughput(threads: usize, runs: u64) -> (f64, u64) {
 /// Unlike EXP-R1 this is not simulator-paced: the drive loop spends
 /// most of its time scheduling faulted component steps, which caps the
 /// measured rate well below what the runtime itself sustains. The pump
-/// isolates the per-frame runtime cost, so it is the workload that
-/// shows the determinized guard's O(1) convictions (set
-/// `reference_guard` to compare against the subset-replaying oracle).
+/// isolates the per-frame runtime cost of the determinized guard.
 /// Returns `(accepted events/sec, frames pumped)`.
-fn pump_throughput(
-    threads: usize,
-    reference_guard: bool,
-    sessions_per_thread: u64,
-    trace_len: usize,
-) -> (f64, u64) {
+fn pump_throughput(threads: usize, sessions_per_thread: u64, trace_len: usize) -> (f64, u64) {
     let cfg = protoquot_protocols::colocated_configuration();
     let service = exactly_once();
     let q = solve(&cfg.b, &service, &cfg.int).expect("Fig. 14 converter exists");
-    pump_throughput_on(
-        &cfg.b,
-        &q.converter,
-        &service,
-        threads,
-        reference_guard,
-        sessions_per_thread,
-        trace_len,
-    )
-}
-
-/// [`pump_throughput`] over an arbitrary `B`/converter/service triple.
-#[allow(clippy::too_many_arguments)]
-fn pump_throughput_on(
-    b: &protoquot_spec::Spec,
-    converter: &protoquot_spec::Spec,
-    service: &protoquot_spec::Spec,
-    threads: usize,
-    reference_guard: bool,
-    sessions_per_thread: u64,
-    trace_len: usize,
-) -> (f64, u64) {
     let gw = Gateway::new(
-        &[b, converter],
-        service,
+        &[&cfg.b, &q.converter],
+        &service,
         GatewayConfig {
             workers: threads,
-            reference_guard,
             ..GatewayConfig::default()
         },
     )
@@ -187,32 +158,52 @@ fn pump_throughput_on(
     (total as f64 / secs, total)
 }
 
+/// EXP-R2 at the guard layer: a sampled accepted trace of `parts`
+/// observed straight through one guard implementation per session —
+/// the compiled DFA or the subset-replaying reference — with no codec,
+/// gateway, or transport in the way. Returns `(events/sec, frames)`.
+fn guard_observe_throughput(
+    parts: &[&protoquot_spec::Spec],
+    service: &protoquot_spec::Spec,
+    reference: bool,
+    sessions: u64,
+    trace_len: usize,
+) -> (f64, u64) {
+    let prog = Arc::new(GuardProgram::new(parts, service).expect("guard must compile"));
+    let trace = prog.sample_accepted(trace_len);
+    assert!(!trace.is_empty(), "system must relay events");
+    let t = Instant::now();
+    for _ in 0..sessions {
+        let accepted = if reference {
+            let mut guard = SessionGuardReference::new(Arc::clone(&prog));
+            trace.iter().all(|&e| guard.observe(e).is_ok())
+        } else {
+            let mut guard = SessionGuard::new(Arc::clone(&prog));
+            trace.iter().all(|&e| guard.observe(e).is_ok())
+        };
+        assert!(accepted, "sampled trace must stay accepted");
+    }
+    let total = sessions * trace.len() as u64;
+    (total as f64 / t.elapsed().as_secs_f64(), total)
+}
+
 /// EXP-R3/R5 pump over a live reactor server on loopback TCP:
 /// `clients` threads each multiplex `sessions_per_client` concurrent
 /// sessions over **one** socket, pushing a sampled accepted trace
 /// through every session in batched rounds (one frame per session per
 /// round, replies drained before the next round — so per-session wire
-/// order is program order). `batching: false` drops the server to the
-/// per-frame dispatch path (the EXP-R5 before/after axis). Returns
-/// `(accepted events/sec, frames pumped)`.
+/// order is program order). Returns `(accepted events/sec, frames
+/// pumped)`.
 fn reactor_pump_throughput(
     clients: usize,
     sessions_per_client: u64,
     trace_len: usize,
-    batching: bool,
 ) -> (f64, u64) {
     let cfg = protoquot_protocols::colocated_configuration();
     let service = exactly_once();
     let q = solve(&cfg.b, &service, &cfg.int).expect("Fig. 14 converter exists");
-    let gw = Gateway::new(
-        &[&cfg.b, &q.converter],
-        &service,
-        GatewayConfig {
-            batching,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("gateway must compile the system");
+    let gw = Gateway::new(&[&cfg.b, &q.converter], &service, GatewayConfig::default())
+        .expect("gateway must compile the system");
     let trace = gw.program().sample_accepted(trace_len);
     assert!(!trace.is_empty(), "colocated system must relay events");
     let mut server = ReactorServer::bind(gw.clone(), "127.0.0.1:0", ReactorConfig::default())
@@ -274,48 +265,6 @@ fn vm_rss_kib() -> Option<i64> {
         .nth(1)?
         .parse()
         .ok()
-}
-
-/// One EXP-R3 row over the blocking transport: `sessions` concurrent
-/// TCP connections (the blocking server pins one OS thread to each),
-/// one session per connection, pumped in lockstep rounds by a single
-/// client thread. Returns `(events/sec, frames, rss delta KiB)`.
-fn blocking_concurrency_row(sessions: u64, trace_len: usize) -> (f64, u64, i64) {
-    let cfg = protoquot_protocols::colocated_configuration();
-    let service = exactly_once();
-    let q = solve(&cfg.b, &service, &cfg.int).expect("Fig. 14 converter exists");
-    let gw = Gateway::new(&[&cfg.b, &q.converter], &service, GatewayConfig::default())
-        .expect("gateway must compile the system");
-    let trace = gw.program().sample_accepted(trace_len);
-    let rss_before = vm_rss_kib().unwrap_or(0);
-    let mut server = protoquot_runtime::TcpServer::bind(gw.clone(), "127.0.0.1:0")
-        .expect("blocking server must bind");
-    let addr = server.local_addr();
-    let mut conns: Vec<TcpConn> = (0..sessions)
-        .map(|_| TcpConn::connect(addr).expect("connect"))
-        .collect();
-    let t = Instant::now();
-    for &event in &trace {
-        for (s, conn) in conns.iter_mut().enumerate() {
-            match conn.call(&Frame::Event {
-                session: s as u64,
-                event,
-            }) {
-                Ok(Reply::Accepted { .. }) => {}
-                other => panic!("pump frame rejected: {other:?}"),
-            }
-        }
-    }
-    let secs = t.elapsed().as_secs_f64();
-    let rss_after = vm_rss_kib().unwrap_or(0);
-    for (s, conn) in conns.iter_mut().enumerate() {
-        let _ = conn.call(&Frame::Close { session: s as u64 });
-    }
-    drop(conns);
-    server.stop();
-    gw.drain();
-    let total = sessions * trace.len() as u64;
-    (total as f64 / secs, total, (rss_after - rss_before).max(0))
 }
 
 /// One EXP-R3 row over the reactor: `sessions` concurrent sessions
@@ -411,13 +360,12 @@ fn quick_smoke() -> i32 {
     // Best-of-2 gateway capacity pump at one thread (EXP-R2 workload,
     // scaled down for CI): the determinized guard's per-frame rate.
     let serve_events_per_sec = (0..2)
-        .map(|_| pump_throughput(1, false, 8, 2_048).0)
+        .map(|_| pump_throughput(1, 8, 2_048).0)
         .fold(0.0f64, f64::max);
     // Best-of-2 reactor pump (EXP-R3 workload, scaled down for CI): 256
-    // sessions multiplexed over one real loopback socket, batched
-    // dispatch on (the production default).
+    // sessions multiplexed over one real loopback socket.
     let reactor_events_per_sec = (0..2)
-        .map(|_| reactor_pump_throughput(1, 256, 256, true).0)
+        .map(|_| reactor_pump_throughput(1, 256, 256).0)
         .fold(0.0f64, f64::max);
     let guard_build_ms = guard_build_time();
     let json = format!(
@@ -1038,121 +986,100 @@ fn main() {
     {
         // How fast the runtime itself takes frames once the simulator
         // is out of the loop: a sampled accepted trace pumped through
-        // the full loopback wire path, determinized DFA guard vs the
-        // subset-replaying reference oracle. The reference cells pump
-        // fewer frames — they are two to three orders slower per frame.
+        // the full loopback wire path on the determinized DFA guard.
+        println!(
+            "{:>12} {:>8} {:>12} {:>14}",
+            "system", "threads", "frames", "events/sec"
+        );
+        for threads in [1usize, 2, 8] {
+            let (events_per_sec, frames) = pump_throughput(threads, 16, 4_096);
+            println!(
+                "{:>12} {threads:>8} {frames:>12} {events_per_sec:>14.0}",
+                "colocated"
+            );
+        }
+        // The same determinization at the guard layer, where the
+        // subset-replaying reference is compared: both guards observe
+        // one sampled accepted trace per session directly. The
+        // reference rows pump fewer frames — they are two to three
+        // orders slower per frame. The symmetric system is where
+        // determinization earns its keep: its composite subsets reach
+        // four digits, so the reference pays a τ-closure over a
+        // thousand-state frontier per frame while the DFA still pays
+        // one table load.
         let cfg = protoquot_protocols::colocated_configuration();
         let q = solve(&cfg.b, &exactly_once(), &cfg.int).unwrap();
-        let prog = GuardProgram::new(&[&cfg.b, &q.converter], &exactly_once()).unwrap();
-        println!("colocated guard: {}", prog.build_stats());
         let sym = symmetric_configuration();
         let qs = solve(&sym.b, &at_least_once(), &sym.int).unwrap();
-        let ps = GuardProgram::new(&[&sym.b, &qs.converter], &at_least_once()).unwrap();
-        println!("EXP-W/sym guard: {}", ps.build_stats());
-        println!(
-            "{:>12} {:>10} {:>8} {:>12} {:>14}",
-            "system", "guard", "threads", "frames", "events/sec"
-        );
-        for (label, reference, sessions, trace_len) in [
-            ("dfa", false, 16u64, 4_096usize),
-            ("reference", true, 4, 512),
-        ] {
-            for threads in [1usize, 2, 8] {
-                let (events_per_sec, frames) =
-                    pump_throughput(threads, reference, sessions, trace_len);
-                println!(
-                    "{:>12} {label:>10} {threads:>8} {frames:>12} {events_per_sec:>14.0}",
-                    "colocated"
-                );
-            }
-        }
-        // The symmetric system is where determinization earns its keep:
-        // its composite subsets reach four digits, so the reference
-        // oracle pays a τ-closure over a thousand-state frontier per
-        // frame while the DFA still pays one table load.
-        for (label, reference, sessions, trace_len) in [
-            ("dfa", false, 16u64, 4_096usize),
-            ("reference", true, 1, 128),
-        ] {
-            let (events_per_sec, frames) = pump_throughput_on(
-                &sym.b,
-                &qs.converter,
-                &at_least_once(),
+        let systems = [
+            (
+                "colocated",
+                [&cfg.b, &q.converter],
+                exactly_once(),
+                4u64,
+                512usize,
+            ),
+            (
+                "EXP-W/sym",
+                [&sym.b, &qs.converter],
+                at_least_once(),
                 1,
-                reference,
-                sessions,
-                trace_len,
-            );
+                128,
+            ),
+        ];
+        println!(
+            "{:>12} {:>10} {:>12} {:>14}",
+            "system", "guard", "frames", "events/sec"
+        );
+        for (label, parts, service, ref_sessions, ref_len) in &systems {
             println!(
-                "{:>12} {label:>10} {:>8} {frames:>12} {events_per_sec:>14.0}",
-                "EXP-W/sym", 1
+                "{label} guard: {}",
+                GuardProgram::new(parts, service).unwrap().build_stats()
             );
+            for (guard, reference, sessions, trace_len) in [
+                ("dfa", false, 16u64, 4_096usize),
+                ("reference", true, *ref_sessions, *ref_len),
+            ] {
+                let (events_per_sec, frames) =
+                    guard_observe_throughput(parts, service, reference, sessions, trace_len);
+                println!("{label:>12} {guard:>10} {frames:>12} {events_per_sec:>14.0}");
+            }
         }
     }
 
     println!("\n== EXP-R3: reactor concurrency — events/s and memory vs session count ==");
     {
-        // How many *concurrent* sessions each transport architecture
-        // carries, and at what cost: the blocking server pins one OS
-        // thread to every connection, so its row is the thread-per-
-        // connection price; the reactor multiplexes every session over
-        // one socket served by a fixed loop pool. RSS deltas cover the
-        // whole process (client and server are in-process here).
+        // How many *concurrent* sessions the reactor carries, and at
+        // what cost: every session multiplexed over one socket served
+        // by a fixed loop pool. RSS deltas cover the whole process
+        // (client and server are in-process here).
         println!(
-            "{:>10} {:>10} {:>10} {:>12} {:>14} {:>12}",
-            "transport", "sessions", "sockets", "frames", "events/sec", "rss KiB"
+            "{:>10} {:>10} {:>12} {:>14} {:>12}",
+            "sessions", "sockets", "frames", "events/sec", "rss KiB"
         );
         for &sessions in &[1_000u64, 10_000, 100_000] {
             let (evps, frames, rss) = reactor_concurrency_row(sessions, 8);
             println!(
-                "{:>10} {sessions:>10} {:>10} {frames:>12} {evps:>14.0} {rss:>12}",
-                "reactor", 1
+                "{sessions:>10} {:>10} {frames:>12} {evps:>14.0} {rss:>12}",
+                1
             );
-            // Thread-per-connection runs out of OS threads long before
-            // 100k; measure it only where it can actually stand up.
-            if sessions <= 1_000 {
-                let (evps, frames, rss) = blocking_concurrency_row(sessions, 8);
-                println!(
-                    "{:>10} {sessions:>10} {sessions:>10} {frames:>12} {evps:>14.0} {rss:>12}",
-                    "blocking"
-                );
-            } else {
-                println!(
-                    "{:>10} {sessions:>10} {sessions:>10} {:>12} {:>14} {:>12}",
-                    "blocking", "-", "-", "(thread-per-conn)"
-                );
-            }
         }
     }
 
-    println!("\n== EXP-R5: batched dispatch — reactor pump, batched vs per-frame ==");
+    println!("\n== EXP-R5: batched dispatch — reactor mux pump ==");
     {
-        // The same reactor mux pump with the gateway's batched hot
-        // path switched off: every readiness chunk is then dispatched
-        // one frame at a time through `Gateway::call` with a boxed
-        // responder and a waker round-trip per reply, exactly the
-        // pre-batching runtime. The before/after ratio is the price
-        // of per-frame dispatch the batch path eliminates — one shard
-        // lookup, one session lock, one contiguous guard-DFA run per
-        // session per readiness batch, replies coalesced into a
-        // single buffered write.
+        // The reactor mux pump: one shard lookup, one session lock,
+        // one contiguous guard-DFA run per session per readiness
+        // batch, replies coalesced into a single buffered write.
         println!(
-            "{:>10} {:>10} {:>12} {:>14} {:>14} {:>10}",
-            "clients", "sessions", "frames", "per-frame/s", "batched/s", "speedup"
+            "{:>10} {:>10} {:>12} {:>14}",
+            "clients", "sessions", "frames", "batched/s"
         );
         for &(clients, sessions) in &[(1usize, 256u64), (1, 1_024), (2, 512)] {
-            let best = |batching: bool| {
-                (0..2)
-                    .map(|_| reactor_pump_throughput(clients, sessions, 256, batching))
-                    .fold((0.0f64, 0u64), |acc, r| (acc.0.max(r.0), r.1))
-            };
-            let (per_frame, frames) = best(false);
-            let (batched, _) = best(true);
-            println!(
-                "{clients:>10} {sessions:>10} {frames:>12} {per_frame:>14.0} \
-                 {batched:>14.0} {:>9.2}x",
-                batched / per_frame
-            );
+            let (batched, frames) = (0..2)
+                .map(|_| reactor_pump_throughput(clients, sessions, 256))
+                .fold((0.0f64, 0u64), |acc, r| (acc.0.max(r.0), r.1));
+            println!("{clients:>10} {sessions:>10} {frames:>12} {batched:>14.0}");
         }
     }
 

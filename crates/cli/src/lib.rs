@@ -34,7 +34,6 @@ use protoquot_runtime::{
     adversarial, drive, drive_mux, table_hash, AdversarialConfig, CompiledArtifact, Conn,
     ConnLimits, ConverterRegistry, DriveConfig, FuzzConfig, FuzzTarget, Gateway, GatewayConfig,
     LoopbackConn, LoopbackMux, MuxClient, MuxTransport, ReactorConfig, ReactorServer, TcpConn,
-    TcpServer,
 };
 use protoquot_sim::{
     redirect_transition, run_monitored, FaultPlan, FleetConfig, FleetRunner, MonitorVerdict,
@@ -109,16 +108,16 @@ usage:
             [--seed S] [--no-shrink] [--json]
   protoquot soak --builtin colocated|symmetric|ab-nak [--mutate K] [options as above]
   protoquot serve (FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K])
-            [--addr HOST:PORT] [--transport blocking|reactor] [--loops N]
-            [--threads N] [--duration SECS] [--stats] [--frame-budget N]
-            [--max-sessions-per-conn N] [--read-deadline SECS] [--no-batch]
-            [--registry DIR [--control HOST:PORT]] [--require-hello]
+            [--addr HOST:PORT] [--loops N] [--threads N] [--duration SECS]
+            [--stats] [--frame-budget N] [--max-sessions-per-conn N]
+            [--read-deadline SECS] [--registry DIR [--control HOST:PORT]]
+            [--require-hello]
   protoquot reload --control HOST:PORT --artifact PATH
   protoquot drive (FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K])
             (--connect HOST:PORT | --loopback) [--runs N] [--threads T] [--steps N]
             [--sessions-per-conn N] [--pipeline N] [--faults loss,dup,reorder,burst]
             [--seed S] [--duration SECS] [--expect-clean] [--adversarial] [--json]
-            [--no-batch] [--no-hello]
+            [--no-hello]
   protoquot fuzz [FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K]]
             [--target codec|guard|gateway|batch|artifact|all] [--seed S] [--iters N]
             [--max-len N] [--no-shrink] [--json]
@@ -188,7 +187,6 @@ const VALUED: &[&str] = &[
     "--addr",
     "--connect",
     "--duration",
-    "--transport",
     "--loops",
     "--sessions-per-conn",
     "--frame-budget",
@@ -202,6 +200,22 @@ const VALUED: &[&str] = &[
     "--registry",
     "--control",
     "--artifact",
+];
+
+/// Which flags stand alone.
+const BOOLEAN: &[&str] = &[
+    "--dot",
+    "--prune",
+    "--vacuous",
+    "--reachable",
+    "--stats",
+    "--json",
+    "--no-shrink",
+    "--require-hello",
+    "--loopback",
+    "--expect-clean",
+    "--adversarial",
+    "--no-hello",
 ];
 
 fn parse_args(rest: &[String]) -> Result<Parsed, CliError> {
@@ -220,11 +234,13 @@ fn parse_args(rest: &[String]) -> Result<Parsed, CliError> {
                     None => flags.push((flag, vec![v.clone()])),
                 }
                 i += 2;
-            } else {
+            } else if BOOLEAN.contains(&flag.as_str()) {
                 if !flags.iter().any(|(f, _)| *f == flag) {
                     flags.push((flag, Vec::new()));
                 }
                 i += 1;
+            } else {
+                return err(format!("unknown flag {flag}"));
             }
         } else {
             positional.push(a.clone());
@@ -995,9 +1011,8 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
         &p,
         "usage: protoquot serve (FILE --service SPEC --components S1,S2,... | \
          --builtin colocated|symmetric|ab-nak [--mutate K]) [--addr HOST:PORT] \
-         [--transport blocking|reactor] [--loops N] [--threads N] \
-         [--duration SECS] [--stats] [--frame-budget N] \
-         [--max-sessions-per-conn N] [--read-deadline SECS] [--no-batch] \
+         [--loops N] [--threads N] [--duration SECS] [--stats] [--frame-budget N] \
+         [--max-sessions-per-conn N] [--read-deadline SECS] \
          [--registry DIR [--control HOST:PORT]] [--require-hello]",
     )?;
     let workers: usize = match p.value("--threads") {
@@ -1031,18 +1046,11 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
             .map_err(|_| CliError("--loops must be a number".into()))?,
         None => ReactorConfig::default().loops,
     };
-    let transport = p.value("--transport").unwrap_or("blocking");
-    if !matches!(transport, "blocking" | "reactor") {
-        return err("--transport must be `blocking` or `reactor`");
-    }
     let duration = parse_duration(&p)?;
     let parts: Vec<&Spec> = components.iter().collect();
     let cfg = GatewayConfig {
         workers,
         session_frame_budget: frame_budget,
-        // `--no-batch` drops every transport back to the per-frame
-        // dispatch path — the differential oracle for the batched one.
-        batching: !p.has("--no-batch"),
         ..GatewayConfig::default()
     };
     let gw = Gateway::new(&parts, &service, cfg).map_err(|e| CliError(e.to_string()))?;
@@ -1064,31 +1072,16 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
     } else if p.value("--control").is_some() {
         return err("--control needs --registry DIR");
     }
-    enum Server {
-        Blocking(TcpServer),
-        Reactor(ReactorServer),
-    }
     let mut server = None;
     if let Some(addr) = p.value("--addr") {
-        let (s, local) = match transport {
-            "reactor" => {
-                let cfg = ReactorConfig {
-                    loops,
-                    limits,
-                    ..ReactorConfig::default()
-                };
-                let s = ReactorServer::bind(gw.clone(), addr, cfg)
-                    .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))?;
-                let local = s.local_addr();
-                (Server::Reactor(s), local)
-            }
-            _ => {
-                let s = TcpServer::bind_with(gw.clone(), addr, limits)
-                    .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))?;
-                let local = s.local_addr();
-                (Server::Blocking(s), local)
-            }
+        let cfg = ReactorConfig {
+            loops,
+            limits,
+            ..ReactorConfig::default()
         };
+        let s = ReactorServer::bind(gw.clone(), addr, cfg)
+            .map_err(|e| CliError(format!("cannot bind {addr}: {e}")))?;
+        let local = s.local_addr();
         // Printed immediately (not just returned) so scripts can scrape
         // the bound port before the serve loop ends.
         println!("serving on {local}");
@@ -1111,10 +1104,8 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
             last_snapshot = std::time::Instant::now();
         }
     }
-    match server {
-        Some(Server::Blocking(mut s)) => s.stop(),
-        Some(Server::Reactor(mut s)) => s.stop(),
-        None => {}
+    if let Some(mut s) = server {
+        s.stop();
     }
     if let Some(c) = control {
         c.stop();
@@ -1286,7 +1277,7 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
          --builtin colocated|symmetric|ab-nak [--mutate K]) (--connect HOST:PORT | \
          --loopback) [--runs N] [--threads T] [--steps N] [--sessions-per-conn N] \
          [--pipeline N] [--faults loss,dup,reorder,burst] [--seed S] [--duration SECS] \
-         [--expect-clean] [--adversarial] [--json] [--no-batch] [--no-hello]",
+         [--expect-clean] [--adversarial] [--json] [--no-hello]",
     )?;
     let parse_num = |flag: &str, default: u64| -> Result<u64, CliError> {
         match p.value(flag) {
@@ -1349,7 +1340,6 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
             let parts: Vec<&Spec> = components.iter().collect();
             let gw_cfg = GatewayConfig {
                 workers: cfg.threads.max(1),
-                batching: !p.has("--no-batch"),
                 ..GatewayConfig::default()
             };
             let gw = Gateway::new(&parts, &service, gw_cfg).map_err(|e| CliError(e.to_string()))?;
@@ -1491,9 +1481,17 @@ mod tests {
         }
     ";
 
+    /// A temp path no other test in any process shares: the test
+    /// harness runs tests in parallel threads of one process, so the
+    /// pid alone is not enough.
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        std::env::temp_dir().join(format!("protoquot-cli-{tag}-{}-{n}", std::process::id()))
+    }
+
     fn with_file<F: FnOnce(&str) -> R, R>(f: F) -> R {
-        let mut path = std::env::temp_dir();
-        path.push(format!("protoquot-cli-test-{}.pq", std::process::id()));
+        let path = temp_path("test.pq");
         let mut file = std::fs::File::create(&path).unwrap();
         file.write_all(SOURCE.as_bytes()).unwrap();
         let r = f(path.to_str().unwrap());
@@ -1889,11 +1887,7 @@ mod tests {
     #[test]
     fn solve_emit_compiled_out_writes_a_loadable_artifact() {
         with_file(|path| {
-            let mut artifact_path = std::env::temp_dir();
-            artifact_path.push(format!(
-                "protoquot-cli-artifact-{}.pqca",
-                std::process::id()
-            ));
+            let artifact_path = temp_path("artifact.pqca");
             let artifact_path = artifact_path.to_str().unwrap().to_string();
             let out = run_ok(&[
                 "solve",
@@ -1940,8 +1934,7 @@ mod tests {
         let (components, service) = builtin_soak_system("colocated", None).unwrap();
         let parts: Vec<&Spec> = components.iter().collect();
         let gw = Gateway::new(&parts, &service, GatewayConfig::default()).unwrap();
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("protoquot-cli-registry-{}", std::process::id()));
+        let dir = temp_path("registry");
         let _ = std::fs::remove_dir_all(&dir);
         let registry = ConverterRegistry::open(&dir, &service, gw.active_version()).unwrap();
         let control = ControlServer::bind("127.0.0.1:0", registry, gw.clone()).unwrap();
@@ -2049,11 +2042,10 @@ mod tests {
     }
 
     #[test]
-    fn drive_pipeline_and_batching_flags_do_not_change_the_report() {
-        // One clean multiplexed campaign, then the same seed with the
-        // batched dispatch disabled and with a pipeline window: the
-        // reports must be byte-identical (the flags change the hot
-        // path, never the outcome).
+    fn drive_pipeline_flag_does_not_change_the_report() {
+        // One clean multiplexed campaign, then the same seed with a
+        // pipeline window: the reports must be byte-identical (the
+        // flag changes the hot path, never the outcome).
         let base = &[
             "drive",
             "--builtin",
@@ -2068,13 +2060,10 @@ mod tests {
             "--expect-clean",
             "--json",
         ];
-        let batched = run_ok(base);
-        let mut no_batch = base.to_vec();
-        no_batch.push("--no-batch");
-        assert_eq!(batched, run_ok(&no_batch), "--no-batch changed the report");
+        let lockstep = run_ok(base);
         let mut piped = base.to_vec();
         piped.extend(["--pipeline", "8"]);
-        assert_eq!(batched, run_ok(&piped), "--pipeline changed the report");
+        assert_eq!(lockstep, run_ok(&piped), "--pipeline changed the report");
     }
 
     #[test]
@@ -2148,7 +2137,8 @@ mod tests {
         let (components, service) = builtin_soak_system("colocated", None).unwrap();
         let parts: Vec<&Spec> = components.iter().collect();
         let gw = Gateway::new(&parts, &service, GatewayConfig::default()).unwrap();
-        let mut server = TcpServer::bind(gw.clone(), "127.0.0.1:0").unwrap();
+        let mut server =
+            ReactorServer::bind(gw.clone(), "127.0.0.1:0", ReactorConfig::default()).unwrap();
         let addr = server.local_addr().to_string();
         let out = run_ok(&[
             "drive",
@@ -2202,7 +2192,8 @@ mod tests {
         // lockstep control campaign (same run indices = same session
         // ids) needs a fresh gateway.
         let gw2 = Gateway::new(&parts, &service, GatewayConfig::default()).unwrap();
-        let mut server2 = TcpServer::bind(gw2.clone(), "127.0.0.1:0").unwrap();
+        let mut server2 =
+            ReactorServer::bind(gw2.clone(), "127.0.0.1:0", ReactorConfig::default()).unwrap();
         let addr2 = server2.local_addr().to_string();
         let lockstep_out = run_ok(&[
             "drive",
@@ -2235,15 +2226,29 @@ mod tests {
     }
 
     #[test]
-    fn serve_rejects_unknown_transport() {
-        let args: Vec<String> = ["serve", "--builtin", "colocated", "--transport", "carrier"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run(&args)
-            .unwrap_err()
-            .to_string()
-            .contains("--transport must be"));
+    fn unknown_flags_are_named_errors() {
+        for args in [
+            &["serve", "--builtin", "colocated", "--transport", "blocking"][..],
+            &[
+                "serve",
+                "--builtin",
+                "colocated",
+                "--duration",
+                "0",
+                "--no-batch",
+            ],
+            &[
+                "drive",
+                "--builtin",
+                "colocated",
+                "--loopback",
+                "--no-batch",
+            ],
+        ] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let e = run(&args).unwrap_err().to_string();
+            assert!(e.starts_with("unknown flag --"), "{args:?}: {e}");
+        }
     }
 
     #[test]

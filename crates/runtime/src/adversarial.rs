@@ -13,9 +13,9 @@
 //! All attacks are lockstep and scripted (no randomness, no
 //! concurrency), so the resulting [`AdversarialReport`] is
 //! deterministic for a given server configuration: running the same
-//! campaign against the blocking [`crate::transport::TcpServer`] and
-//! the epoll [`crate::transport::ReactorServer`] in front of the same
-//! gateway must produce byte-identical JSON — pinned by
+//! campaign against [`crate::transport::ReactorServer`]s with one and
+//! with several event loops in front of the same gateway configuration
+//! must produce byte-identical JSON — pinned by
 //! `tests/adversarial_wire.rs`. The one timing-sensitive attack
 //! (`slow_drip`) is deterministic as long as the campaign's hold
 //! dwarfs the server's read deadline (or the deadline is disabled, in
@@ -194,8 +194,7 @@ const ZOMBIE_BASE: u64 = 5_000_000;
 const DRIP_BASE: u64 = 6_000_000;
 
 /// Runs the full attack battery against the gateway serving at `addr`
-/// (blocking or reactor — the campaign cannot tell and the report must
-/// not differ).
+/// (the report must not depend on the server's event-loop count).
 pub fn adversarial<A: ToSocketAddrs + Clone>(
     addr: A,
     cfg: &AdversarialConfig,

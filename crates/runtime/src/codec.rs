@@ -480,13 +480,6 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     w.write_all(&buf)
 }
 
-/// Writes one reply (length prefix + payload).
-pub fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(16);
-    encode_reply(reply, &mut buf);
-    w.write_all(&buf)
-}
-
 /// The incremental decode engine shared by [`FrameBuffer`] and
 /// [`ReplyBuffer`]: accumulates raw stream bytes, yields complete
 /// length-prefixed payloads in order, compacts the consumed prefix

@@ -23,9 +23,11 @@
 //!   pool.
 //! * **batch** — [`Gateway::call_batch`] differentially against
 //!   per-frame [`Gateway::call`] on a second, identically configured
-//!   gateway: the same frame program, cut at an input-derived split
-//!   width, must produce the same per-session reply sequences and a
-//!   well-formed inline reply stream at every split.
+//!   gateway: the same frame program (hellos with matching and
+//!   mismatched hashes included), cut at an input-derived split width,
+//!   must produce the same per-session reply sequences, a well-formed
+//!   inline reply stream, and the same session-table size and
+//!   sessions-opened count at every split.
 //! * **artifact** — the [`CompiledArtifact`] loader on mutated,
 //!   truncated, and bit-flipped copies of a valid compiled artifact:
 //!   every mutation must decode to a clean [`ArtifactError`] or a
@@ -288,8 +290,10 @@ pub fn fuzz(
         ..GatewayConfig::default()
     };
     let gateway = Gateway::new(parts, service, fuzz_gateway_cfg.clone())?;
-    // The batch target's per-frame oracle: identical configuration,
-    // separate session state.
+    // The batch target's pair: a batched gateway and its per-frame
+    // oracle, with identical configuration and session tables of their
+    // own, so their session counts stay comparable case by case.
+    let batched = Gateway::new(parts, service, fuzz_gateway_cfg.clone())?;
     let oracle = Gateway::new(parts, service, fuzz_gateway_cfg)?;
     // The artifact target mutates copies of this known-good encoding.
     let artifact_base: Arc<Vec<u8>> = Arc::new(encode_with_program(parts, service, &prog));
@@ -303,7 +307,14 @@ pub fn fuzz(
         let mut executed = 0u64;
         for case in 0..cfg.iters {
             let input = gen_input(cfg, target, case);
-            let body = case_body(target, &prog, &gateway, &oracle, &artifact_base, case);
+            let body = case_body(
+                target,
+                &prog,
+                &gateway,
+                (&batched, &oracle),
+                &artifact_base,
+                case,
+            );
             let verdict = harness.run(&input, &body, cfg.hang_timeout);
             executed += 1;
             if let Some(kind) = verdict {
@@ -321,6 +332,7 @@ pub fn fuzz(
             }
             if matches!(target, FuzzTarget::Gateway | FuzzTarget::Batch) && case % 64 == 63 {
                 gateway.evict_idle();
+                batched.evict_idle();
                 oracle.evict_idle();
             }
         }
@@ -338,7 +350,7 @@ fn case_body(
     target: FuzzTarget,
     prog: &Arc<GuardProgram>,
     gateway: &Gateway,
-    oracle: &Gateway,
+    (batched, oracle): (&Gateway, &Gateway),
     artifact_base: &Arc<Vec<u8>>,
     case: u64,
 ) -> CaseBody {
@@ -356,10 +368,10 @@ fn case_body(
             Arc::new(move |input| gateway_case(&gateway, base, input))
         }
         FuzzTarget::Batch => {
-            let gateway = gateway.clone();
+            let batched = batched.clone();
             let oracle = oracle.clone();
             let base = case.wrapping_mul(16);
-            Arc::new(move |input| batch_case(&gateway, &oracle, base, input))
+            Arc::new(move |input| batch_case(&batched, &oracle, base, input))
         }
         FuzzTarget::Artifact => {
             let base = Arc::clone(artifact_base);
@@ -696,18 +708,22 @@ fn gateway_case(gateway: &Gateway, base_session: u64, input: &[u8]) -> Option<St
     None
 }
 
-/// Batch target: the same frame programs as the gateway target, cut at
-/// arbitrary batch boundaries through [`Gateway::call_batch`] and
+/// Batch target: frame programs like the gateway target's, plus
+/// hellos with matching and mismatched hashes and pinned versions, cut
+/// at arbitrary batch boundaries through [`Gateway::call_batch`] and
 /// differentially checked against a per-frame oracle gateway with
 /// identical configuration and separate session state. Batch replies
 /// are ordered within a session, not across sessions, so both sides
-/// are compared as per-session reply sequences.
+/// are compared as per-session reply sequences; the two session tables
+/// must also agree in size and in sessions opened, so a hello can
+/// never open a session on one path and not the other.
 fn batch_case(
     batched: &Gateway,
     oracle: &Gateway,
     base_session: u64,
     input: &[u8],
 ) -> Option<String> {
+    let hash = batched.table_hash();
     let mut frames = Vec::with_capacity(input.len() / 3 + 1);
     for op in input.chunks(3) {
         let (kind, lo, hi) = (
@@ -716,13 +732,25 @@ fn batch_case(
             op.get(2).copied().unwrap_or(0),
         );
         let session = base_session + (kind >> 4) as u64 % 4;
-        frames.push(match kind & 0x03 {
-            0 | 1 => Frame::Event {
+        frames.push(match kind & 0x07 {
+            0..=3 => Frame::Event {
                 session,
                 event: u16::from_be_bytes([lo, hi]),
             },
-            2 => Frame::Stall { session },
-            _ => Frame::Close { session },
+            4 => Frame::Stall { session },
+            5 => Frame::Close { session },
+            // Matching hash; unpinned, pinned to the active version 1,
+            // or pinned to a version the gateway does not serve.
+            6 => Frame::Hello {
+                session,
+                table_hash: hash,
+                version: u32::from(lo % 3),
+            },
+            _ => Frame::Hello {
+                session,
+                table_hash: hash ^ u64::from(lo | 1),
+                version: 0,
+            },
         });
     }
     // The oracle runs every frame through the per-frame path.
@@ -775,6 +803,17 @@ fn batch_case(
             }
         }
         return Some("batched replies != per-frame replies".to_string());
+    }
+    let (b, o) = (batched.resident_sessions(), oracle.resident_sessions());
+    if b != o {
+        return Some(format!("resident sessions: batched {b} != per-frame {o}"));
+    }
+    let (b, o) = (
+        batched.stats().sessions_opened,
+        oracle.stats().sessions_opened,
+    );
+    if b != o {
+        return Some(format!("sessions opened: batched {b} != per-frame {o}"));
     }
     // Leave no live session behind on either gateway; the close
     // replies are the final-state differential.

@@ -34,7 +34,7 @@
 //! deadlock against its own workers.
 
 use crate::codec::{encode_reply, table_hash, Frame, RejectReason, Reply, WireCodec, WireError};
-use crate::guard::{Conviction, GuardProgram, SessionGuard, SessionGuardReference};
+use crate::guard::{GuardProgram, SessionGuard};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use protoquot_spec::{Spec, SpecError};
 use std::collections::{HashMap, VecDeque};
@@ -102,18 +102,6 @@ pub struct GatewayConfig {
     /// closed, and the next idle sweep removes it. `0` disables the
     /// budget (the default — campaigns legitimately run long sessions).
     pub session_frame_budget: u64,
-    /// Run sessions on the pre-determinization subset-replaying guard
-    /// ([`SessionGuardReference`]) instead of the compiled DFA. The
-    /// differential suites and the EXP-R2 before/after comparison flip
-    /// this; production traffic keeps the default `false`.
-    pub reference_guard: bool,
-    /// Let transports take [`Gateway::call_batch`] — whole readiness
-    /// chunks processed per session-lock acquisition with replies
-    /// encoded straight into the connection's outbound buffer. `false`
-    /// forces the per-frame `submit`/`call` path everywhere; the
-    /// differential suites and EXP-R5 flip this, production traffic
-    /// keeps the default `true`.
-    pub batching: bool,
 }
 
 impl Default for GatewayConfig {
@@ -124,8 +112,6 @@ impl Default for GatewayConfig {
             queue_cap: 64,
             idle_timeout: Duration::from_secs(30),
             session_frame_budget: 0,
-            reference_guard: false,
-            batching: true,
         }
     }
 }
@@ -140,6 +126,8 @@ struct BatchGroup {
     head: u32,
     tail: u32,
     count: u32,
+    /// How many of the frames are hellos.
+    hellos: u32,
 }
 
 /// Reusable per-connection scratch for [`Gateway::call_batch`]:
@@ -170,12 +158,13 @@ impl BatchScratch {
         self.next.resize(frames.len(), u32::MAX);
         for (i, frame) in frames.iter().enumerate() {
             let i = i as u32;
-            match self.by_session.entry(frame.session()) {
+            let g = match self.by_session.entry(frame.session()) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     let g = &mut self.groups[*e.get() as usize];
                     self.next[g.tail as usize] = i;
                     g.tail = i;
                     g.count += 1;
+                    g
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(self.groups.len() as u32);
@@ -184,55 +173,34 @@ impl BatchScratch {
                         head: i,
                         tail: i,
                         count: 1,
+                        hellos: 0,
                     });
+                    self.groups.last_mut().expect("just pushed")
                 }
-            }
+            };
+            g.hellos += u32::from(matches!(frame, Frame::Hello { .. }));
         }
+    }
+
+    /// The frame indices of `g`, in arrival order.
+    fn chain(&self, g: &BatchGroup) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(g.head), |&i| Some(self.next[i as usize]))
+            .take(g.count as usize)
+            .map(|i| i as usize)
     }
 }
 
-/// The per-session guard, in whichever implementation the gateway was
-/// configured with. Both expose identical conviction semantics; the
-/// runtime-agreement suite holds them bit-identical.
-enum Guard {
-    Dfa(SessionGuard),
-    Reference(SessionGuardReference),
-}
-
-impl Guard {
-    fn new(prog: &Arc<GuardProgram>, reference: bool) -> Guard {
-        if reference {
-            Guard::Reference(SessionGuardReference::new(Arc::clone(prog)))
-        } else {
-            Guard::Dfa(SessionGuard::new(Arc::clone(prog)))
-        }
-    }
-
-    fn observe(&mut self, event: u16) -> Result<(), Conviction> {
-        match self {
-            Guard::Dfa(g) => g.observe(event),
-            Guard::Reference(g) => g.observe(event),
-        }
-    }
-
-    fn attest_stall(&mut self) -> Result<(), Conviction> {
-        match self {
-            Guard::Dfa(g) => g.attest_stall(),
-            Guard::Reference(g) => g.attest_stall(),
-        }
-    }
-
-    fn convicted(&self) -> Option<&Conviction> {
-        match self {
-            Guard::Dfa(g) => g.convicted(),
-            Guard::Reference(g) => g.convicted(),
-        }
-    }
+/// What a session does with a frame admission passed on to it.
+#[derive(Clone, Copy, Debug)]
+enum SessionOp {
+    Event(u16),
+    Stall,
+    Close,
 }
 
 struct SessionCore {
-    guard: Guard,
-    queue: VecDeque<(Frame, Responder)>,
+    guard: SessionGuard,
+    queue: VecDeque<(SessionOp, Responder)>,
     scheduled: bool,
     closed: bool,
     last_active: Instant,
@@ -245,12 +213,20 @@ struct SessionCore {
     version: u32,
 }
 
+impl SessionCore {
+    /// No frame in flight: the caller may process inline under the
+    /// lock without reordering the session.
+    fn is_idle(&self) -> bool {
+        !self.scheduled && self.queue.is_empty()
+    }
+}
+
 type Shard = Mutex<HashMap<u64, Arc<Mutex<SessionCore>>>>;
 
 struct GatewayInner {
     /// The active converter: `(version, program)`. Read once per
     /// session open — never on the per-frame path, which goes through
-    /// the session's own `Guard`.
+    /// the session's own guard.
     active: RwLock<(u32, Arc<GuardProgram>)>,
     /// The N-1 version still draining sessions, if any. Retired (and
     /// cleared) when its per-version session count reaches zero.
@@ -425,6 +401,34 @@ impl Gateway {
         Ok(())
     }
 
+    /// Admission, the one step every entry point shares: counts the
+    /// frame, bounces it while the gateway drains, and answers a hello
+    /// from the wire identity. Negotiation is connection-level, so a
+    /// hello never opens or touches a session. Whatever passes is the
+    /// operation its session applies.
+    fn admit(&self, frame: Frame) -> Result<SessionOp, Reply> {
+        let inner = &self.inner;
+        inner.stats.note_frame();
+        let session = frame.session();
+        if inner.draining.load(Ordering::Acquire) {
+            inner.stats.note_reject(RejectReason::Draining);
+            return Err(Reply::Rejected {
+                session,
+                reason: RejectReason::Draining,
+            });
+        }
+        match frame {
+            Frame::Event { event, .. } => Ok(SessionOp::Event(event)),
+            Frame::Stall { .. } => Ok(SessionOp::Stall),
+            Frame::Close { .. } => Ok(SessionOp::Close),
+            Frame::Hello {
+                table_hash,
+                version,
+                ..
+            } => Err(inner.hello_reply(session, table_hash, version)),
+        }
+    }
+
     /// The session core for `session`, created on first contact.
     fn core_for(&self, session: u64) -> Arc<Mutex<SessionCore>> {
         let inner = &self.inner;
@@ -438,7 +442,7 @@ impl Gateway {
             inner.stats.note_open();
             inner.stats.note_version_open(version);
             Arc::new(Mutex::new(SessionCore {
-                guard: Guard::new(&prog, inner.cfg.reference_guard),
+                guard: SessionGuard::new(prog),
                 queue: VecDeque::new(),
                 scheduled: false,
                 closed: false,
@@ -449,13 +453,13 @@ impl Gateway {
         }))
     }
 
-    /// Queues `frame` on `core`, scheduling a drain worker if none is.
+    /// Queues `op` on `core`, scheduling a drain worker if none is.
     /// Fires `respond` immediately on backpressure.
     fn enqueue(
         &self,
         core: &Arc<Mutex<SessionCore>>,
         session: u64,
-        frame: Frame,
+        op: SessionOp,
         respond: Responder,
     ) {
         let inner = &self.inner;
@@ -470,7 +474,7 @@ impl Gateway {
                 });
                 return;
             }
-            core.queue.push_back((frame, respond));
+            core.queue.push_back((op, respond));
             inner.stats.note_queue_depth(core.queue.len());
             inner.pending.fetch_add(1, Ordering::AcqRel);
             if core.scheduled {
@@ -492,28 +496,13 @@ impl Gateway {
     /// Submits one frame; `respond` fires exactly once with the reply,
     /// possibly on a worker thread.
     pub fn submit(&self, frame: Frame, respond: Responder) {
-        let inner = &self.inner;
-        inner.stats.note_frame();
-        let session = frame.session();
-        if inner.draining.load(Ordering::Acquire) {
-            inner.stats.note_reject(RejectReason::Draining);
-            respond(Reply::Rejected {
-                session,
-                reason: RejectReason::Draining,
-            });
-            return;
+        match self.admit(frame) {
+            Ok(op) => {
+                let session = frame.session();
+                self.enqueue(&self.core_for(session), session, op, respond);
+            }
+            Err(reply) => respond(reply),
         }
-        if let Frame::Hello {
-            table_hash: peer_hash,
-            version: peer_version,
-            ..
-        } = frame
-        {
-            respond(inner.hello_reply(session, peer_hash, peer_version));
-            return;
-        }
-        let core = self.core_for(session);
-        self.enqueue(&core, session, frame, respond);
     }
 
     /// Submits `frame` and blocks for the reply (loopback-style use).
@@ -522,31 +511,16 @@ impl Gateway {
     /// lock, one guard-DFA row — falling back to the queued worker path
     /// whenever frames are already in flight for the session.
     pub fn call(&self, frame: Frame) -> Reply {
-        let inner = &self.inner;
-        inner.stats.note_frame();
+        let op = match self.admit(frame) {
+            Ok(op) => op,
+            Err(reply) => return reply,
+        };
         let session = frame.session();
-        if inner.draining.load(Ordering::Acquire) {
-            inner.stats.note_reject(RejectReason::Draining);
-            return Reply::Rejected {
-                session,
-                reason: RejectReason::Draining,
-            };
-        }
-        if let Frame::Hello {
-            table_hash: peer_hash,
-            version: peer_version,
-            ..
-        } = frame
-        {
-            // Negotiation is connection-level: answered without
-            // creating (or touching) any session state.
-            return inner.hello_reply(session, peer_hash, peer_version);
-        }
         let core = self.core_for(session);
         {
             let mut locked = core.lock().unwrap();
-            if !locked.scheduled && locked.queue.is_empty() {
-                let reply = process(inner, &mut locked, frame);
+            if locked.is_idle() {
+                let reply = process(&self.inner, &mut locked, session, op);
                 locked.last_active = Instant::now();
                 return reply;
             }
@@ -555,7 +529,7 @@ impl Gateway {
         self.enqueue(
             &core,
             session,
-            frame,
+            op,
             Box::new(move |reply| {
                 let _ = tx.send(reply);
             }),
@@ -566,19 +540,13 @@ impl Gateway {
             // pool was torn down mid-drain. Report the session as
             // unserved rather than panicking the caller.
             Err(_) => {
-                inner.stats.note_reject(RejectReason::Draining);
+                self.inner.stats.note_reject(RejectReason::Draining);
                 Reply::Rejected {
                     session,
                     reason: RejectReason::Draining,
                 }
             }
         }
-    }
-
-    /// Whether transports should take the [`Gateway::call_batch`] path
-    /// ([`GatewayConfig::batching`]).
-    pub fn batching_enabled(&self) -> bool {
-        self.inner.cfg.batching
     }
 
     /// Processes one transport batch — every frame decoded from one
@@ -601,8 +569,8 @@ impl Gateway {
     /// first appearance, per-session order preserved) — equivalent to
     /// per-frame execution for any client that attributes replies by
     /// the session id in their headers, which both campaign drivers
-    /// do. The per-frame [`Gateway::call`] path is the differential
-    /// oracle for this equivalence.
+    /// do. The `batch` fuzz target holds this equivalence against
+    /// per-frame [`Gateway::call`]s at arbitrary batch boundaries.
     pub fn call_batch(
         &self,
         frames: &[Frame],
@@ -615,49 +583,50 @@ impl Gateway {
         }
         let inner = &self.inner;
         inner.stats.note_batch(frames.len());
+        // A draining gateway admits nothing: every frame is answered
+        // in arrival order, and no session is opened.
         if inner.draining.load(Ordering::Acquire) {
-            for frame in frames {
-                inner.stats.note_frame();
-                inner.stats.note_reject(RejectReason::Draining);
-                encode_reply(
-                    &Reply::Rejected {
-                        session: frame.session(),
-                        reason: RejectReason::Draining,
-                    },
-                    out,
-                );
+            for &frame in frames {
+                let reply = self
+                    .admit(frame)
+                    .expect_err("a draining gateway admits nothing");
+                encode_reply(&reply, out);
             }
             return;
         }
         scratch.group(frames);
         for g in &scratch.groups {
+            if g.hellos == g.count {
+                // Hellos alone need no session core, so negotiation
+                // never opens a session.
+                for i in scratch.chain(g) {
+                    let reply = self
+                        .admit(frames[i])
+                        .expect_err("admission answers every hello");
+                    encode_reply(&reply, out);
+                }
+                inner.stats.note_batch_inline(g.count as usize);
+                continue;
+            }
             let core = self.core_for(g.session);
             let mut locked = core.lock().unwrap();
-            if !locked.scheduled && locked.queue.is_empty() {
-                let mut idx = g.head;
-                loop {
-                    inner.stats.note_frame();
-                    let reply = process(inner, &mut locked, frames[idx as usize]);
-                    encode_reply(&reply, out);
-                    if idx == g.tail {
-                        break;
-                    }
-                    idx = scratch.next[idx as usize];
-                }
-                locked.last_active = Instant::now();
-                inner.stats.note_batch_inline(g.count as usize);
-            } else {
+            if !locked.is_idle() {
                 drop(locked);
                 inner.stats.note_batch_slow(g.count as usize);
-                let mut idx = g.head;
-                loop {
-                    slow(frames[idx as usize]);
-                    if idx == g.tail {
-                        break;
-                    }
-                    idx = scratch.next[idx as usize];
+                for i in scratch.chain(g) {
+                    slow(frames[i]);
                 }
+                continue;
             }
+            for i in scratch.chain(g) {
+                let reply = match self.admit(frames[i]) {
+                    Ok(op) => process(inner, &mut locked, g.session, op),
+                    Err(reply) => reply,
+                };
+                encode_reply(&reply, out);
+            }
+            locked.last_active = Instant::now();
+            inner.stats.note_batch_inline(g.count as usize);
         }
     }
 
@@ -671,9 +640,7 @@ impl Gateway {
             let mut map = shard.lock().unwrap();
             map.retain(|_, core| {
                 let core = core.lock().unwrap();
-                let stale = !core.scheduled
-                    && core.queue.is_empty()
-                    && core.last_active.elapsed() >= inner.cfg.idle_timeout;
+                let stale = core.is_idle() && core.last_active.elapsed() >= inner.cfg.idle_timeout;
                 if stale {
                     if core.closed {
                         inner.stats.note_close();
@@ -746,7 +713,7 @@ impl Gateway {
 /// Worker job: drains one session's queue to empty — up to
 /// [`DRAIN_BATCH`] frames per lock acquisition, answered after the lock
 /// drops — then unschedules itself.
-fn drain_session(inner: &Arc<GatewayInner>, core: &Arc<Mutex<SessionCore>>, _session: u64) {
+fn drain_session(inner: &Arc<GatewayInner>, core: &Arc<Mutex<SessionCore>>, session: u64) {
     let mut replies: Vec<(Responder, Reply)> = Vec::with_capacity(DRAIN_BATCH);
     loop {
         let mut guard = core.lock().unwrap();
@@ -755,10 +722,10 @@ fn drain_session(inner: &Arc<GatewayInner>, core: &Arc<Mutex<SessionCore>>, _ses
             return;
         }
         while replies.len() < DRAIN_BATCH {
-            let Some((frame, respond)) = guard.queue.pop_front() else {
+            let Some((op, respond)) = guard.queue.pop_front() else {
                 break;
             };
-            let reply = process(inner, &mut guard, frame);
+            let reply = process(inner, &mut guard, session, op);
             replies.push((respond, reply));
         }
         guard.last_active = Instant::now();
@@ -773,20 +740,8 @@ fn drain_session(inner: &Arc<GatewayInner>, core: &Arc<Mutex<SessionCore>>, _ses
     }
 }
 
-/// Applies one frame to a session under its lock.
-fn process(inner: &GatewayInner, core: &mut SessionCore, frame: Frame) -> Reply {
-    let session = frame.session();
-    // A hello that reaches a session path (batched loopback) is still
-    // connection-level: answered from the gateway's wire identity,
-    // exempt from the closed flag and the frame budget.
-    if let Frame::Hello {
-        table_hash: peer_hash,
-        version: peer_version,
-        ..
-    } = frame
-    {
-        return inner.hello_reply(session, peer_hash, peer_version);
-    }
+/// Applies one admitted operation to a session under its lock.
+fn process(inner: &GatewayInner, core: &mut SessionCore, session: u64, op: SessionOp) -> Reply {
     let reject = |reason: RejectReason| {
         inner.stats.note_reject(reason);
         Reply::Rejected { session, reason }
@@ -797,7 +752,7 @@ fn process(inner: &GatewayInner, core: &mut SessionCore, frame: Frame) -> Reply 
     // Frame budget: an event/stall stream past the configured cap
     // expels the session — convict-or-evict, never buffer an abusive
     // session forever. `Close` is always admitted (it releases state).
-    if !matches!(frame, Frame::Close { .. }) {
+    if !matches!(op, SessionOp::Close) {
         let budget = inner.cfg.session_frame_budget;
         core.frames_seen += 1;
         if budget > 0 && core.frames_seen > budget {
@@ -806,46 +761,29 @@ fn process(inner: &GatewayInner, core: &mut SessionCore, frame: Frame) -> Reply 
             return reject(RejectReason::ResourceLimit);
         }
     }
-    match frame {
-        Frame::Event { event, .. } => {
+    let already = core.guard.convicted().is_some();
+    let verdict = match op {
+        SessionOp::Event(event) => {
             if inner.codec.event_of(event).is_none() {
                 return reject(RejectReason::UnknownEvent);
             }
-            let already = core.guard.convicted().is_some();
-            match core.guard.observe(event) {
-                Ok(()) => {
-                    inner.stats.note_accept(event);
-                    Reply::Accepted { session }
-                }
-                Err(conviction) => {
-                    if already {
-                        reject(RejectReason::Convicted)
-                    } else {
-                        inner.stats.note_conviction(&conviction);
-                        reject(conviction.reject_reason())
-                    }
-                }
-            }
+            core.guard
+                .observe(event)
+                .map(|()| inner.stats.note_accept(event))
         }
-        Frame::Stall { .. } => {
-            let already = core.guard.convicted().is_some();
-            match core.guard.attest_stall() {
-                Ok(()) => Reply::Accepted { session },
-                Err(conviction) => {
-                    if already {
-                        reject(RejectReason::Convicted)
-                    } else {
-                        inner.stats.note_conviction(&conviction);
-                        reject(conviction.reject_reason())
-                    }
-                }
-            }
-        }
-        Frame::Close { .. } => {
+        SessionOp::Stall => core.guard.attest_stall(),
+        SessionOp::Close => {
             core.closed = true;
-            Reply::Accepted { session }
+            return Reply::Accepted { session };
         }
-        Frame::Hello { .. } => unreachable!("hello answered before session processing"),
+    };
+    match verdict {
+        Ok(()) => Reply::Accepted { session },
+        Err(_) if already => reject(RejectReason::Convicted),
+        Err(conviction) => {
+            inner.stats.note_conviction(&conviction);
+            reject(conviction.reject_reason())
+        }
     }
 }
 
@@ -1203,46 +1141,68 @@ mod tests {
         gw.drain();
     }
 
-    /// The reference-guard configuration must answer every frame the
-    /// way the DFA gateway does — including over the queued worker
-    /// path, exercised here by submitting bursts with responders
-    /// instead of lockstep calls.
+    /// Negotiation through `call_batch` is connection-level exactly as
+    /// through `call`: a hello is answered from the wire identity and
+    /// opens no session, so it cannot hold a version open against the
+    /// next swap. A hello sharing a batch with its session's frames
+    /// keeps its place in that session's reply order.
     #[test]
-    fn reference_guard_gateway_matches_dfa_replies() {
-        let dfa = gateway(GatewayConfig::default());
-        let reference = gateway(GatewayConfig {
-            reference_guard: true,
-            ..GatewayConfig::default()
-        });
-        let script: &[(&str, u64)] = &[
-            ("acc", 1),
-            ("del", 1),
-            ("del", 1), // not-a-trace: convicts session 1
-            ("acc", 1), // already convicted
-            ("del", 2), // service violation path on a fresh session
-            ("acc", 3),
-        ];
-        for gw in [&dfa, &reference] {
-            let (tx, _rx) = mpsc::channel();
-            for &(name, session) in script {
-                let frame = gw
-                    .codec()
-                    .event_frame(session, protoquot_spec::EventId::new(name))
-                    .unwrap();
-                let tx = tx.clone();
-                gw.submit(
-                    frame,
-                    Box::new(move |reply| {
-                        let _ = tx.send(reply);
-                    }),
-                );
-            }
-            gw.drain();
+    fn call_batch_answers_hellos_without_opening_sessions() {
+        let batched = gateway(GatewayConfig::default());
+        let oracle = gateway(GatewayConfig::default());
+        let hash = batched.table_hash();
+        let hello = |table_hash| Frame::Hello {
+            session: 0,
+            table_hash,
+            version: 0,
+        };
+        let mut scratch = BatchScratch::new();
+        let mut out = Vec::new();
+        let mut no_slow = |_| panic!("an idle gateway never takes the slow path");
+        batched.call_batch(
+            &[hello(hash), hello(hash ^ 1)],
+            &mut scratch,
+            &mut out,
+            &mut no_slow,
+        );
+        let mut rdec = crate::codec::ReplyBuffer::new();
+        rdec.extend(&out);
+        for frame in [hello(hash), hello(hash ^ 1)] {
+            assert_eq!(rdec.next_reply().unwrap(), Some(oracle.call(frame)));
         }
-        let (a, b) = (dfa.stats(), reference.stats());
-        assert_eq!(a.accepted, b.accepted);
-        assert_eq!(a.convictions, b.convictions);
-        assert_eq!(a.rejects, b.rejects);
+        assert_eq!(rdec.next_reply().unwrap(), None);
+        for gw in [&batched, &oracle] {
+            assert_eq!(gw.resident_sessions(), 0);
+            assert_eq!(gw.stats().sessions_opened, 0);
+        }
+        // Mixed with session work, the hello answers in arrival order.
+        let acc = batched
+            .codec()
+            .event_frame(0, protoquot_spec::EventId::new("acc"))
+            .unwrap();
+        out.clear();
+        batched.call_batch(
+            &[acc, hello(hash), acc],
+            &mut scratch,
+            &mut out,
+            &mut no_slow,
+        );
+        rdec.extend(&out);
+        let ack = Reply::HelloAck {
+            session: 0,
+            table_hash: hash,
+            version: 1,
+        };
+        let not_a_trace = Reply::Rejected {
+            session: 0,
+            reason: RejectReason::NotATrace,
+        };
+        for want in [Reply::Accepted { session: 0 }, ack, not_a_trace] {
+            assert_eq!(rdec.next_reply().unwrap(), Some(want));
+        }
+        assert_eq!(batched.stats().sessions_opened, 1);
+        batched.drain();
+        oracle.drain();
     }
 
     /// A behaviourally identical implementation with renamed states:

@@ -13,22 +13,24 @@
 //!   `B ‖ C`, service trace inclusion (ψ-hub), and sink-acceptance
 //!   progress containment, **determinized at build time** into a DFA
 //!   over `(composite-subset, ψ-hub)` pairs so the per-frame check is
-//!   one transition-table row; the subset-replaying interpreter is
-//!   retained as the differential oracle;
+//!   one transition-table row; the subset-replaying interpreter
+//!   ([`SessionGuardReference`]) is retained as the guard-level
+//!   differential oracle;
 //! * [`gateway`] — a sharded, session-multiplexed relay: striped
 //!   session table, per-session bounded queues drained by a worker
 //!   pool, backpressure, idle eviction, graceful drain; transports
 //!   hand it whole readiness batches via [`Gateway::call_batch`] —
 //!   one shard lookup, one session lock, and one contiguous guard-DFA
 //!   run per session per batch, replies encoded zero-copy into the
-//!   caller's outbound buffer (the per-frame [`Gateway::call`] path
-//!   is kept as the differential oracle);
-//! * [`transport`] — carriers of the same bytes: in-memory loopback,
-//!   blocking thread-per-connection TCP ([`TcpServer`], kept as the
-//!   differential oracle), and a non-blocking epoll reactor
-//!   ([`ReactorServer`]) that serves every connection from a fixed
-//!   pool of event loops and multiplexes 100k+ sessions per socket
-//!   via the session ids already present in each frame header;
+//!   caller's outbound buffer; [`Gateway::call`] and
+//!   [`Gateway::submit`] share its admission step (drain check, frame
+//!   count, hello answer);
+//! * [`transport`] — carriers of the same bytes: the in-memory
+//!   loopback and the non-blocking epoll reactor ([`ReactorServer`]),
+//!   which serves every connection from a fixed pool of event loops
+//!   and multiplexes 100k+ sessions per socket via the session ids
+//!   already present in each frame header; [`TcpConn`] and
+//!   [`MuxClient`] are its lockstep and multiplexed clients;
 //! * [`mod@drive`] — a seeded load generator replaying fleet-style fault
 //!   schedules over the wire, attesting stalls to the server; one
 //!   session at a time per connection ([`drive()`]) or many concurrent
@@ -39,12 +41,14 @@
 //!   any depth;
 //! * [`mod@fuzz`] — a vendored deterministic fuzz engine (seeded
 //!   corpus, structure-aware frame mutators, panic/hang detection,
-//!   ddmin shrinking) over the codec, guard, and gateway dispatch —
-//!   `protoquot fuzz`, gated in CI under a pinned seed;
+//!   ddmin shrinking) over the codec, guard, gateway dispatch, batch
+//!   boundaries, and artifact loader — `protoquot fuzz`, gated in CI
+//!   under a pinned seed;
 //! * [`mod@adversarial`] — a hostile load generator: eight wire-level
 //!   attacks (garbage, truncation, floods, churn, slow-drip,
-//!   backpressure abuse, zombies) with a deterministic,
-//!   transport-invariant containment report — `drive --adversarial`;
+//!   backpressure abuse, zombies) with a deterministic containment
+//!   report, identical at any reactor loop count — `drive
+//!   --adversarial`;
 //! * [`stats`] — lock-free counters with JSON snapshots, including
 //!   the connection-eviction taxonomy (`slow_consumer`, `slow_read`,
 //!   `protocol`) behind the resource limits in [`transport`];
@@ -57,16 +61,15 @@
 //!   against the pinned service contract before an artifact can go
 //!   live via [`Gateway::swap`], while peers negotiate the wire
 //!   identity (event-table hash + active version) in a hello
-//!   handshake that is byte-identical across transports.
+//!   handshake.
 //!
 //! The headline property, enforced by `tests/runtime_agreement.rs` at
 //! the workspace root: **every event sequence the runtime accepts is a
 //! trace the static checker accepts, and every faulty converter the
 //! static checker rejects is convicted online** when driven with the
 //! same fleet schedules. `tests/reactor_transport.rs` extends the
-//! differential across transports: the same campaign produces the
-//! same report over loopback, blocking TCP and the reactor, lockstep
-//! or multiplexed.
+//! differential across carriers: the same campaign produces the same
+//! report over loopback and the reactor, lockstep or multiplexed.
 //!
 //! The operator-facing guide — every CLI flag, the stats/report JSON
 //! schemas, reject reasons, and backpressure/eviction/drain semantics
@@ -99,5 +102,5 @@ pub use registry::{AdmittedVersion, ConverterRegistry, RegistryError};
 pub use stats::{ConnEvictReason, RuntimeStats, StatsSnapshot};
 pub use transport::{
     Conn, ConnLimits, LoopbackConn, LoopbackMux, MuxClient, MuxTransport, ReactorConfig,
-    ReactorServer, TcpConn, TcpServer,
+    ReactorServer, TcpConn,
 };

@@ -1,18 +1,16 @@
-//! Wire transports: in-memory loopback, blocking TCP, and the epoll
-//! reactor.
+//! Wire transports: the in-memory loopback and the epoll reactor.
 //!
 //! Every transport speaks the length-prefixed codec from
 //! [`crate::codec`]. [`LoopbackConn`] round-trips every frame and reply
 //! through the encoder/decoder so in-process benchmarks exercise the
-//! real wire format; [`TcpServer`]/[`TcpConn`] carry the same bytes
-//! over `std::net` sockets with one blocking reader thread per
-//! connection; [`ReactorServer`] carries them over *non-blocking*
-//! sockets driven by a small fixed pool of epoll event-loop threads,
-//! so concurrency is bounded by session state, not by thread count.
+//! real wire format; [`ReactorServer`] carries the same bytes over
+//! *non-blocking* sockets driven by a small fixed pool of epoll
+//! event-loop threads, so concurrency is bounded by session state, not
+//! by thread count.
 //!
 //! Two client shapes exist. [`Conn`] is lockstep — one outstanding
-//! frame per connection, reply matching trivial — and both servers
-//! accept it. [`MuxTransport`] is the multiplexed shape: a driver
+//! frame per connection, reply matching trivial — served over TCP by
+//! [`TcpConn`]. [`MuxTransport`] is the multiplexed shape: a driver
 //! queues frames from *many* sessions onto one connection, flushes
 //! them in one batch, and attributes each interleaved reply to the
 //! session its header names ([`MuxClient`] over TCP, [`LoopbackMux`]
@@ -26,14 +24,15 @@
 //! owning one `reactor::Poll`. Loop 0 also owns the (non-blocking)
 //! listener and hands accepted connections round-robin to all loops
 //! through per-loop inboxes, waking the target loop. Per readiness
-//! wakeup a loop reads everything the socket has, feeds a
-//! [`FrameBuffer`], and submits every complete frame to the gateway;
-//! replies are encoded by whichever gateway worker finished the frame
-//! into the connection's shared outbound buffer, and the owning loop
-//! is woken to flush it. `EPOLLOUT` interest is registered only while
-//! flushed-behind bytes remain, and a connection whose outbound buffer
-//! outgrows [`ReactorConfig::outbuf_cap`] (a client that stopped
-//! reading) is dropped as a counted
+//! wakeup a loop reads what the socket has, feeds a [`FrameBuffer`],
+//! and hands every complete frame to [`Gateway::call_batch`] as one
+//! batch; inline replies land in the connection's outbound buffer and
+//! are flushed at once, while a session with frames already queued is
+//! answered by a gateway worker, which appends to the same buffer and
+//! wakes the owning loop to flush it. `EPOLLOUT` interest is
+//! registered only while flushed-behind bytes remain, and a connection
+//! whose outbound buffer outgrows [`ReactorConfig::outbuf_cap`] (a
+//! client that stopped reading) is dropped as a counted
 //! [`ConnEvictReason::SlowConsumer`] eviction rather than buffered
 //! without bound. Each readiness event reads a bounded number of
 //! chunks so a firehosing peer cannot starve its loop's other
@@ -42,7 +41,7 @@
 
 use crate::codec::{
     decode_frame, decode_reply, encode_frame, encode_reply, encode_reply_array, read_payload,
-    write_frame, write_reply, Frame, FrameBuffer, RejectReason, Reply, ReplyBuffer,
+    write_frame, Frame, FrameBuffer, RejectReason, Reply, ReplyBuffer,
 };
 use crate::gateway::{BatchScratch, Gateway};
 use crate::stats::ConnEvictReason;
@@ -56,8 +55,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Per-connection resource limits, enforced by both socket servers
-/// (the in-process loopbacks have no connection to bound).
+/// Per-connection resource limits, enforced by the reactor (the
+/// in-process loopbacks have no connection to bound).
 ///
 /// These are the transport half of the convict-or-evict invariant: a
 /// peer that floods sessions is *rejected* frame by frame
@@ -99,9 +98,8 @@ impl Default for ConnLimits {
     }
 }
 
-/// What a transport does with one decoded frame, as decided by
-/// [`ConnSessions::gate`]. Every server path maps these identically,
-/// which is what keeps negotiation byte-identical across transports.
+/// What the reactor does with one decoded frame, as decided by
+/// [`ConnSessions::gate`].
 enum Gate {
     /// Submit the frame to the gateway.
     Forward,
@@ -146,8 +144,7 @@ impl ConnSessions {
     }
 
     /// Connection-level admission for one decoded frame: hello
-    /// negotiation first, then the session cap. Shared by every server
-    /// path of both transports.
+    /// negotiation first, then the session cap.
     fn gate(&mut self, gateway: &Gateway, frame: &Frame, limits: &ConnLimits) -> Gate {
         match frame {
             Frame::Hello {
@@ -259,272 +256,6 @@ impl Conn for TcpConn {
     }
 }
 
-/// A running TCP acceptor in front of a gateway.
-pub struct TcpServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-}
-
-impl TcpServer {
-    /// Binds `addr` and serves `gateway` with default [`ConnLimits`]
-    /// until [`TcpServer::stop`].
-    ///
-    /// Each accepted connection gets a reader thread; replies are
-    /// written back by gateway workers through a shared write half, so
-    /// a slow client never blocks the acceptor.
-    pub fn bind<A: ToSocketAddrs>(gateway: Gateway, addr: A) -> io::Result<TcpServer> {
-        TcpServer::bind_with(gateway, addr, ConnLimits::default())
-    }
-
-    /// [`TcpServer::bind`] with explicit per-connection limits.
-    pub fn bind_with<A: ToSocketAddrs>(
-        gateway: Gateway,
-        addr: A,
-        limits: ConnLimits,
-    ) -> io::Result<TcpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let acceptor = std::thread::spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            while !accept_stop.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let gateway = gateway.clone();
-                        let stop = Arc::clone(&accept_stop);
-                        gateway.runtime_stats().note_conn_open();
-                        conns.push(std::thread::spawn(move || {
-                            let _ = serve_connection(&gateway, stream, &stop, limits);
-                            gateway.runtime_stats().note_conn_close();
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for c in conns {
-                let _ = c.join();
-            }
-        });
-        Ok(TcpServer {
-            addr,
-            stop,
-            acceptor: Some(acceptor),
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting and joins every connection thread.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Reads frames off one connection; replies are written (in completion
-/// order — lockstep clients see call order) through a mutex-shared
-/// clone of the stream.
-///
-/// Reads are batched: every socket wakeup pulls whatever bytes are
-/// available into a [`FrameBuffer`] and processes *all* complete frames
-/// it holds, so pipelined clients pay one read syscall for a whole
-/// burst of frames. When the gateway has batching enabled the burst
-/// goes through [`Gateway::call_batch`] — replies for the whole chunk
-/// are encoded into one reusable buffer and written with a single
-/// locked `write_all`; otherwise each frame is submitted individually.
-/// Partial frames stay buffered across reads; an EOF that strands one
-/// is reported as a torn stream, never silently dropped. Cuts that
-/// evict an abusive peer (garbage, torn stream, slow drip) are
-/// attributed in the gateway stats per [`ConnEvictReason`].
-fn serve_connection(
-    gateway: &Gateway,
-    stream: TcpStream,
-    stop: &AtomicBool,
-    limits: ConnLimits,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut reader = stream;
-    let mut frames = FrameBuffer::new();
-    let mut sessions = ConnSessions::default();
-    let mut chunk = [0u8; 16 * 1024];
-    let batching = gateway.batching_enabled();
-    // Batch-path scratch, reused across read wakeups.
-    let mut batch: Vec<Frame> = Vec::new();
-    let mut admitted: Vec<Frame> = Vec::new();
-    let mut scratch = BatchScratch::new();
-    let mut out: Vec<u8> = Vec::new();
-    // First byte of an unfinished message, for the read deadline.
-    let mut mid_since: Option<Instant> = None;
-    while !stop.load(Ordering::Acquire) {
-        let got = match reader.read(&mut chunk) {
-            Ok(0) => {
-                if frames.is_mid_message() {
-                    gateway
-                        .runtime_stats()
-                        .note_conn_evict(ConnEvictReason::Protocol);
-                    return Err(frames.torn_error().into());
-                }
-                break; // clean EOF, between messages
-            }
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                if let Some(since) = mid_since {
-                    if !limits.read_deadline.is_zero() && since.elapsed() >= limits.read_deadline {
-                        gateway
-                            .runtime_stats()
-                            .note_conn_evict(ConnEvictReason::SlowRead);
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "frame unfinished past the read deadline",
-                        ));
-                    }
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        frames.extend(&chunk[..got]);
-        if batching {
-            gateway.runtime_stats().note_bytes_in(got);
-            // Decode everything first; frames decoded before any wire
-            // damage are still answered, matching the per-frame path.
-            batch.clear();
-            let mut wire_err = None;
-            loop {
-                match frames.next_frame() {
-                    Ok(Some(frame)) => batch.push(frame),
-                    Ok(None) => break,
-                    Err(e) => {
-                        wire_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            out.clear();
-            let mut slow = |frame: Frame| {
-                let writer = Arc::clone(&writer);
-                gateway.submit(
-                    frame,
-                    Box::new(move |reply| {
-                        let mut w = writer.lock().unwrap();
-                        let _ = write_reply(&mut *w, &reply);
-                    }),
-                );
-            };
-            admitted.clear();
-            let mut refused = false;
-            for &frame in &batch {
-                match sessions.gate(gateway, &frame, &limits) {
-                    Gate::Forward => admitted.push(frame),
-                    Gate::Reply(reply) => {
-                        // Flush the admitted run first so a bounced
-                        // session's earlier replies keep their order.
-                        gateway.call_batch(&admitted, &mut scratch, &mut out, &mut slow);
-                        admitted.clear();
-                        encode_reply(&reply, &mut out);
-                    }
-                    Gate::Refuse(reply) => {
-                        gateway.call_batch(&admitted, &mut scratch, &mut out, &mut slow);
-                        admitted.clear();
-                        encode_reply(&reply, &mut out);
-                        refused = true;
-                        break;
-                    }
-                }
-            }
-            gateway.call_batch(&admitted, &mut scratch, &mut out, &mut slow);
-            admitted.clear();
-            if !out.is_empty() {
-                let mut w = writer.lock().unwrap();
-                w.write_all(&out)?;
-                gateway.runtime_stats().note_bytes_out(out.len());
-            }
-            if refused {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    "connection refused at hello negotiation",
-                ));
-            }
-            if let Some(e) = wire_err {
-                gateway
-                    .runtime_stats()
-                    .note_conn_evict(ConnEvictReason::Protocol);
-                return Err(e.into());
-            }
-        } else {
-            loop {
-                match frames.next_frame() {
-                    Ok(Some(frame)) => {
-                        match sessions.gate(gateway, &frame, &limits) {
-                            Gate::Forward => {}
-                            Gate::Reply(reply) => {
-                                let mut w = writer.lock().unwrap();
-                                let _ = write_reply(&mut *w, &reply);
-                                continue;
-                            }
-                            Gate::Refuse(reply) => {
-                                let mut w = writer.lock().unwrap();
-                                let _ = write_reply(&mut *w, &reply);
-                                return Err(io::Error::new(
-                                    io::ErrorKind::ConnectionRefused,
-                                    "connection refused at hello negotiation",
-                                ));
-                            }
-                        }
-                        let writer = Arc::clone(&writer);
-                        gateway.submit(
-                            frame,
-                            Box::new(move |reply| {
-                                let mut w = writer.lock().unwrap();
-                                let _ = write_reply(&mut *w, &reply);
-                            }),
-                        );
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        gateway
-                            .runtime_stats()
-                            .note_conn_evict(ConnEvictReason::Protocol);
-                        return Err(e.into());
-                    }
-                }
-            }
-        }
-        // The deadline clock starts when a message is left unfinished
-        // and is *not* reset by later partial progress: a drip client
-        // feeding one byte per poll must still run out of road.
-        if frames.is_mid_message() {
-            mid_since.get_or_insert_with(Instant::now);
-        } else {
-            mid_since = None;
-        }
-    }
-    Ok(())
-}
-
 /// Token of each loop's waker registration.
 const TOKEN_WAKER: Token = Token(0);
 /// Token of the listener registration (loop 0 only).
@@ -624,7 +355,7 @@ struct ReactorConn {
     /// deadline sweep.
     mid_since: Option<Instant>,
     /// Frames decoded from the current readiness event, reused across
-    /// events (batched path only).
+    /// events.
     batch: Vec<Frame>,
     /// Admitted run being accumulated for [`Gateway::call_batch`].
     admitted: Vec<Frame>,
@@ -923,11 +654,10 @@ fn register_conn(
 }
 
 /// Drains the socket's readable bytes into the connection's
-/// [`FrameBuffer`] and processes every complete frame — through
-/// [`Gateway::call_batch`] when batching is enabled, per-frame
-/// `submit` otherwise. Returns `false` when the connection is finished
-/// (EOF, error, or protocol damage); frames decoded before the damage
-/// are still answered either way.
+/// [`FrameBuffer`] and runs every complete frame through
+/// [`Gateway::call_batch`]. Returns `false` when the connection is
+/// finished (EOF, error, or protocol damage); frames decoded before the
+/// damage are still answered either way.
 fn read_conn(
     gateway: &Gateway,
     shared: &Arc<LoopShared>,
@@ -936,9 +666,6 @@ fn read_conn(
     chunk: &mut [u8],
     cfg: &ReactorConfig,
 ) -> bool {
-    if !gateway.batching_enabled() {
-        return read_conn_per_frame(gateway, shared, token, conn, chunk, cfg);
-    }
     let mut keep = read_into_batch(gateway, conn, chunk);
     if !conn.batch.is_empty() {
         keep = process_batch(gateway, shared, token, conn, cfg) && keep;
@@ -947,7 +674,7 @@ fn read_conn(
     keep
 }
 
-/// Batched read half: pulls bounded chunks into the frame buffer and
+/// Read half: pulls bounded chunks into the frame buffer and
 /// decodes complete frames into `conn.batch` without touching the
 /// gateway. Returns whether the connection stays registered.
 fn read_into_batch(gateway: &Gateway, conn: &mut ReactorConn, chunk: &mut [u8]) -> bool {
@@ -983,7 +710,7 @@ fn read_into_batch(gateway: &Gateway, conn: &mut ReactorConn, chunk: &mut [u8]) 
                         Ok(Some(frame)) => conn.batch.push(frame),
                         Ok(None) => break,
                         // Adversarial or corrupt input: cut the
-                        // connection, exactly like the blocking server.
+                        // connection.
                         Err(_) => {
                             gateway
                                 .runtime_stats()
@@ -1062,88 +789,6 @@ fn process_batch(
     gateway.call_batch(&conn.admitted, &mut conn.scratch, &mut ob.buf, &mut slow);
     conn.admitted.clear();
     keep
-}
-
-/// Per-frame fallback ([`GatewayConfig::batching`] off): every decoded
-/// frame is submitted individually and every reply pays a responder
-/// and a flush wakeup. Kept as the differential oracle for the batched
-/// path.
-///
-/// [`GatewayConfig::batching`]: crate::gateway::GatewayConfig::batching
-fn read_conn_per_frame(
-    gateway: &Gateway,
-    shared: &Arc<LoopShared>,
-    token: Token,
-    conn: &mut ReactorConn,
-    chunk: &mut [u8],
-    cfg: &ReactorConfig,
-) -> bool {
-    let mut reads = 0usize;
-    loop {
-        if reads == MAX_READS_PER_EVENT {
-            return true;
-        }
-        reads += 1;
-        match conn.stream.read(chunk) {
-            Ok(0) => {
-                if conn.frames.is_mid_message() {
-                    gateway
-                        .runtime_stats()
-                        .note_conn_evict(ConnEvictReason::Protocol);
-                }
-                return false;
-            }
-            Ok(n) => {
-                gateway.runtime_stats().note_bytes_in(n);
-                conn.frames.extend(&chunk[..n]);
-                loop {
-                    match conn.frames.next_frame() {
-                        Ok(Some(frame)) => {
-                            match conn.sessions.gate(gateway, &frame, &cfg.limits) {
-                                Gate::Forward => {}
-                                Gate::Reply(reply) => {
-                                    encode_reply(&reply, &mut conn.out.lock().unwrap().buf);
-                                    shared.request_flush(token.0);
-                                    continue;
-                                }
-                                Gate::Refuse(reply) => {
-                                    // The cut's refusal reply still
-                                    // goes out: the event loop flushes
-                                    // once before dropping the conn.
-                                    encode_reply(&reply, &mut conn.out.lock().unwrap().buf);
-                                    return false;
-                                }
-                            }
-                            let out = Arc::clone(&conn.out);
-                            let shared = Arc::clone(shared);
-                            gateway.submit(
-                                frame,
-                                Box::new(move |reply| {
-                                    encode_reply(&reply, &mut out.lock().unwrap().buf);
-                                    shared.request_flush(token.0);
-                                }),
-                            );
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            gateway
-                                .runtime_stats()
-                                .note_conn_evict(ConnEvictReason::Protocol);
-                            return false;
-                        }
-                    }
-                }
-                if conn.frames.is_mid_message() {
-                    conn.mid_since.get_or_insert_with(Instant::now);
-                } else {
-                    conn.mid_since = None;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
 }
 
 /// Writes as much buffered output as the socket takes. Registers
@@ -1362,19 +1007,17 @@ impl MuxTransport for MuxClient {
 }
 
 /// In-process [`MuxTransport`]: frames go through the real encoder and
-/// decoder; with batching enabled they accumulate until
-/// [`MuxTransport::exchange`] runs the whole burst through
-/// [`Gateway::call_batch`] and decodes the inline reply bytes from a
-/// reused wire buffer, otherwise each frame goes straight into
-/// [`Gateway::submit`]. Slow-path replies round-trip the wire format
-/// (stack-encoded, no per-reply allocation) into a condvar-guarded
-/// queue the exchange drains. The differential twin of [`MuxClient`]
-/// for socket-free tests and benchmarks.
+/// decoder and accumulate until [`MuxTransport::exchange`] runs the
+/// whole burst through [`Gateway::call_batch`] and decodes the inline
+/// reply bytes from a reused wire buffer. Slow-path replies round-trip
+/// the wire format (stack-encoded, no per-reply allocation) into a
+/// condvar-guarded queue the exchange drains. The socket-free
+/// counterpart of [`MuxClient`] for tests and benchmarks.
 pub struct LoopbackMux {
     gateway: Gateway,
     pending: Arc<(Mutex<Vec<Reply>>, Condvar)>,
     buf: Vec<u8>,
-    /// Decoded frames awaiting the next exchange (batched path only).
+    /// Decoded frames awaiting the next exchange.
     queued: Vec<Frame>,
     /// Session-grouping scratch for [`Gateway::call_batch`].
     scratch: BatchScratch,
@@ -1399,33 +1042,11 @@ impl LoopbackMux {
     }
 }
 
-/// The slow-path responder both loopback-mux paths share: round-trips
-/// the reply through the stack wire encoder into the pending queue.
-fn loopback_mux_responder(
-    pending: &Arc<(Mutex<Vec<Reply>>, Condvar)>,
-) -> Box<dyn FnOnce(Reply) + Send + 'static> {
-    let pending = Arc::clone(pending);
-    Box::new(move |reply| {
-        let (wire, len) = encode_reply_array(&reply);
-        if let Ok(reply) = decode_reply(&wire[4..len]) {
-            let (lock, cv) = &*pending;
-            lock.lock().unwrap().push(reply);
-            cv.notify_one();
-        }
-    })
-}
-
 impl MuxTransport for LoopbackMux {
     fn queue(&mut self, frame: &Frame) -> io::Result<()> {
         self.buf.clear();
         encode_frame(frame, &mut self.buf);
-        let decoded = decode_frame(&self.buf[4..])?;
-        if self.gateway.batching_enabled() {
-            self.queued.push(decoded);
-            return Ok(());
-        }
-        self.gateway
-            .submit(decoded, loopback_mux_responder(&self.pending));
+        self.queued.push(decode_frame(&self.buf[4..])?);
         Ok(())
     }
 
@@ -1434,9 +1055,21 @@ impl MuxTransport for LoopbackMux {
         if !self.queued.is_empty() {
             self.wire.clear();
             let gateway = &self.gateway;
-            let pending = &self.pending;
+            // Slow-path replies round-trip the stack wire encoder into
+            // the pending queue.
             let mut slow = |frame: Frame| {
-                gateway.submit(frame, loopback_mux_responder(pending));
+                let pending = Arc::clone(&self.pending);
+                gateway.submit(
+                    frame,
+                    Box::new(move |reply| {
+                        let (wire, len) = encode_reply_array(&reply);
+                        if let Ok(reply) = decode_reply(&wire[4..len]) {
+                            let (lock, cv) = &*pending;
+                            lock.lock().unwrap().push(reply);
+                            cv.notify_one();
+                        }
+                    }),
+                );
             };
             gateway.call_batch(&self.queued, &mut self.scratch, &mut self.wire, &mut slow);
             self.queued.clear();
@@ -1690,103 +1323,61 @@ mod tests {
         gw.drain();
     }
 
-    /// Strict negotiation on both servers: a negotiated client is
-    /// served, a mismatched hash is refused at connect, and a legacy
-    /// no-hello peer gets one counted `VersionMismatch` and is cut.
+    /// Strict negotiation: a negotiated client is served, a mismatched
+    /// hash is refused at connect, and a legacy no-hello peer gets one
+    /// counted `VersionMismatch` and is cut.
     #[test]
-    fn strict_hello_gates_both_transports() {
+    fn strict_hello_gates_the_reactor() {
         let acc = EventId::new("acc");
-        for reactor in [false, true] {
-            let gw = relay_gateway();
-            let hash = gw.table_hash();
-            let limits = ConnLimits {
-                require_hello: true,
-                ..ConnLimits::default()
-            };
-            let (addr, mut tcp_server, mut reactor_server) = if reactor {
-                let s = ReactorServer::bind(
-                    gw.clone(),
-                    "127.0.0.1:0",
-                    ReactorConfig {
-                        limits,
-                        ..ReactorConfig::default()
-                    },
-                )
-                .unwrap();
-                (s.local_addr(), None, Some(s))
-            } else {
-                let s = TcpServer::bind_with(gw.clone(), "127.0.0.1:0", limits).unwrap();
-                (s.local_addr(), Some(s), None)
-            };
-            let f = gw.codec().event_frame(1, acc).unwrap();
-            // A negotiated client is served normally.
-            let mut conn = TcpConn::connect_negotiated(addr, hash).unwrap();
-            assert_eq!(conn.call(&f).unwrap(), Reply::Accepted { session: 1 });
-            // A peer speaking a different event table never gets in.
-            let err = match TcpConn::connect_negotiated(addr, hash ^ 1) {
-                Err(e) => e,
-                Ok(_) => panic!("mismatched table hash must be refused at hello"),
-            };
-            assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
-            // A legacy peer that skips the hello is bounced and cut.
-            let mut legacy = TcpConn::connect(addr).unwrap();
-            assert_eq!(
-                legacy.call(&f).unwrap(),
-                Reply::Rejected {
-                    session: 1,
-                    reason: RejectReason::VersionMismatch,
-                }
-            );
-            // The negotiated mux shape works against the same server.
-            let mut mux = MuxClient::connect_negotiated(addr, hash).unwrap();
-            let f2 = gw.codec().event_frame(2, acc).unwrap();
-            mux.queue(&f2).unwrap();
-            let mut replies = Vec::new();
-            mux.exchange(true, &mut replies).unwrap();
-            assert_eq!(replies, vec![Reply::Accepted { session: 2 }]);
-            if let Some(s) = tcp_server.as_mut() {
-                s.stop();
-            }
-            if let Some(s) = reactor_server.as_mut() {
-                s.stop();
-            }
-            let snap = gw.stats();
-            assert!(
-                snap.rejects.contains(&("version_mismatch", 2)),
-                "reactor={reactor}: {:?}",
-                snap.rejects
-            );
-            gw.drain();
-        }
-    }
-
-    #[test]
-    fn tcp_serves_concurrent_lockstep_clients() {
         let gw = relay_gateway();
-        let mut server = TcpServer::bind(gw.clone(), "127.0.0.1:0").unwrap();
+        let hash = gw.table_hash();
+        let limits = ConnLimits {
+            require_hello: true,
+            ..ConnLimits::default()
+        };
+        let mut server = ReactorServer::bind(
+            gw.clone(),
+            "127.0.0.1:0",
+            ReactorConfig {
+                limits,
+                ..ReactorConfig::default()
+            },
+        )
+        .unwrap();
         let addr = server.local_addr();
-        let acc = EventId::new("acc");
-        let del = EventId::new("del");
-        std::thread::scope(|scope| {
-            for session in 0..4u64 {
-                let codec = gw.codec().clone();
-                scope.spawn(move || {
-                    let mut conn = TcpConn::connect(addr).unwrap();
-                    for _ in 0..20 {
-                        let f = codec.event_frame(session, acc).unwrap();
-                        assert_eq!(conn.call(&f).unwrap(), Reply::Accepted { session });
-                        let f = codec.event_frame(session, del).unwrap();
-                        assert_eq!(conn.call(&f).unwrap(), Reply::Accepted { session });
-                    }
-                    let close = Frame::Close { session };
-                    assert_eq!(conn.call(&close).unwrap(), Reply::Accepted { session });
-                });
+        let f = gw.codec().event_frame(1, acc).unwrap();
+        // A negotiated client is served normally.
+        let mut conn = TcpConn::connect_negotiated(addr, hash).unwrap();
+        assert_eq!(conn.call(&f).unwrap(), Reply::Accepted { session: 1 });
+        // A peer speaking a different event table never gets in.
+        let err = match TcpConn::connect_negotiated(addr, hash ^ 1) {
+            Err(e) => e,
+            Ok(_) => panic!("mismatched table hash must be refused at hello"),
+        };
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+        // A legacy peer that skips the hello is bounced and cut.
+        let mut legacy = TcpConn::connect(addr).unwrap();
+        assert_eq!(
+            legacy.call(&f).unwrap(),
+            Reply::Rejected {
+                session: 1,
+                reason: RejectReason::VersionMismatch,
             }
-        });
-        let snap = gw.stats();
-        assert_eq!(snap.accepted, 4 * 40);
-        assert_eq!(snap.convictions, 0);
+        );
+        // The negotiated mux shape works against the same server.
+        let mut mux = MuxClient::connect_negotiated(addr, hash).unwrap();
+        let f2 = gw.codec().event_frame(2, acc).unwrap();
+        mux.queue(&f2).unwrap();
+        let mut replies = Vec::new();
+        mux.exchange(true, &mut replies).unwrap();
+        assert_eq!(replies, vec![Reply::Accepted { session: 2 }]);
         server.stop();
+        let snap = gw.stats();
+        assert!(
+            snap.rejects.contains(&("version_mismatch", 2)),
+            "{:?}",
+            snap.rejects
+        );
         gw.drain();
     }
 }

@@ -3,7 +3,7 @@
 //! Four properties, all over real sockets:
 //!
 //! 1. **Torn/garbage bytes at every offset through the reactor** — the
-//!    blocking `read_frame` path already has per-offset coverage; here
+//!    `read_frame` codec path already has per-offset coverage; here
 //!    the same hostile prefixes go through the epoll reactor, which
 //!    must cut every damaged connection (counted as a `protocol`
 //!    eviction) and keep serving honest ones.
@@ -17,16 +17,17 @@
 //!    outbound buffer cap is hit, and the drop must be visible in
 //!    `RuntimeStats` as a `slow_consumer` eviction (the regression for
 //!    the formerly silent 4 MiB-cap drop).
-//! 4. **The adversarial campaign is transport-invariant** — the full
+//! 4. **The adversarial campaign is loop-count invariant** — the full
 //!    `drive --adversarial` battery against identically configured
-//!    blocking and reactor servers must produce byte-identical report
-//!    JSON, with every attack neutralized.
+//!    reactors with one and with four event loops must produce
+//!    byte-identical report JSON, with every attack neutralized. Hello
+//!    refusal bytes are pinned the same way.
 
 use protoquot_core::solve;
 use protoquot_protocols::{colocated_configuration, exactly_once};
 use protoquot_runtime::{
     adversarial, table_hash, AdversarialConfig, Conn, ConnLimits, Frame, Gateway, GatewayConfig,
-    ReactorConfig, ReactorServer, StatsSnapshot, TcpConn, TcpServer,
+    ReactorConfig, ReactorServer, StatsSnapshot, TcpConn,
 };
 use protoquot_spec::{EventTable, Spec};
 use std::io::{Read, Write};
@@ -321,8 +322,8 @@ fn rejects(snap: &StatsSnapshot, reason: &str) -> u64 {
         .expect("reject taxonomy covers every reason")
 }
 
-/// Version negotiation under `require_hello`, pinned across both
-/// transports:
+/// Version negotiation under `require_hello`, pinned across reactor
+/// loop counts:
 ///
 /// * a peer carrying the gateway's event-table hash is acked and
 ///   served;
@@ -331,8 +332,8 @@ fn rejects(snap: &StatsSnapshot, reason: &str) -> u64 {
 /// * a legacy peer that leads with an event frame (no hello at all)
 ///   gets the same treatment;
 /// * garbage in place of a hello is a protocol eviction, not a stall;
-/// * the refusal bytes on the wire are identical between the blocking
-///   and reactor servers, and none of it is a conviction.
+/// * the refusal bytes on the wire are identical with one and with four
+///   event loops, and none of it is a conviction.
 #[test]
 fn hello_negotiation_is_enforced_and_transport_invariant() {
     let (components, service) = derived_system();
@@ -362,25 +363,19 @@ fn hello_negotiation_is_enforced_and_transport_invariant() {
     );
 
     let mut transcripts = Vec::new();
-    for reactor_mode in [false, true] {
+    for loops in [1usize, 4] {
         let gw = gateway(&components, &service, GatewayConfig::default());
-        let (addr, mut stop): (_, Box<dyn FnMut()>) = if reactor_mode {
-            let mut server = ReactorServer::bind(
-                gw.clone(),
-                "127.0.0.1:0",
-                ReactorConfig {
-                    loops: 1,
-                    limits,
-                    ..ReactorConfig::default()
-                },
-            )
-            .expect("bind reactor");
-            (server.local_addr(), Box::new(move || server.stop()))
-        } else {
-            let mut server =
-                TcpServer::bind_with(gw.clone(), "127.0.0.1:0", limits).expect("bind blocking");
-            (server.local_addr(), Box::new(move || server.stop()))
-        };
+        let mut server = ReactorServer::bind(
+            gw.clone(),
+            "127.0.0.1:0",
+            ReactorConfig {
+                loops,
+                limits,
+                ..ReactorConfig::default()
+            },
+        )
+        .expect("bind reactor");
+        let addr = server.local_addr();
 
         // A peer with the right hash negotiates and is served.
         let mut honest = TcpConn::connect_negotiated(addr, hash).expect("negotiated connect");
@@ -431,7 +426,7 @@ fn hello_negotiation_is_enforced_and_transport_invariant() {
             );
         }
 
-        stop();
+        server.stop();
         let snap = gw.stats();
         // Three refused peers (connect_negotiated + raw hello + legacy
         // lead), every one counted, none a conviction.
@@ -449,13 +444,13 @@ fn hello_negotiation_is_enforced_and_transport_invariant() {
     }
     assert_eq!(
         transcripts[0], transcripts[1],
-        "hello refusal bytes depend on the transport"
+        "hello refusal bytes depend on the loop count"
     );
 }
 
 /// The full adversarial battery produces byte-identical JSON against
-/// identically configured blocking and reactor servers, with every
-/// attack neutralized.
+/// identically configured reactors with one and with four event loops,
+/// with every attack neutralized.
 #[test]
 fn adversarial_report_is_transport_invariant() {
     let (components, service) = derived_system();
@@ -470,39 +465,35 @@ fn adversarial_report_is_transport_invariant() {
         drip_hold: Duration::from_millis(600),
         ..AdversarialConfig::default()
     };
-
-    let gw = gateway(&components, &service, GatewayConfig::default());
-    let mut blocking = TcpServer::bind_with(gw.clone(), "127.0.0.1:0", limits).expect("bind");
-    let blocking_report =
-        adversarial(blocking.local_addr(), &cfg).expect("campaign over blocking transport");
-    blocking.stop();
-
-    let gw = gateway(&components, &service, GatewayConfig::default());
-    let mut reactor = ReactorServer::bind(
-        gw.clone(),
-        "127.0.0.1:0",
-        ReactorConfig {
-            loops: 2,
-            limits,
-            ..ReactorConfig::default()
-        },
-    )
-    .expect("bind");
-    let reactor_report =
-        adversarial(reactor.local_addr(), &cfg).expect("campaign over reactor transport");
-    reactor.stop();
-
-    assert!(
-        blocking_report.is_contained(),
-        "blocking transport failed to contain the battery:\n{blocking_report}"
-    );
-    assert!(
-        reactor_report.is_contained(),
-        "reactor transport failed to contain the battery:\n{reactor_report}"
-    );
+    let reports: Vec<_> = [1usize, 4]
+        .into_iter()
+        .map(|loops| {
+            let gw = gateway(&components, &service, GatewayConfig::default());
+            let mut server = ReactorServer::bind(
+                gw,
+                "127.0.0.1:0",
+                ReactorConfig {
+                    loops,
+                    limits,
+                    ..ReactorConfig::default()
+                },
+            )
+            .expect("bind");
+            let report = adversarial(server.local_addr(), &cfg)
+                .unwrap_or_else(|e| panic!("campaign over {loops} loop(s): {e}"));
+            server.stop();
+            assert!(
+                report.is_contained(),
+                "{loops} loop(s) failed to contain the battery:\n{report}"
+            );
+            report
+        })
+        .collect();
     assert_eq!(
-        blocking_report.to_json(),
-        reactor_report.to_json(),
-        "adversarial report depends on the transport:\nblocking: {blocking_report}\nreactor: {reactor_report}"
+        reports[0].to_json(),
+        reports[1].to_json(),
+        "adversarial report depends on the loop count:\n1 loop: {}\n4 loops: {}",
+        reports[0],
+        reports[1]
     );
 }

@@ -2,22 +2,21 @@
 //! *system and schedule*, not of the carrier. The same campaign config
 //! must produce byte-identical [`DriveReport`] JSON over
 //!
-//! * the in-memory loopback (no wire at all),
-//! * the blocking thread-per-connection TCP server,
+//! * the in-memory loopback (no socket at all),
 //! * the reactor server driven by lockstep clients, and
 //! * the reactor server driven by multiplexed sessions
 //!   (`sessions_per_conn` > 1 over a [`MuxClient`]),
 //!
 //! for a statically verified converter *and* for a rejected mutant —
-//! i.e. conviction outcomes agree across transports frame for frame.
-//! The blocking transport thereby serves as the differential oracle
-//! for the reactor.
+//! i.e. conviction outcomes agree across carriers frame for frame.
+//! The loopback, which never touches a socket, is the oracle for the
+//! reactor.
 
 use protoquot_core::{converter_verdict, solve};
 use protoquot_protocols::{colocated_configuration, exactly_once};
 use protoquot_runtime::{
     drive, drive_mux, Conn, DriveConfig, DriveReport, Gateway, GatewayConfig, LoopbackConn,
-    MuxClient, MuxTransport, ReactorConfig, ReactorServer, TcpConn, TcpServer,
+    MuxClient, MuxTransport, ReactorConfig, ReactorServer, TcpConn,
 };
 use protoquot_sim::{redirect_transition, FaultPlan};
 use protoquot_spec::Spec;
@@ -36,19 +35,10 @@ fn config(runs: u64, threads: usize, sessions_per_conn: u64) -> DriveConfig {
 
 /// A fresh gateway per campaign: closed sessions are tombstoned until
 /// idle eviction, and every campaign reuses run indices as session ids.
-/// `batching: false` is the per-frame dispatch oracle for the batched
-/// hot path (`--no-batch` on the CLI).
-fn gateway_with(components: &[Spec], service: &Spec, batching: bool) -> Gateway {
-    let parts: Vec<&Spec> = components.iter().collect();
-    let cfg = GatewayConfig {
-        batching,
-        ..GatewayConfig::default()
-    };
-    Gateway::new(&parts, service, cfg).expect("gateway must compile the system")
-}
-
 fn gateway(components: &[Spec], service: &Spec) -> Gateway {
-    gateway_with(components, service, true)
+    let parts: Vec<&Spec> = components.iter().collect();
+    Gateway::new(&parts, service, GatewayConfig::default())
+        .expect("gateway must compile the system")
 }
 
 /// One campaign over the named carrier, with its own server teardown.
@@ -58,31 +48,11 @@ fn campaign(
     service: &Spec,
     cfg: &DriveConfig,
 ) -> (DriveReport, u64, u64) {
-    campaign_with(carrier, components, service, cfg, true)
-}
-
-/// [`campaign`] with the gateway's batched dispatch switched on or off.
-fn campaign_with(
-    carrier: &str,
-    components: &[Spec],
-    service: &Spec,
-    cfg: &DriveConfig,
-    batching: bool,
-) -> (DriveReport, u64, u64) {
-    let gw = gateway_with(components, service, batching);
+    let gw = gateway(components, service);
     let report = match carrier {
         "loopback" => drive(components, service, cfg, || {
             Ok(Box::new(LoopbackConn::new(gw.clone())) as Box<dyn Conn>)
         }),
-        "blocking" => {
-            let mut server = TcpServer::bind(gw.clone(), "127.0.0.1:0").expect("bind");
-            let addr = server.local_addr();
-            let report = drive(components, service, cfg, move || {
-                TcpConn::connect(addr).map(|c| Box::new(c) as Box<dyn Conn>)
-            });
-            server.stop();
-            report
-        }
         "reactor-lockstep" => {
             let mut server =
                 ReactorServer::bind(gw.clone(), "127.0.0.1:0", ReactorConfig::default())
@@ -147,7 +117,7 @@ fn reports_identical_across_all_transports() {
         } else {
             assert!(baseline.convicted_runs > 0, "{label}: no convictions");
         }
-        for carrier in ["blocking", "reactor-lockstep", "reactor-mux"] {
+        for carrier in ["reactor-lockstep", "reactor-mux"] {
             let (report, opened, closed) = campaign(carrier, &components, &service, &cfg);
             assert_eq!(
                 baseline.to_json(),
@@ -159,51 +129,6 @@ fn reports_identical_across_all_transports() {
                 opened, closed,
                 "{label}: {carrier} leaked connections ({opened} opened, {closed} closed)"
             );
-        }
-    }
-}
-
-/// The batched wire hot path against its per-frame oracle: with
-/// `GatewayConfig::batching` off, every carrier falls back to one
-/// `Gateway::call`-style dispatch per frame (boxed responder, waker
-/// round-trip). Fixed-seed campaigns must be byte-identical either
-/// way — for the verified converter and for a convicted mutant alike,
-/// so conviction outcomes (and their counts) carry over exactly.
-#[test]
-fn batched_and_per_frame_dispatch_agree_across_transports() {
-    let system = colocated_configuration();
-    let service = exactly_once();
-    let q = solve(&system.b, &service, &system.int).expect("colocated converter derives");
-    let mutant = (0..8)
-        .find_map(|k| {
-            let m = redirect_transition(&q.converter, k)?;
-            let ok = converter_verdict(&system.b, &service, &m)
-                .map(|v| v.is_ok())
-                .unwrap_or(false);
-            (!ok).then_some(m)
-        })
-        .expect("some single-transition mutant is statically rejected");
-
-    for (label, converter, expect_clean) in
-        [("derived", &q.converter, true), ("mutant", &mutant, false)]
-    {
-        let components = [system.b.clone(), converter.clone()];
-        let cfg = config(24, 2, 8);
-        for carrier in ["loopback", "blocking", "reactor-mux"] {
-            let (batched, _, _) = campaign_with(carrier, &components, &service, &cfg, true);
-            let (per_frame, _, _) = campaign_with(carrier, &components, &service, &cfg, false);
-            assert_eq!(
-                batched.to_json(),
-                per_frame.to_json(),
-                "{label}: {carrier} batched dispatch diverges from per-frame dispatch"
-            );
-            assert_eq!(batched.is_clean(), expect_clean, "{label}: {carrier}");
-            if !expect_clean {
-                assert!(
-                    batched.convicted_runs > 0,
-                    "{label}: {carrier} lost the convictions"
-                );
-            }
         }
     }
 }

@@ -17,7 +17,7 @@ use protoquot_protocols::{colocated_configuration, exactly_once};
 use protoquot_runtime::{
     artifact, drive_mux, table_hash, Conn, ConnLimits, ConverterRegistry, DriveConfig, Frame,
     Gateway, GatewayConfig, GuardProgram, MuxClient, MuxTransport, ReactorConfig, ReactorServer,
-    RegistryError, StatsSnapshot, TcpConn, TcpServer,
+    RegistryError, StatsSnapshot, TcpConn,
 };
 use protoquot_sim::redirect_transition;
 use protoquot_spec::{EventTable, Spec};
@@ -200,7 +200,8 @@ fn mutant_artifact_is_refused_and_old_version_keeps_serving() {
     let (components, service) = derived_system();
     let parts: Vec<&Spec> = components.iter().collect();
     let gw = Gateway::new(&parts, &service, GatewayConfig::default()).expect("gateway");
-    let mut server = TcpServer::bind(gw.clone(), "127.0.0.1:0").expect("bind");
+    let mut server =
+        ReactorServer::bind(gw.clone(), "127.0.0.1:0", ReactorConfig::default()).expect("bind");
     let addr = server.local_addr();
 
     let dir = tempdir("mutant");

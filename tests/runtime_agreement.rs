@@ -11,7 +11,11 @@
 //!   identical across thread counts;
 //! * every single-transition converter mutant is convicted by the
 //!   online guard exactly when the static checker rejects it, across
-//!   all builtin configurations.
+//!   all builtin configurations;
+//! * the compiled DFA guard and the subset-replaying reference guard
+//!   agree bit for bit — on sampled and random streams over every
+//!   mutant, and on the per-session frame streams of whole recorded
+//!   drive campaigns.
 
 use protoquot_core::{converter_verdict, solve};
 use protoquot_protocols::nak::ab_to_nak_configuration;
@@ -20,8 +24,8 @@ use protoquot_protocols::{
     symmetric_configuration, RandomParams,
 };
 use protoquot_runtime::{
-    drive, drive_mux, Conn, DriveConfig, DriveReport, Frame, Gateway, GatewayConfig, GuardProgram,
-    LoopbackConn, LoopbackMux, MuxTransport, Reply, SessionGuard, SessionGuardReference, WireCodec,
+    drive, Conn, DriveConfig, DriveReport, Frame, Gateway, GatewayConfig, GuardProgram,
+    LoopbackConn, Reply, SessionGuard, SessionGuardReference,
 };
 use protoquot_sim::{redirect_transition, FaultPlan};
 use protoquot_spec::{compose_all, has_trace, Alphabet, EventId, Spec, SpecBuilder};
@@ -43,74 +47,92 @@ fn config(threads: usize) -> DriveConfig {
     }
 }
 
-type TraceLog = Arc<Mutex<HashMap<u64, Vec<EventId>>>>;
+/// Per session, every frame the driver sent with the reply it got.
+type ExchangeLog = Arc<Mutex<HashMap<u64, Vec<(Frame, Reply)>>>>;
 
-/// A loopback connection that records, per session, the event prefix
-/// the gateway *accepted* — the runtime's observable language.
+/// A loopback connection that records every exchange per session —
+/// the runtime's observable behaviour, replayable offline.
 struct RecordingConn {
     inner: LoopbackConn,
-    codec: WireCodec,
-    log: TraceLog,
+    log: ExchangeLog,
 }
 
 impl Conn for RecordingConn {
     fn call(&mut self, frame: &Frame) -> io::Result<Reply> {
         let reply = self.inner.call(frame)?;
-        if let (Frame::Event { session, event }, Reply::Accepted { .. }) = (frame, &reply) {
-            let e = self.codec.event_of(*event).expect("accepted unknown index");
-            self.log
-                .lock()
-                .unwrap()
-                .entry(*session)
-                .or_default()
-                .push(e);
-        }
+        self.log
+            .lock()
+            .unwrap()
+            .entry(frame.session())
+            .or_default()
+            .push((*frame, reply));
         Ok(reply)
     }
 }
 
-/// One drive campaign against a fresh gateway with `threads` workers
-/// (server and client alike), returning the report and the accepted
-/// per-session prefixes.
-fn campaign(components: &[Spec], service: &Spec, threads: usize) -> (DriveReport, TraceLog) {
-    campaign_with(components, service, threads, false)
+/// One recorded drive campaign and the (drained) gateway it ran on.
+struct Campaign {
+    report: DriveReport,
+    log: ExchangeLog,
+    gateway: Gateway,
 }
 
-/// Like [`campaign`], but selecting the gateway's guard implementation:
-/// the compiled DFA (`reference_guard: false`) or the subset-replaying
-/// oracle.
-fn campaign_with(
-    components: &[Spec],
-    service: &Spec,
-    threads: usize,
-    reference_guard: bool,
-) -> (DriveReport, TraceLog) {
+impl Campaign {
+    /// Per session, the event prefix the gateway *accepted* — the
+    /// runtime's observable language.
+    fn accepted_traces(&self) -> Vec<(u64, Vec<EventId>)> {
+        let codec = self.gateway.codec();
+        self.log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(&session, exchanges)| {
+                let trace = exchanges
+                    .iter()
+                    .filter_map(|(frame, reply)| match (frame, reply) {
+                        (Frame::Event { event, .. }, Reply::Accepted { .. }) => {
+                            Some(codec.event_of(*event).expect("accepted unknown index"))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                (session, trace)
+            })
+            .collect()
+    }
+}
+
+/// One drive campaign against a fresh gateway with `threads` workers
+/// (server and client alike), recording every exchange.
+fn campaign(components: &[Spec], service: &Spec, threads: usize) -> Campaign {
     let parts: Vec<&Spec> = components.iter().collect();
-    let gw = Gateway::new(
+    let gateway = Gateway::new(
         &parts,
         service,
         GatewayConfig {
             workers: threads,
-            reference_guard,
             ..GatewayConfig::default()
         },
     )
     .expect("gateway must compile the system");
-    let log: TraceLog = Arc::new(Mutex::new(HashMap::new()));
+    let log: ExchangeLog = Arc::new(Mutex::new(HashMap::new()));
     let report = drive(components, service, &config(threads), || {
         Ok(Box::new(RecordingConn {
-            inner: LoopbackConn::new(gw.clone()),
-            codec: gw.codec().clone(),
+            inner: LoopbackConn::new(gateway.clone()),
             log: Arc::clone(&log),
         }) as Box<dyn Conn>)
     });
-    gw.drain();
+    gateway.drain();
     assert_eq!(
-        gw.stats().convictions,
+        gateway.stats().convictions,
         report.convicted_runs,
         "gateway conviction counter disagrees with the drive report"
     );
-    (report, log)
+    Campaign {
+        report,
+        log,
+        gateway,
+    }
 }
 
 /// Drives at 1 and 8 threads, asserts the reports are identical,
@@ -124,31 +146,31 @@ fn runtime_conforms(
     service: &Spec,
     expect_traffic: bool,
 ) -> bool {
-    let (one, log1) = campaign(components, service, 1);
-    let (eight, _log8) = campaign(components, service, 8);
+    let one = campaign(components, service, 1);
+    let eight = campaign(components, service, 8);
     assert_eq!(
-        one.to_json(),
-        eight.to_json(),
+        one.report.to_json(),
+        eight.report.to_json(),
         "{label}: drive report differs across thread counts"
     );
-    assert_eq!(one.io_errors, 0, "{label}: loopback cannot fail");
+    assert_eq!(one.report.io_errors, 0, "{label}: loopback cannot fail");
 
     let parts: Vec<&Spec> = components.iter().collect();
     let composite = compose_all(&parts).expect("composable system");
-    let log = log1.lock().unwrap();
+    let traces = one.accepted_traces();
     if expect_traffic {
         assert!(
-            log.values().any(|t| !t.is_empty()),
+            traces.iter().any(|(_, t)| !t.is_empty()),
             "{label}: the drive relayed no events at all"
         );
     }
-    for (session, trace) in log.iter() {
+    for (session, trace) in &traces {
         assert!(
             has_trace(&composite, trace),
             "{label}: session {session} accepted a non-trace of B‖C: {trace:?}"
         );
     }
-    one.convicted_runs == 0
+    one.report.convicted_runs == 0
 }
 
 /// The core differential check for one builtin configuration: derive
@@ -246,7 +268,7 @@ fn convictions_name_the_violation_kind() {
         {
             continue;
         }
-        let (report, _) = campaign(&[cfg.b.clone(), mutant], &service, 2);
+        let report = campaign(&[cfg.b.clone(), mutant], &service, 2).report;
         assert!(report.convicted_runs > 0, "mut{k}: expected convictions");
         for o in report.outcomes.iter().filter(|o| o.conviction.is_some()) {
             let reason = o.conviction.as_deref().unwrap();
@@ -478,96 +500,48 @@ fn dfa_and_reference_guards_agree_on_random_components() {
     }
 }
 
-/// One multiplexed loopback campaign — the carrier that hands whole
-/// readiness batches to [`Gateway::call_batch`] — against a gateway
-/// with `threads` workers and batched dispatch on or off.
-fn mux_campaign(
-    components: &[Spec],
-    service: &Spec,
-    threads: usize,
-    batching: bool,
-) -> DriveReport {
-    let parts: Vec<&Spec> = components.iter().collect();
-    let gw = Gateway::new(
-        &parts,
-        service,
-        GatewayConfig {
-            workers: threads,
-            batching,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("gateway must compile the system");
-    let cfg = DriveConfig {
-        sessions_per_conn: 8,
-        ..config(threads)
-    };
-    let report = drive_mux(components, service, &cfg, || {
-        Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)
-    });
-    gw.drain();
-    assert_eq!(
-        gw.stats().convictions,
-        report.convicted_runs,
-        "gateway conviction counter disagrees with the drive report"
-    );
-    report
-}
-
-/// Batched dispatch against its per-frame oracle at 1 and 8 workers:
-/// with `GatewayConfig::batching` off every frame takes the classic
-/// `submit` + boxed-responder path, yet fixed-seed multiplexed
-/// campaigns must stay byte-identical — for the derived converter and
-/// for a statically rejected mutant, so convictions carry over with
-/// identical counts and reasons at every worker count.
-#[test]
-fn batched_campaigns_match_per_frame_campaigns() {
-    let cfg = colocated_configuration();
-    let service = exactly_once();
-    let q = solve(&cfg.b, &service, &cfg.int).expect("colocated converter derives");
-    let mutant = (0..8)
-        .find_map(|k| {
-            let m = redirect_transition(&q.converter, k)?;
-            let ok = converter_verdict(&cfg.b, &service, &m)
-                .map(|v| v.is_ok())
-                .unwrap_or(false);
-            (!ok).then_some(m)
-        })
-        .expect("some single-transition mutant is statically rejected");
-    for (kind, converter, expect_clean) in
-        [("derived", &q.converter, true), ("mutant", &mutant, false)]
-    {
-        let components = [cfg.b.clone(), converter.clone()];
-        for threads in [1usize, 8] {
-            let batched = mux_campaign(&components, &service, threads, true);
-            let per_frame = mux_campaign(&components, &service, threads, false);
-            assert_eq!(
-                batched.to_json(),
-                per_frame.to_json(),
-                "{kind}: batched and per-frame campaigns diverge at {threads} workers"
-            );
-            assert_eq!(
-                batched.is_clean(),
-                expect_clean,
-                "{kind}: unexpected verdict at {threads} workers: {batched}"
-            );
-            if !expect_clean {
-                assert!(
-                    batched.convicted_runs > 0,
-                    "{kind}: convictions lost at {threads} workers"
-                );
-            }
-        }
+/// Replays one session's recorded exchanges through the DFA guard and
+/// the reference guard side by side. Both must return the same verdict
+/// at every frame with the same frame position, and the verdicts must
+/// be the ones the gateway answered with, so the replay is faithful to
+/// the campaign. Returns whether the session was convicted.
+fn replay_session(label: &str, prog: &Arc<GuardProgram>, exchanges: &[(Frame, Reply)]) -> bool {
+    let mut dfa = SessionGuard::new(Arc::clone(prog));
+    let mut reference = SessionGuardReference::new(Arc::clone(prog));
+    for (pos, (frame, reply)) in exchanges.iter().enumerate() {
+        let (d, r) = match *frame {
+            Frame::Event { event, .. } => (dfa.observe(event), reference.observe(event)),
+            Frame::Stall { .. } => (dfa.attest_stall(), reference.attest_stall()),
+            Frame::Close { .. } | Frame::Hello { .. } => continue,
+        };
+        assert_eq!(d, r, "{label}: verdicts differ at frame {pos} ({frame:?})");
+        assert_eq!(
+            dfa.observed(),
+            reference.observed(),
+            "{label}: frame positions differ at frame {pos}"
+        );
+        assert_eq!(
+            d.is_ok(),
+            matches!(reply, Reply::Accepted { .. }),
+            "{label}: frame {pos} replayed as {d:?} but the gateway answered {reply:?}"
+        );
     }
+    assert_eq!(
+        dfa.convicted(),
+        reference.convicted(),
+        "{label}: final verdict"
+    );
+    dfa.convicted().is_some()
 }
 
-/// End-to-end gateway differential at 1 and 8 workers: the drive
-/// reports of a DFA-guarded gateway and a reference-guarded gateway
-/// must be byte-identical for the derived converter and for a
-/// statically rejected mutant of each builtin system — same runs, same
-/// convictions, same reject reasons, at every thread count.
+/// Whole drive campaigns replayed at the guard layer: each session's
+/// recorded frame stream goes through the compiled DFA guard and the
+/// subset-replaying reference guard, which must agree on every verdict
+/// and frame position — for the derived converter and a statically
+/// rejected mutant of each builtin system. The replayed convictions
+/// must add up to the campaign's convicted runs.
 #[test]
-fn reference_guard_campaigns_match_dfa_campaigns() {
+fn recorded_campaigns_replay_identically_through_both_guards() {
     let systems: [(&str, Spec, Spec, Alphabet); 3] = {
         let colocated = colocated_configuration();
         let sym = symmetric_configuration();
@@ -581,27 +555,32 @@ fn reference_guard_campaigns_match_dfa_campaigns() {
     for (label, b, service, int) in &systems {
         let q = solve(b, service, int)
             .unwrap_or_else(|e| panic!("{label}: expected a converter, got {e}"));
-        let rejected_mutant = (0..8).find_map(|k| {
-            let m = redirect_transition(&q.converter, k)?;
-            let ok = converter_verdict(b, service, &m)
-                .map(|v| v.is_ok())
-                .unwrap_or(false);
-            (!ok).then_some(m)
-        });
-        let mut variants = vec![("derived", q.converter.clone())];
-        if let Some(m) = rejected_mutant {
-            variants.push(("mutant", m));
-        }
-        for (kind, converter) in &variants {
-            let components = [b.clone(), converter.clone()];
-            for threads in [1usize, 8] {
-                let (dfa_report, _) = campaign_with(&components, service, threads, false);
-                let (ref_report, _) = campaign_with(&components, service, threads, true);
-                assert_eq!(
-                    dfa_report.to_json(),
-                    ref_report.to_json(),
-                    "{label}/{kind}: DFA and reference gateways diverge at {threads} workers"
-                );
+        let mutant = (0..)
+            .map_while(|k| redirect_transition(&q.converter, k))
+            .find(|m| {
+                !converter_verdict(b, service, m)
+                    .map(|v| v.is_ok())
+                    .unwrap_or(false)
+            })
+            .unwrap_or_else(|| panic!("{label}: no statically rejected mutant"));
+        for (kind, converter) in [("derived", &q.converter), ("mutant", &mutant)] {
+            let run = campaign(&[b.clone(), converter.clone()], service, 2);
+            let prog = run.gateway.program();
+            let convicted = run
+                .log
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|(session, exchanges)| {
+                    replay_session(&format!("{label}/{kind}/s{session}"), &prog, exchanges)
+                })
+                .count() as u64;
+            assert_eq!(
+                convicted, run.report.convicted_runs,
+                "{label}/{kind}: replayed convictions disagree with the campaign"
+            );
+            if kind == "mutant" {
+                assert!(convicted > 0, "{label}/mutant: campaign convicted nobody");
             }
         }
     }
