@@ -69,23 +69,16 @@ fn exp_w_verify_time() -> f64 {
 }
 
 /// Relays `runs` gateway sessions of the Fig. 14 colocated system over
-/// the in-process loopback transport with `threads` client threads and
-/// as many gateway workers, returning `(accepted_events_per_sec,
+/// the in-process loopback transport with `threads` client threads,
+/// each answered inline on its own thread, returning `(accepted_events_per_sec,
 /// frames_relayed)`. The gateway's online guard is live for every
 /// frame, so this measures the full codec → shard → guard path.
 fn loopback_throughput(threads: usize, runs: u64) -> (f64, u64) {
     let cfg = protoquot_protocols::colocated_configuration();
     let service = exactly_once();
     let q = solve(&cfg.b, &service, &cfg.int).expect("Fig. 14 converter exists");
-    let gw = Gateway::new(
-        &[&cfg.b, &q.converter],
-        &service,
-        GatewayConfig {
-            workers: threads,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("gateway must compile the system");
+    let gw = Gateway::new(&[&cfg.b, &q.converter], &service, GatewayConfig::default())
+        .expect("gateway must compile the system");
     let dcfg = DriveConfig {
         runs,
         threads,
@@ -119,15 +112,8 @@ fn pump_throughput(threads: usize, sessions_per_thread: u64, trace_len: usize) -
     let cfg = protoquot_protocols::colocated_configuration();
     let service = exactly_once();
     let q = solve(&cfg.b, &service, &cfg.int).expect("Fig. 14 converter exists");
-    let gw = Gateway::new(
-        &[&cfg.b, &q.converter],
-        &service,
-        GatewayConfig {
-            workers: threads,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("gateway must compile the system");
+    let gw = Gateway::new(&[&cfg.b, &q.converter], &service, GatewayConfig::default())
+        .expect("gateway must compile the system");
     let trace = gw.program().sample_accepted(trace_len);
     assert!(!trace.is_empty(), "colocated system must relay events");
     let t = Instant::now();

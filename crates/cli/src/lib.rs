@@ -993,16 +993,17 @@ fn emit_artifact(b: &Spec, srv: &Spec, converter: &Spec, path: &str) -> Result<S
     ))
 }
 
-fn parse_duration(p: &Parsed) -> Result<Option<Duration>, CliError> {
-    match p.value("--duration") {
-        Some(v) => {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| CliError("--duration must be seconds".into()))?;
-            Ok(Some(Duration::from_secs_f64(secs)))
-        }
-        None => Ok(None),
-    }
+/// The value of `flag` as a [`Duration`] in (fractional) seconds.
+/// Negative, NaN and infinite values are named errors, never panics.
+fn parse_secs(p: &Parsed, flag: &str) -> Result<Option<Duration>, CliError> {
+    p.value(flag)
+        .map(|v| {
+            v.parse()
+                .ok()
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                .ok_or_else(|| CliError(format!("{flag} must be a non-negative number of seconds")))
+        })
+        .transpose()
 }
 
 fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
@@ -1015,7 +1016,10 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
          [--max-sessions-per-conn N] [--read-deadline SECS] \
          [--registry DIR [--control HOST:PORT]] [--require-hello]",
     )?;
-    let workers: usize = match p.value("--threads") {
+    // Threads for admission-time verification of reloaded artifacts,
+    // as `--threads` means for `solve`; frames are answered on the
+    // event loops (`--loops`).
+    let verify_threads: usize = match p.value("--threads") {
         Some(v) => v
             .parse()
             .map_err(|_| CliError("--threads must be a number".into()))?,
@@ -1033,11 +1037,8 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
             CliError("--max-sessions-per-conn must be a number (0 disables)".into())
         })?;
     }
-    if let Some(v) = p.value("--read-deadline") {
-        let secs: f64 = v
-            .parse()
-            .map_err(|_| CliError("--read-deadline must be seconds (0 disables)".into()))?;
-        limits.read_deadline = Duration::from_secs_f64(secs);
+    if let Some(deadline) = parse_secs(&p, "--read-deadline")? {
+        limits.read_deadline = deadline;
     }
     limits.require_hello = p.has("--require-hello");
     let loops: usize = match p.value("--loops") {
@@ -1046,10 +1047,9 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
             .map_err(|_| CliError("--loops must be a number".into()))?,
         None => ReactorConfig::default().loops,
     };
-    let duration = parse_duration(&p)?;
+    let duration = parse_secs(&p, "--duration")?;
     let parts: Vec<&Spec> = components.iter().collect();
     let cfg = GatewayConfig {
-        workers,
         session_frame_budget: frame_budget,
         ..GatewayConfig::default()
     };
@@ -1061,7 +1061,7 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
     if let Some(dir) = p.value("--registry") {
         let registry = ConverterRegistry::open(dir, &service, gw.active_version())
             .map_err(|e| CliError(format!("cannot open registry `{dir}`: {e}")))?
-            .with_verify_threads(workers);
+            .with_verify_threads(verify_threads);
         if let Some(addr) = p.value("--control") {
             let c = ControlServer::bind(addr, registry, gw.clone())
                 .map_err(|e| CliError(format!("cannot bind control socket {addr}: {e}")))?;
@@ -1128,12 +1128,17 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
 /// sessions drain on the old one.
 ///
 /// Replies are a single line: `ok version N content HASH table HASH`
-/// or `error: ...`. The listener serves one command per connection.
+/// or `error: ...`. The listener serves one command per connection; a
+/// line longer than [`MAX_CONTROL_LINE`] is answered with an error and
+/// the connection cut, so a peer cannot grow the server's memory.
 struct ControlServer {
     local: std::net::SocketAddr,
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
+
+/// Longest control-socket command line accepted, newline included.
+const MAX_CONTROL_LINE: u64 = 4096;
 
 impl ControlServer {
     fn bind(
@@ -1141,7 +1146,7 @@ impl ControlServer {
         mut registry: ConverterRegistry,
         gw: Gateway,
     ) -> std::io::Result<ControlServer> {
-        use std::io::{BufRead, BufReader, Write};
+        use std::io::{BufRead, BufReader, Read, Write};
         use std::sync::atomic::{AtomicBool, Ordering};
         let listener = std::net::TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -1160,21 +1165,25 @@ impl ControlServer {
                 };
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                let mut reader = BufReader::new(stream);
+                let mut reader = BufReader::new(stream).take(MAX_CONTROL_LINE);
                 let mut line = String::new();
                 if reader.read_line(&mut line).is_err() {
                     continue;
                 }
-                let reply = match line.trim().strip_prefix("reload ") {
-                    Some(path) if !path.is_empty() => {
-                        match Self::reload(&mut registry, &gw, path.trim()) {
-                            Ok(msg) => msg,
-                            Err(e) => format!("error: {e}"),
+                let reply = if reader.limit() == 0 && !line.ends_with('\n') {
+                    "error: control line too long".to_string()
+                } else {
+                    match line.trim().strip_prefix("reload ") {
+                        Some(path) if !path.is_empty() => {
+                            match Self::reload(&mut registry, &gw, path.trim()) {
+                                Ok(msg) => msg,
+                                Err(e) => format!("error: {e}"),
+                            }
                         }
+                        _ => "error: expected `reload PATH`".to_string(),
                     }
-                    _ => "error: expected `reload PATH`".to_string(),
                 };
-                let mut stream = reader.into_inner();
+                let mut stream = reader.into_inner().into_inner();
                 let _ = writeln!(stream, "{reply}");
             }
         });
@@ -1299,7 +1308,7 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
         seed: parse_num("--seed", 0xD41E)?,
         max_steps: parse_num("--steps", 600)?,
         faults,
-        duration: parse_duration(&p)?,
+        duration: parse_secs(&p, "--duration")?,
         sessions_per_conn: parse_num("--sessions-per-conn", 1)?,
         pipeline,
         ..DriveConfig::default()
@@ -1338,11 +1347,8 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
         }
         (None, true) => {
             let parts: Vec<&Spec> = components.iter().collect();
-            let gw_cfg = GatewayConfig {
-                workers: cfg.threads.max(1),
-                ..GatewayConfig::default()
-            };
-            let gw = Gateway::new(&parts, &service, gw_cfg).map_err(|e| CliError(e.to_string()))?;
+            let gw = Gateway::new(&parts, &service, GatewayConfig::default())
+                .map_err(|e| CliError(e.to_string()))?;
             let report = if mux {
                 drive_mux(&components, &service, &cfg, || {
                     Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)
@@ -1926,11 +1932,47 @@ mod tests {
         })
     }
 
+    /// Negative, NaN and infinite seconds are named errors for both
+    /// duration flags, never a panic in `Duration::from_secs_f64`.
+    #[test]
+    fn bad_durations_are_named_errors() {
+        for (cmd, flag) in [
+            ("serve", "--duration"),
+            ("drive", "--duration"),
+            ("serve", "--read-deadline"),
+        ] {
+            for bad in ["-1", "nan", "inf", "-inf", "soon"] {
+                let args: Vec<String> = [cmd, "--builtin", "colocated", "--loopback", flag, bad]
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect();
+                let e = run(&args).unwrap_err().to_string();
+                assert_eq!(
+                    e,
+                    format!("{flag} must be a non-negative number of seconds"),
+                    "{cmd} {flag} {bad}"
+                );
+            }
+        }
+        let p = parse_args(&["--read-deadline".into(), "0".into()]).unwrap();
+        assert_eq!(
+            parse_secs(&p, "--read-deadline").unwrap(),
+            Some(Duration::ZERO)
+        );
+        let p = parse_args(&["--duration".into(), "1.5".into()]).unwrap();
+        assert_eq!(
+            parse_secs(&p, "--duration").unwrap(),
+            Some(Duration::from_millis(1500))
+        );
+    }
+
     /// The control surface end to end: an emitted artifact admitted
     /// over the control socket swaps the gateway; a mutant artifact is
-    /// refused at admission with the old version still serving.
+    /// refused at admission with the old version still serving; an
+    /// over-long command line is refused without being buffered.
     #[test]
     fn reload_control_socket_swaps_and_refuses() {
+        use std::io::{BufRead, BufReader};
         let (components, service) = builtin_soak_system("colocated", None).unwrap();
         let parts: Vec<&Spec> = components.iter().collect();
         let gw = Gateway::new(&parts, &service, GatewayConfig::default()).unwrap();
@@ -1939,6 +1981,20 @@ mod tests {
         let registry = ConverterRegistry::open(&dir, &service, gw.active_version()).unwrap();
         let control = ControlServer::bind("127.0.0.1:0", registry, gw.clone()).unwrap();
         let addr = control.local_addr().to_string();
+
+        // 1 MiB with no newline: answered with an error and cut.
+        let conn = std::net::TcpStream::connect(&addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = conn.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            // The server cuts us mid-flood; the write error is expected.
+            let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+        });
+        let mut line = String::new();
+        BufReader::new(conn).read_line(&mut line).unwrap();
+        assert_eq!(line, "error: control line too long\n");
+        flood.join().unwrap();
 
         // A verified v2 artifact (same system, freshly encoded).
         let bytes = protoquot_runtime::artifact::encode(&parts, &service).unwrap();

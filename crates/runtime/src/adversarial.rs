@@ -4,9 +4,10 @@
 //! every one a behavior the soak fleet can never produce (its faults
 //! are by construction genuine traces): garbage bytes, truncated
 //! length prefixes, out-of-range event indices, session floods,
-//! connection churn, slow-drip partial frames, backpressure abuse, and
-//! frames to closed sessions. The campaign asserts the runtime's
-//! convict-or-evict invariant from the *attacker's* seat: every
+//! connection churn, slow-drip partial frames, unread bursts
+//! (`backpressure`), and frames to closed sessions. The campaign
+//! asserts the runtime's convict-or-evict invariant from the
+//! *attacker's* seat: every
 //! abusive frame must end in a reply, a rejection, or a cut
 //! connection — never in a stall.
 //!
@@ -72,9 +73,7 @@ pub struct AttackOutcome {
     pub replies: u64,
     /// Accepted replies among them.
     pub accepted: u64,
-    /// Reject-reason histogram. Omitted (left empty) by the
-    /// backpressure attack, whose accept/reject mix depends on worker
-    /// scheduling; every other attack's mix is deterministic.
+    /// Reject-reason histogram (deterministic for every attack).
     pub rejects: BTreeMap<String, u64>,
     /// The server cut the connection.
     pub conn_cut: bool,
@@ -470,10 +469,10 @@ fn slow_drip<A: ToSocketAddrs>(addr: A, cfg: &AdversarialConfig) -> io::Result<A
 }
 
 /// Backpressure abuse: a burst of frames on one session without
-/// reading a single reply, then drain them all. The session's bounded
-/// queue may bounce any prefix of the burst (`backpressure`), but
-/// every frame must be answered. The accept/reject mix depends on
-/// worker scheduling, so this outcome reports totals only.
+/// reading a single reply, then drain them all. Every frame is
+/// answered inline in arrival order, so the verdicts are a function of
+/// the burst alone; what bounds the unread replies is the reactor's
+/// outbound cap, not a queue.
 fn backpressure<A: ToSocketAddrs>(addr: A, cfg: &AdversarialConfig) -> io::Result<AttackOutcome> {
     let mut out = AttackOutcome::new("backpressure");
     let mut stream = connect(addr, cfg)?;
@@ -503,11 +502,7 @@ fn backpressure<A: ToSocketAddrs>(addr: A, cfg: &AdversarialConfig) -> io::Resul
     out.frames_sent = n + 1;
     for _ in 0..out.frames_sent {
         match read_one(&mut stream) {
-            // Reason mix is scheduling-dependent (a burst outrunning
-            // the drain sees backpressure, a lucky one does not):
-            // count the reply, skip the histogram and the accepted
-            // tally, so the report stays transport-invariant.
-            ReadOutcome::Reply(_) => out.replies += 1,
+            ReadOutcome::Reply(reply) => note_reply(&mut out, &reply),
             ReadOutcome::Cut => {
                 out.conn_cut = true;
                 break;

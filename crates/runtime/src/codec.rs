@@ -96,7 +96,9 @@ pub enum RejectReason {
     /// The session already carries a conviction; no further events are
     /// tracked.
     Convicted,
-    /// The session's bounded queue is full.
+    /// Reserved, never sent by this server: it answers every frame
+    /// inline and queues nothing. The variant and its wire code 5 stay
+    /// so replies from older peers still decode.
     Backpressure,
     /// The gateway is draining for shutdown and accepts no new work.
     Draining,
@@ -194,7 +196,7 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// A gateway → client message: exactly one per submitted frame.
+/// A gateway → client message: exactly one per frame sent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reply {
     /// The frame was processed and the session trace extended.
@@ -282,45 +284,6 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     }
     let len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&len.to_be_bytes());
-}
-
-/// Largest encoded reply on the wire: 4-byte length prefix plus the
-/// 21-byte `HelloAck` payload. [`encode_reply_array`] is sized by it;
-/// the hot-path replies (`Accepted`, `Rejected`) still use 13–14 bytes.
-pub const MAX_REPLY_WIRE: usize = 25;
-
-/// Encodes `reply` into a stack buffer — the allocation-free twin of
-/// [`encode_reply`] for per-reply responder paths that would otherwise
-/// pay one `Vec` per reply. Returns the buffer and the encoded length.
-pub fn encode_reply_array(reply: &Reply) -> ([u8; MAX_REPLY_WIRE], usize) {
-    let mut buf = [0u8; MAX_REPLY_WIRE];
-    match *reply {
-        Reply::Accepted { session } => {
-            buf[3] = 9;
-            buf[4] = TAG_ACCEPTED;
-            buf[5..13].copy_from_slice(&session.to_be_bytes());
-            (buf, 13)
-        }
-        Reply::Rejected { session, reason } => {
-            buf[3] = 10;
-            buf[4] = TAG_REJECTED;
-            buf[5..13].copy_from_slice(&session.to_be_bytes());
-            buf[13] = reason.code();
-            (buf, 14)
-        }
-        Reply::HelloAck {
-            session,
-            table_hash,
-            version,
-        } => {
-            buf[3] = 21;
-            buf[4] = TAG_HELLO_ACK;
-            buf[5..13].copy_from_slice(&session.to_be_bytes());
-            buf[13..21].copy_from_slice(&table_hash.to_be_bytes());
-            buf[21..25].copy_from_slice(&version.to_be_bytes());
-            (buf, 25)
-        }
-    }
 }
 
 /// Encodes a reply as length prefix + payload.
@@ -1083,8 +1046,8 @@ mod tests {
         }
         assert_eq!(got, expect);
 
-        // And the reply direction: the gateway answers out of session
-        // order (worker scheduling), the client must still attribute
+        // And the reply direction: the gateway answers grouped by
+        // session, not in arrival order; the client must still attribute
         // each reply to the session its header names.
         let replies: Vec<Reply> = (0..8u64)
             .rev()
@@ -1115,45 +1078,6 @@ mod tests {
         }
         assert_eq!(got, replies);
         assert!(!rb.is_mid_message());
-    }
-
-    /// The stack-buffer reply encoder produces byte-identical wire
-    /// output to the `Vec` encoder for every reply shape.
-    #[test]
-    fn reply_array_encoder_matches_vec_encoder() {
-        let mut replies = vec![
-            Reply::Accepted { session: 0 },
-            Reply::Accepted { session: u64::MAX },
-            Reply::HelloAck {
-                session: 0,
-                table_hash: u64::MAX,
-                version: u32::MAX,
-            },
-        ];
-        for reason in [
-            RejectReason::NotATrace,
-            RejectReason::ServiceViolation,
-            RejectReason::Stalled,
-            RejectReason::Convicted,
-            RejectReason::Backpressure,
-            RejectReason::Draining,
-            RejectReason::Closed,
-            RejectReason::UnknownEvent,
-            RejectReason::ResourceLimit,
-            RejectReason::VersionMismatch,
-        ] {
-            replies.push(Reply::Rejected {
-                session: 0xDEAD_BEEF,
-                reason,
-            });
-        }
-        for reply in replies {
-            let mut wire = Vec::new();
-            encode_reply(&reply, &mut wire);
-            let (buf, len) = encode_reply_array(&reply);
-            assert!(len <= MAX_REPLY_WIRE);
-            assert_eq!(&buf[..len], &wire[..], "{reply:?}");
-        }
     }
 
     /// A 64 KiB chunk of min-size frames decodes without quadratic

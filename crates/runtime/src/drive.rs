@@ -24,8 +24,7 @@
 //!
 //! Because the two paths share the per-session state machine verbatim
 //! and each task keeps exactly one frame outstanding by default (so
-//! per-session wire order is program order and the gateway's bounded
-//! queues never push back), a mux campaign produces the *same* report
+//! per-session wire order is program order), a mux campaign produces the *same* report
 //! as a lockstep campaign over the same config — transports and
 //! concurrency change the schedule of bytes, not the verdicts.
 //! `tests/reactor_transport.rs` pins this byte-for-byte across

@@ -1,51 +1,37 @@
 //! The session-multiplexed relay gateway.
 //!
 //! A [`Gateway`] owns one compiled [`GuardProgram`] and a sharded
-//! session table: `session id → SessionCore` (guard state plus a
-//! bounded frame queue), spread over `shards` stripe-locked maps.
-//! Frames are submitted with a responder callback; a worker from the
-//! shared [`threadpool::ThreadPool`] drains each session's queue in
-//! order — popping up to a batch of frames per lock acquisition and
-//! answering them after the lock drops — so per-session processing is
-//! serialized while distinct sessions proceed in parallel.
+//! session table: `session id → SessionCore` (guard state plus
+//! lifecycle), spread over stripe-locked maps. Every frame is answered
+//! inline on the thread that hands it in — admission, the session's
+//! lock, one guard-DFA row. [`Gateway::call_batch`] runs a transport
+//! batch grouped by session, one lock acquisition per session per
+//! batch; [`Gateway::call`] is the same step for a single frame. The
+//! session lock serializes a session whose frames arrive on several
+//! threads, while distinct sessions proceed in parallel.
 //!
-//! The blocking [`Gateway::call`] path additionally takes an **inline
-//! fast path**: when the target session is idle (empty queue, no worker
-//! scheduled), the frame is processed on the caller's thread under the
-//! session lock — the same serialization a worker drain provides,
-//! without the channel hand-off and pool dispatch. With the guard
-//! determinized to one table row per frame, that dispatch cost was the
-//! relay's dominant term.
+//! Lifecycle:
 //!
-//! Flow control and lifecycle:
-//!
-//! * a full per-session queue rejects new frames with
-//!   [`RejectReason::Backpressure`] instead of buffering unboundedly;
 //! * [`Gateway::evict_idle`] sweeps sessions idle past the configured
-//!   timeout (only when unscheduled with an empty queue);
+//!   timeout (never one a caller is holding);
 //! * [`Gateway::drain`] stops admitting frames
-//!   ([`RejectReason::Draining`]) and blocks until every queued frame
-//!   has been answered — graceful shutdown. A `call` whose responder is
-//!   dropped unfired (worker death, pool teardown) reports
-//!   [`RejectReason::Draining`] instead of panicking the caller.
+//!   ([`RejectReason::Draining`]). Nothing is ever queued, so every
+//!   frame admitted before the flag was set has already been answered.
 //!
-//! Lock order is always shard map → session core, and each is dropped
-//! before the next is taken on the submit path, so the gateway cannot
-//! deadlock against its own workers.
+//! Lock order is always shard map → session core, so the gateway
+//! cannot deadlock against itself.
 
 use crate::codec::{encode_reply, table_hash, Frame, RejectReason, Reply, WireCodec, WireError};
 use crate::guard::{GuardProgram, SessionGuard};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use protoquot_spec::{Spec, SpecError};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, RwLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 use std::time::{Duration, Instant};
-use threadpool::ThreadPool;
 
-/// Frames a worker pops and answers per session-lock acquisition.
-const DRAIN_BATCH: usize = 32;
+/// Stripe-locked shards of the session table.
+const SHARDS: usize = 8;
 
 /// Why a [`Gateway`] failed to start.
 #[derive(Debug)]
@@ -87,16 +73,9 @@ impl From<WireError> for GatewayError {
 /// Tuning knobs of a [`Gateway`].
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
-    /// Worker threads draining session queues.
-    pub workers: usize,
-    /// Stripe-locked shards of the session table.
-    pub shards: usize,
-    /// Per-session queue bound; beyond it frames bounce with
-    /// [`RejectReason::Backpressure`].
-    pub queue_cap: usize,
     /// Idle time after which [`Gateway::evict_idle`] removes a session.
     pub idle_timeout: Duration,
-    /// Frames (events + stalls) one session may submit over its
+    /// Frames (events + stalls) one session may send over its
     /// lifetime; beyond it the session is *expelled*: the frame bounces
     /// with [`RejectReason::ResourceLimit`], the session is marked
     /// closed, and the next idle sweep removes it. `0` disables the
@@ -107,17 +86,11 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> GatewayConfig {
         GatewayConfig {
-            workers: 4,
-            shards: 8,
-            queue_cap: 64,
             idle_timeout: Duration::from_secs(30),
             session_frame_budget: 0,
         }
     }
 }
-
-/// Callback answering one submitted frame.
-pub type Responder = Box<dyn FnOnce(Reply) + Send>;
 
 /// One batch group: the frames of one session, chained in arrival
 /// order through [`BatchScratch::next`].
@@ -200,8 +173,6 @@ enum SessionOp {
 
 struct SessionCore {
     guard: SessionGuard,
-    queue: VecDeque<(SessionOp, Responder)>,
-    scheduled: bool,
     closed: bool,
     last_active: Instant,
     /// Event + stall frames processed, charged against
@@ -211,14 +182,6 @@ struct SessionCore {
     /// Fixed for the session's lifetime: a hot-swap never rebinds a
     /// live session, it only changes what *new* sessions get.
     version: u32,
-}
-
-impl SessionCore {
-    /// No frame in flight: the caller may process inline under the
-    /// lock without reordering the session.
-    fn is_idle(&self) -> bool {
-        !self.scheduled && self.queue.is_empty()
-    }
 }
 
 type Shard = Mutex<HashMap<u64, Arc<Mutex<SessionCore>>>>;
@@ -237,9 +200,6 @@ struct GatewayInner {
     codec: WireCodec,
     stats: RuntimeStats,
     shards: Vec<Shard>,
-    pool: ThreadPool,
-    /// Frames accepted into some queue but not yet answered.
-    pending: AtomicU64,
     draining: AtomicBool,
     cfg: GatewayConfig,
 }
@@ -289,7 +249,7 @@ pub struct Gateway {
 impl Gateway {
     /// Compiles `parts` (components plus the derived converter) against
     /// `service` — including the guard-DFA subset construction — and
-    /// starts a gateway with `cfg.workers` threads.
+    /// starts a gateway on it.
     pub fn new(
         parts: &[&Spec],
         service: &Spec,
@@ -308,8 +268,6 @@ impl Gateway {
         let stats = RuntimeStats::with_guard_build(codec.table().len(), prog.build_stats().clone());
         let hash = table_hash(codec.table());
         stats.set_wire_identity(hash, 1);
-        let shards = (0..cfg.shards.max(1)).map(|_| Shard::default()).collect();
-        let pool = ThreadPool::new(cfg.workers.max(1));
         Ok(Gateway {
             inner: Arc::new(GatewayInner {
                 active: RwLock::new((1, prog)),
@@ -317,9 +275,7 @@ impl Gateway {
                 table_hash: hash,
                 codec,
                 stats,
-                shards,
-                pool,
-                pending: AtomicU64::new(0),
+                shards: (0..SHARDS).map(|_| Shard::default()).collect(),
                 draining: AtomicBool::new(false),
                 cfg,
             }),
@@ -432,7 +388,7 @@ impl Gateway {
     /// The session core for `session`, created on first contact.
     fn core_for(&self, session: u64) -> Arc<Mutex<SessionCore>> {
         let inner = &self.inner;
-        let shard = &inner.shards[(session % inner.shards.len() as u64) as usize];
+        let shard = &inner.shards[(session % SHARDS as u64) as usize];
         let mut map = shard.lock().unwrap();
         Arc::clone(map.entry(session).or_insert_with(|| {
             let (version, prog) = {
@@ -443,8 +399,6 @@ impl Gateway {
             inner.stats.note_version_open(version);
             Arc::new(Mutex::new(SessionCore {
                 guard: SessionGuard::new(prog),
-                queue: VecDeque::new(),
-                scheduled: false,
                 closed: false,
                 last_active: Instant::now(),
                 frames_seen: 0,
@@ -453,117 +407,56 @@ impl Gateway {
         }))
     }
 
-    /// Queues `op` on `core`, scheduling a drain worker if none is.
-    /// Fires `respond` immediately on backpressure.
-    fn enqueue(
+    /// The execution step every entry point shares: takes `session`'s
+    /// lock once and runs `frames` — all of that session, in arrival
+    /// order — through admission and the guard, handing each reply to
+    /// `answer`. Returns whether another thread held the lock; the
+    /// `try_lock` first costs nothing when none does.
+    fn step_session(
         &self,
-        core: &Arc<Mutex<SessionCore>>,
         session: u64,
-        op: SessionOp,
-        respond: Responder,
-    ) {
-        let inner = &self.inner;
-        let schedule = {
-            let mut core = core.lock().unwrap();
-            if core.queue.len() >= inner.cfg.queue_cap {
-                drop(core);
-                inner.stats.note_reject(RejectReason::Backpressure);
-                respond(Reply::Rejected {
-                    session,
-                    reason: RejectReason::Backpressure,
-                });
-                return;
-            }
-            core.queue.push_back((op, respond));
-            inner.stats.note_queue_depth(core.queue.len());
-            inner.pending.fetch_add(1, Ordering::AcqRel);
-            if core.scheduled {
-                false
-            } else {
-                core.scheduled = true;
-                true
-            }
-        };
-        if schedule {
-            let inner = Arc::clone(&self.inner);
-            let core = Arc::clone(core);
-            self.inner
-                .pool
-                .execute(move || drain_session(&inner, &core, session));
-        }
-    }
-
-    /// Submits one frame; `respond` fires exactly once with the reply,
-    /// possibly on a worker thread.
-    pub fn submit(&self, frame: Frame, respond: Responder) {
-        match self.admit(frame) {
-            Ok(op) => {
-                let session = frame.session();
-                self.enqueue(&self.core_for(session), session, op, respond);
-            }
-            Err(reply) => respond(reply),
-        }
-    }
-
-    /// Submits `frame` and blocks for the reply (loopback-style use).
-    ///
-    /// An idle session is processed inline on the caller's thread — one
-    /// lock, one guard-DFA row — falling back to the queued worker path
-    /// whenever frames are already in flight for the session.
-    pub fn call(&self, frame: Frame) -> Reply {
-        let op = match self.admit(frame) {
-            Ok(op) => op,
-            Err(reply) => return reply,
-        };
-        let session = frame.session();
+        frames: impl Iterator<Item = Frame>,
+        mut answer: impl FnMut(Reply),
+    ) -> bool {
         let core = self.core_for(session);
-        {
-            let mut locked = core.lock().unwrap();
-            if locked.is_idle() {
-                let reply = process(&self.inner, &mut locked, session, op);
-                locked.last_active = Instant::now();
-                return reply;
-            }
+        let (mut locked, contended) = match core.try_lock() {
+            Ok(locked) => (locked, false),
+            Err(TryLockError::WouldBlock) => (core.lock().expect("session lock poisoned"), true),
+            Err(e @ TryLockError::Poisoned(_)) => panic!("{e}"),
+        };
+        for frame in frames {
+            answer(match self.admit(frame) {
+                Ok(op) => process(&self.inner, &mut locked, session, op),
+                Err(reply) => reply,
+            });
         }
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(
-            &core,
-            session,
-            op,
-            Box::new(move |reply| {
-                let _ = tx.send(reply);
-            }),
-        );
-        match rx.recv() {
-            Ok(reply) => reply,
-            // The responder was dropped unfired: a worker died or the
-            // pool was torn down mid-drain. Report the session as
-            // unserved rather than panicking the caller.
-            Err(_) => {
-                self.inner.stats.note_reject(RejectReason::Draining);
-                Reply::Rejected {
-                    session,
-                    reason: RejectReason::Draining,
-                }
-            }
+        locked.last_active = Instant::now();
+        contended
+    }
+
+    /// Answers one frame on the caller's thread: the one-frame case of
+    /// the per-session step [`Gateway::call_batch`] runs. A hello, or
+    /// any frame while draining, is answered by admission alone and
+    /// opens no session.
+    pub fn call(&self, frame: Frame) -> Reply {
+        if matches!(frame, Frame::Hello { .. }) || self.inner.draining.load(Ordering::Acquire) {
+            return self
+                .admit(frame)
+                .expect_err("admission answers hellos and draining frames");
         }
+        let mut reply = None;
+        self.step_session(frame.session(), std::iter::once(frame), |r| reply = Some(r));
+        reply.expect("one frame, one reply")
     }
 
     /// Processes one transport batch — every frame decoded from one
     /// readiness chunk — grouped by session: one shard lookup, one
     /// session-lock acquisition, and one contiguous guard-DFA run per
-    /// session per batch. Replies for inline-processed frames are
-    /// encoded straight into `out` (the caller's reusable outbound
-    /// buffer) with no per-frame allocation or responder.
+    /// session per batch. Replies are encoded straight into `out` (the
+    /// caller's reusable outbound buffer) with no per-frame allocation.
     ///
-    /// A session that is already scheduled or queued cannot be
-    /// processed inline without reordering it against its in-flight
-    /// frames, so *all* of its frames in this batch are handed to
-    /// `slow` in order; the callback must forward each one to
-    /// [`Gateway::submit`] with a responder that appends to the same
-    /// outbound buffer. Frame accounting splits accordingly: inline
-    /// frames are counted here, slow-path frames when `submit` sees
-    /// them.
+    /// Every frame is answered inline, so `slow` is never invoked; the
+    /// parameter is kept only so existing callers compile unchanged.
     ///
     /// Replies land in `out` grouped by session (groups in order of
     /// first appearance, per-session order preserved) — equivalent to
@@ -576,7 +469,7 @@ impl Gateway {
         frames: &[Frame],
         scratch: &mut BatchScratch,
         out: &mut Vec<u8>,
-        slow: &mut dyn FnMut(Frame),
+        _slow: &mut dyn FnMut(Frame),
     ) {
         if frames.is_empty() {
             return;
@@ -595,7 +488,9 @@ impl Gateway {
             return;
         }
         scratch.group(frames);
+        let mut deepest = 0;
         for g in &scratch.groups {
+            deepest = deepest.max(g.count);
             if g.hellos == g.count {
                 // Hellos alone need no session core, so negotiation
                 // never opens a session.
@@ -605,29 +500,14 @@ impl Gateway {
                         .expect_err("admission answers every hello");
                     encode_reply(&reply, out);
                 }
-                inner.stats.note_batch_inline(g.count as usize);
-                continue;
-            }
-            let core = self.core_for(g.session);
-            let mut locked = core.lock().unwrap();
-            if !locked.is_idle() {
-                drop(locked);
+            } else if self.step_session(g.session, scratch.chain(g).map(|i| frames[i]), |r| {
+                encode_reply(&r, out)
+            }) {
                 inner.stats.note_batch_slow(g.count as usize);
-                for i in scratch.chain(g) {
-                    slow(frames[i]);
-                }
-                continue;
             }
-            for i in scratch.chain(g) {
-                let reply = match self.admit(frames[i]) {
-                    Ok(op) => process(inner, &mut locked, g.session, op),
-                    Err(reply) => reply,
-                };
-                encode_reply(&reply, out);
-            }
-            locked.last_active = Instant::now();
             inner.stats.note_batch_inline(g.count as usize);
         }
+        inner.stats.note_batch_backlog(deepest as usize - 1);
     }
 
     /// Removes sessions idle longer than the configured timeout.
@@ -639,8 +519,13 @@ impl Gateway {
         for shard in &inner.shards {
             let mut map = shard.lock().unwrap();
             map.retain(|_, core| {
-                let core = core.lock().unwrap();
-                let stale = core.is_idle() && core.last_active.elapsed() >= inner.cfg.idle_timeout;
+                // A core some caller still holds is in use, not idle.
+                // Only `core_for` clones it, under this shard lock.
+                let Some(core) = Arc::get_mut(core) else {
+                    return true;
+                };
+                let core = core.get_mut().expect("session lock poisoned");
+                let stale = core.last_active.elapsed() >= inner.cfg.idle_timeout;
                 if stale {
                     if core.closed {
                         inner.stats.note_close();
@@ -661,14 +546,11 @@ impl Gateway {
         evicted
     }
 
-    /// Stops admitting frames and waits until every queued frame has
-    /// been answered and all workers are idle.
+    /// Stops admitting frames: from here on every frame bounces with
+    /// [`RejectReason::Draining`]. Frames are answered on the thread
+    /// that hands them in, so nothing is left in flight to wait for.
     pub fn drain(&self) {
         self.inner.draining.store(true, Ordering::Release);
-        while self.inner.pending.load(Ordering::Acquire) > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        self.inner.pool.join();
     }
 
     /// The live counters, for transports to record connection events.
@@ -710,36 +592,6 @@ impl Gateway {
     }
 }
 
-/// Worker job: drains one session's queue to empty — up to
-/// [`DRAIN_BATCH`] frames per lock acquisition, answered after the lock
-/// drops — then unschedules itself.
-fn drain_session(inner: &Arc<GatewayInner>, core: &Arc<Mutex<SessionCore>>, session: u64) {
-    let mut replies: Vec<(Responder, Reply)> = Vec::with_capacity(DRAIN_BATCH);
-    loop {
-        let mut guard = core.lock().unwrap();
-        if guard.queue.is_empty() {
-            guard.scheduled = false;
-            return;
-        }
-        while replies.len() < DRAIN_BATCH {
-            let Some((op, respond)) = guard.queue.pop_front() else {
-                break;
-            };
-            let reply = process(inner, &mut guard, session, op);
-            replies.push((respond, reply));
-        }
-        guard.last_active = Instant::now();
-        drop(guard);
-        let answered = replies.len() as u64;
-        for (respond, reply) in replies.drain(..) {
-            respond(reply);
-        }
-        // Decrement only after the responders fired so `drain` cannot
-        // conclude while answers are still in flight.
-        inner.pending.fetch_sub(answered, Ordering::AcqRel);
-    }
-}
-
 /// Applies one admitted operation to a session under its lock.
 fn process(inner: &GatewayInner, core: &mut SessionCore, session: u64, op: SessionOp) -> Reply {
     let reject = |reason: RejectReason| {
@@ -750,7 +602,7 @@ fn process(inner: &GatewayInner, core: &mut SessionCore, session: u64, op: Sessi
         return reject(RejectReason::Closed);
     }
     // Frame budget: an event/stall stream past the configured cap
-    // expels the session — convict-or-evict, never buffer an abusive
+    // expels the session — convict-or-evict, never serve an abusive
     // session forever. `Close` is always admitted (it releases state).
     if !matches!(op, SessionOp::Close) {
         let budget = inner.cfg.session_frame_budget;
@@ -812,6 +664,10 @@ mod tests {
         Gateway::new(&[&implementation], &service, cfg).unwrap()
     }
 
+    fn no_slow(_: Frame) {
+        unreachable!("call_batch answers every frame inline")
+    }
+
     #[test]
     fn sessions_are_isolated_and_ordered() {
         let gw = gateway(GatewayConfig::default());
@@ -869,9 +725,6 @@ mod tests {
                 reason: RejectReason::Closed,
             }
         );
-        // Drain first: the worker unschedules the session only after
-        // answering its last frame.
-        gw.drain();
         assert_eq!(gw.evict_idle(), 1);
         assert_eq!(gw.resident_sessions(), 0);
         let snap = gw.stats();
@@ -920,7 +773,6 @@ mod tests {
         let cfg = GatewayConfig {
             session_frame_budget: 4,
             idle_timeout: Duration::from_millis(0),
-            ..GatewayConfig::default()
         };
         let gw = gateway(cfg);
         let acc = |s| {
@@ -967,11 +819,7 @@ mod tests {
 
     #[test]
     fn many_sessions_in_parallel_stay_consistent() {
-        let cfg = GatewayConfig {
-            workers: 8,
-            ..GatewayConfig::default()
-        };
-        let gw = gateway(cfg);
+        let gw = gateway(GatewayConfig::default());
         let codec = gw.codec().clone();
         std::thread::scope(|scope| {
             for session in 0..32u64 {
@@ -1024,14 +872,7 @@ mod tests {
         }
         let mut scratch = BatchScratch::new();
         let mut out = Vec::new();
-        let mut slow_frames = Vec::new();
-        batched.call_batch(&frames, &mut scratch, &mut out, &mut |f| {
-            slow_frames.push(f)
-        });
-        assert!(
-            slow_frames.is_empty(),
-            "uncontended sessions must stay inline"
-        );
+        batched.call_batch(&frames, &mut scratch, &mut out, &mut no_slow);
         // Replies come back grouped by session; per-session order must
         // match the oracle's.
         let mut rdec = crate::codec::ReplyBuffer::new();
@@ -1052,9 +893,26 @@ mod tests {
         assert_eq!(a.batches, 1);
         assert_eq!(a.batch_frames, frames.len() as u64);
         assert_eq!(a.batch_inline, frames.len() as u64);
-        assert_eq!(a.batch_slow, 0);
+        assert_eq!(a.batch_slow, 0, "one thread never contends a session");
+        // Session 1's three frames: two waited behind its first.
+        assert_eq!(a.queue_high_water, 2);
         batched.drain();
         oracle.drain();
+    }
+
+    /// The mux shape — one frame per session per batch, from one
+    /// thread — keeps both contention gauges at zero.
+    #[test]
+    fn one_frame_per_session_batches_leave_contention_gauges_at_zero() {
+        let gw = gateway(GatewayConfig::default());
+        let (mut scratch, mut out) = (BatchScratch::new(), Vec::new());
+        for _ in 0..4 {
+            let round: Vec<Frame> = (0..256).map(|session| Frame::Stall { session }).collect();
+            gw.call_batch(&round, &mut scratch, &mut out, &mut no_slow);
+        }
+        let snap = gw.stats();
+        assert_eq!((snap.batch_inline, snap.batch_slow), (1024, 0));
+        assert_eq!(snap.queue_high_water, 0);
     }
 
     /// A draining gateway bounces a whole batch with per-frame
@@ -1070,9 +928,7 @@ mod tests {
         ];
         let mut scratch = BatchScratch::new();
         let mut out = Vec::new();
-        gw.call_batch(&frames, &mut scratch, &mut out, &mut |_| {
-            panic!("draining batches never take the slow path")
-        });
+        gw.call_batch(&frames, &mut scratch, &mut out, &mut no_slow);
         let mut rdec = crate::codec::ReplyBuffer::new();
         rdec.extend(&out);
         let mut replies = Vec::new();
@@ -1086,59 +942,71 @@ mod tests {
         assert_eq!(replies, vec![rej(7), rej(8), rej(7)]);
     }
 
-    /// A session with queued work is never processed inline — all of
-    /// its frames in the batch route through the `slow` callback, in
-    /// order, while other sessions in the same batch stay inline.
+    /// Two threads batch 1000 stalls each into one session under a
+    /// 1500-frame budget. Whatever the interleaving, the session lock
+    /// serializes them: exactly 1500 accepted, the 1501st expels the
+    /// session, and the 499 after it see `closed`.
     #[test]
-    fn call_batch_routes_contended_sessions_to_slow_path() {
-        let gw = gateway(GatewayConfig::default());
-        // Queue a frame on session 1 behind a responder that blocks
-        // until we release it, so the session stays scheduled.
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (entered_tx, entered_rx) = mpsc::channel::<()>();
-        gw.submit(
-            Frame::Stall { session: 1 },
-            Box::new(move |_| {
-                let _ = entered_tx.send(());
-                let _ = release_rx.recv();
-            }),
-        );
-        entered_rx.recv().unwrap();
-        // While the worker is parked inside session 1's responder, a
-        // second frame keeps its queue non-empty.
-        gw.submit(Frame::Stall { session: 1 }, Box::new(|_| {}));
-        let frames = [
-            Frame::Stall { session: 1 },
-            Frame::Stall { session: 2 },
-            Frame::Close { session: 1 },
-        ];
-        let mut scratch = BatchScratch::new();
-        let mut out = Vec::new();
-        let mut slow_frames = Vec::new();
-        gw.call_batch(&frames, &mut scratch, &mut out, &mut |f| {
-            slow_frames.push(f)
+    fn contended_session_is_serialized_by_its_lock() {
+        let gw = gateway(GatewayConfig {
+            session_frame_budget: 1500,
+            ..GatewayConfig::default()
         });
-        assert_eq!(
-            slow_frames,
-            vec![Frame::Stall { session: 1 }, Frame::Close { session: 1 }]
-        );
+        let frames = vec![Frame::Stall { session: 1 }; 1000];
+        let outs: Vec<Vec<u8>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let (gw, frames) = (&gw, &frames);
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        gw.call_batch(frames, &mut BatchScratch::new(), &mut out, &mut no_slow);
+                        out
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut tally: HashMap<&str, u32> = HashMap::new();
         let mut rdec = crate::codec::ReplyBuffer::new();
-        rdec.extend(&out);
-        assert_eq!(
-            rdec.next_reply().unwrap(),
-            Some(Reply::Accepted { session: 2 })
-        );
-        assert_eq!(rdec.next_reply().unwrap(), None);
-        let snap = gw.stats();
-        assert_eq!(snap.batch_inline, 1);
-        assert_eq!(snap.batch_slow, 2);
-        release_tx.send(()).unwrap();
-        // The caller owns slow-path forwarding; mirror what transports
-        // do so the campaign accounting stays balanced.
-        for frame in slow_frames {
-            gw.submit(frame, Box::new(|_| {}));
+        for out in &outs {
+            rdec.extend(out);
         }
-        gw.drain();
+        while let Some(reply) = rdec.next_reply().unwrap() {
+            let name = match reply {
+                Reply::Accepted { .. } => "accepted",
+                Reply::Rejected { reason, .. } => reason.name(),
+                Reply::HelloAck { .. } => "hello_ack",
+            };
+            *tally.entry(name).or_default() += 1;
+        }
+        let want: HashMap<&str, u32> = [("accepted", 1500), ("resource_limit", 1), ("closed", 499)]
+            .into_iter()
+            .collect();
+        assert_eq!(tally, want);
+        let snap = gw.stats();
+        assert_eq!(snap.batch_inline, 2000);
+        // A group is contended as a whole or not at all.
+        assert!(
+            [0, 1000, 2000].contains(&snap.batch_slow),
+            "{}",
+            snap.batch_slow
+        );
+        assert_eq!(snap.queue_high_water, 999);
+        assert_eq!(snap.sessions_expelled, 1);
+    }
+
+    /// The idle sweep never evicts a session some caller is holding.
+    #[test]
+    fn evict_idle_skips_sessions_in_use() {
+        let gw = gateway(GatewayConfig {
+            idle_timeout: Duration::ZERO,
+            ..GatewayConfig::default()
+        });
+        let held = gw.core_for(5);
+        assert_eq!(gw.evict_idle(), 0);
+        drop(held);
+        assert_eq!(gw.evict_idle(), 1);
+        assert_eq!(gw.resident_sessions(), 0);
     }
 
     /// Negotiation through `call_batch` is connection-level exactly as
@@ -1158,7 +1026,6 @@ mod tests {
         };
         let mut scratch = BatchScratch::new();
         let mut out = Vec::new();
-        let mut no_slow = |_| panic!("an idle gateway never takes the slow path");
         batched.call_batch(
             &[hello(hash), hello(hash ^ 1)],
             &mut scratch,

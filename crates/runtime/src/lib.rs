@@ -16,15 +16,14 @@
 //!   one transition-table row; the subset-replaying interpreter
 //!   ([`SessionGuardReference`]) is retained as the guard-level
 //!   differential oracle;
-//! * [`gateway`] — a sharded, session-multiplexed relay: striped
-//!   session table, per-session bounded queues drained by a worker
-//!   pool, backpressure, idle eviction, graceful drain; transports
-//!   hand it whole readiness batches via [`Gateway::call_batch`] —
-//!   one shard lookup, one session lock, and one contiguous guard-DFA
-//!   run per session per batch, replies encoded zero-copy into the
-//!   caller's outbound buffer; [`Gateway::call`] and
-//!   [`Gateway::submit`] share its admission step (drain check, frame
-//!   count, hello answer);
+//! * [`gateway`] — a sharded, session-multiplexed relay that answers
+//!   every frame inline on the thread that hands it in: striped
+//!   session table, idle eviction, per-session frame budgets, drain;
+//!   transports hand it whole readiness batches via
+//!   [`Gateway::call_batch`] — one shard lookup, one session lock, and
+//!   one contiguous guard-DFA run per session per batch, replies
+//!   encoded zero-copy into the caller's outbound buffer;
+//!   [`Gateway::call`] is the same step for one frame;
 //! * [`transport`] — carriers of the same bytes: the in-memory
 //!   loopback and the non-blocking epoll reactor ([`ReactorServer`]),
 //!   which serves every connection from a fixed pool of event loops
@@ -46,7 +45,7 @@
 //!   under a pinned seed;
 //! * [`mod@adversarial`] — a hostile load generator: eight wire-level
 //!   attacks (garbage, truncation, floods, churn, slow-drip,
-//!   backpressure abuse, zombies) with a deterministic containment
+//!   unread bursts, zombies) with a deterministic containment
 //!   report, identical at any reactor loop count — `drive
 //!   --adversarial`;
 //! * [`stats`] — lock-free counters with JSON snapshots, including
@@ -72,7 +71,7 @@
 //! report over loopback and the reactor, lockstep or multiplexed.
 //!
 //! The operator-facing guide — every CLI flag, the stats/report JSON
-//! schemas, reject reasons, and backpressure/eviction/drain semantics
+//! schemas, reject reasons, and write-bound/eviction/drain semantics
 //! — is `docs/RUNTIME.md` at the repository root.
 
 #![forbid(unsafe_code)]
@@ -96,7 +95,7 @@ pub use codec::{
 };
 pub use drive::{drive, drive_mux, DriveConfig, DriveReport, RunOutcome};
 pub use fuzz::{Finding, FindingKind, FuzzConfig, FuzzReport, FuzzTarget};
-pub use gateway::{BatchScratch, Gateway, GatewayConfig, GatewayError, Responder};
+pub use gateway::{BatchScratch, Gateway, GatewayConfig, GatewayError};
 pub use guard::{Conviction, GuardBuildStats, GuardProgram, SessionGuard, SessionGuardReference};
 pub use registry::{AdmittedVersion, ConverterRegistry, RegistryError};
 pub use stats::{ConnEvictReason, RuntimeStats, StatsSnapshot};

@@ -1,7 +1,7 @@
 //! Gateway observability: lock-free counters and JSON snapshots.
 //!
 //! [`RuntimeStats`] is a bag of atomics bumped from the hot paths
-//! (submit, drain, evict); [`StatsSnapshot`] is an immutable view with
+//! (admission, batches, eviction); [`StatsSnapshot`] is an immutable view with
 //! derived rates, rendered as text (`protoquot serve --stats`) or JSON
 //! (the periodic snapshot stream).
 
@@ -49,7 +49,7 @@ fn reason_slot(reason: RejectReason) -> usize {
 /// connection-level half of the eviction taxonomy (the session-level
 /// half is idle eviction and budget expulsion in the gateway). The
 /// invariant these exist for: an abusive peer is convicted or evicted,
-/// never allowed to stall a worker pool or an event loop.
+/// never allowed to stall an event loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConnEvictReason {
     /// The peer stopped reading and its outbound buffer overran the
@@ -116,16 +116,17 @@ pub struct RuntimeStats {
     accepted: AtomicU64,
     rejects: [AtomicU64; 10],
     convictions: AtomicU64,
+    /// Most frames of one session that waited behind an earlier frame
+    /// of the same session in one batch.
     queue_high_water: AtomicU64,
     /// Batches taken through `Gateway::call_batch`.
     batches: AtomicU64,
     /// Frames carried by those batches.
     batch_frames: AtomicU64,
-    /// Batched frames processed inline under the session lock (no
-    /// responder, no pool dispatch).
+    /// Batched frames processed inline under the session lock.
     batch_inline: AtomicU64,
-    /// Batched frames deferred to the worker-queue slow path because
-    /// their session was already scheduled or queued.
+    /// Batched frames whose session lock was held by another thread
+    /// when their group reached it.
     batch_slow: AtomicU64,
     /// Batch-size histogram, power-of-two buckets.
     batch_hist: [AtomicU64; BATCH_BUCKETS],
@@ -306,10 +307,12 @@ impl RuntimeStats {
         self.convictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A per-session queue reached depth `depth`.
-    pub fn note_queue_depth(&self, depth: usize) {
+    /// In one batch, `frames` frames of one session waited behind an
+    /// earlier frame of that session (its largest group size − 1).
+    /// Called once per batch.
+    pub fn note_batch_backlog(&self, frames: usize) {
         self.queue_high_water
-            .fetch_max(depth as u64, Ordering::Relaxed);
+            .fetch_max(frames as u64, Ordering::Relaxed);
     }
 
     /// One `call_batch` of `frames` frames entered the gateway.
@@ -325,7 +328,8 @@ impl RuntimeStats {
         self.batch_inline.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// `n` batched frames fell back to the worker-queue slow path.
+    /// `n` batched frames found their session lock held by another
+    /// thread and waited for it.
     pub fn note_batch_slow(&self, n: usize) {
         self.batch_slow.fetch_add(n as u64, Ordering::Relaxed);
     }
@@ -434,7 +438,8 @@ pub struct StatsSnapshot {
     pub rejects: Vec<(&'static str, u64)>,
     /// Sessions convicted by the online guard.
     pub convictions: u64,
-    /// Deepest per-session queue observed.
+    /// Most frames of one session that waited behind an earlier frame
+    /// of the same session in one batch (largest group size − 1).
     pub queue_high_water: u64,
     /// Batches taken through `Gateway::call_batch`.
     pub batches: u64,
@@ -442,7 +447,7 @@ pub struct StatsSnapshot {
     pub batch_frames: u64,
     /// Batched frames processed inline under the session lock.
     pub batch_inline: u64,
-    /// Batched frames deferred to the worker-queue slow path.
+    /// Batched frames whose session lock was held by another thread.
     pub batch_slow: u64,
     /// Batch-size histogram: power-of-two buckets (`"1"`, `"2"`, …,
     /// `"128+"`), every bucket listed with zero counts included.
@@ -708,10 +713,10 @@ mod tests {
         stats.note_frame();
         stats.note_accept(0);
         stats.note_frame();
-        stats.note_reject(RejectReason::Backpressure);
+        stats.note_reject(RejectReason::Closed);
         stats.note_conviction(&Conviction::Stalled);
-        stats.note_queue_depth(5);
-        stats.note_queue_depth(3);
+        stats.note_batch_backlog(5);
+        stats.note_batch_backlog(3);
         stats.note_close();
 
         let snap = stats.snapshot(&table);
@@ -721,7 +726,7 @@ mod tests {
         assert_eq!(snap.connections_closed, 1);
         assert_eq!(snap.frames, 2);
         assert_eq!(snap.accepted, 1);
-        assert_eq!(snap.rejects, vec![("backpressure", 1)]);
+        assert_eq!(snap.rejects, vec![("closed", 1)]);
         assert_eq!(snap.convictions, 1);
         assert_eq!(snap.queue_high_water, 5);
         let first = EventId::new("acc");
@@ -730,10 +735,7 @@ mod tests {
         let value = snap.to_value();
         let obj = value.as_obj().unwrap();
         assert_eq!(obj["accepted"], Value::Int(1));
-        assert_eq!(
-            obj["rejects"].as_obj().unwrap()["backpressure"],
-            Value::Int(1)
-        );
+        assert_eq!(obj["rejects"].as_obj().unwrap()["closed"], Value::Int(1));
         assert_eq!(
             obj["connections"].as_obj().unwrap()["opened"],
             Value::Int(2)

@@ -26,10 +26,9 @@
 //! through per-loop inboxes, waking the target loop. Per readiness
 //! wakeup a loop reads what the socket has, feeds a [`FrameBuffer`],
 //! and hands every complete frame to [`Gateway::call_batch`] as one
-//! batch; inline replies land in the connection's outbound buffer and
-//! are flushed at once, while a session with frames already queued is
-//! answered by a gateway worker, which appends to the same buffer and
-//! wakes the owning loop to flush it. `EPOLLOUT` interest is
+//! batch. Every frame is answered on the loop that read it: the
+//! replies land in the connection's outbound buffer, which the loop
+//! owns outright, and are flushed at once. `EPOLLOUT` interest is
 //! registered only while flushed-behind bytes remain, and a connection
 //! whose outbound buffer outgrows [`ReactorConfig::outbuf_cap`] (a
 //! client that stopped reading) is dropped as a counted
@@ -40,8 +39,8 @@
 //! connection session cap and the torn-frame read deadline.
 
 use crate::codec::{
-    decode_frame, decode_reply, encode_frame, encode_reply, encode_reply_array, read_payload,
-    write_frame, Frame, FrameBuffer, RejectReason, Reply, ReplyBuffer,
+    decode_frame, decode_reply, encode_frame, encode_reply, read_payload, write_frame, Frame,
+    FrameBuffer, RejectReason, Reply, ReplyBuffer,
 };
 use crate::gateway::{BatchScratch, Gateway};
 use crate::stats::ConnEvictReason;
@@ -51,7 +50,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -62,8 +61,8 @@ use std::time::{Duration, Instant};
 /// peer that floods sessions is *rejected* frame by frame
 /// ([`RejectReason::ResourceLimit`]), a peer that drips a frame past
 /// the read deadline is *evicted*
-/// ([`ConnEvictReason::SlowRead`]) — either way the worker pool and
-/// the event loops keep serving everyone else.
+/// ([`ConnEvictReason::SlowRead`]) — either way the event loops keep
+/// serving everyone else.
 #[derive(Clone, Copy, Debug)]
 pub struct ConnLimits {
     /// Live sessions one connection may hold at once (a `Close` frees
@@ -120,7 +119,7 @@ struct ConnSessions {
 }
 
 impl ConnSessions {
-    /// Admits `frame` against the cap: `Ok(())` to submit it to the
+    /// Admits `frame` against the cap: `Ok(())` to forward it to the
     /// gateway, `Err(reason)` to bounce it at the transport.
     fn admit(&mut self, frame: &Frame, cap: usize) -> Result<(), RejectReason> {
         match frame {
@@ -270,8 +269,8 @@ const READ_CHUNK: usize = 64 * 1024;
 /// other connections. See `read_conn` for why this bound must exist.
 const MAX_READS_PER_EVENT: usize = 4;
 /// Outbound bytes a connection may fall behind before it is dropped as
-/// a dead or stalled reader. Generous: a full per-session queue's worth
-/// of replies for thousands of sessions fits in a fraction of this.
+/// a dead or stalled reader. Generous: a full read burst's worth of
+/// replies for thousands of sessions fits in a fraction of this.
 pub const OUTBUF_CAP: usize = 4 << 20;
 
 /// Tuning knobs of a [`ReactorServer`].
@@ -300,8 +299,7 @@ impl Default for ReactorConfig {
     }
 }
 
-/// Outbound bytes of one reactor connection, shared between the
-/// event loop (flush side) and gateway-worker responders (append side).
+/// Outbound bytes of one connection, with partial-write tracking.
 #[derive(Default)]
 struct OutBuf {
     buf: Vec<u8>,
@@ -323,30 +321,19 @@ impl OutBuf {
 }
 
 /// The cross-thread face of one event loop: how the acceptor hands it
-/// connections and how responders ask it to flush.
+/// connections and how [`ReactorServer::stop`] stops it.
 struct LoopShared {
     waker: Waker,
     /// Connections accepted but not yet registered on this loop.
     inbox: Mutex<Vec<TcpStream>>,
-    /// Tokens with fresh outbound bytes to flush.
-    flush: Mutex<Vec<usize>>,
     stop: AtomicBool,
-}
-
-impl LoopShared {
-    /// Queue `token` for a flush and wake the loop. Called by gateway
-    /// workers after appending a reply to the connection's [`OutBuf`].
-    fn request_flush(&self, token: usize) {
-        self.flush.lock().unwrap().push(token);
-        let _ = self.waker.wake();
-    }
 }
 
 /// Per-connection state owned by its event loop.
 struct ReactorConn {
     stream: TcpStream,
     frames: FrameBuffer,
-    out: Arc<Mutex<OutBuf>>,
+    out: OutBuf,
     /// Whether the registration currently includes `EPOLLOUT`.
     write_interest: bool,
     /// Live sessions on this connection, for the per-connection cap.
@@ -396,7 +383,6 @@ impl ReactorServer {
             loops.push(Arc::new(LoopShared {
                 waker,
                 inbox: Mutex::new(Vec::new()),
-                flush: Mutex::new(Vec::new()),
                 stop: AtomicBool::new(false),
             }));
         }
@@ -461,7 +447,7 @@ impl Drop for ReactorServer {
     }
 }
 
-/// One event-loop thread: readiness events in, gateway submissions and
+/// One event-loop thread: readiness events in, gateway batches and
 /// reply flushes out. Runs until its `LoopShared::stop` flag is set.
 fn event_loop(
     gateway: &Gateway,
@@ -512,12 +498,10 @@ fn event_loop(
                                     .is_ok();
                             }
                             if keep && ev.is_readable() {
-                                keep = read_conn(gateway, shared, Token(t), conn, &mut chunk, cfg);
-                                // Inline batch replies land in the
-                                // outbound buffer without a waker
-                                // round-trip; flush them right away —
-                                // even before a cut, so a negotiation
-                                // refusal reaches the peer.
+                                keep = read_conn(gateway, conn, &mut chunk, cfg);
+                                // Flush the batch's replies right away
+                                // — even before a cut, so a
+                                // negotiation refusal reaches the peer.
                                 keep = flush_conn(gateway, poll, Token(t), conn, cfg.outbuf_cap)
                                     .is_ok()
                                     && keep;
@@ -549,19 +533,6 @@ fn event_loop(
         let handed: Vec<TcpStream> = std::mem::take(&mut *shared.inbox.lock().unwrap());
         for stream in handed {
             register_conn(poll, &mut conns, &mut next_token, stream, gateway);
-        }
-        // Flush connections whose responders appended replies.
-        let mut dirty: Vec<usize> = std::mem::take(&mut *shared.flush.lock().unwrap());
-        dirty.sort_unstable();
-        dirty.dedup();
-        for t in dirty {
-            let keep = match conns.get_mut(&t) {
-                None => continue,
-                Some(conn) => flush_conn(gateway, poll, Token(t), conn, cfg.outbuf_cap).is_ok(),
-            };
-            if !keep {
-                drop_conn(gateway, poll, &mut conns, t);
-            }
         }
         // Read-deadline sweep: cut connections stuck mid-frame.
         if !deadline.is_zero() && last_sweep.elapsed() >= sweep_every {
@@ -642,7 +613,7 @@ fn register_conn(
         ReactorConn {
             stream,
             frames: FrameBuffer::new(),
-            out: Arc::new(Mutex::new(OutBuf::default())),
+            out: OutBuf::default(),
             write_interest: false,
             sessions: ConnSessions::default(),
             mid_since: None,
@@ -660,15 +631,13 @@ fn register_conn(
 /// damage are still answered either way.
 fn read_conn(
     gateway: &Gateway,
-    shared: &Arc<LoopShared>,
-    token: Token,
     conn: &mut ReactorConn,
     chunk: &mut [u8],
     cfg: &ReactorConfig,
 ) -> bool {
     let mut keep = read_into_batch(gateway, conn, chunk);
     if !conn.batch.is_empty() {
-        keep = process_batch(gateway, shared, token, conn, cfg) && keep;
+        keep = process_batch(gateway, conn, cfg) && keep;
         conn.batch.clear();
     }
     keep
@@ -680,10 +649,10 @@ fn read_conn(
 fn read_into_batch(gateway: &Gateway, conn: &mut ReactorConn, chunk: &mut [u8]) -> bool {
     // Bounded work per readiness event. A peer that writes continuously
     // would otherwise keep this loop inside `read` forever — starving
-    // every other connection on the loop AND the flush pass that
-    // enforces `outbuf_cap`, so its reply backlog could grow without
-    // bound while it never reads. Registrations are level-triggered, so
-    // leftover bytes re-report on the next poll, after flushes ran.
+    // every other connection on the loop AND the flush that enforces
+    // `outbuf_cap`, so its reply backlog could grow without bound while
+    // it never reads. Registrations are level-triggered, so leftover
+    // bytes re-report on the next poll, after the flush ran.
     let mut reads = 0usize;
     loop {
         if reads == MAX_READS_PER_EVENT {
@@ -737,58 +706,42 @@ fn read_into_batch(gateway: &Gateway, conn: &mut ReactorConn, chunk: &mut [u8]) 
     }
 }
 
-/// Runs one readiness event's decoded frames through
-/// [`Gateway::call_batch`] under a single outbound-buffer lock: one
-/// session-grouped DFA pass, inline replies appended straight to the
-/// buffer, contended sessions forwarded to the worker queue with the
-/// classic responder. The caller flushes once afterwards — inline
-/// replies never pay the waker round-trip. Returns `false` when the
-/// connection must be cut (hello negotiation refused); the refusal
-/// reply is already in the outbound buffer.
-fn process_batch(
-    gateway: &Gateway,
-    shared: &Arc<LoopShared>,
-    token: Token,
-    conn: &mut ReactorConn,
-    cfg: &ReactorConfig,
-) -> bool {
-    let out = &conn.out;
-    let mut ob = out.lock().unwrap();
-    let mut slow = |frame: Frame| {
-        let out = Arc::clone(out);
-        let shared = Arc::clone(shared);
-        gateway.submit(
-            frame,
-            Box::new(move |reply| {
-                encode_reply(&reply, &mut out.lock().unwrap().buf);
-                shared.request_flush(token.0);
-            }),
-        );
-    };
-    conn.admitted.clear();
-    let mut keep = true;
-    for &frame in &conn.batch {
-        match conn.sessions.gate(gateway, &frame, &cfg.limits) {
-            Gate::Forward => conn.admitted.push(frame),
-            Gate::Reply(reply) => {
-                // Flush the admitted run first so a bounced session's
-                // earlier replies keep their order in the buffer.
-                gateway.call_batch(&conn.admitted, &mut conn.scratch, &mut ob.buf, &mut slow);
-                conn.admitted.clear();
-                encode_reply(&reply, &mut ob.buf);
+/// Runs one readiness event's decoded frames through the
+/// connection-level gate and [`Gateway::call_batch`]: one
+/// session-grouped DFA pass, replies appended straight to the
+/// connection's outbound buffer, which the caller flushes once
+/// afterwards. Returns `false` when the connection must be cut (hello
+/// negotiation refused); the refusal reply is already in the buffer.
+fn process_batch(gateway: &Gateway, conn: &mut ReactorConn, cfg: &ReactorConfig) -> bool {
+    let ReactorConn {
+        batch,
+        admitted,
+        scratch,
+        sessions,
+        out,
+        ..
+    } = conn;
+    admitted.clear();
+    for &frame in batch.iter() {
+        let (reply, cut) = match sessions.gate(gateway, &frame, &cfg.limits) {
+            Gate::Forward => {
+                admitted.push(frame);
+                continue;
             }
-            Gate::Refuse(reply) => {
-                gateway.call_batch(&conn.admitted, &mut conn.scratch, &mut ob.buf, &mut slow);
-                conn.admitted.clear();
-                encode_reply(&reply, &mut ob.buf);
-                keep = false;
-                break;
-            }
+            Gate::Reply(reply) => (reply, false),
+            Gate::Refuse(reply) => (reply, true),
+        };
+        // Answer the admitted run first so a bounced session's earlier
+        // replies keep their order in the buffer.
+        gateway.call_batch(admitted, scratch, &mut out.buf, &mut |_| {});
+        admitted.clear();
+        encode_reply(&reply, &mut out.buf);
+        if cut {
+            return false;
         }
     }
-    gateway.call_batch(&conn.admitted, &mut conn.scratch, &mut ob.buf, &mut slow);
-    conn.admitted.clear();
-    keep
+    gateway.call_batch(admitted, scratch, &mut out.buf, &mut |_| {});
+    true
 }
 
 /// Writes as much buffered output as the socket takes. Registers
@@ -802,7 +755,7 @@ fn flush_conn(
     conn: &mut ReactorConn,
     outbuf_cap: usize,
 ) -> io::Result<()> {
-    let mut out = conn.out.lock().unwrap();
+    let out = &mut conn.out;
     while out.pending() > 0 {
         let start = out.start;
         match (&conn.stream).write(&out.buf[start..]) {
@@ -1008,22 +961,20 @@ impl MuxTransport for MuxClient {
 
 /// In-process [`MuxTransport`]: frames go through the real encoder and
 /// decoder and accumulate until [`MuxTransport::exchange`] runs the
-/// whole burst through [`Gateway::call_batch`] and decodes the inline
-/// reply bytes from a reused wire buffer. Slow-path replies round-trip
-/// the wire format (stack-encoded, no per-reply allocation) into a
-/// condvar-guarded queue the exchange drains. The socket-free
-/// counterpart of [`MuxClient`] for tests and benchmarks.
+/// whole burst through [`Gateway::call_batch`] and decodes the reply
+/// bytes from a reused wire buffer. Every queued frame is answered by
+/// the exchange that flushes it. The socket-free counterpart of
+/// [`MuxClient`] for tests and benchmarks.
 pub struct LoopbackMux {
     gateway: Gateway,
-    pending: Arc<(Mutex<Vec<Reply>>, Condvar)>,
     buf: Vec<u8>,
     /// Decoded frames awaiting the next exchange.
     queued: Vec<Frame>,
     /// Session-grouping scratch for [`Gateway::call_batch`].
     scratch: BatchScratch,
-    /// Reused inline-reply wire buffer.
+    /// Reused reply wire buffer.
     wire: Vec<u8>,
-    /// Reused inline-reply decoder.
+    /// Reused reply decoder.
     rdec: ReplyBuffer,
 }
 
@@ -1032,7 +983,6 @@ impl LoopbackMux {
     pub fn new(gateway: Gateway) -> LoopbackMux {
         LoopbackMux {
             gateway,
-            pending: Arc::new((Mutex::new(Vec::new()), Condvar::new())),
             buf: Vec::with_capacity(32),
             queued: Vec::new(),
             scratch: BatchScratch::new(),
@@ -1050,49 +1000,17 @@ impl MuxTransport for LoopbackMux {
         Ok(())
     }
 
-    fn exchange(&mut self, wait: bool, replies: &mut Vec<Reply>) -> io::Result<()> {
-        let mut inline = 0usize;
-        if !self.queued.is_empty() {
-            self.wire.clear();
-            let gateway = &self.gateway;
-            // Slow-path replies round-trip the stack wire encoder into
-            // the pending queue.
-            let mut slow = |frame: Frame| {
-                let pending = Arc::clone(&self.pending);
-                gateway.submit(
-                    frame,
-                    Box::new(move |reply| {
-                        let (wire, len) = encode_reply_array(&reply);
-                        if let Ok(reply) = decode_reply(&wire[4..len]) {
-                            let (lock, cv) = &*pending;
-                            lock.lock().unwrap().push(reply);
-                            cv.notify_one();
-                        }
-                    }),
-                );
-            };
-            gateway.call_batch(&self.queued, &mut self.scratch, &mut self.wire, &mut slow);
-            self.queued.clear();
-            self.rdec.extend(&self.wire);
-            while let Some(r) = self.rdec.next_reply()? {
-                replies.push(r);
-                inline += 1;
-            }
+    /// Never blocks: every queued frame is answered by the exchange
+    /// that flushes it, so `wait` has nothing to wait for.
+    fn exchange(&mut self, _wait: bool, replies: &mut Vec<Reply>) -> io::Result<()> {
+        self.wire.clear();
+        self.gateway
+            .call_batch(&self.queued, &mut self.scratch, &mut self.wire, &mut |_| {});
+        self.queued.clear();
+        self.rdec.extend(&self.wire);
+        while let Some(r) = self.rdec.next_reply()? {
+            replies.push(r);
         }
-        let (lock, cv) = &*self.pending;
-        let mut got = lock.lock().unwrap();
-        if wait && inline == 0 {
-            // Gateway workers always answer admitted frames, so a bare
-            // wait cannot hang; the timeout guards responder drops
-            // during teardown.
-            while got.is_empty() {
-                let (g, _) = cv
-                    .wait_timeout(got, Duration::from_millis(100))
-                    .map_err(|_| io::Error::other("poisoned reply queue"))?;
-                got = g;
-            }
-        }
-        replies.append(&mut got);
         Ok(())
     }
 }

@@ -8,10 +8,10 @@
 //!    must cut every damaged connection (counted as a `protocol`
 //!    eviction) and keep serving honest ones.
 //! 2. **Session floods evict, never stall** — the same lockstep flood
-//!    against 1-worker and 8-worker gateways must be answered in full
-//!    (no stall) and produce *identical* deterministic stats: the
-//!    reject histogram, session counts, and eviction taxonomy cannot
-//!    depend on worker scheduling.
+//!    against reactors with one and with four event loops must be
+//!    answered in full (no stall) and produce *identical*
+//!    deterministic stats: the reject histogram, session counts, and
+//!    eviction taxonomy cannot depend on the loop count.
 //! 3. **Slow consumers are counted evictions** — a client that writes
 //!    frames but never reads replies must be dropped once the reactor's
 //!    outbound buffer cap is hit, and the drop must be visible in
@@ -168,25 +168,18 @@ fn deterministic_stats(snap: &StatsSnapshot) -> String {
 /// A session flood over one connection against a capped server:
 /// everything past the cap bounces with `resource_limit`, every frame
 /// is answered (no stall), and the resulting stats are identical at 1
-/// and 8 gateway workers.
+/// and 4 event loops.
 #[test]
-fn session_flood_is_evicted_not_stalled_at_any_worker_count() {
+fn session_flood_is_evicted_not_stalled_at_any_loop_count() {
     let (components, service) = derived_system();
     let mut stats = Vec::new();
-    for workers in [1usize, 8] {
-        let gw = gateway(
-            &components,
-            &service,
-            GatewayConfig {
-                workers,
-                ..GatewayConfig::default()
-            },
-        );
+    for loops in [1usize, 4] {
+        let gw = gateway(&components, &service, GatewayConfig::default());
         let mut server = ReactorServer::bind(
             gw.clone(),
             "127.0.0.1:0",
             ReactorConfig {
-                loops: 2,
+                loops,
                 limits: ConnLimits {
                     max_sessions_per_conn: 8,
                     ..ConnLimits::default()
@@ -219,7 +212,7 @@ fn session_flood_is_evicted_not_stalled_at_any_worker_count() {
     }
     assert_eq!(
         stats[0], stats[1],
-        "flood accounting depends on worker count"
+        "flood accounting depends on the loop count"
     );
     assert!(
         stats[0].contains("(\"resource_limit\", 56)"),

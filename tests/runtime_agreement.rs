@@ -7,8 +7,9 @@
 //!   the reference composite `B ‖ C` (checked with `has_trace` on the
 //!   recorded per-session prefixes);
 //! * a statically verified converter is never convicted online, at 1
-//!   and 8 gateway worker threads alike, and the drive reports are
-//!   identical across thread counts;
+//!   and 8 client threads alike (each frame answered on the thread
+//!   that sent it), and the drive reports are identical across thread
+//!   counts;
 //! * every single-transition converter mutant is convicted by the
 //!   online guard exactly when the static checker rejects it, across
 //!   all builtin configurations;
@@ -102,19 +103,12 @@ impl Campaign {
     }
 }
 
-/// One drive campaign against a fresh gateway with `threads` workers
-/// (server and client alike), recording every exchange.
+/// One drive campaign against a fresh gateway from `threads` client
+/// threads, recording every exchange.
 fn campaign(components: &[Spec], service: &Spec, threads: usize) -> Campaign {
     let parts: Vec<&Spec> = components.iter().collect();
-    let gateway = Gateway::new(
-        &parts,
-        service,
-        GatewayConfig {
-            workers: threads,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("gateway must compile the system");
+    let gateway = Gateway::new(&parts, service, GatewayConfig::default())
+        .expect("gateway must compile the system");
     let log: ExchangeLog = Arc::new(Mutex::new(HashMap::new()));
     let report = drive(components, service, &config(threads), || {
         Ok(Box::new(RecordingConn {
