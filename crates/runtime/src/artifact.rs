@@ -34,8 +34,9 @@
 //!
 //! The artifact carries *both* the source specs and the determinized
 //! guard tables. The specs are load-bearing: registry admission re-runs
-//! [`protoquot_spec::verify_system`] on them before a version may go
-//! live, and [`CompiledArtifact::instantiate`] rebuilds the guard from
+//! the product check ([`protoquot_spec::CompiledSystem::verify`]) on the
+//! system compiled from them before a version may go live, and
+//! [`CompiledArtifact::instantiate`] rebuilds the guard from
 //! them and refuses the artifact unless the rebuilt tables are
 //! byte-identical to the stored ones — a tampered or bit-rotted table
 //! can never reach a session even if its content hash was re-stamped.
@@ -130,7 +131,7 @@ pub struct ArtifactDfa {
 /// One decoded compiled artifact: integrity-checked bytes parsed into
 /// specs plus guard tables, not yet trusted to serve traffic — that
 /// takes [`CompiledArtifact::instantiate`] (table agreement) and, for
-/// the registry, a `verify_system` run.
+/// the registry, the product check on the rebuilt system.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompiledArtifact {
     /// FNV-1a-64 of the payload — the artifact's identity in the
@@ -198,7 +199,7 @@ pub fn encode(parts: &[&Spec], service: &Spec) -> Result<Vec<u8>, ArtifactError>
 }
 
 /// Same as [`encode`] for a caller that already built the guard (the
-/// CLI builds one for `--stats` anyway).
+/// CLI's `--emit compiled` builds one for its JSON dump too).
 pub fn encode_with_program(parts: &[&Spec], service: &Spec, prog: &GuardProgram) -> Vec<u8> {
     let mut payload = Vec::new();
     put_doc(&mut payload, &SpecDoc::from(service));
@@ -382,7 +383,7 @@ impl CompiledArtifact {
     /// A decoded artifact is *parsed*, not *trusted*:
     /// [`CompiledArtifact::instantiate`] rebuilds the guard from the
     /// embedded specs and compares tables, and registry admission runs
-    /// `verify_system` on top.
+    /// the product check on the rebuilt system on top.
     pub fn decode(bytes: &[u8]) -> Result<CompiledArtifact, ArtifactError> {
         if bytes.len() < 24 {
             return Err(ArtifactError::Malformed(format!(
@@ -511,8 +512,9 @@ impl CompiledArtifact {
     /// must match the stored ones exactly, else the artifact is
     /// refused with [`ArtifactError::Divergence`].
     ///
-    /// Returns `(parts, service, program)`; the specs feed registry
-    /// admission (`verify_system`), the program feeds the gateway.
+    /// Returns `(parts, service, program)`; the program's compiled
+    /// system feeds registry admission's product check, the program
+    /// feeds the gateway.
     pub fn instantiate(&self) -> Result<(Vec<Spec>, Spec, GuardProgram), ArtifactError> {
         let service = Spec::try_from(self.service.clone())?;
         let parts = self

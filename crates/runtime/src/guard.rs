@@ -1,10 +1,10 @@
 //! Online conformance guard: per-session trace validation.
 //!
 //! A [`GuardProgram`] compiles the loaded system — the fixed components
-//! plus the derived converter — into the exact CSR objects the static
-//! verifier uses ([`protoquot_spec::compile_composite`] and
-//! [`protoquot_spec::tau_star_rows`] over the shared
-//! [`protoquot_spec::EventTable`]) and then **determinizes** the whole
+//! plus the derived converter — into the one [`CompiledSystem`] the
+//! static verifier runs on (composite CSR, τ* rows and ψ step table
+//! over the shared [`protoquot_spec::EventTable`]), keeps it for
+//! admission's re-verification, and then **determinizes** the whole
 //! per-frame check into a DFA at build time: states are the reachable
 //! `(τ-closed composite subset, ψ-hub)` pairs, and the τ-closure, the
 //! external step and the ψ-hub step are fused into one dense
@@ -37,11 +37,7 @@
 //! trace can ever convict.
 
 use crate::codec::RejectReason;
-use protoquot_spec::{
-    compile_composite, normalize, tau_star_rows, Alphabet, CompiledComposite, EventId, EventTable,
-    NormalSpec, Spec, SpecError,
-};
-use std::collections::HashMap;
+use protoquot_spec::{CompiledSystem, EventId, EventTable, SliceInterner, Spec, SpecError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -102,8 +98,12 @@ pub struct GuardBuildStats {
     pub table_bytes: usize,
     /// Largest composite subset behind any DFA state.
     pub max_subset: usize,
+    /// Wall-clock milliseconds spent compiling the system the DFA is
+    /// built over: the composite product, its τ* rows and the service's
+    /// normal form ([`CompiledSystem::new`]).
+    pub compile_ms: f64,
     /// Wall-clock milliseconds spent subset-constructing the DFA
-    /// (compile + τ* rows + normalization excluded).
+    /// (the system compile in `compile_ms` excluded).
     pub build_ms: f64,
 }
 
@@ -111,8 +111,14 @@ impl std::fmt::Display for GuardBuildStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} states x {} events, {} table bytes, max subset {}, built in {:.3} ms",
-            self.dfa_states, self.dfa_events, self.table_bytes, self.max_subset, self.build_ms
+            "{} states x {} events, {} table bytes, max subset {}, \
+             system compiled in {:.3} ms, built in {:.3} ms",
+            self.dfa_states,
+            self.dfa_events,
+            self.table_bytes,
+            self.max_subset,
+            self.compile_ms,
+            self.build_ms
         )
     }
 }
@@ -149,14 +155,9 @@ pub struct GuardDfaTables<'a> {
 
 /// Compiled guard shared by every session of one gateway.
 pub struct GuardProgram {
-    table: Arc<EventTable>,
-    comp: CompiledComposite,
-    /// `τ*` bitset rows, `words` u64 words per composite state.
-    tau: Vec<u64>,
-    words: usize,
-    norm: NormalSpec,
-    /// Per-hub acceptance sets as bitsets over the event table.
-    acc: Vec<Vec<Vec<u64>>>,
+    /// The compiled `B ‖ C` against the service: composite, τ* rows,
+    /// ψ step table — the objects the static check runs on.
+    system: CompiledSystem,
     /// Fused τ-closure + ext-step + ψ-step DFA: row `s` holds the
     /// target (or verdict sentinel) for every event index.
     trans: Vec<u32>,
@@ -181,60 +182,25 @@ impl GuardProgram {
     /// Compiles `parts` (components plus converter) against `service`
     /// and subset-constructs the per-frame check into a DFA.
     ///
-    /// Mirrors the validation of [`protoquot_spec::verify_system`]: the
-    /// solo (externally visible) alphabet of the composition must equal
-    /// the service alphabet, and no event may be shared by more than
-    /// two components.
+    /// Validation is [`CompiledSystem::new`]'s: no event may be shared
+    /// by more than two components, and the solo (externally visible)
+    /// alphabet of the composition must equal the service alphabet.
     pub fn new(parts: &[&Spec], service: &Spec) -> Result<GuardProgram, SpecError> {
-        assert!(
-            !parts.is_empty(),
-            "GuardProgram needs at least one component"
-        );
-        let mut counts: HashMap<EventId, usize> = HashMap::new();
-        for p in parts {
-            for e in p.alphabet().iter() {
-                *counts.entry(e).or_insert(0) += 1;
-            }
-        }
-        let mut iface = Alphabet::new();
-        for (&e, &c) in &counts {
-            if c == 1 {
-                iface.insert(e);
-            }
-        }
-        if &iface != service.alphabet() {
-            return Err(SpecError::InterfaceMismatch {
-                left: format!("{iface}"),
-                right: format!("{}", service.alphabet()),
-            });
-        }
-        let table = EventTable::new(service.alphabet());
-        let comp = compile_composite(parts, &table)?;
-        let words = table.words();
-        let tau = tau_star_rows(&comp, words);
-        let norm = normalize(service);
-        let acc = (0..norm.num_hubs())
-            .map(|h| {
-                norm.acceptance(h)
-                    .iter()
-                    .map(|a| table.alphabet_bits(a))
-                    .collect()
-            })
-            .collect();
+        let t0 = Instant::now();
+        let system = CompiledSystem::new(parts, service)?;
+        let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
         let mut prog = GuardProgram {
-            table: Arc::new(table),
-            comp,
-            tau,
-            words,
-            norm,
-            acc,
+            system,
             trans: Vec::new(),
             nsym: 0,
             dfa_initial: 0,
             any_fail: Vec::new(),
             subset_size: Vec::new(),
             initial_verdict: None,
-            build: GuardBuildStats::default(),
+            build: GuardBuildStats {
+                compile_ms,
+                ..GuardBuildStats::default()
+            },
         };
         prog.determinize();
         Ok(prog)
@@ -245,13 +211,19 @@ impl GuardProgram {
     /// ext step, the τ-closure of its image and the ψ-hub step, and the
     /// progress verdicts are folded into the table (stall edges) and the
     /// per-state `any_fail` flags.
+    ///
+    /// Each state is interned once, as the flat key `[hub, subset…]`.
+    /// Expanding a state is one pass over its members' external edges,
+    /// bucketing the targets by event index; every event's successor is
+    /// then read off its bucket.
     fn determinize(&mut self) {
         let t0 = Instant::now();
-        let nsym = self.table.len();
-        let n = self.comp.n;
+        let sys = &self.system;
+        let comp = sys.composite();
+        let nsym = sys.table().len();
 
         // Scratch for τ-closures and per-event ext steps.
-        let mut seen = vec![false; n];
+        let mut seen = vec![false; comp.n];
         let tau_close = |set: &mut Vec<u32>, seen: &mut [bool]| {
             for &s in set.iter() {
                 seen[s as usize] = true;
@@ -259,8 +231,8 @@ impl GuardProgram {
             let mut i = 0;
             while i < set.len() {
                 let s = set[i] as usize;
-                for k in self.comp.int_off[s] as usize..self.comp.int_off[s + 1] as usize {
-                    let t = self.comp.int_tgt[k];
+                for k in comp.int_off[s] as usize..comp.int_off[s + 1] as usize {
+                    let t = comp.int_tgt[k];
                     if !seen[t as usize] {
                         seen[t as usize] = true;
                         set.push(t);
@@ -273,152 +245,148 @@ impl GuardProgram {
                 seen[s as usize] = false;
             }
         };
+        let all_fail = |subset: &[u32], hub: u32| subset.iter().all(|&s| !sys.progress_ok(s, hub));
 
-        let mut initial = vec![self.comp.initial];
-        tau_close(&mut initial, &mut seen);
-
-        let mut index: HashMap<(Box<[u32]>, u32), u32> = HashMap::new();
-        let mut subsets: Vec<(Box<[u32]>, u32)> = Vec::new();
+        let mut states = SliceInterner::new();
+        let mut work: Vec<u32> = Vec::new();
         let mut trans: Vec<u32> = Vec::new();
         let mut any_fail: Vec<bool> = Vec::new();
         let mut subset_size: Vec<u32> = Vec::new();
         let mut max_subset = 0usize;
 
-        let initial_hub = self.norm.initial_hub() as u32;
-        let push_state = |subset: Box<[u32]>,
-                          hub: u32,
-                          index: &mut HashMap<(Box<[u32]>, u32), u32>,
-                          subsets: &mut Vec<(Box<[u32]>, u32)>,
-                          work: &mut Vec<u32>|
-         -> u32 {
-            let key = (subset, hub);
-            if let Some(&id) = index.get(&key) {
-                return id;
-            }
-            let id = subsets.len() as u32;
-            index.insert(key.clone(), id);
-            subsets.push(key);
-            work.push(id);
-            id
-        };
-
-        let mut work: Vec<u32> = Vec::new();
-        self.dfa_initial = push_state(
-            initial.clone().into_boxed_slice(),
-            initial_hub,
-            &mut index,
-            &mut subsets,
-            &mut work,
-        );
-        if self.all_fail(&initial, initial_hub as usize) {
+        let initial_hub = sys.initial_hub();
+        let mut initial = vec![comp.initial];
+        tau_close(&mut initial, &mut seen);
+        let mut key = vec![initial_hub];
+        key.extend_from_slice(&initial);
+        let (dfa_initial, _) = states.intern(&key);
+        work.push(dfa_initial);
+        if all_fail(&initial, initial_hub) {
             // The initial configuration already fails containment for
             // every reachable state — sessions start convicted, exactly
             // as the reference guard does.
             self.initial_verdict = Some(Conviction::Stalled);
         }
 
+        // Per-event buckets of the expanded state's ext-step targets:
+        // event `ev`'s are `bucket[start[ev]..start[ev + 1]]`.
+        let mut start: Vec<u32> = vec![0; nsym + 1];
+        let mut fill: Vec<u32> = Vec::new();
+        let mut bucket: Vec<u32> = Vec::new();
         let mut next: Vec<u32> = Vec::new();
+        // Every interned state is popped once, and a pop sizes the tables
+        // for every state interned so far, so the last pop sizes them all.
         while let Some(id) = work.pop() {
-            let (subset, hub) = subsets[id as usize].clone();
-            max_subset = max_subset.max(subset.len());
             let row = id as usize * nsym;
-            if trans.len() < row + nsym {
-                trans.resize(subsets.len() * nsym, T_NOT_A_TRACE);
-            }
-            while any_fail.len() < subsets.len() {
-                any_fail.push(false);
-                subset_size.push(0);
-            }
-            any_fail[id as usize] = subset.iter().any(|&s| !self.progress_ok(s, hub as usize));
+            trans.resize(states.len() * nsym, T_NOT_A_TRACE);
+            any_fail.resize(states.len(), false);
+            subset_size.resize(states.len(), 0);
+
+            let k = states.get(id);
+            let (hub, subset) = (k[0], &k[1..]);
+            max_subset = max_subset.max(subset.len());
+            any_fail[id as usize] = subset.iter().any(|&s| !sys.progress_ok(s, hub));
             subset_size[id as usize] = subset.len() as u32;
 
-            for ev in 0..nsym as u32 {
+            start.iter_mut().for_each(|c| *c = 0);
+            for &s in subset {
+                let s = s as usize;
+                for k in comp.ext_off[s] as usize..comp.ext_off[s + 1] as usize {
+                    start[comp.ext_ev[k] as usize + 1] += 1;
+                }
+            }
+            for ev in 0..nsym {
+                start[ev + 1] += start[ev];
+            }
+            bucket.resize(start[nsym] as usize, 0);
+            fill.clear();
+            fill.extend_from_slice(&start);
+            for &s in subset {
+                let s = s as usize;
+                for k in comp.ext_off[s] as usize..comp.ext_off[s + 1] as usize {
+                    let slot = &mut fill[comp.ext_ev[k] as usize];
+                    bucket[*slot as usize] = comp.ext_tgt[k];
+                    *slot += 1;
+                }
+            }
+
+            for ev in 0..nsym {
                 next.clear();
-                for &s in subset.iter() {
-                    let s = s as usize;
-                    for k in self.comp.ext_off[s] as usize..self.comp.ext_off[s + 1] as usize {
-                        if self.comp.ext_ev[k] == ev {
-                            let t = self.comp.ext_tgt[k];
-                            if !seen[t as usize] {
-                                seen[t as usize] = true;
-                                next.push(t);
-                            }
-                        }
+                for &t in &bucket[start[ev] as usize..start[ev + 1] as usize] {
+                    if !seen[t as usize] {
+                        seen[t as usize] = true;
+                        next.push(t);
                     }
                 }
                 for &t in next.iter() {
                     seen[t as usize] = false;
                 }
-                let target = if next.is_empty() {
+                trans[row + ev] = if next.is_empty() {
                     T_NOT_A_TRACE
                 } else {
-                    let eid = self.table.event(ev).expect("event index within table");
-                    match self.norm.step(hub as usize, eid) {
+                    match sys.hub_step(hub, ev as u32) {
                         None => T_SERVICE_VIOLATION,
                         Some(next_hub) => {
                             tau_close(&mut next, &mut seen);
-                            if self.all_fail(&next, next_hub) {
+                            if all_fail(&next, next_hub) {
                                 // A stall edge is terminal: the target
                                 // state is never resident, so it is not
                                 // interned or explored.
                                 T_STALL
                             } else {
-                                push_state(
-                                    next.clone().into_boxed_slice(),
-                                    next_hub as u32,
-                                    &mut index,
-                                    &mut subsets,
-                                    &mut work,
-                                )
+                                key.clear();
+                                key.push(next_hub);
+                                key.extend_from_slice(&next);
+                                let (to, fresh) = states.intern(&key);
+                                if fresh {
+                                    work.push(to);
+                                }
+                                to
                             }
                         }
                     }
                 };
-                // `trans` may have grown rows for states interned after
-                // this one; the row base is stable because ids are dense.
-                if trans.len() < subsets.len() * nsym {
-                    trans.resize(subsets.len() * nsym, T_NOT_A_TRACE);
-                }
-                trans[row + ev as usize] = target;
             }
-        }
-        // States interned last may not have had rows/flags materialized.
-        trans.resize(subsets.len() * nsym, T_NOT_A_TRACE);
-        while any_fail.len() < subsets.len() {
-            any_fail.push(false);
-            subset_size.push(0);
         }
 
         debug_assert!(
-            subsets.len() < T_SENTINEL_BASE as usize,
+            states.len() < T_SENTINEL_BASE as usize,
             "guard DFA state space collides with verdict sentinels"
         );
+        self.dfa_initial = dfa_initial;
         self.nsym = nsym;
+        self.build = GuardBuildStats {
+            dfa_states: states.len(),
+            dfa_events: nsym,
+            table_bytes: trans.len() * 4 + any_fail.len() + subset_size.len() * 4,
+            max_subset,
+            compile_ms: self.build.compile_ms,
+            build_ms: t0.elapsed().as_secs_f64() * 1e3,
+        };
         self.trans = trans;
         self.any_fail = any_fail;
         self.subset_size = subset_size;
-        self.build = GuardBuildStats {
-            dfa_states: subsets.len(),
-            dfa_events: nsym,
-            table_bytes: self.trans.len() * 4 + self.any_fail.len() + self.subset_size.len() * 4,
-            max_subset,
-            build_ms: t0.elapsed().as_secs_f64() * 1e3,
-        };
+    }
+
+    /// The compiled system the guard runs on, for re-verification at
+    /// admission without compiling `B ‖ C` again.
+    pub fn system(&self) -> &CompiledSystem {
+        &self.system
     }
 
     /// The shared event table (index ↔ event mapping on the wire).
     pub fn table(&self) -> &Arc<EventTable> {
-        &self.table
+        self.system.table()
     }
 
     /// Composite states of the compiled `B ‖ C`.
     pub fn num_states(&self) -> usize {
-        self.comp.n
+        self.system.composite().n
     }
 
     /// ψ-hubs of the normalized service.
     pub fn num_hubs(&self) -> usize {
-        self.norm.num_hubs()
+        self.system.num_hubs()
     }
 
     /// DFA states of the determinized guard.
@@ -466,20 +434,6 @@ impl GuardProgram {
             cur = row[ev];
         }
         out
-    }
-
-    /// Does composite state `s` satisfy sink-acceptance containment
-    /// against hub `hub`?
-    fn progress_ok(&self, s: u32, hub: usize) -> bool {
-        let row = &self.tau[s as usize * self.words..(s as usize + 1) * self.words];
-        self.acc[hub]
-            .iter()
-            .any(|a| a.iter().zip(row).all(|(&aw, &rw)| aw & !rw == 0))
-    }
-
-    /// Does *every* state of `subset` fail containment against `hub`?
-    fn all_fail(&self, subset: &[u32], hub: usize) -> bool {
-        subset.iter().all(|&s| !self.progress_ok(s, hub))
     }
 }
 
@@ -586,7 +540,7 @@ impl SessionGuard {
 
     /// The interned event behind a wire index, if any.
     pub fn event_of(&self, event: u16) -> Option<EventId> {
-        self.prog.table.event(u32::from(event))
+        self.prog.table().event(u32::from(event))
     }
 }
 
@@ -601,7 +555,7 @@ pub struct SessionGuardReference {
     possible: Vec<u32>,
     /// Scratch mark bits for the τ-closure (cleared after each use).
     seen: Vec<bool>,
-    hub: usize,
+    hub: u32,
     convicted: Option<Conviction>,
     observed: u64,
 }
@@ -610,8 +564,8 @@ impl SessionGuardReference {
     /// A fresh guard at the initial state of the compiled product.
     pub fn new(prog: Arc<GuardProgram>) -> SessionGuardReference {
         let n = prog.num_states();
-        let possible = vec![prog.comp.initial];
-        let hub = prog.norm.initial_hub();
+        let possible = vec![prog.system.composite().initial];
+        let hub = prog.system.initial_hub();
         let mut guard = SessionGuardReference {
             prog,
             possible,
@@ -630,7 +584,7 @@ impl SessionGuardReference {
     /// Extends `possible` with everything reachable over internal
     /// edges, leaving it sorted and deduplicated.
     fn tau_close(&mut self) {
-        let comp = &self.prog.comp;
+        let comp = self.prog.system.composite();
         for &s in &self.possible {
             self.seen[s as usize] = true;
         }
@@ -655,7 +609,7 @@ impl SessionGuardReference {
     fn all_fail(&self) -> bool {
         self.possible
             .iter()
-            .all(|&s| !self.prog.progress_ok(s, self.hub))
+            .all(|&s| !self.prog.system.progress_ok(s, self.hub))
     }
 
     /// Validates one external event frame (an event-table index).
@@ -663,12 +617,12 @@ impl SessionGuardReference {
         if let Some(c) = &self.convicted {
             return Err(c.clone());
         }
-        let Some(eid) = self.prog.table.event(u32::from(event)) else {
+        if usize::from(event) >= self.prog.table().len() {
             let c = Conviction::NotATrace { event };
             self.convicted = Some(c.clone());
             return Err(c);
-        };
-        let comp = &self.prog.comp;
+        }
+        let comp = self.prog.system.composite();
         let mut next: Vec<u32> = Vec::with_capacity(self.possible.len());
         for &s in &self.possible {
             let s = s as usize;
@@ -690,7 +644,7 @@ impl SessionGuardReference {
             self.convicted = Some(c.clone());
             return Err(c);
         }
-        let Some(hub) = self.prog.norm.step(self.hub, eid) else {
+        let Some(hub) = self.prog.system.hub_step(self.hub, u32::from(event)) else {
             let c = Conviction::ServiceViolation { event };
             self.convicted = Some(c.clone());
             return Err(c);
@@ -715,7 +669,7 @@ impl SessionGuardReference {
         if self
             .possible
             .iter()
-            .any(|&s| !self.prog.progress_ok(s, self.hub))
+            .any(|&s| !self.prog.system.progress_ok(s, self.hub))
         {
             let c = Conviction::Stalled;
             self.convicted = Some(c.clone());
@@ -741,7 +695,7 @@ impl SessionGuardReference {
 
     /// The interned event behind a wire index, if any.
     pub fn event_of(&self, event: u16) -> Option<EventId> {
-        self.prog.table.event(u32::from(event))
+        self.prog.table().event(u32::from(event))
     }
 }
 
@@ -760,7 +714,7 @@ mod tests {
     }
 
     fn idx(prog: &GuardProgram, name: &str) -> u16 {
-        prog.table
+        prog.table()
             .events
             .iter()
             .position(|e| e.name() == name)

@@ -56,8 +56,10 @@
 //!   strict fuzzable loader whose [`CompiledArtifact::instantiate`]
 //!   demands the rebuilt guard be byte-identical to the stored one;
 //! * [`registry`] — the versioned converter store behind live
-//!   hot-swap: admission re-runs [`protoquot_spec::verify_system`]
-//!   against the pinned service contract before an artifact can go
+//!   hot-swap: admission re-runs the product check
+//!   ([`protoquot_spec::CompiledSystem::verify`], on the system the
+//!   guard rebuild compiled) against the pinned service contract
+//!   before an artifact can go
 //!   live via [`Gateway::swap`], while peers negotiate the wire
 //!   identity (event-table hash + active version) in a hello
 //!   handshake.

@@ -563,6 +563,10 @@ impl StatsSnapshot {
             "max_subset".into(),
             Value::Int(self.guard_build.max_subset as i128),
         );
+        g.insert(
+            "compile_ms".into(),
+            Value::Float(self.guard_build.compile_ms),
+        );
         g.insert("build_ms".into(), Value::Float(self.guard_build.build_ms));
         o.insert("guard_build".into(), Value::Obj(g));
         o.insert(
@@ -938,6 +942,7 @@ mod tests {
             dfa_events: 1,
             table_bytes: 42,
             max_subset: 3,
+            compile_ms: 1.25,
             build_ms: 0.5,
         };
         let stats = RuntimeStats::with_guard_build(table.len(), build);
@@ -947,6 +952,10 @@ mod tests {
         let g = value.as_obj().unwrap()["guard_build"].as_obj().unwrap();
         assert_eq!(g["dfa_states"], Value::Int(7));
         assert_eq!(g["table_bytes"], Value::Int(42));
-        assert!(format!("{snap}").contains("guard dfa 7 states"));
+        assert_eq!(g["compile_ms"], Value::Float(1.25));
+        assert_eq!(g["build_ms"], Value::Float(0.5));
+        let line = format!("{snap}");
+        assert!(line.contains("guard dfa 7 states"));
+        assert!(line.contains("system compiled in 1.250 ms, built in 0.500 ms"));
     }
 }

@@ -10,6 +10,7 @@
 //! reference verdicts, witness traces, and violation state ids bit for
 //! bit (see `tests/verify_differential.rs`).
 
+use super::intern::SliceInterner;
 use crate::event::{Alphabet, EventId};
 use crate::spec::{Spec, StateId};
 use std::collections::HashMap;
@@ -132,9 +133,11 @@ pub struct CompiledComposite {
     pub dedup_hits: usize,
     /// Bytes held by the CSR arrays and interned tuple keys.
     pub arena_bytes: usize,
-    /// The state tuple behind each composite id (empty for the
-    /// single-component identity compile).
-    pub tuples: Vec<Box<[u32]>>,
+    /// The state tuples behind the composite ids, back to back
+    /// (`stride` components each; empty for the single-component
+    /// identity compile).
+    tuples: Vec<u32>,
+    stride: usize,
 }
 
 impl CompiledComposite {
@@ -143,9 +146,16 @@ impl CompiledComposite {
         self.ext_ev.len() + self.int_tgt.len()
     }
 
-    fn finish_arena(&mut self, key_bytes: usize) {
-        self.arena_bytes = key_bytes
-            + 4 * (self.ext_off.len()
+    /// The component states behind composite state `i` (empty for the
+    /// single-component identity compile).
+    pub fn tuple(&self, i: usize) -> &[u32] {
+        &self.tuples[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn finish_arena(&mut self) {
+        self.arena_bytes = 4
+            * (self.tuples.len()
+                + self.ext_off.len()
                 + self.ext_ev.len()
                 + self.ext_tgt.len()
                 + self.int_off.len()
@@ -187,8 +197,9 @@ pub(crate) fn build_single(b: &Spec, tbl: &EventTable) -> CompiledComposite {
         dedup_hits: 0,
         arena_bytes: 0,
         tuples: Vec::new(),
+        stride: 0,
     };
-    c.finish_arena(0);
+    c.finish_arena();
     c
 }
 
@@ -202,10 +213,118 @@ enum EdgeKind {
     Shared(u32),
 }
 
-struct PartEdge {
-    e: EventId,
-    kind: EdgeKind,
-    tgt: u32,
+/// Every component's external edges, classified once, in one flat CSR:
+/// the row of state `s` of component `i` is `base[i] + s`, and each row
+/// keeps the spec's stored edge order.
+struct PartEdges {
+    base: Vec<usize>,
+    off: Vec<u32>,
+    /// Dense per-system event id, for matching synchronisation partners.
+    ev: Vec<u32>,
+    kind: Vec<EdgeKind>,
+    tgt: Vec<u32>,
+}
+
+impl PartEdges {
+    fn new(parts: &[&Spec], tbl: &EventTable) -> PartEdges {
+        // Ownership is resolved once per event of the union alphabet;
+        // an event's dense id is its position in the sorted union.
+        let mut events: Vec<EventId> = parts.iter().flat_map(|p| p.alphabet().iter()).collect();
+        events.sort_unstable();
+        events.dedup();
+        let dense = |e: EventId| {
+            events
+                .binary_search(&e)
+                .expect("every edge event is in its spec's alphabet")
+        };
+        const NONE: u32 = u32::MAX;
+        let mut owners = vec![(NONE, NONE); events.len()];
+        for (i, p) in parts.iter().enumerate() {
+            for e in p.alphabet().iter() {
+                let o = &mut owners[dense(e)];
+                if o.0 == NONE {
+                    o.0 = i as u32;
+                } else {
+                    o.1 = i as u32;
+                }
+            }
+        }
+        let mut solo_idx = vec![NONE; events.len()];
+        for (k, &e) in tbl.events.iter().enumerate() {
+            if let Ok(d) = events.binary_search(&e) {
+                solo_idx[d] = k as u32;
+            }
+        }
+
+        let mut base = Vec::with_capacity(parts.len());
+        let mut off = vec![0u32];
+        let total: usize = parts.iter().map(|p| p.num_external()).sum();
+        let mut ev = Vec::with_capacity(total);
+        let mut kind = Vec::with_capacity(total);
+        let mut tgt = Vec::with_capacity(total);
+        for (i, p) in parts.iter().enumerate() {
+            base.push(off.len() - 1);
+            for s in p.states() {
+                for &(e, t) in p.external_from(s) {
+                    let d = dense(e);
+                    let (first, second) = owners[d];
+                    kind.push(if second == NONE {
+                        assert!(
+                            solo_idx[d] != NONE,
+                            "solo event {e} is not in the event table"
+                        );
+                        EdgeKind::Solo(solo_idx[d])
+                    } else {
+                        EdgeKind::Shared(if first == i as u32 { second } else { first })
+                    });
+                    ev.push(d as u32);
+                    tgt.push(t.0);
+                }
+                off.push(ev.len() as u32);
+            }
+        }
+        PartEdges {
+            base,
+            off,
+            ev,
+            kind,
+            tgt,
+        }
+    }
+
+    /// Edge index range of state `s` of component `i`.
+    fn row(&self, i: usize, s: u32) -> std::ops::Range<usize> {
+        let r = self.base[i] + s as usize;
+        self.off[r] as usize..self.off[r + 1] as usize
+    }
+}
+
+/// Interning state of the n-way exploration.
+struct Explore {
+    intern: SliceInterner,
+    work: Vec<u32>,
+    /// Reusable buffer each successor tuple is written into.
+    probe: Vec<u32>,
+    dedup_hits: usize,
+}
+
+impl Explore {
+    /// Interns `cur` with position `i` (and optionally `j`) replaced,
+    /// queueing the tuple if it is new.
+    fn reach(&mut self, cur: &[u32], i: usize, ti: u32, j: Option<(usize, u32)>) -> u32 {
+        self.probe.copy_from_slice(cur);
+        self.probe[i] = ti;
+        if let Some((j, tj)) = j {
+            self.probe[j] = tj;
+        }
+        let (id, fresh) = self.intern.intern(&self.probe);
+        if fresh {
+            self.work.push(id);
+        } else {
+            self.dedup_hits += 1;
+        }
+        id
+    }
 }
 
 /// N-way reachable product exploration.
@@ -221,6 +340,8 @@ struct PartEdge {
 ///   level's synchronisations descending, then every component's
 ///   internal moves ascending.
 ///
+/// Tuples are interned flat ([`SliceInterner`]): each successor is
+/// written into one reusable probe buffer, so a hit allocates nothing.
 /// Events present in the table but shared (hence hidden) never reach
 /// `ext_ev`; an event shared by more than two components must have been
 /// rejected by the caller.
@@ -228,109 +349,38 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
     let np = parts.len();
     debug_assert!(np >= 1);
     let last = np - 1;
+    let pe = PartEdges::new(parts, tbl);
 
-    // Owners per event (at most two by the caller's check).
-    let mut owners: HashMap<EventId, (usize, usize)> = HashMap::new();
-    for (i, p) in parts.iter().enumerate() {
-        for e in p.alphabet().iter() {
-            owners
-                .entry(e)
-                .and_modify(|o| o.1 = i)
-                .or_insert((i, usize::MAX));
-        }
-    }
-
-    // Pre-classified edge lists, aligned with each spec's stored order.
-    let part_edges: Vec<Vec<Vec<PartEdge>>> = parts
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            (0..p.num_states())
-                .map(|s| {
-                    p.external_from(StateId(s as u32))
-                        .iter()
-                        .map(|&(e, t)| {
-                            let (lo, hi) = owners[&e];
-                            let kind = if hi == usize::MAX {
-                                EdgeKind::Solo(tbl.idx(e))
-                            } else {
-                                EdgeKind::Shared(if lo == i { hi as u32 } else { lo as u32 })
-                            };
-                            PartEdge { e, kind, tgt: t.0 }
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut intern: HashMap<Box<[u32]>, u32> = HashMap::new();
-    let mut tuples: Vec<Box<[u32]>> = Vec::new();
-    let mut work: Vec<u32> = Vec::new();
+    let mut x = Explore {
+        intern: SliceInterner::new(),
+        work: Vec::new(),
+        probe: parts.iter().map(|p| p.initial().0).collect(),
+        dedup_hits: 0,
+    };
+    x.intern.intern(&x.probe);
+    x.work.push(0);
     let mut ext_edges: Vec<(u32, u32, u32)> = Vec::new();
     let mut int_edges: Vec<(u32, u32)> = Vec::new();
-    let mut dedup_hits = 0usize;
-    let mut key_bytes = 0usize;
-
-    let root: Box<[u32]> = parts.iter().map(|p| p.initial().0).collect();
-    key_bytes += root.len() * 4;
-    intern.insert(root.clone(), 0);
-    tuples.push(root);
-    work.push(0);
-
-    // Interns `cur` with position `i` (and optionally `j`) replaced.
-    let mut reach = |cur: &[u32],
-                     i: usize,
-                     ti: u32,
-                     j: Option<(usize, u32)>,
-                     intern: &mut HashMap<Box<[u32]>, u32>,
-                     tuples: &mut Vec<Box<[u32]>>,
-                     work: &mut Vec<u32>|
-     -> u32 {
-        let mut t: Box<[u32]> = cur.into();
-        t[i] = ti;
-        if let Some((j, tj)) = j {
-            t[j] = tj;
-        }
-        if let Some(&id) = intern.get(&t) {
-            dedup_hits += 1;
-            return id;
-        }
-        let id = tuples.len() as u32;
-        key_bytes += t.len() * 4;
-        intern.insert(t.clone(), id);
-        tuples.push(t);
-        work.push(id);
-        id
-    };
-
     let mut cur = vec![0u32; np];
+
     // LIFO pop mirrors the reference `compose` work stack, so ids are
     // assigned in the same first-reference order.
-    while let Some(id) = work.pop() {
-        cur.copy_from_slice(&tuples[id as usize]);
+    while let Some(id) = x.work.pop() {
+        cur.copy_from_slice(x.intern.get(id));
         // Phase A: the outermost fold level — solo externals and
         // synchronisations with the last component, interleaved in each
         // component's stored edge order.
         for i in 0..np {
-            for pe in &part_edges[i][cur[i] as usize] {
-                match pe.kind {
+            for k in pe.row(i, cur[i]) {
+                match pe.kind[k] {
                     EdgeKind::Solo(ev) => {
-                        let to = reach(&cur, i, pe.tgt, None, &mut intern, &mut tuples, &mut work);
+                        let to = x.reach(&cur, i, pe.tgt[k], None);
                         ext_edges.push((id, ev, to));
                     }
                     EdgeKind::Shared(other) if other as usize == last && i != last => {
-                        for qe in &part_edges[last][cur[last] as usize] {
-                            if qe.e == pe.e {
-                                let to = reach(
-                                    &cur,
-                                    i,
-                                    pe.tgt,
-                                    Some((last, qe.tgt)),
-                                    &mut intern,
-                                    &mut tuples,
-                                    &mut work,
-                                );
+                        for q in pe.row(last, cur[last]) {
+                            if pe.ev[q] == pe.ev[k] {
+                                let to = x.reach(&cur, i, pe.tgt[k], Some((last, pe.tgt[q])));
                                 int_edges.push((id, to));
                             }
                         }
@@ -340,22 +390,14 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
             }
         }
         // Phase B: inner fold levels' synchronisations, level descending.
-        for k in (1..last).rev() {
-            for i in 0..k {
-                for pe in &part_edges[i][cur[i] as usize] {
-                    if let EdgeKind::Shared(other) = pe.kind {
-                        if other as usize == k {
-                            for qe in &part_edges[k][cur[k] as usize] {
-                                if qe.e == pe.e {
-                                    let to = reach(
-                                        &cur,
-                                        i,
-                                        pe.tgt,
-                                        Some((k, qe.tgt)),
-                                        &mut intern,
-                                        &mut tuples,
-                                        &mut work,
-                                    );
+        for l in (1..last).rev() {
+            for i in 0..l {
+                for k in pe.row(i, cur[i]) {
+                    if let EdgeKind::Shared(other) = pe.kind[k] {
+                        if other as usize == l {
+                            for q in pe.row(l, cur[l]) {
+                                if pe.ev[q] == pe.ev[k] {
+                                    let to = x.reach(&cur, i, pe.tgt[k], Some((l, pe.tgt[q])));
                                     int_edges.push((id, to));
                                 }
                             }
@@ -367,13 +409,13 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
         // Phase C: internal moves of every component, ascending.
         for (i, p) in parts.iter().enumerate() {
             for &t in p.internal_from(StateId(cur[i])) {
-                let to = reach(&cur, i, t.0, None, &mut intern, &mut tuples, &mut work);
+                let to = x.reach(&cur, i, t.0, None);
                 int_edges.push((id, to));
             }
         }
     }
 
-    let n = tuples.len();
+    let n = x.intern.len();
     let (ext_off, ext_ev, ext_tgt) = csr_ext(n, &ext_edges);
     let (int_off, int_tgt) = csr_int(n, &int_edges);
     let mut c = CompiledComposite {
@@ -384,11 +426,12 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
         ext_tgt,
         int_off,
         int_tgt,
-        dedup_hits,
+        dedup_hits: x.dedup_hits,
         arena_bytes: 0,
-        tuples,
+        tuples: x.intern.into_arena(),
+        stride: np,
     };
-    c.finish_arena(key_bytes);
+    c.finish_arena();
     c
 }
 
@@ -437,7 +480,7 @@ fn csr_int(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
 /// One iterative Tarjan pass over the internal graph, then a reverse
 /// topological DP over the SCC DAG — linear in the composite instead of
 /// the reference's per-state DFS.
-pub fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
+pub(crate) fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
     let n = comp.n;
     const UNVISITED: u32 = u32::MAX;
     let mut index = vec![UNVISITED; n];

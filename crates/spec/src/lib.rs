@@ -79,8 +79,8 @@ pub use closure::Closures;
 pub use compose::{compose, compose_all, compose_full, hide, sync_product};
 pub use dot::{to_dot, to_text};
 pub use engine::{
-    compile_composite, compose_all_nway, satisfies_engine, tau_star_rows, verify_system,
-    CompiledComposite, EngineVerdict, EventTable, VerifyEngineStats,
+    compose_all_nway, satisfies_engine, verify_system, CompiledComposite, CompiledSystem,
+    EngineVerdict, EventTable, SliceInterner, VerifyEngineStats,
 };
 pub use error::SpecError;
 pub use event::{Alphabet, EventId};

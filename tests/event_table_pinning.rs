@@ -12,7 +12,7 @@ use protoquot_core::solve;
 use protoquot_protocols::{colocated_configuration, exactly_once};
 use protoquot_runtime::{Frame, WireCodec};
 use protoquot_sim::{Action, ExternalPolicy, Runner, System};
-use protoquot_spec::{compile_composite, Alphabet, EventTable, Spec};
+use protoquot_spec::{Alphabet, CompiledSystem, EventTable, Spec};
 
 /// Indices depend only on names: the same name set yields the same
 /// table regardless of the order events were inserted (and hence of
@@ -74,8 +74,13 @@ fn codec_and_verify_engine_share_the_mapping() {
         assert_eq!(codec.event_of(i as u16), Some(e));
     }
 
-    let comp = compile_composite(&[&b, &converter], &tbl).expect("compilable system");
-    for &ev in &comp.ext_ev {
+    let system = CompiledSystem::new(&[&b, &converter], &service).expect("compilable system");
+    assert_eq!(
+        system.table().events,
+        tbl.events,
+        "the compiled system's event table drifted from the codec's"
+    );
+    for &ev in &system.composite().ext_ev {
         let e = tbl
             .event(ev)
             .unwrap_or_else(|| panic!("compiled edge carries out-of-table index {ev}"));
