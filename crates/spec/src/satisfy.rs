@@ -84,8 +84,8 @@ struct Exploration {
 }
 
 /// Breadth-first product exploration. FIFO order matters: discovery
-/// order is the canonical order the parallel engine
-/// ([`crate::engine`]) renumbers to, parent pointers form a BFS tree
+/// order is the canonical order the compiled engine
+/// ([`crate::engine`]) re-walks on failure, parent pointers form a BFS tree
 /// (so extracted witnesses are shortest), and the progress check scans
 /// pairs in exactly this order.
 fn explore(b: &Spec, na: &NormalSpec, stop_at_violation: bool) -> Exploration {
