@@ -24,7 +24,7 @@ use protoquot_runtime::{
     SessionGuardReference,
 };
 use protoquot_sim::{redirect_transition, FaultPlan, FleetConfig, FleetRunner};
-use protoquot_spec::normalize;
+use protoquot_spec::{normalize, CompiledSystem};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -349,6 +349,29 @@ fn admit_time() -> f64 {
     best
 }
 
+/// Best-of-11 wall time (ms) of `CompiledSystem::new` on nfa-blowup(11)'s
+/// system (a 14,338-state `B ‖ C`): the n-way product build, its τ*
+/// rows and the service's normal form — the compile that verify, guard
+/// build and admission each start with, so a regression here names the
+/// compile layer rather than one of its three consumers.
+fn compile_time() -> f64 {
+    let (b, int) = nfa_blowup(11);
+    let service = exactly_once();
+    let q = solve(&b, &service, &int).expect("nfa-blowup(11) converter exists");
+    let mut best = f64::INFINITY;
+    for _ in 0..11 {
+        let t = Instant::now();
+        let system = CompiledSystem::new(&[&b, &q.converter], &service).expect("system compiles");
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(
+            system.composite().n,
+            14_338,
+            "nfa-blowup(11) composite size"
+        );
+    }
+    best
+}
+
 /// Reads one numeric field out of the committed baseline JSON object.
 fn baseline_field(value: &serde::Value, field: &str) -> Option<f64> {
     value
@@ -364,8 +387,9 @@ fn baseline_field(value: &serde::Value, field: &str) -> Option<f64> {
 /// The CI smoke gate (`--quick`): emit `BENCH_smoke.json` and fail on
 /// a more-than-2× regression vs the committed baseline of
 /// nfa-blowup-11 safety+progress, the EXP-W verified-converter check,
-/// the gateway and reactor pumps, the EXP-W guard build, or the
-/// nfa-blowup-11 registry admission.
+/// the gateway and reactor pumps, the EXP-W guard build, the
+/// nfa-blowup-11 registry admission, or the nfa-blowup-11 system
+/// compile.
 /// Returns the process exit code.
 fn quick_smoke() -> i32 {
     let (safety_ms, progress_ms) = nfa_blowup_11_phase_times();
@@ -383,6 +407,7 @@ fn quick_smoke() -> i32 {
         .fold(0.0f64, f64::max);
     let guard_build_ms = guard_build_time();
     let admit_ms = admit_time();
+    let compile_ms = compile_time();
     let json = format!(
         "{{\"bench\":\"nfa-blowup-11\",\"safety_ms\":{safety_ms:.3},\
          \"progress_ms\":{progress_ms:.3},\"total_ms\":{total_ms:.3},\
@@ -390,7 +415,8 @@ fn quick_smoke() -> i32 {
          \"serve_events_per_sec\":{serve_events_per_sec:.0},\
          \"reactor_events_per_sec\":{reactor_events_per_sec:.0},\
          \"guard_build_ms\":{guard_build_ms:.3},\
-         \"admit_ms\":{admit_ms:.3}}}\n"
+         \"admit_ms\":{admit_ms:.3},\
+         \"compile_ms\":{compile_ms:.3}}}\n"
     );
     println!(
         "smoke: nfa-blowup-11 safety {safety_ms:.3} ms + progress {progress_ms:.3} ms \
@@ -401,6 +427,7 @@ fn quick_smoke() -> i32 {
     println!("smoke: reactor mux pump {reactor_events_per_sec:.0} accepted events/s");
     println!("smoke: EXP-W guard DFA build {guard_build_ms:.3} ms");
     println!("smoke: nfa-blowup-11 registry admission (1 thread) {admit_ms:.3} ms");
+    println!("smoke: nfa-blowup-11 system compile {compile_ms:.3} ms");
     if let Err(e) = std::fs::write("BENCH_smoke.json", &json) {
         eprintln!("smoke: cannot write BENCH_smoke.json: {e}");
         return 1;
@@ -507,6 +534,21 @@ fn quick_smoke() -> i32 {
         eprintln!(
             "smoke: REGRESSION — admitting the nfa-blowup-11 artifact took {admit_ms:.3} ms, \
              more than 2x the committed baseline of {admit_budget_ms:.3} ms"
+        );
+        return 1;
+    }
+    let Some(compile_budget_ms) = baseline_field(&value, "compile_ms") else {
+        eprintln!("smoke: {baseline_path} lacks a numeric `compile_ms`");
+        return 1;
+    };
+    println!(
+        "smoke: baseline system compile {compile_budget_ms:.3} ms, gate at {:.3} ms (2x)",
+        compile_budget_ms * 2.0
+    );
+    if compile_ms > compile_budget_ms * 2.0 {
+        eprintln!(
+            "smoke: REGRESSION — compiling nfa-blowup-11's system took {compile_ms:.3} ms, \
+             more than 2x the committed baseline of {compile_budget_ms:.3} ms"
         );
         return 1;
     }

@@ -43,7 +43,7 @@
 
 use crate::codec::table_hash;
 use crate::guard::{Conviction, GuardProgram};
-use protoquot_spec::{Spec, SpecDoc, SpecError};
+use protoquot_spec::{EventId, Spec, SpecDoc, SpecError};
 use std::fmt;
 
 /// Leading magic of every compiled artifact.
@@ -161,32 +161,43 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 // Encoding
 // ---------------------------------------------------------------------
 
+fn put_u32(out: &mut Vec<u8>, x: usize) {
+    out.extend_from_slice(&(x as u32).to_be_bytes());
+}
+
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_be_bytes());
+    put_u32(out, s.len());
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_doc(out: &mut Vec<u8>, doc: &SpecDoc) {
-    put_str(out, &doc.name);
-    out.extend_from_slice(&(doc.alphabet.len() as u32).to_be_bytes());
-    for name in &doc.alphabet {
+/// Writes `spec` in `SpecDoc` layout, straight from the spec: each
+/// event name is looked up once per alphabet entry, not per edge.
+fn put_spec(out: &mut Vec<u8>, spec: &Spec) {
+    put_str(out, spec.name());
+    let events: Vec<EventId> = spec.alphabet().iter().collect();
+    let names = spec.alphabet().names();
+    put_u32(out, names.len());
+    for name in &names {
         put_str(out, name);
     }
-    out.extend_from_slice(&(doc.states.len() as u32).to_be_bytes());
-    for name in &doc.states {
-        put_str(out, name);
+    put_u32(out, spec.num_states());
+    for s in spec.states() {
+        put_str(out, spec.state_name(s));
     }
-    out.extend_from_slice(&(doc.initial as u32).to_be_bytes());
-    out.extend_from_slice(&(doc.external.len() as u32).to_be_bytes());
-    for (from, event, to) in &doc.external {
-        out.extend_from_slice(&(*from as u32).to_be_bytes());
-        put_str(out, event);
-        out.extend_from_slice(&(*to as u32).to_be_bytes());
+    put_u32(out, spec.initial().index());
+    put_u32(out, spec.num_external());
+    for (from, event, to) in spec.external_transitions() {
+        put_u32(out, from.index());
+        match events.binary_search(&event) {
+            Ok(k) => put_str(out, &names[k]),
+            Err(_) => put_str(out, &event.name()),
+        }
+        put_u32(out, to.index());
     }
-    out.extend_from_slice(&(doc.internal.len() as u32).to_be_bytes());
-    for (from, to) in &doc.internal {
-        out.extend_from_slice(&(*from as u32).to_be_bytes());
-        out.extend_from_slice(&(*to as u32).to_be_bytes());
+    put_u32(out, spec.num_internal());
+    for (from, to) in spec.internal_transitions() {
+        put_u32(out, from.index());
+        put_u32(out, to.index());
     }
 }
 
@@ -202,13 +213,13 @@ pub fn encode(parts: &[&Spec], service: &Spec) -> Result<Vec<u8>, ArtifactError>
 /// CLI's `--emit compiled` builds one for its JSON dump too).
 pub fn encode_with_program(parts: &[&Spec], service: &Spec, prog: &GuardProgram) -> Vec<u8> {
     let mut payload = Vec::new();
-    put_doc(&mut payload, &SpecDoc::from(service));
-    payload.extend_from_slice(&(parts.len() as u32).to_be_bytes());
+    put_spec(&mut payload, service);
+    put_u32(&mut payload, parts.len());
     for part in parts {
-        put_doc(&mut payload, &SpecDoc::from(*part));
+        put_spec(&mut payload, part);
     }
     let t = prog.dfa_tables();
-    payload.extend_from_slice(&(t.nsym as u32).to_be_bytes());
+    put_u32(&mut payload, t.nsym);
     payload.extend_from_slice(&t.dfa_initial.to_be_bytes());
     payload.extend_from_slice(&(t.trans.len() as u64).to_be_bytes());
     for &x in t.trans {
@@ -250,13 +261,22 @@ fn verdict_code(v: Option<&Conviction>) -> Option<(u8, u16)> {
 // ---------------------------------------------------------------------
 
 /// Bounds-checked big-endian reader over the payload.
+///
+/// Every read names the field it reads with a label (`&str`, or
+/// `format_args!` for labels built from a part index) that is
+/// formatted only if the read fails: a successful decode formats
+/// nothing.
 struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ArtifactError> {
+    fn take<W: fmt::Display + ?Sized>(
+        &mut self,
+        n: usize,
+        what: &W,
+    ) -> Result<&'a [u8], ArtifactError> {
         let end = self
             .at
             .checked_add(n)
@@ -273,23 +293,23 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, ArtifactError> {
+    fn u8<W: fmt::Display + ?Sized>(&mut self, what: &W) -> Result<u8, ArtifactError> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u16(&mut self, what: &str) -> Result<u16, ArtifactError> {
+    fn u16<W: fmt::Display + ?Sized>(&mut self, what: &W) -> Result<u16, ArtifactError> {
         Ok(u16::from_be_bytes(self.take(2, what)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, ArtifactError> {
+    fn u32<W: fmt::Display + ?Sized>(&mut self, what: &W) -> Result<u32, ArtifactError> {
         Ok(u32::from_be_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self, what: &str) -> Result<u64, ArtifactError> {
+    fn u64<W: fmt::Display + ?Sized>(&mut self, what: &W) -> Result<u64, ArtifactError> {
         Ok(u64::from_be_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    fn str(&mut self, what: &str) -> Result<String, ArtifactError> {
+    fn str<W: fmt::Display + ?Sized>(&mut self, what: &W) -> Result<String, ArtifactError> {
         let len = self.u32(what)? as usize;
         if len > MAX_STRING {
             return Err(ArtifactError::Malformed(format!(
@@ -297,14 +317,22 @@ impl<'a> Reader<'a> {
             )));
         }
         let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ArtifactError::Malformed(format!("{what}: string is not UTF-8")))
+        match std::str::from_utf8(bytes) {
+            Ok(s) => Ok(s.to_owned()),
+            Err(_) => Err(ArtifactError::Malformed(format!(
+                "{what}: string is not UTF-8"
+            ))),
+        }
     }
 
     /// A count whose elements occupy at least `min_elem` bytes each:
     /// rejects counts the remaining bytes cannot possibly satisfy, so a
     /// corrupt prefix cannot demand a huge allocation.
-    fn count(&mut self, min_elem: usize, what: &str) -> Result<usize, ArtifactError> {
+    fn count<W: fmt::Display + ?Sized>(
+        &mut self,
+        min_elem: usize,
+        what: &W,
+    ) -> Result<usize, ArtifactError> {
         let n = self.u32(what)? as usize;
         let remaining = self.bytes.len() - self.at;
         if n.saturating_mul(min_elem) > remaining {
@@ -320,32 +348,36 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn get_doc(r: &mut Reader<'_>, what: &str) -> Result<SpecDoc, ArtifactError> {
-    let name = r.str(&format!("{what}.name"))?;
-    let n = r.count(4, &format!("{what}.alphabet"))?;
+/// Reads one `SpecDoc`; `what` names it (`service`, `part 1`).
+fn get_doc<W: fmt::Display + ?Sized>(
+    r: &mut Reader<'_>,
+    what: &W,
+) -> Result<SpecDoc, ArtifactError> {
+    let name = r.str(&format_args!("{what}.name"))?;
+    let n = r.count(4, &format_args!("{what}.alphabet"))?;
     let mut alphabet = Vec::with_capacity(n);
     for _ in 0..n {
-        alphabet.push(r.str(&format!("{what}.alphabet entry"))?);
+        alphabet.push(r.str(&format_args!("{what}.alphabet entry"))?);
     }
-    let n = r.count(4, &format!("{what}.states"))?;
+    let n = r.count(4, &format_args!("{what}.states"))?;
     let mut states = Vec::with_capacity(n);
     for _ in 0..n {
-        states.push(r.str(&format!("{what}.state name"))?);
+        states.push(r.str(&format_args!("{what}.state name"))?);
     }
-    let initial = r.u32(&format!("{what}.initial"))? as usize;
-    let n = r.count(12, &format!("{what}.external"))?;
+    let initial = r.u32(&format_args!("{what}.initial"))? as usize;
+    let n = r.count(12, &format_args!("{what}.external"))?;
     let mut external = Vec::with_capacity(n);
     for _ in 0..n {
-        let from = r.u32(&format!("{what}.external.from"))? as usize;
-        let event = r.str(&format!("{what}.external.event"))?;
-        let to = r.u32(&format!("{what}.external.to"))? as usize;
+        let from = r.u32(&format_args!("{what}.external.from"))? as usize;
+        let event = r.str(&format_args!("{what}.external.event"))?;
+        let to = r.u32(&format_args!("{what}.external.to"))? as usize;
         external.push((from, event, to));
     }
-    let n = r.count(8, &format!("{what}.internal"))?;
+    let n = r.count(8, &format_args!("{what}.internal"))?;
     let mut internal = Vec::with_capacity(n);
     for _ in 0..n {
-        let from = r.u32(&format!("{what}.internal.from"))? as usize;
-        let to = r.u32(&format!("{what}.internal.to"))? as usize;
+        let from = r.u32(&format_args!("{what}.internal.from"))? as usize;
+        let to = r.u32(&format_args!("{what}.internal.to"))? as usize;
         internal.push((from, to));
     }
     Ok(SpecDoc {
@@ -414,7 +446,7 @@ impl CompiledArtifact {
         let nparts = r.count(4, "parts")?;
         let mut parts = Vec::with_capacity(nparts);
         for i in 0..nparts {
-            parts.push(get_doc(&mut r, &format!("part {i}"))?);
+            parts.push(get_doc(&mut r, &format_args!("part {i}"))?);
         }
         if parts.is_empty() {
             return Err(ArtifactError::Malformed("artifact holds no parts".into()));
@@ -516,11 +548,11 @@ impl CompiledArtifact {
     /// system feeds registry admission's product check, the program
     /// feeds the gateway.
     pub fn instantiate(&self) -> Result<(Vec<Spec>, Spec, GuardProgram), ArtifactError> {
-        let service = Spec::try_from(self.service.clone())?;
+        let service = Spec::try_from(&self.service)?;
         let parts = self
             .parts
             .iter()
-            .map(|doc| Spec::try_from(doc.clone()))
+            .map(Spec::try_from)
             .collect::<Result<Vec<Spec>, SpecError>>()?;
         let refs: Vec<&Spec> = parts.iter().collect();
         let prog = GuardProgram::new(&refs, &service)?;
@@ -635,6 +667,107 @@ mod tests {
         let mut b = bytes.clone();
         b.push(0);
         assert!(CompiledArtifact::decode(&b).is_err());
+    }
+
+    /// Cuts the payload to `len` bytes and re-stamps the content hash,
+    /// so the decoder gets past the integrity check to the field.
+    fn restamped_cut(bytes: &[u8], len: usize) -> Vec<u8> {
+        let mut b = bytes[..24 + len].to_vec();
+        let hash = fnv1a(&b[24..]);
+        b[8..16].copy_from_slice(&hash.to_be_bytes());
+        b
+    }
+
+    fn str_len(s: &str) -> usize {
+        4 + s.len()
+    }
+
+    /// Payload bytes of `d` up to its external transitions' count.
+    fn doc_head_len(d: &SpecDoc) -> usize {
+        str_len(&d.name)
+            + 4
+            + d.alphabet.iter().map(|s| str_len(s)).sum::<usize>()
+            + 4
+            + d.states.iter().map(|s| str_len(s)).sum::<usize>()
+            + 4
+    }
+
+    /// Payload bytes of `d`, walked from the documented layout.
+    fn doc_len(d: &SpecDoc) -> usize {
+        doc_head_len(d)
+            + 4
+            + d.external
+                .iter()
+                .map(|(_, e, _)| 8 + str_len(e))
+                .sum::<usize>()
+            + 4
+            + 8 * d.internal.len()
+    }
+
+    /// A truncation inside a part's external edge names the field
+    /// exactly as `fuzz --target artifact` and operators see it.
+    #[test]
+    fn truncation_inside_an_external_edge_names_the_field() {
+        let bytes = artifact_bytes();
+        let art = CompiledArtifact::decode(&bytes).expect("decodes");
+        // Payload offset of part 1's last external event (a cut in an
+        // earlier edge would fail the edge count's size check first).
+        let conv = &art.parts[1];
+        let (_, event, _) = conv.external.last().expect("the converter has edges");
+        let event_at = doc_len(&art.service)
+            + 4
+            + doc_len(&art.parts[0])
+            + doc_head_len(conv)
+            + 4
+            + conv
+                .external
+                .iter()
+                .rev()
+                .skip(1)
+                .map(|(_, e, _)| 8 + str_len(e))
+                .sum::<usize>()
+            + 4;
+        assert!(event.len() > 1, "the cut must fall inside the name");
+        let err = CompiledArtifact::decode(&restamped_cut(&bytes, event_at + 4 + 1))
+            .expect_err("a cut event name is refused");
+        let text = format!(
+            "truncated inside part 1.external.event: need {} bytes at offset {}, have 1",
+            event.len(),
+            event_at + 4
+        );
+        assert_eq!(err, ArtifactError::Malformed(text.clone()));
+        assert_eq!(err.to_string(), format!("malformed artifact: {text}"));
+        // A cut inside the edge's length prefix names the same field.
+        let err = CompiledArtifact::decode(&restamped_cut(&bytes, event_at + 2))
+            .expect_err("a cut length prefix is refused");
+        assert_eq!(
+            err,
+            ArtifactError::Malformed(format!(
+                "truncated inside part 1.external.event: need 4 bytes at offset {event_at}, have 2"
+            ))
+        );
+    }
+
+    /// An embedded edge whose event is missing from its spec's alphabet
+    /// is refused as an invalid spec, not left for the guard compile to
+    /// trip over.
+    #[test]
+    fn restamped_edge_event_outside_the_alphabet_is_a_spec_error() {
+        let bytes = artifact_bytes();
+        let art = CompiledArtifact::decode(&bytes).expect("decodes");
+        let event = &art.service.external[0].1;
+        let first_byte = 24 + doc_head_len(&art.service) + 4 + 4 + 4;
+        let mut b = bytes.clone();
+        b[first_byte] = b'!';
+        let hash = fnv1a(&b[24..]);
+        b[8..16].copy_from_slice(&hash.to_be_bytes());
+        let stray = format!("!{}", &event[1..]);
+        let art = CompiledArtifact::decode(&b).expect("a re-stamped flip decodes");
+        assert_eq!(art.service.external[0].1, stray);
+        assert_eq!(
+            art.instantiate().err(),
+            Some(ArtifactError::Spec(SpecError::UnknownEvent(stray)))
+        );
     }
 
     /// A payload flip that is *re-stamped* with a matching content hash

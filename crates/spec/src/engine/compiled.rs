@@ -299,25 +299,179 @@ impl PartEdges {
     }
 }
 
-/// Interning state of the n-way exploration.
-struct Explore {
-    intern: SliceInterner,
-    work: Vec<u32>,
-    /// Reusable buffer each successor tuple is written into.
-    probe: Vec<u32>,
-    dedup_hits: usize,
+/// Largest `∏|Pᵢ|` whose tuples the n-way exploration indexes directly:
+/// 2²⁰ `u32` slots, 4 MiB. Larger products are interned by hash, whose
+/// memory grows with the reachable set alone, so components padded with
+/// unreachable states (say, in an artifact submitted for admission)
+/// cannot make a compile allocate more than this.
+pub const DENSE_TUPLE_SLOTS: usize = 1 << 20;
+
+/// Tuple → id map of the n-way exploration. Both implementations hand
+/// out ids `0, 1, 2, …` in first-reach order and keep the tuples back
+/// to back in id order, so the composite does not depend on which one
+/// ran.
+trait TupleIds {
+    /// The key `reach` takes for the tuple `cur`.
+    fn rank(&self, cur: &[u32]) -> usize;
+    /// The id of `cur` (whose key is `rank`) with component `i` moved
+    /// to `ti` and, if given, component `j` to `tj`; true when new.
+    fn reach(
+        &mut self,
+        cur: &[u32],
+        rank: usize,
+        i: usize,
+        ti: u32,
+        j: Option<(usize, u32)>,
+    ) -> (u32, bool);
+    /// The tuple behind `id`.
+    fn get(&self, id: u32) -> &[u32];
+    /// Number of tuples reached.
+    fn len(&self) -> usize;
+    /// The tuples, back to back in id order.
+    fn into_arena(self) -> Vec<u32>;
 }
 
-impl Explore {
-    /// Interns `cur` with position `i` (and optionally `j`) replaced,
-    /// queueing the tuple if it is new.
-    fn reach(&mut self, cur: &[u32], i: usize, ti: u32, j: Option<(usize, u32)>) -> u32 {
+/// Direct index by mixed-radix rank `Σ sᵢ·∏_{j>i}|Pⱼ|`. Slot `rank`
+/// holds `id + 1`, or 0 while unreached, so the index starts out as
+/// zeroed memory the allocator need not touch.
+struct DenseTuples {
+    slots: Vec<u32>,
+    /// `∏_{j>i}|Pⱼ|` per component.
+    radix: Vec<usize>,
+    arena: Vec<u32>,
+    stride: usize,
+}
+
+impl DenseTuples {
+    /// `None` when `∏ sizes` exceeds [`DENSE_TUPLE_SLOTS`].
+    fn new(sizes: &[usize]) -> Option<DenseTuples> {
+        let total = sizes
+            .iter()
+            .try_fold(1usize, |acc, &n| acc.checked_mul(n))
+            .filter(|&t| t <= DENSE_TUPLE_SLOTS)?;
+        let mut radix = vec![1usize; sizes.len()];
+        for i in (1..sizes.len()).rev() {
+            radix[i - 1] = radix[i] * sizes[i];
+        }
+        Some(DenseTuples {
+            slots: vec![0; total],
+            radix,
+            arena: Vec::new(),
+            stride: sizes.len(),
+        })
+    }
+}
+
+impl TupleIds for DenseTuples {
+    fn rank(&self, cur: &[u32]) -> usize {
+        cur.iter()
+            .zip(&self.radix)
+            .map(|(&s, &r)| s as usize * r)
+            .sum()
+    }
+
+    fn reach(
+        &mut self,
+        cur: &[u32],
+        rank: usize,
+        i: usize,
+        ti: u32,
+        j: Option<(usize, u32)>,
+    ) -> (u32, bool) {
+        let mut r = rank - cur[i] as usize * self.radix[i] + ti as usize * self.radix[i];
+        if let Some((j, tj)) = j {
+            r = r - cur[j] as usize * self.radix[j] + tj as usize * self.radix[j];
+        }
+        match self.slots[r] {
+            0 => {
+                let id = self.len() as u32;
+                self.slots[r] = id + 1;
+                let at = self.arena.len();
+                self.arena.extend_from_slice(cur);
+                self.arena[at + i] = ti;
+                if let Some((j, tj)) = j {
+                    self.arena[at + j] = tj;
+                }
+                (id, true)
+            }
+            slot => (slot - 1, false),
+        }
+    }
+
+    fn get(&self, id: u32) -> &[u32] {
+        let at = id as usize * self.stride;
+        &self.arena[at..at + self.stride]
+    }
+
+    fn len(&self) -> usize {
+        self.arena.len() / self.stride
+    }
+
+    fn into_arena(self) -> Vec<u32> {
+        self.arena
+    }
+}
+
+/// Hashed interning ([`SliceInterner`]): each successor is written into
+/// one reusable probe buffer, so a hit allocates nothing.
+struct HashedTuples {
+    intern: SliceInterner,
+    probe: Vec<u32>,
+}
+
+impl TupleIds for HashedTuples {
+    fn rank(&self, _: &[u32]) -> usize {
+        0
+    }
+
+    fn reach(
+        &mut self,
+        cur: &[u32],
+        _: usize,
+        i: usize,
+        ti: u32,
+        j: Option<(usize, u32)>,
+    ) -> (u32, bool) {
         self.probe.copy_from_slice(cur);
         self.probe[i] = ti;
         if let Some((j, tj)) = j {
             self.probe[j] = tj;
         }
-        let (id, fresh) = self.intern.intern(&self.probe);
+        self.intern.intern(&self.probe)
+    }
+
+    fn get(&self, id: u32) -> &[u32] {
+        self.intern.get(id)
+    }
+
+    fn len(&self) -> usize {
+        self.intern.len()
+    }
+
+    fn into_arena(self) -> Vec<u32> {
+        self.intern.into_arena()
+    }
+}
+
+/// Interning state of the n-way exploration.
+struct Explore<T> {
+    ids: T,
+    work: Vec<u32>,
+    dedup_hits: usize,
+}
+
+impl<T: TupleIds> Explore<T> {
+    /// Interns `cur` with position `i` (and optionally `j`) replaced,
+    /// queueing the tuple if it is new.
+    fn reach(
+        &mut self,
+        cur: &[u32],
+        rank: usize,
+        i: usize,
+        ti: u32,
+        j: Option<(usize, u32)>,
+    ) -> u32 {
+        let (id, fresh) = self.ids.reach(cur, rank, i, ti, j);
         if fresh {
             self.work.push(id);
         } else {
@@ -340,33 +494,49 @@ impl Explore {
 ///   level's synchronisations descending, then every component's
 ///   internal moves ascending.
 ///
-/// Tuples are interned flat ([`SliceInterner`]): each successor is
-/// written into one reusable probe buffer, so a hit allocates nothing.
-/// Events present in the table but shared (hence hidden) never reach
-/// `ext_ev`; an event shared by more than two components must have been
-/// rejected by the caller.
+/// Tuples are indexed directly by their mixed-radix rank when
+/// `∏|Pᵢ| ≤` [`DENSE_TUPLE_SLOTS`] (a successor's rank is its parent's
+/// plus the moved components' deltas, so a hit is one array load), and
+/// interned by hash above that. Events present in the table but shared
+/// (hence hidden) never reach `ext_ev`; an event shared by more than
+/// two components must have been rejected by the caller.
 pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite {
+    debug_assert!(!parts.is_empty());
+    let sizes: Vec<usize> = parts.iter().map(|p| p.num_states()).collect();
+    match DenseTuples::new(&sizes) {
+        Some(dense) => explore(parts, tbl, dense),
+        None => explore(
+            parts,
+            tbl,
+            HashedTuples {
+                intern: SliceInterner::new(),
+                probe: vec![0; parts.len()],
+            },
+        ),
+    }
+}
+
+fn explore<T: TupleIds>(parts: &[&Spec], tbl: &EventTable, ids: T) -> CompiledComposite {
     let np = parts.len();
-    debug_assert!(np >= 1);
     let last = np - 1;
     let pe = PartEdges::new(parts, tbl);
 
     let mut x = Explore {
-        intern: SliceInterner::new(),
+        ids,
         work: Vec::new(),
-        probe: parts.iter().map(|p| p.initial().0).collect(),
         dedup_hits: 0,
     };
-    x.intern.intern(&x.probe);
-    x.work.push(0);
+    let mut cur: Vec<u32> = parts.iter().map(|p| p.initial().0).collect();
+    let rank = x.ids.rank(&cur);
+    x.reach(&cur, rank, 0, cur[0], None);
     let mut ext_edges: Vec<(u32, u32, u32)> = Vec::new();
     let mut int_edges: Vec<(u32, u32)> = Vec::new();
-    let mut cur = vec![0u32; np];
 
     // LIFO pop mirrors the reference `compose` work stack, so ids are
     // assigned in the same first-reference order.
     while let Some(id) = x.work.pop() {
-        cur.copy_from_slice(x.intern.get(id));
+        cur.copy_from_slice(x.ids.get(id));
+        let rank = x.ids.rank(&cur);
         // Phase A: the outermost fold level — solo externals and
         // synchronisations with the last component, interleaved in each
         // component's stored edge order.
@@ -374,13 +544,13 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
             for k in pe.row(i, cur[i]) {
                 match pe.kind[k] {
                     EdgeKind::Solo(ev) => {
-                        let to = x.reach(&cur, i, pe.tgt[k], None);
+                        let to = x.reach(&cur, rank, i, pe.tgt[k], None);
                         ext_edges.push((id, ev, to));
                     }
                     EdgeKind::Shared(other) if other as usize == last && i != last => {
                         for q in pe.row(last, cur[last]) {
                             if pe.ev[q] == pe.ev[k] {
-                                let to = x.reach(&cur, i, pe.tgt[k], Some((last, pe.tgt[q])));
+                                let to = x.reach(&cur, rank, i, pe.tgt[k], Some((last, pe.tgt[q])));
                                 int_edges.push((id, to));
                             }
                         }
@@ -397,7 +567,8 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
                         if other as usize == l {
                             for q in pe.row(l, cur[l]) {
                                 if pe.ev[q] == pe.ev[k] {
-                                    let to = x.reach(&cur, i, pe.tgt[k], Some((l, pe.tgt[q])));
+                                    let to =
+                                        x.reach(&cur, rank, i, pe.tgt[k], Some((l, pe.tgt[q])));
                                     int_edges.push((id, to));
                                 }
                             }
@@ -409,13 +580,13 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
         // Phase C: internal moves of every component, ascending.
         for (i, p) in parts.iter().enumerate() {
             for &t in p.internal_from(StateId(cur[i])) {
-                let to = x.reach(&cur, i, t.0, None);
+                let to = x.reach(&cur, rank, i, t.0, None);
                 int_edges.push((id, to));
             }
         }
     }
 
-    let n = x.intern.len();
+    let n = x.ids.len();
     let (ext_off, ext_ev, ext_tgt) = csr_ext(n, &ext_edges);
     let (int_off, int_tgt) = csr_int(n, &int_edges);
     let mut c = CompiledComposite {
@@ -428,7 +599,7 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
         int_tgt,
         dedup_hits: x.dedup_hits,
         arena_bytes: 0,
-        tuples: x.intern.into_arena(),
+        tuples: x.ids.into_arena(),
         stride: np,
     };
     c.finish_arena();
@@ -477,19 +648,24 @@ fn csr_int(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
 /// `τ*` rows for every composite state: the externally offered events
 /// after any number of internal moves, as bitsets over the event table.
 ///
-/// One iterative Tarjan pass over the internal graph, then a reverse
-/// topological DP over the SCC DAG — linear in the composite instead of
-/// the reference's per-state DFS.
+/// One iterative Tarjan pass over the internal graph, with the reverse
+/// topological DP folded in: SCCs complete successors-first, so when
+/// one completes, every internal successor outside it already holds its
+/// final row. The SCC's row — its members' external events plus those
+/// rows — is written to every member at once. Linear in the composite,
+/// instead of the reference's per-state DFS.
 pub(crate) fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
     let n = comp.n;
     const UNVISITED: u32 = u32::MAX;
+    // A completed state's index: above every live index, so the
+    // low-link `min` ignores it and no on-stack flag is needed.
+    const DONE: u32 = u32::MAX - 1;
     let mut index = vec![UNVISITED; n];
     let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut scc_of = vec![UNVISITED; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut frames: Vec<(u32, u32)> = Vec::new();
-    let mut scc_members: Vec<Vec<u32>> = Vec::new();
+    let mut rows = vec![0u64; n * words];
+    let mut acc = vec![0u64; words];
     let mut next_index = 0u32;
 
     for root in 0..n as u32 {
@@ -500,7 +676,6 @@ pub(crate) fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> 
         low[root as usize] = next_index;
         next_index += 1;
         stack.push(root);
-        on_stack[root as usize] = true;
         frames.push((root, 0));
         while let Some(frame) = frames.last_mut() {
             let v = frame.0;
@@ -516,64 +691,49 @@ pub(crate) fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> 
                     low[ws] = next_index;
                     next_index += 1;
                     stack.push(w);
-                    on_stack[ws] = true;
                     frames.push((w, 0));
-                } else if on_stack[ws] {
+                } else {
                     low[s] = low[s].min(index[ws]);
                 }
-            } else {
-                frames.pop();
-                if let Some(parent) = frames.last() {
-                    let p = parent.0 as usize;
-                    low[p] = low[p].min(low[s]);
+                continue;
+            }
+            frames.pop();
+            if let Some(parent) = frames.last() {
+                let p = parent.0 as usize;
+                low[p] = low[p].min(low[s]);
+            }
+            if low[s] != index[s] {
+                continue;
+            }
+            // `v` roots an SCC: its members are the stack above it, and
+            // still carry live indices, so `DONE` marks exactly the
+            // successors outside it.
+            let root_at = stack
+                .iter()
+                .rposition(|&w| w == v)
+                .expect("an SCC root is on the Tarjan stack");
+            acc.iter_mut().for_each(|w| *w = 0);
+            for &m in &stack[root_at..] {
+                let mu = m as usize;
+                for k in comp.ext_off[mu] as usize..comp.ext_off[mu + 1] as usize {
+                    set_bit(&mut acc, comp.ext_ev[k]);
                 }
-                if low[s] == index[s] {
-                    let scc = scc_members.len() as u32;
-                    let mut members = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        scc_of[w as usize] = scc;
-                        members.push(w);
-                        if w == v {
-                            break;
+                for k in comp.int_off[mu] as usize..comp.int_off[mu + 1] as usize {
+                    let t = comp.int_tgt[k] as usize;
+                    if index[t] == DONE {
+                        for (a, &r) in acc.iter_mut().zip(&rows[t * words..(t + 1) * words]) {
+                            *a |= r;
                         }
                     }
-                    scc_members.push(members);
                 }
             }
-        }
-    }
-
-    // SCCs complete successors-first, so a single ascending pass is the
-    // reverse topological DP.
-    let nscc = scc_members.len();
-    let mut scc_bits = vec![0u64; nscc * words];
-    let mut acc = vec![0u64; words];
-    for ci in 0..nscc {
-        acc.iter_mut().for_each(|w| *w = 0);
-        for &s in &scc_members[ci] {
-            let su = s as usize;
-            for k in comp.ext_off[su] as usize..comp.ext_off[su + 1] as usize {
-                set_bit(&mut acc, comp.ext_ev[k]);
+            for &m in &stack[root_at..] {
+                let mu = m as usize;
+                rows[mu * words..(mu + 1) * words].copy_from_slice(&acc);
+                index[mu] = DONE;
             }
-            for k in comp.int_off[su] as usize..comp.int_off[su + 1] as usize {
-                let cj = scc_of[comp.int_tgt[k] as usize] as usize;
-                if cj != ci {
-                    debug_assert!(cj < ci, "successor SCC must complete first");
-                    for w in 0..words {
-                        acc[w] |= scc_bits[cj * words + w];
-                    }
-                }
-            }
+            stack.truncate(root_at);
         }
-        scc_bits[ci * words..(ci + 1) * words].copy_from_slice(&acc);
-    }
-
-    let mut rows = vec![0u64; n * words];
-    for s in 0..n {
-        let ci = scc_of[s] as usize;
-        rows[s * words..(s + 1) * words].copy_from_slice(&scc_bits[ci * words..(ci + 1) * words]);
     }
     rows
 }

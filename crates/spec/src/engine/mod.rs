@@ -35,7 +35,7 @@ use product::run_product;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-pub use compiled::{CompiledComposite, EventTable};
+pub use compiled::{CompiledComposite, EventTable, DENSE_TUPLE_SLOTS};
 pub use intern::SliceInterner;
 
 /// Size and work counters of one engine verification run.

@@ -2,10 +2,11 @@
 //! document (event *names*, not interner ids), so serialized specs are
 //! portable across processes.
 
-use crate::event::{Alphabet, EventId};
+use crate::error::SpecError;
+use crate::event::EventId;
 use crate::spec::{spec_from_parts, Spec, StateId};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The serialized form of a [`Spec`].
 #[derive(Clone, Debug, PartialEq)]
@@ -47,24 +48,62 @@ impl From<&Spec> for SpecDoc {
 }
 
 impl TryFrom<SpecDoc> for Spec {
-    type Error = crate::error::SpecError;
+    type Error = SpecError;
 
-    fn try_from(doc: SpecDoc) -> Result<Spec, Self::Error> {
-        let alphabet: Alphabet = doc.alphabet.iter().map(|n| EventId::new(n)).collect();
-        spec_from_parts(
-            doc.name,
-            alphabet,
-            doc.states,
-            StateId(doc.initial as u32),
-            doc.external
-                .into_iter()
-                .map(|(s, e, t)| (StateId(s as u32), EventId::new(&e), StateId(t as u32)))
-                .collect(),
-            doc.internal
-                .into_iter()
-                .map(|(s, t)| (StateId(s as u32), StateId(t as u32)))
-                .collect(),
-        )
+    fn try_from(mut doc: SpecDoc) -> Result<Spec, Self::Error> {
+        let name = std::mem::take(&mut doc.name);
+        let states = std::mem::take(&mut doc.states);
+        spec_from_doc(name, states, &doc)
+    }
+}
+
+impl TryFrom<&SpecDoc> for Spec {
+    type Error = SpecError;
+
+    /// Builds the spec without copying the document: each state label
+    /// is copied once, into the spec, and each distinct event name is
+    /// interned once.
+    fn try_from(doc: &SpecDoc) -> Result<Spec, Self::Error> {
+        spec_from_doc(doc.name.clone(), doc.states.clone(), doc)
+    }
+}
+
+/// `doc` as a spec named `name` with state labels `states`, resolving
+/// each distinct event name to its [`EventId`] once. An edge whose event
+/// is missing from the alphabet is an error, reported only if the spec
+/// is otherwise valid (so every other error reads as it always has).
+fn spec_from_doc(name: String, states: Vec<String>, doc: &SpecDoc) -> Result<Spec, SpecError> {
+    let ids: HashMap<&str, EventId> = doc
+        .alphabet
+        .iter()
+        .map(|n| (n.as_str(), EventId::new(n)))
+        .collect();
+    let mut unknown = None;
+    let external = doc
+        .external
+        .iter()
+        .map(|(s, e, t)| {
+            let e = ids.get(e.as_str()).copied().unwrap_or_else(|| {
+                unknown.get_or_insert(e);
+                EventId::new(e)
+            });
+            (StateId(*s as u32), e, StateId(*t as u32))
+        })
+        .collect();
+    let spec = spec_from_parts(
+        name,
+        ids.values().copied().collect(),
+        states,
+        StateId(doc.initial as u32),
+        external,
+        doc.internal
+            .iter()
+            .map(|&(s, t)| (StateId(s as u32), StateId(t as u32)))
+            .collect(),
+    )?;
+    match unknown {
+        Some(e) => Err(SpecError::UnknownEvent(e.clone())),
+        None => Ok(spec),
     }
 }
 
@@ -218,5 +257,18 @@ mod tests {
             internal: vec![],
         };
         assert!(Spec::try_from(doc).is_err());
+    }
+
+    #[test]
+    fn edge_event_outside_the_alphabet_is_rejected() {
+        let mut doc = SpecDoc::from(&sample());
+        doc.external[0].1 = "stray".into();
+        assert_eq!(
+            Spec::try_from(&doc),
+            Err(SpecError::UnknownEvent("stray".into()))
+        );
+        // Any other error still reads as it did before the check.
+        doc.external[0].2 = 9;
+        assert_eq!(Spec::try_from(doc), Err(SpecError::InvalidState(9)));
     }
 }

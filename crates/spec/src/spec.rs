@@ -8,7 +8,7 @@
 
 use crate::error::SpecError;
 use crate::event::{Alphabet, EventId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Index of a state within one [`Spec`].
@@ -372,10 +372,32 @@ pub fn spec_from_parts(
     external: Vec<(StateId, EventId, StateId)>,
     internal: Vec<(StateId, StateId)>,
 ) -> Result<Spec, SpecError> {
-    let mut b = SpecBuilder::new(&name);
-    for label in &state_names {
-        // Synthesised state labels may repeat textually; disambiguate by
-        // index so lookups still work on the primary occurrence.
+    SpecBuilder {
+        name,
+        alphabet,
+        state_names: distinct_labels(state_names),
+        state_index: HashMap::new(),
+        initial: Some(initial),
+        ext: external,
+        int: internal,
+    }
+    .build()
+}
+
+/// Synthesised state labels may repeat textually; a repeat becomes
+/// `label#i` (`i` = states declared so far) so lookups still work on the
+/// primary occurrence. Distinct labels — the usual case — are returned
+/// as they are, without a copy.
+fn distinct_labels(labels: Vec<String>) -> Vec<String> {
+    let distinct = {
+        let mut seen = HashSet::with_capacity(labels.len());
+        labels.iter().all(|l| seen.insert(l.as_str()))
+    };
+    if distinct {
+        return labels;
+    }
+    let mut b = SpecBuilder::new("");
+    for label in &labels {
         if b.state_index.contains_key(label) {
             let fresh = format!("{label}#{}", b.state_names.len());
             b.state(&fresh);
@@ -383,11 +405,7 @@ pub fn spec_from_parts(
             b.state(label);
         }
     }
-    b.alphabet = alphabet;
-    b.initial = Some(initial);
-    b.ext = external;
-    b.int = internal;
-    b.build()
+    b.state_names
 }
 
 #[cfg(test)]
@@ -445,6 +463,23 @@ mod tests {
         let s = b.build().unwrap();
         assert_eq!(s.num_external(), 1);
         assert_eq!(s.num_internal(), 1);
+    }
+
+    #[test]
+    fn repeated_labels_are_disambiguated() {
+        let labels = ["a", "b", "a", "a#2"].map(String::from).to_vec();
+        let s = spec_from_parts(
+            "r".into(),
+            Alphabet::new(),
+            labels,
+            StateId(0),
+            vec![],
+            vec![],
+        )
+        .unwrap();
+        let names: Vec<&str> = s.states().map(|q| s.state_name(q)).collect();
+        assert_eq!(names, ["a", "b", "a#2", "a#2#3"]);
+        assert_eq!(s.state_by_name("a"), Some(StateId(0)));
     }
 
     #[test]

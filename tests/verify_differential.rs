@@ -13,7 +13,11 @@
 //! The n-way composition the engine explores is pinned too:
 //! [`protoquot_spec::compose_all_nway`] must equal the reference
 //! `compose_all` fold state for state (names, adjacency, initial state)
-//! on random components and on 3- and 4-component relay chains.
+//! on random components and on 3- and 4-component relay chains, with
+//! the tuple index on both sides of [`protoquot_spec::DENSE_TUPLE_SLOTS`].
+//! So are the compiled τ* rows: every composite state's row must equal
+//! the reference [`protoquot_spec::Closures`] τ* of the materialized
+//! `compose_all` composite.
 
 use protoquot_core::{converter_verdict_reference, solve};
 use protoquot_protocols::{
@@ -21,8 +25,8 @@ use protoquot_protocols::{
     relay_chain, symmetric_configuration, toggle_puzzle, windowed, Configuration, RandomParams,
 };
 use protoquot_spec::{
-    compose_all, compose_all_nway, Alphabet, CompiledSystem, Spec, SpecBuilder, VerifyEngineStats,
-    Violation,
+    compose_all, compose_all_nway, Alphabet, Closures, CompiledSystem, Spec, SpecBuilder, StateId,
+    VerifyEngineStats, Violation, DENSE_TUPLE_SLOTS,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -355,4 +359,134 @@ fn nway_composition_matches_the_fold() {
         let reversed: Vec<&Spec> = stages.iter().rev().collect();
         assert_nway_matches_fold(&format!("relay({k})/reversed"), &reversed);
     }
+}
+
+/// `c` plus unreachable, edgeless states up to `n` states in all.
+fn padded(c: &Spec, n: usize) -> Spec {
+    let mut sb = SpecBuilder::new(c.name());
+    let ids: Vec<_> = c.states().map(|s| sb.state(c.state_name(s))).collect();
+    for k in c.num_states()..n {
+        sb.state(&format!("pad{k}"));
+    }
+    for e in c.alphabet().iter() {
+        sb.event(&e.name());
+    }
+    for (f, e, t) in c.external_transitions() {
+        sb.ext_id(ids[f.index()], e, ids[t.index()]);
+    }
+    for (f, t) in c.internal_transitions() {
+        sb.int(ids[f.index()], ids[t.index()]);
+    }
+    sb.initial(ids[c.initial().index()]);
+    sb.build().expect("padded spec is well-formed")
+}
+
+#[test]
+fn nway_composition_matches_the_fold_on_both_sides_of_the_dense_cap() {
+    // Component 0 is padded so that ∏|Pᵢ| lands exactly on the cap
+    // (directly indexed) or just above it (hashed); the reachable
+    // product stays the 3-stage relay's.
+    let stages: Vec<Spec> = (0..3).map(|i| relay_stage(i, 3)).collect();
+    let rest: usize = stages[1..].iter().map(Spec::num_states).product();
+    assert_eq!(DENSE_TUPLE_SLOTS % rest, 0, "the cap splits evenly");
+    for (label, first) in [
+        ("at the cap", DENSE_TUPLE_SLOTS / rest),
+        ("above the cap", DENSE_TUPLE_SLOTS / rest + 1),
+    ] {
+        let head = padded(&stages[0], first);
+        let parts = [&head, &stages[1], &stages[2]];
+        let slots: usize = parts.iter().map(|p| p.num_states()).product();
+        assert_eq!(slots > DENSE_TUPLE_SLOTS, label == "above the cap");
+        assert_nway_matches_fold(&format!("padded relay(3) {label}"), &parts);
+        let reversed = [&stages[2], &stages[1], &head];
+        assert_nway_matches_fold(&format!("padded relay(3) {label}/reversed"), &reversed);
+    }
+}
+
+/// Pins [`CompiledSystem::tau_star`] to the reference τ* of the
+/// materialized `compose_all` composite, state by state, for the n-way
+/// compile of `parts` and for the single-component compile of that
+/// composite. Returns how many composite states lie on an internal
+/// cycle (a τ-SCC with more than one member).
+fn tau_star_agrees(label: &str, parts: &[&Spec], service: &Spec) -> usize {
+    let composite = compose_all(parts).expect("the parts compose");
+    let closures = Closures::compute(&composite);
+    let nway = CompiledSystem::new(parts, service).expect("the system compiles");
+    let single = CompiledSystem::new(&[&composite], service).expect("the composite compiles");
+    for system in [&nway, &single] {
+        assert_eq!(
+            system.composite().n,
+            composite.num_states(),
+            "{label}: composite size"
+        );
+        for s in composite.states() {
+            assert_eq!(
+                system.table().to_alphabet(system.tau_star(s.0)),
+                *closures.tau_star(s),
+                "{label}: τ* of state {s:?}"
+            );
+        }
+    }
+    composite
+        .states()
+        .filter(|&s| {
+            closures
+                .lambda_star(s)
+                .iter()
+                .any(|t| t != s && closures.reaches(t, s))
+        })
+        .count()
+}
+
+/// Converters for `tau_star_agrees`: the derived one when it exists,
+/// plus the stuck and chaos converters over `int`.
+fn tau_star_agrees_on_problem(label: &str, b: &Spec, service: &Spec, int: &Alphabet) -> usize {
+    let mut converters = vec![stuck_converter(int), chaos_converter(int)];
+    converters.extend(solve(b, service, int).ok().map(|q| q.converter));
+    converters
+        .iter()
+        .map(|c| tau_star_agrees(&format!("{label}/{}", c.name()), &[b, c], service))
+        .sum()
+}
+
+#[test]
+fn compiled_tau_star_matches_the_reference_closure() {
+    let service = exactly_once();
+    let mut cyclic = 0;
+    for n in [1usize, 2, 3, 5, 8] {
+        let (b, int) = relay_chain(n);
+        cyclic += tau_star_agrees_on_problem(&format!("relay-chain({n})"), &b, &service, &int);
+    }
+    for n in [1usize, 2, 3, 4] {
+        let (b, int) = toggle_puzzle(n);
+        cyclic += tau_star_agrees_on_problem(&format!("toggle-puzzle({n})"), &b, &service, &int);
+    }
+    for n in [1usize, 3, 5, 7] {
+        let (b, int) = nfa_blowup(n);
+        cyclic += tau_star_agrees_on_problem(&format!("nfa-blowup({n})"), &b, &service, &int);
+    }
+    for seed in 0..40u64 {
+        let (b, int) = random_component(seed, RandomParams::default());
+        cyclic += tau_star_agrees_on_problem(&format!("random({seed})"), &b, &service, &int);
+    }
+    assert!(cyclic > 0, "the sweep must meet multi-member τ-SCCs");
+
+    // A hand-built τ-SCC: `h` bounces between p1 and p2 against q's
+    // self-loop, so (p1,q)~>(p2,q)~>(p1,q), and only p2 offers `del`;
+    // p3, reached from the cycle, offers `acc` to both members.
+    let mut pb = SpecBuilder::new("p");
+    let p: Vec<StateId> = (0..4).map(|i| pb.state(&format!("p{i}"))).collect();
+    pb.ext(p[0], "acc", p[1]);
+    pb.ext(p[1], "h", p[2]);
+    pb.ext(p[2], "h", p[1]);
+    pb.ext(p[2], "del", p[0]);
+    pb.int(p[1], p[3]);
+    pb.ext(p[3], "acc", p[3]);
+    let p = pb.build().expect("p is well-formed");
+    let mut qb = SpecBuilder::new("q");
+    let q0 = qb.state("q0");
+    qb.ext(q0, "h", q0);
+    let q = qb.build().expect("q is well-formed");
+    assert_eq!(tau_star_agrees("h-cycle", &[&p, &q], &service), 2);
+    assert_eq!(tau_star_agrees("h-cycle/flipped", &[&q, &p], &service), 2);
 }
