@@ -9,15 +9,12 @@
 //!   exponential object (subset-tracking over register valuations);
 //! * `progress_vs_safety/w` — phase split on windowed services: the
 //!   progress phase stays polynomial in the safety output's size;
-//! * `safety_engine/...` — EXP-C4: the interned parallel engine against
-//!   the reference transcription on the adversarial family, at 1, 2 and
-//!   8 worker threads.
+//! * `safety_engine/...` — EXP-C4: the interned engine against the
+//!   reference transcription on the adversarial family.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use protoquot_core::solve;
-use protoquot_core::{
-    progress_phase, safety_engine, safety_phase, safety_phase_reference, SafetyLimits,
-};
+use protoquot_core::{progress_phase, safety_phase, safety_phase_reference, SafetyLimits};
 use protoquot_protocols::service::windowed;
 use protoquot_protocols::{exactly_once, nfa_blowup, relay_chain, toggle_puzzle};
 use protoquot_spec::normalize;
@@ -93,19 +90,13 @@ fn bench_scaling(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    for threads in [1usize, 2, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("engine/nfa-10", threads),
-            &threads,
-            |bench, &t| {
-                bench.iter(|| {
-                    safety_engine(&b, &na_exact, &int, false, SafetyLimits::default(), t)
-                        .unwrap()
-                        .unwrap()
-                })
-            },
-        );
-    }
+    g.bench_function("engine/nfa-10", |bench| {
+        bench.iter(|| {
+            safety_phase(&b, &na_exact, &int, false, SafetyLimits::default())
+                .unwrap()
+                .unwrap()
+        })
+    });
     g.finish();
 }
 

@@ -2,7 +2,7 @@
 //! bidirectional duplex, window flow control, the §6 front man.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use protoquot_core::{solve, solve_with, QuotientOptions};
+use protoquot_core::solve;
 use protoquot_protocols::service::windowed;
 use protoquot_protocols::{
     ab_to_nak_configuration, duplex_configuration, duplex_service, exactly_once,
@@ -28,15 +28,6 @@ fn bench_scenarios(c: &mut Criterion) {
     let flow_srv = windowed(2);
     g.bench_function("flow-control-w2", |b| {
         b.iter(|| solve(&flow.b, &flow_srv, &flow.int).unwrap())
-    });
-    // The same scenario with the safety engine at 8 worker threads —
-    // the derived converter is bit-identical, only the wall time moves.
-    let threaded = QuotientOptions {
-        safety_threads: 8,
-        ..Default::default()
-    };
-    g.bench_function("flow-control-w2-8threads", |b| {
-        b.iter(|| solve_with(&flow.b, &flow_srv, &flow.int, &threaded).unwrap())
     });
 
     let dup = duplex_configuration();

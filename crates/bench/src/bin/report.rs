@@ -762,16 +762,8 @@ fn main() {
 
     println!("\n== EXP-C4: interned safety engine vs reference transcription ==");
     println!(
-        "{:>14} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11} {:>10}",
-        "family",
-        "threads",
-        "ref ms",
-        "engine ms",
-        "speedup",
-        "states",
-        "trans",
-        "dedup hits",
-        "arena KiB"
+        "{:>14} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11} {:>10}",
+        "family", "ref ms", "engine ms", "speedup", "states", "trans", "dedup hits", "arena KiB"
     );
     let colocated = protoquot_protocols::colocated_configuration();
     let symmetric = protoquot_protocols::symmetric_configuration();
@@ -794,40 +786,36 @@ fn main() {
             reference = Some(s);
         }
         let reference = reference.unwrap();
-        for threads in [1usize, 2, 8] {
-            let mut eng_ms = f64::INFINITY;
-            let mut out = None;
-            for _ in 0..3 {
-                let t = Instant::now();
-                let o = safety_engine(&b, &na, &int, false, SafetyLimits::default(), threads)
-                    .unwrap()
-                    .unwrap();
-                eng_ms = eng_ms.min(t.elapsed().as_secs_f64() * 1e3);
-                out = Some(o);
-            }
-            let out = out.unwrap();
-            assert_eq!(out.phase.c0, reference.c0, "engines must agree");
-            assert_eq!(out.phase.f, reference.f);
-            println!(
-                "{:>14} {:>8} {:>10.3} {:>10.3} {:>9.2}x {:>10} {:>10} {:>11} {:>10.1}",
-                label,
-                threads,
-                ref_ms,
-                eng_ms,
-                ref_ms / eng_ms,
-                out.stats.states,
-                out.stats.transitions,
-                out.stats.dedup_hits,
-                out.stats.arena_bytes as f64 / 1024.0
-            );
+        let mut eng_ms = f64::INFINITY;
+        let mut out = None;
+        for _ in 0..3 {
+            let t = Instant::now();
+            let o = safety_engine(&b, &na, &int, false, SafetyLimits::default(), 1)
+                .unwrap()
+                .unwrap();
+            eng_ms = eng_ms.min(t.elapsed().as_secs_f64() * 1e3);
+            out = Some(o);
         }
+        let out = out.unwrap();
+        assert_eq!(out.phase.c0, reference.c0, "engines must agree");
+        assert_eq!(out.phase.f, reference.f);
+        println!(
+            "{:>14} {:>10.3} {:>10.3} {:>9.2}x {:>10} {:>10} {:>11} {:>10.1}",
+            label,
+            ref_ms,
+            eng_ms,
+            ref_ms / eng_ms,
+            out.stats.states,
+            out.stats.transitions,
+            out.stats.dedup_hits,
+            out.stats.arena_bytes as f64 / 1024.0
+        );
     }
 
     println!("\n== EXP-C5: compiled verification engine vs reference oracle ==");
     println!(
-        "{:>14} {:>8} {:>10} {:>10} {:>10} {:>8} {:>8} {:>6} {:>8} {:>10}",
+        "{:>14} {:>10} {:>10} {:>10} {:>8} {:>8} {:>6} {:>8} {:>10}",
         "instance",
-        "threads",
         "ref ms",
         "engine ms",
         "speedup",
@@ -873,31 +861,28 @@ fn main() {
             }
             let reference = reference.unwrap();
             assert!(reference.is_ok(), "{label}: derived converter must verify");
-            for threads in [1usize, 2, 8] {
-                let mut eng_ms = f64::INFINITY;
-                let mut out = None;
-                for _ in 0..3 {
-                    let t = Instant::now();
-                    let o = converter_verdict_with(&b, &service, &q.converter, threads).unwrap();
-                    eng_ms = eng_ms.min(t.elapsed().as_secs_f64() * 1e3);
-                    out = Some(o);
-                }
-                let (verdict, stats) = out.unwrap();
-                assert!(verdict.is_ok(), "{label}: engines must agree");
-                println!(
-                    "{:>14} {:>8} {:>10.3} {:>10.3} {:>9.2}x {:>8} {:>8} {:>6} {:>8} {:>10.1}",
-                    label,
-                    threads,
-                    ref_ms,
-                    eng_ms,
-                    ref_ms / eng_ms,
-                    stats.states,
-                    stats.transitions,
-                    stats.hubs,
-                    stats.pairs,
-                    stats.arena_bytes as f64 / 1024.0
-                );
+            let mut eng_ms = f64::INFINITY;
+            let mut out = None;
+            for _ in 0..3 {
+                let t = Instant::now();
+                let o = converter_verdict_with(&b, &service, &q.converter, 1).unwrap();
+                eng_ms = eng_ms.min(t.elapsed().as_secs_f64() * 1e3);
+                out = Some(o);
             }
+            let (verdict, stats) = out.unwrap();
+            assert!(verdict.is_ok(), "{label}: engines must agree");
+            println!(
+                "{:>14} {:>10.3} {:>10.3} {:>9.2}x {:>8} {:>8} {:>6} {:>8} {:>10.1}",
+                label,
+                ref_ms,
+                eng_ms,
+                ref_ms / eng_ms,
+                stats.states,
+                stats.transitions,
+                stats.hubs,
+                stats.pairs,
+                stats.arena_bytes as f64 / 1024.0
+            );
         }
     }
 

@@ -10,7 +10,7 @@
 //! protoquot compose FILE SPEC... [--name N]     compose and print
 //! protoquot check FILE --impl S --service A     satisfaction check
 //! protoquot solve FILE --service A --int e1,e2 [--b SPEC...]
-//!          [--dot] [--prune] [--vacuous] [--reachable] [--threads N]
+//!          [--dot] [--prune] [--vacuous] [--reachable]
 //! protoquot simulate FILE --service A --components S1,S2,...
 //!          [--steps N] [--seed K] [--loss COMP=WEIGHT]...
 //! protoquot minimize FILE SPEC                  bisimulation quotient
@@ -92,10 +92,10 @@ usage:
   protoquot compose FILE SPEC... [--name NAME] [--dot]
   protoquot check FILE --impl SPEC --service SPEC
   protoquot solve FILE --service SPEC --int e1,e2,... [--b SPEC...]
-            [--dot] [--prune] [--vacuous] [--reachable] [--threads N] [--stats]
+            [--dot] [--prune] [--vacuous] [--reachable] [--stats]
             [--emit compiled [--out PATH]]
   protoquot solve FILE --problem NAME [--dot] [--prune] [--vacuous] [--reachable]
-            [--threads N] [--stats] [--emit compiled [--out PATH]]
+            [--stats] [--emit compiled [--out PATH]]
   protoquot solve --builtin colocated|symmetric|ab-nak [--mutate K] [options as above]
   protoquot simulate FILE --service SPEC --components S1,S2,...
             [--steps N] [--seed K] [--loss COMPONENT=WEIGHT]...
@@ -108,7 +108,7 @@ usage:
             [--seed S] [--no-shrink] [--json]
   protoquot soak --builtin colocated|symmetric|ab-nak [--mutate K] [options as above]
   protoquot serve (FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K])
-            [--addr HOST:PORT] [--loops N] [--threads N] [--duration SECS]
+            [--addr HOST:PORT] [--loops N] [--duration SECS]
             [--stats] [--frame-budget N] [--max-sessions-per-conn N]
             [--read-deadline SECS] [--registry DIR [--control HOST:PORT]]
             [--require-hello]
@@ -445,12 +445,9 @@ fn cmd_solve(rest: &[String]) -> Result<String, CliError> {
 /// The shared back half of `solve`: derives the converter for one
 /// resolved quotient problem and renders/emits it per the flags.
 fn solve_system(p: &Parsed, b: Spec, srv: &Spec, int: &Alphabet) -> Result<String, CliError> {
-    let safety_threads: usize = match p.value("--threads") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError("--threads must be a number".into()))?,
-        None => 1,
-    };
+    if p.has("--threads") {
+        return err("solve runs on one thread; --threads is a drive and soak option");
+    }
     let options = QuotientOptions {
         include_vacuous: p.has("--vacuous"),
         strategy: if p.has("--reachable") {
@@ -458,7 +455,6 @@ fn solve_system(p: &Parsed, b: Spec, srv: &Spec, int: &Alphabet) -> Result<Strin
         } else {
             ProgressStrategy::FullProduct
         },
-        safety_threads,
         ..Default::default()
     };
     let mut out = String::new();
@@ -514,12 +510,12 @@ fn solve_system(p: &Parsed, b: Spec, srv: &Spec, int: &Alphabet) -> Result<Strin
                 let se = &q.stats.safety_engine;
                 out.push_str(&format!(
                     "safety engine: {} states, {} transitions, {} dedup hits, \
-                     {} arena bytes, {} threads\n",
-                    se.states, se.transitions, se.dedup_hits, se.arena_bytes, se.threads
+                     {} arena bytes\n",
+                    se.states, se.transitions, se.dedup_hits, se.arena_bytes
                 ));
                 // Re-verify the emitted converter on the compiled
                 // verification engine and report its counters.
-                match protoquot_core::converter_verdict_with(&b, srv, &converter, safety_threads) {
+                match protoquot_core::converter_verdict_with(&b, srv, &converter, 1) {
                     Ok((verdict, ve)) => {
                         let outcome = match verdict {
                             Ok(()) => "verified".to_string(),
@@ -527,14 +523,13 @@ fn solve_system(p: &Parsed, b: Spec, srv: &Spec, int: &Alphabet) -> Result<Strin
                         };
                         out.push_str(&format!(
                             "verify engine: {} states, {} transitions, {} hubs, {} pairs, \
-                             {} dedup hits, {} arena bytes, {} threads; {}\n",
+                             {} dedup hits, {} arena bytes; {}\n",
                             ve.states,
                             ve.transitions,
                             ve.hubs,
                             ve.pairs,
                             ve.dedup_hits,
                             ve.arena_bytes,
-                            ve.threads,
                             outcome
                         ));
                     }
@@ -919,7 +914,7 @@ fn cmd_soak(rest: &[String]) -> Result<String, CliError> {
     let runner = FleetRunner::new(components, service);
     // Static oracle on the compiled verification engine, so every soak
     // prints what the formalism says *before* the dynamic evidence.
-    let static_line = match runner.static_verdict(config.threads) {
+    let static_line = match runner.static_verdict() {
         Ok((Ok(()), stats)) => format!("static verdict: Conforming ({stats})\n"),
         Ok((Err(v), stats)) => format!("static verdict: NON-CONFORMING: {v} ({stats})\n"),
         Err(e) => format!("static verdict: setup error: {e}\n"),
@@ -1025,19 +1020,14 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
         &p,
         "usage: protoquot serve (FILE --service SPEC --components S1,S2,... | \
          --builtin colocated|symmetric|ab-nak [--mutate K]) [--addr HOST:PORT] \
-         [--loops N] [--threads N] [--duration SECS] [--stats] [--frame-budget N] \
+         [--loops N] [--duration SECS] [--stats] [--frame-budget N] \
          [--max-sessions-per-conn N] [--read-deadline SECS] \
          [--registry DIR [--control HOST:PORT]] [--require-hello]",
     )?;
-    // Threads for admission-time verification of reloaded artifacts,
-    // as `--threads` means for `solve` (default 1 there too); frames
-    // are answered on the event loops (`--loops`).
-    let verify_threads: usize = match p.value("--threads") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError("--threads must be a number".into()))?,
-        None => 1,
-    };
+    if p.has("--threads") {
+        return err("serve answers frames on its event loops (--loops); \
+                    --threads is a drive and soak option");
+    }
     let frame_budget: u64 = match p.value("--frame-budget") {
         Some(v) => v
             .parse()
@@ -1073,8 +1063,7 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
     let mut control = None;
     if let Some(dir) = p.value("--registry") {
         let registry = ConverterRegistry::open(dir, &service, gw.active_version())
-            .map_err(|e| CliError(format!("cannot open registry `{dir}`: {e}")))?
-            .with_verify_threads(verify_threads);
+            .map_err(|e| CliError(format!("cannot open registry `{dir}`: {e}")))?;
         if let Some(addr) = p.value("--control") {
             let c = ControlServer::bind(addr, registry, gw.clone())
                 .map_err(|e| CliError(format!("cannot bind control socket {addr}: {e}")))?;
@@ -1583,32 +1572,19 @@ mod tests {
             assert!(one.contains("safety engine:"), "{one}");
             assert!(one.contains("verify engine:"), "{one}");
             assert!(one.contains("; verified"), "{one}");
-            assert!(one.contains("1 threads"), "{one}");
-            let four = run_ok(&[
-                "solve",
-                path,
-                "--problem",
-                "relay",
-                "--stats",
-                "--threads",
-                "4",
-            ]);
-            assert!(four.contains("4 threads"), "{four}");
-            // The derived converter is identical at any thread count.
-            let strip = |s: &str| {
-                s.lines()
-                    .filter(|l| {
-                        !l.starts_with("safety engine:") && !l.starts_with("verify engine:")
-                    })
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(strip(&one), strip(&four));
-            let args: Vec<String> = ["solve", path, "--problem", "relay", "--threads", "x"]
+            assert!(!one.contains("threads"), "{one}");
+            for threads in ["x", "4"] {
+                let args: Vec<String> = ["solve", path, "--problem", "relay", "--threads", threads]
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect();
+                assert!(run(&args).is_err(), "solve --threads {threads}");
+            }
+            let args: Vec<String> = ["serve", "--builtin", "colocated", "--threads", "4"]
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-            assert!(run(&args).is_err());
+            assert!(run(&args).is_err(), "serve --threads");
         })
     }
 

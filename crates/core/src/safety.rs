@@ -62,9 +62,8 @@ impl Default for SafetyLimits {
     }
 }
 
-/// Runs the Figure 5 construction via the parallel interned engine
-/// (single-threaded here; see [`crate::safety_engine::safety_engine`]
-/// for the multi-threaded entry point).
+/// Runs the Figure 5 construction via the interned engine
+/// ([`crate::safety_engine::safety_engine`]).
 ///
 /// * `b` — the fixed components (e.g. `P0 ‖ channels ‖ Q1`), alphabet
 ///   `Int ∪ Ext`;
@@ -160,13 +159,13 @@ pub fn safety_phase_reference(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use protoquot_spec::{compose, normalize, satisfies_safety, SpecBuilder};
 
     /// Service over {acc, del}; B is a relay that must be told (`fwd`)
     /// to move a message along: acc --> (needs fwd) --> del.
-    fn relay_problem() -> (Spec, Spec, Alphabet) {
+    pub(crate) fn relay_problem() -> (Spec, Spec, Alphabet) {
         let mut sb = SpecBuilder::new("S");
         let u0 = sb.state("u0");
         let u1 = sb.state("u1");
@@ -319,6 +318,15 @@ mod tests {
                 )
                 .unwrap();
                 assert!(over.is_none(), "budget == n-1 must be exceeded");
+                let none = run(
+                    &b,
+                    &na,
+                    &int,
+                    include_vacuous,
+                    SafetyLimits { max_states: 0 },
+                )
+                .unwrap();
+                assert!(none.is_none(), "budget 0 admits nothing");
             }
         }
     }

@@ -1,47 +1,35 @@
-//! Parallel, interned exploration engine for the safety phase.
+//! The interned exploration engine for the safety phase.
 //!
 //! Same Figure 5 construction as [`crate::safety::safety_phase_reference`],
-//! re-engineered for throughput:
+//! run as one loop over the [`SubsetKernel`] that also builds the
+//! service's normal form and the runtime guard DFA:
 //!
 //! * **Dense pair indices.** A pair `(a, b)` becomes the integer
-//!   `a·|B| + b`, so a pair set is a sorted `Vec<u32>` instead of a
+//!   `a·|B| + b`, so a pair set is a sorted `u32` slice instead of a
 //!   `Vec<(usize, StateId)>`. The encoding preserves the canonical
-//!   `(hub, b_state)` lexicographic order, so an interned vector
-//!   converts back to an equal [`PairSet`] by plain division.
+//!   `(hub, b_state)` lexicographic order, so an interned set converts
+//!   back to an equal [`PairSet`] by plain division.
 //! * **Precomputed pair-step graph.** The `ok` flag, the closure
 //!   successors (internal B-moves plus ψ-tracked `Ext` moves) and the
-//!   per-`Int`-event step successors of every pair are computed once up
-//!   front. Each `φ` evaluation is then a cheap BFS over integer
-//!   adjacency lists with an epoch-stamped seen array — no per-call
-//!   hash sets, no `PairSet` clones.
-//! * **Hash-consed arena.** Discovered sets are interned in a sharded
-//!   arena: 16 mutex-guarded shards, each a `HashMap<Arc<[u32]>, id>`
-//!   plus the backing vector of sets. The shard count is fixed (not
-//!   tied to the thread count) so per-shard statistics are identical
-//!   across runs.
-//! * **Sharded frontier.** Worker threads drain a shared work queue;
-//!   a pending-state counter provides termination, an atomic abort
-//!   flag cuts every worker loose the moment the state budget trips.
-//! * **Canonical renumbering.** Workers discover states in a
-//!   scheduling-dependent order, so a final breadth-first pass renames
-//!   and re-emits everything in BFS discovery order — the exact order
-//!   the (FIFO) reference produces. Parallel and sequential runs, at
-//!   any thread count, return bit-identical [`SafetyPhase`] values.
+//!   `Int`-labelled step edges of every pair are computed once, as two
+//!   CSR graphs. Each state's `φ` images then come from one bucketed
+//!   pass over its pairs' step edges, and each image is closed with the
+//!   kernel's flag-reset BFS, which aborts at the first pair that is not
+//!   `ok`.
+//! * **FIFO by id.** The kernel hands out ids in first-intern order, so
+//!   expanding ids `0, 1, 2, …` is exactly the reference's FIFO
+//!   worklist: states, names and transitions come out in its order with
+//!   no queue and no renumbering.
 //!
 //! `tests/safety_differential.rs` checks that equivalence against the
-//! reference across every benchmark family at 1, 2 and 8 threads.
+//! reference across every benchmark family.
 
 use crate::pairset::{h_epsilon, PairSet};
 use crate::safety::{SafetyFailure, SafetyLimits, SafetyPhase};
-use protoquot_spec::{spec_from_parts, Alphabet, EventId, NormalSpec, Spec, StateId};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use threadpool::ThreadPool;
-
-/// Number of dedup-index shards. Fixed regardless of the thread count
-/// so that [`SafetyEngineStats::shard_states`] is deterministic.
-pub const NUM_SHARDS: usize = 16;
+use protoquot_spec::{
+    spec_from_parts, Alphabet, Csr, EventId, NormalSpec, Spec, StateId, SubsetKernel,
+};
+use std::collections::HashMap;
 
 /// Counters describing one engine run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -54,10 +42,6 @@ pub struct SafetyEngineStats {
     pub dedup_hits: usize,
     /// Payload bytes held by the interned-set arena.
     pub arena_bytes: usize,
-    /// States interned per dedup shard (length [`NUM_SHARDS`]).
-    pub shard_states: Vec<usize>,
-    /// Worker threads the run was configured with.
-    pub threads: usize,
 }
 
 /// A [`SafetyPhase`] plus the engine counters that produced it.
@@ -69,297 +53,76 @@ pub struct SafetyEngineOutput {
     pub stats: SafetyEngineStats,
 }
 
-/// One shard of the hash-consing index: the map from interned set to
-/// exploration id, the backing arena, and its local counters.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<Arc<[u32]>, u32>,
-    sets: Vec<Arc<[u32]>>,
-    dedup_hits: usize,
-    bytes: usize,
-}
-
-/// The shared work queue. `pending` counts states discovered but not
-/// yet fully expanded; the run is over when it reaches zero.
-struct WorkQueue {
-    items: VecDeque<(u32, Arc<[u32]>)>,
-    pending: usize,
-}
-
-/// Everything the workers share: the precomputed pair-step graph, the
-/// sharded intern index, the frontier queue and the abort machinery.
-struct Shared {
-    /// `|hubs| · |B|` — the pair-index space.
-    np: usize,
-    /// `|B|` — the pair-index stride (pair `(a, b)` is `a·nb + b`).
-    nb: usize,
-    /// Number of `Int` events.
-    ne: usize,
-    include_vacuous: bool,
-    max_states: usize,
+/// The pair-step graph over dense pair indices `hub·|B| + b`.
+struct PairGraph {
     /// Per pair: does `ok` hold (no `Ext` move leaves ψ undefined)?
     ok: Vec<bool>,
-    /// CSR closure adjacency (internal B-moves + tracked `Ext` moves).
-    closure_off: Vec<usize>,
+    /// Closure edges (internal B-moves + tracked `Ext` moves); a pair
+    /// that is not `ok` has none.
+    closure_off: Vec<u32>,
     closure_tgt: Vec<u32>,
-    /// Per `Int` event, CSR step adjacency (B performing exactly that event).
-    step_off: Vec<Vec<usize>>,
-    step_tgt: Vec<Vec<u32>>,
-    shards: Vec<Mutex<Shard>>,
-    queue: Mutex<WorkQueue>,
-    work_ready: Condvar,
-    abort: AtomicBool,
-    state_count: AtomicUsize,
-    transitions: Mutex<Vec<(u32, u32, u32)>>,
+    /// Step edges (B performing an `Int` event), labelled by the
+    /// event's position in the interface.
+    step_off: Vec<u32>,
+    step_ev: Vec<u32>,
+    step_tgt: Vec<u32>,
 }
 
-/// FNV-1a over the set's words; picks the dedup shard. Content-based,
-/// so the shard assignment of every state is run-independent.
-fn shard_of(set: &[u32]) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in set {
-        h ^= u64::from(w);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % NUM_SHARDS as u64) as usize
-}
-
-/// `Ok((exploration id, Some(set) if it is new))`; `Err(())` on budget
-/// overrun.
-type Interned = Result<(u32, Option<Arc<[u32]>>), ()>;
-
-impl Shared {
-    /// Interns `set`. Returns the exploration id plus the `Arc` to push
-    /// as a work item when the set is new, or `Err(())` when creating
-    /// it would exceed the state budget (the abort flag is raised).
-    fn intern(&self, set: Vec<u32>) -> Interned {
-        let s = shard_of(&set);
-        let mut shard = self.shards[s].lock().unwrap();
-        if let Some(&id) = shard.map.get(set.as_slice()) {
-            shard.dedup_hits += 1;
-            return Ok((id, None));
-        }
-        if self.state_count.fetch_add(1, Ordering::Relaxed) >= self.max_states {
-            self.abort.store(true, Ordering::Relaxed);
-            return Err(());
-        }
-        let id = shard.sets.len() as u32 * NUM_SHARDS as u32 + s as u32;
-        shard.bytes += set.len() * std::mem::size_of::<u32>();
-        let arc: Arc<[u32]> = set.into();
-        shard.map.insert(Arc::clone(&arc), id);
-        shard.sets.push(Arc::clone(&arc));
-        Ok((id, Some(arc)))
-    }
-}
-
-/// Per-worker scratch: the epoch-stamped seen array for closure BFS.
-struct Scratch {
-    seen: Vec<u32>,
-    epoch: u32,
-}
-
-impl Scratch {
-    fn new(np: usize) -> Scratch {
-        Scratch {
-            seen: vec![0; np],
-            epoch: 0,
-        }
-    }
-
-    fn next_epoch(&mut self) -> u32 {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.seen.fill(0);
-            self.epoch = 1;
-        }
-        self.epoch
-    }
-}
-
-/// Computes `φ(set, e)` over the precomputed graph: step every pair on
-/// event index `ei`, then close. Returns `None` when the result is not
-/// `ok` (some reachable pair enables a forbidden `Ext` event), the
-/// sorted dense-index set otherwise (empty = vacuous).
-fn phi_indexed(shared: &Shared, scratch: &mut Scratch, set: &[u32], ei: usize) -> Option<Vec<u32>> {
-    let epoch = scratch.next_epoch();
-    let off = &shared.step_off[ei];
-    let tgt = &shared.step_tgt[ei];
-    let mut out: Vec<u32> = Vec::new();
-    let mut stack: Vec<u32> = Vec::new();
-    for &p in set {
-        for &q in &tgt[off[p as usize]..off[p as usize + 1]] {
-            if scratch.seen[q as usize] != epoch {
-                scratch.seen[q as usize] = epoch;
-                if !shared.ok[q as usize] {
-                    return None;
-                }
-                out.push(q);
-                stack.push(q);
-            }
-        }
-    }
-    while let Some(q) = stack.pop() {
-        let range = shared.closure_off[q as usize]..shared.closure_off[q as usize + 1];
-        for &r in &shared.closure_tgt[range] {
-            if scratch.seen[r as usize] != epoch {
-                scratch.seen[r as usize] = epoch;
-                if !shared.ok[r as usize] {
-                    return None;
-                }
-                out.push(r);
-                stack.push(r);
-            }
-        }
-    }
-    out.sort_unstable();
-    Some(out)
-}
-
-/// The worker loop: pop a frontier state, expand it on every `Int`
-/// event, intern the targets, queue the new ones. Exits when the
-/// pending counter drains or the abort flag rises.
-fn run_worker(shared: &Shared) {
-    let mut scratch = Scratch::new(shared.np);
-    let mut local: Vec<(u32, u32, u32)> = Vec::new();
-    loop {
-        let (id, set) = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if shared.abort.load(Ordering::Relaxed) {
-                    q.items.clear();
-                    q.pending = 0;
-                    shared.work_ready.notify_all();
-                    drop(q);
-                    shared.transitions.lock().unwrap().append(&mut local);
-                    return;
-                }
-                if let Some(item) = q.items.pop_front() {
-                    break item;
-                }
-                if q.pending == 0 {
-                    drop(q);
-                    shared.transitions.lock().unwrap().append(&mut local);
-                    return;
-                }
-                q = shared.work_ready.wait(q).unwrap();
-            }
+impl PairGraph {
+    fn new(b: &Spec, na: &NormalSpec, int_events: &[EventId], ext: &Alphabet) -> PairGraph {
+        let nb = b.num_states();
+        let int_index: HashMap<EventId, u32> = int_events
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| (e, i as u32))
+            .collect();
+        let mut g = PairGraph {
+            ok: Vec::new(),
+            closure_off: vec![0],
+            closure_tgt: Vec::new(),
+            step_off: vec![0],
+            step_ev: Vec::new(),
+            step_tgt: Vec::new(),
         };
-        for ei in 0..shared.ne {
-            let Some(next) = phi_indexed(shared, &mut scratch, &set, ei) else {
-                continue; // not ok: omit the transition
-            };
-            if next.is_empty() && !shared.include_vacuous {
-                continue;
-            }
-            match shared.intern(next) {
-                Ok((tgt, fresh)) => {
-                    local.push((id, ei as u32, tgt));
-                    if let Some(arc) = fresh {
-                        let mut q = shared.queue.lock().unwrap();
-                        q.pending += 1;
-                        q.items.push_back((tgt, arc));
-                        drop(q);
-                        shared.work_ready.notify_one();
+        for hub in 0..na.num_hubs() {
+            for bi in 0..nb {
+                let bs = StateId(bi as u32);
+                let start = g.closure_tgt.len();
+                let mut ok = true;
+                for &t in b.internal_from(bs) {
+                    g.closure_tgt.push((hub * nb + t.index()) as u32);
+                }
+                for &(e, t) in b.external_from(bs) {
+                    if let Some(&ei) = int_index.get(&e) {
+                        g.step_ev.push(ei);
+                        g.step_tgt.push((hub * nb + t.index()) as u32);
+                    } else if ext.contains(e) {
+                        match na.step(hub, e) {
+                            Some(h2) => g.closure_tgt.push((h2 * nb + t.index()) as u32),
+                            None => ok = false,
+                        }
                     }
                 }
-                Err(()) => break, // over budget; abort is set
+                if !ok {
+                    // A bad pair aborts any closure that reaches it; its
+                    // outgoing edges are never walked.
+                    g.closure_tgt.truncate(start);
+                }
+                g.ok.push(ok);
+                g.closure_off.push(g.closure_tgt.len() as u32);
+                g.step_off.push(g.step_tgt.len() as u32);
             }
         }
-        let mut q = shared.queue.lock().unwrap();
-        // Saturating: an aborting worker zeroes `pending` for everyone.
-        q.pending = q.pending.saturating_sub(1);
-        if q.pending == 0 && q.items.is_empty() {
-            shared.work_ready.notify_all();
-        }
+        g
     }
 }
 
-/// Precomputes the pair-step graph and assembles the [`Shared`] state.
-fn build_shared(
-    b: &Spec,
-    na: &NormalSpec,
-    int_events: &[EventId],
-    ext: &Alphabet,
-    include_vacuous: bool,
-    limits: SafetyLimits,
-) -> Shared {
-    let nb = b.num_states();
-    let nh = na.num_hubs();
-    let np = nh * nb;
-    let ne = int_events.len();
-    let int_index: HashMap<EventId, usize> = int_events
-        .iter()
-        .enumerate()
-        .map(|(i, &e)| (e, i))
-        .collect();
-
-    let mut ok = vec![true; np];
-    let mut closure_off = vec![0usize; np + 1];
-    let mut closure_tgt: Vec<u32> = Vec::new();
-    let mut step_off = vec![vec![0usize; np + 1]; ne];
-    let mut step_tgt = vec![Vec::<u32>::new(); ne];
-
-    for hub in 0..nh {
-        for bi in 0..nb {
-            let p = hub * nb + bi;
-            let bs = StateId(bi as u32);
-            let start = closure_tgt.len();
-            for &t in b.internal_from(bs) {
-                closure_tgt.push((hub * nb + t.index()) as u32);
-            }
-            for &(e, t) in b.external_from(bs) {
-                if let Some(&ei) = int_index.get(&e) {
-                    step_tgt[ei].push((hub * nb + t.index()) as u32);
-                } else if ext.contains(e) {
-                    match na.step(hub, e) {
-                        Some(h2) => closure_tgt.push((h2 * nb + t.index()) as u32),
-                        None => ok[p] = false,
-                    }
-                }
-            }
-            if !ok[p] {
-                // A bad pair aborts any closure that reaches it; its
-                // outgoing edges are never walked.
-                closure_tgt.truncate(start);
-            }
-            closure_off[p + 1] = closure_tgt.len();
-            for ei in 0..ne {
-                step_off[ei][p + 1] = step_tgt[ei].len();
-            }
-        }
-    }
-
-    Shared {
-        np,
-        nb,
-        ne,
-        include_vacuous,
-        max_states: limits.max_states,
-        ok,
-        closure_off,
-        closure_tgt,
-        step_off,
-        step_tgt,
-        shards: (0..NUM_SHARDS)
-            .map(|_| Mutex::new(Shard::default()))
-            .collect(),
-        queue: Mutex::new(WorkQueue {
-            items: VecDeque::new(),
-            pending: 0,
-        }),
-        work_ready: Condvar::new(),
-        abort: AtomicBool::new(false),
-        state_count: AtomicUsize::new(0),
-        transitions: Mutex::new(Vec::new()),
-    }
-}
-
-/// Runs the Figure 5 construction with `threads` workers.
+/// Runs the Figure 5 construction.
 ///
 /// Arguments are as for [`crate::safety::safety_phase`]; the result is
-/// bit-identical to [`crate::safety::safety_phase_reference`] at every
-/// thread count (state names, transition order, `f` — everything),
-/// thanks to the canonical BFS renumbering pass.
+/// bit-identical to [`crate::safety::safety_phase_reference`] (state
+/// names, transition order, `f` — everything). `threads` is ignored:
+/// the construction runs on the calling thread.
 ///
 /// Returns `Err` iff no safe converter exists, `Ok(None)` if the state
 /// budget was exceeded.
@@ -369,197 +132,99 @@ pub fn safety_engine(
     int: &Alphabet,
     include_vacuous: bool,
     limits: SafetyLimits,
-    threads: usize,
+    _threads: usize,
 ) -> Result<Option<SafetyEngineOutput>, SafetyFailure> {
-    let threads = threads.max(1);
     let ext = b.alphabet().difference(int);
     // `h.ε` — computed by the same routine the reference uses, so an
     // initial `ok` failure reports the identical violation.
     let h0 = h_epsilon(na, b, &ext).map_err(|violation| SafetyFailure { violation })?;
-    // The budget covers every state including `h.ε`: a zero budget
-    // admits nothing.
-    if limits.max_states == 0 {
-        return Ok(None);
-    }
 
     let int_events: Vec<EventId> = int.iter().collect();
     let nb = b.num_states();
-    let shared = Arc::new(build_shared(
-        b,
-        na,
-        &int_events,
-        &ext,
-        include_vacuous,
-        limits,
-    ));
+    let g = PairGraph::new(b, na, &int_events, &ext);
+    let step = Csr {
+        off: &g.step_off,
+        ev: &g.step_ev,
+        tgt: &g.step_tgt,
+    };
+    let closure = Csr {
+        off: &g.closure_off,
+        ev: &[],
+        tgt: &g.closure_tgt,
+    };
 
-    let h0_indexed: Vec<u32> = h0
+    // The budget covers every state including `h.ε`: a zero budget
+    // admits nothing.
+    let mut sets = SubsetKernel::new(g.ok.len(), int_events.len(), limits.max_states);
+    let h0: Vec<u32> = h0
         .iter()
         .map(|(hub, bs)| (hub * nb + bs.index()) as u32)
         .collect();
-    let (initial_id, fresh) = shared
-        .intern(h0_indexed)
-        .expect("budget >= 1 admits the initial state");
-    {
-        let mut q = shared.queue.lock().unwrap();
-        q.pending = 1;
-        q.items
-            .push_back((initial_id, fresh.expect("first intern is fresh")));
-    }
-
-    if threads == 1 {
-        run_worker(&shared);
-    } else {
-        let pool = ThreadPool::new(threads);
-        for _ in 0..threads {
-            let shared = Arc::clone(&shared);
-            pool.execute(move || run_worker(&shared));
-        }
-        pool.join();
-    }
-
-    if shared.abort.load(Ordering::Relaxed) {
+    if sets.intern(&h0).is_none() {
         return Ok(None);
     }
-    Ok(Some(assemble(
-        &shared,
-        initial_id,
-        int,
-        &int_events,
-        threads,
-    )))
-}
 
-/// Canonical BFS renumbering: maps the scheduling-dependent exploration
-/// ids onto breadth-first discovery order and emits the [`SafetyPhase`]
-/// exactly as the FIFO reference would.
-fn assemble(
-    shared: &Shared,
-    initial_id: u32,
-    int: &Alphabet,
-    int_events: &[EventId],
-    threads: usize,
-) -> SafetyEngineOutput {
-    let ne = shared.ne;
-    let shards: Vec<_> = shared.shards.iter().map(|s| s.lock().unwrap()).collect();
-    let n: usize = shards.iter().map(|s| s.sets.len()).sum();
-    let max_local = shards.iter().map(|s| s.sets.len()).max().unwrap_or(0);
-
-    // Exploration id -> dense slot, and the per-slot interned set.
-    let mut dense_of = vec![u32::MAX; max_local * NUM_SHARDS];
-    let mut sets: Vec<&Arc<[u32]>> = Vec::with_capacity(n);
-    for (s, shard) in shards.iter().enumerate() {
-        for (i, set) in shard.sets.iter().enumerate() {
-            dense_of[i * NUM_SHARDS + s] = sets.len() as u32;
-            sets.push(set);
-        }
-    }
-
-    // φ is a function, so each (state, event) has at most one target.
-    let raw = shared.transitions.lock().unwrap();
-    let mut succ = vec![u32::MAX; n * ne];
-    for &(src, ei, tgt) in raw.iter() {
-        succ[dense_of[src as usize] as usize * ne + ei as usize] = dense_of[tgt as usize];
-    }
-    let num_transitions = raw.len();
-    drop(raw);
-
-    // BFS from the initial state, events in interface order — the same
-    // discovery order as the reference's FIFO worklist.
-    let mut new_of = vec![u32::MAX; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let d0 = dense_of[initial_id as usize];
-    new_of[d0 as usize] = 0;
-    order.push(d0);
-    let mut qi = 0;
-    while qi < order.len() {
-        let d = order[qi] as usize;
-        qi += 1;
-        for ei in 0..ne {
-            let t = succ[d * ne + ei];
-            if t != u32::MAX && new_of[t as usize] == u32::MAX {
-                new_of[t as usize] = order.len() as u32;
-                order.push(t);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "every interned state is reachable");
-
-    let mut names = Vec::with_capacity(n);
-    let mut f = Vec::with_capacity(n);
-    let mut transitions = Vec::with_capacity(num_transitions);
-    let nb = shared.nb as u32;
-    for (i, &d) in order.iter().enumerate() {
-        names.push(format!("c{i}"));
-        f.push(PairSet::from_pairs(
-            sets[d as usize]
-                .iter()
-                .map(|&p| ((p / nb) as usize, StateId(p % nb))),
-        ));
+    let mut transitions = Vec::new();
+    let mut next = Vec::new();
+    let mut id = 0u32;
+    while (id as usize) < sets.len() {
+        sets.expand(id, step);
         for (ei, &e) in int_events.iter().enumerate() {
-            let t = succ[d as usize * ne + ei];
-            if t != u32::MAX {
-                transitions.push((StateId(i as u32), e, StateId(new_of[t as usize])));
+            if !sets.step(ei, closure, |p| !g.ok[p as usize], &mut next) {
+                continue; // not ok: omit the transition
             }
+            if next.is_empty() && !include_vacuous {
+                continue;
+            }
+            let Some((to, _)) = sets.intern(&next) else {
+                return Ok(None);
+            };
+            transitions.push((StateId(id), e, StateId(to)));
         }
+        id += 1;
     }
 
+    let n = sets.len();
+    let f = (0..n as u32)
+        .map(|i| {
+            PairSet::from_pairs(
+                sets.get(i)
+                    .iter()
+                    .map(|&p| (p as usize / nb, StateId(p % nb as u32))),
+            )
+        })
+        .collect();
     let stats = SafetyEngineStats {
         states: n,
-        transitions: num_transitions,
-        dedup_hits: shards.iter().map(|s| s.dedup_hits).sum(),
-        arena_bytes: shards.iter().map(|s| s.bytes).sum(),
-        shard_states: shards.iter().map(|s| s.sets.len()).collect(),
-        threads,
+        transitions: transitions.len(),
+        dedup_hits: sets.dedup_hits(),
+        arena_bytes: sets.key_bytes(),
     };
-    drop(shards);
-
     let c0 = spec_from_parts(
         "C0".to_owned(),
         int.clone(),
-        names,
+        (0..n).map(|i| format!("c{i}")).collect(),
         StateId(0),
         transitions,
         Vec::new(),
     )
     .expect("safety engine constructs a valid spec");
-    SafetyEngineOutput {
+    Ok(Some(SafetyEngineOutput {
         phase: SafetyPhase {
             c0,
             f,
-            includes_vacuous: shared.include_vacuous,
+            includes_vacuous: include_vacuous,
         },
         stats,
-    }
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::safety::safety_phase_reference;
+    use crate::safety::tests::relay_problem;
     use protoquot_spec::{normalize, SpecBuilder};
-
-    /// The relay problem from `safety.rs` tests: fwd is safe, dup is not.
-    fn relay_problem() -> (Spec, Spec, Alphabet) {
-        let mut sb = SpecBuilder::new("S");
-        let u0 = sb.state("u0");
-        let u1 = sb.state("u1");
-        sb.ext(u0, "acc", u1);
-        sb.ext(u1, "del", u0);
-        let service = sb.build().unwrap();
-        let mut bb = SpecBuilder::new("B");
-        let b0 = bb.state("b0");
-        let b1 = bb.state("b1");
-        let b2 = bb.state("b2");
-        let b3 = bb.state("b3");
-        bb.ext(b0, "acc", b1);
-        bb.ext(b1, "fwd", b2);
-        bb.ext(b2, "del", b0);
-        bb.ext(b2, "dup", b3);
-        bb.ext(b3, "del", b2);
-        let b = bb.build().unwrap();
-        (service, b, Alphabet::from_names(["fwd", "dup"]))
-    }
 
     #[test]
     fn engine_matches_reference_bit_for_bit() {
@@ -570,26 +235,17 @@ mod tests {
                 safety_phase_reference(&b, &na, &int, include_vacuous, SafetyLimits::default())
                     .unwrap()
                     .unwrap();
-            for threads in [1, 2, 8] {
-                let out = safety_engine(
-                    &b,
-                    &na,
-                    &int,
-                    include_vacuous,
-                    SafetyLimits::default(),
-                    threads,
-                )
+            let out = safety_engine(&b, &na, &int, include_vacuous, SafetyLimits::default(), 1)
                 .unwrap()
                 .unwrap();
-                assert_eq!(out.phase.c0, reference.c0, "threads={threads}");
-                assert_eq!(out.phase.f, reference.f, "threads={threads}");
-                assert_eq!(out.phase.includes_vacuous, reference.includes_vacuous);
-            }
+            assert_eq!(out.phase.c0, reference.c0);
+            assert_eq!(out.phase.f, reference.f);
+            assert_eq!(out.phase.includes_vacuous, reference.includes_vacuous);
         }
     }
 
     #[test]
-    fn stats_are_consistent_and_thread_independent() {
+    fn stats_are_consistent() {
         let (service, b, int) = relay_problem();
         let na = normalize(&service);
         let one = safety_engine(&b, &na, &int, true, SafetyLimits::default(), 1)
@@ -597,11 +253,6 @@ mod tests {
             .unwrap();
         assert_eq!(one.stats.states, one.phase.c0.num_states());
         assert_eq!(one.stats.transitions, one.phase.c0.num_external());
-        assert_eq!(one.stats.shard_states.len(), NUM_SHARDS);
-        assert_eq!(
-            one.stats.shard_states.iter().sum::<usize>(),
-            one.stats.states
-        );
         // Every interned pair set but the (possibly empty) vacuous one
         // holds at least one u32.
         assert!(one.stats.arena_bytes >= 4 * (one.stats.states - 1));
@@ -611,50 +262,6 @@ mod tests {
             one.stats.dedup_hits,
             one.stats.transitions - (one.stats.states - 1)
         );
-        for threads in [2, 8] {
-            let multi = safety_engine(&b, &na, &int, true, SafetyLimits::default(), threads)
-                .unwrap()
-                .unwrap();
-            assert_eq!(multi.stats.states, one.stats.states);
-            assert_eq!(multi.stats.transitions, one.stats.transitions);
-            assert_eq!(multi.stats.dedup_hits, one.stats.dedup_hits);
-            assert_eq!(multi.stats.arena_bytes, one.stats.arena_bytes);
-            assert_eq!(multi.stats.shard_states, one.stats.shard_states);
-            assert_eq!(multi.stats.threads, threads);
-        }
-    }
-
-    #[test]
-    fn budget_aborts_at_any_thread_count() {
-        let (service, b, int) = relay_problem();
-        let na = normalize(&service);
-        let n = safety_engine(&b, &na, &int, false, SafetyLimits::default(), 1)
-            .unwrap()
-            .unwrap()
-            .stats
-            .states;
-        for threads in [1, 2, 8] {
-            let exact = safety_engine(
-                &b,
-                &na,
-                &int,
-                false,
-                SafetyLimits { max_states: n },
-                threads,
-            )
-            .unwrap();
-            assert!(exact.is_some(), "threads={threads}");
-            let over = safety_engine(
-                &b,
-                &na,
-                &int,
-                false,
-                SafetyLimits { max_states: n - 1 },
-                threads,
-            )
-            .unwrap();
-            assert!(over.is_none(), "threads={threads}");
-        }
     }
 
     #[test]
@@ -673,7 +280,7 @@ mod tests {
         let b = bb.build().unwrap();
         let int = Alphabet::from_names(["m"]);
         let na = normalize(&service);
-        let engine = safety_engine(&b, &na, &int, false, SafetyLimits::default(), 2).unwrap_err();
+        let engine = safety_engine(&b, &na, &int, false, SafetyLimits::default(), 1).unwrap_err();
         let reference =
             safety_phase_reference(&b, &na, &int, false, SafetyLimits::default()).unwrap_err();
         assert_eq!(engine.violation.event, reference.violation.event);

@@ -25,9 +25,6 @@ pub struct QuotientOptions {
     /// Progress fixpoint strategy (paper-exact full product by
     /// default; see [`ProgressStrategy`]).
     pub strategy: ProgressStrategy,
-    /// Worker threads for the safety-phase engine (clamped to ≥ 1).
-    /// The result is bit-identical at every thread count.
-    pub safety_threads: usize,
 }
 
 impl Default for QuotientOptions {
@@ -36,7 +33,6 @@ impl Default for QuotientOptions {
             include_vacuous: false,
             max_states: 1_000_000,
             strategy: ProgressStrategy::FullProduct,
-            safety_threads: 1,
         }
     }
 }
@@ -163,7 +159,7 @@ pub fn solve_normalized(
         SafetyLimits {
             max_states: options.max_states,
         },
-        options.safety_threads,
+        1,
     ) {
         Ok(Some(out)) => (out.phase, out.stats),
         Ok(None) => {

@@ -37,7 +37,7 @@
 //! trace can ever convict.
 
 use crate::codec::RejectReason;
-use protoquot_spec::{CompiledSystem, EventId, EventTable, SliceInterner, Spec, SpecError};
+use protoquot_spec::{CompiledSystem, EventId, EventTable, Spec, SpecError, SubsetKernel};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -206,74 +206,58 @@ impl GuardProgram {
         Ok(prog)
     }
 
-    /// Subset-constructs the DFA over the compiled composite: states are
-    /// reachable `(sorted τ-closed subset, hub)` pairs, edges fuse the
-    /// ext step, the τ-closure of its image and the ψ-hub step, and the
-    /// progress verdicts are folded into the table (stall edges) and the
-    /// per-state `any_fail` flags.
+    /// Subset-constructs the DFA over the compiled composite, on the
+    /// [`SubsetKernel`]: states are reachable `(sorted τ-closed subset,
+    /// hub)` pairs, edges fuse the ext step, the τ-closure of its image
+    /// and the ψ-hub step, and the progress verdicts are folded into the
+    /// table (stall edges) and the per-state `any_fail` flags.
     ///
     /// Each state is interned once, as the flat key `[hub, subset…]`.
-    /// Expanding a state is one pass over its members' external edges,
-    /// bucketing the targets by event index; every event's successor is
-    /// then read off its bucket.
+    /// Expanding a state buckets its members' external edges by event
+    /// in one pass; every event's successor is then read off its bucket.
+    /// States are expanded last-in first-out, an order every stored
+    /// artifact's DFA ids depend on.
     fn determinize(&mut self) {
         let t0 = Instant::now();
         let sys = &self.system;
         let comp = sys.composite();
         let nsym = sys.table().len();
-
-        // Scratch for τ-closures and per-event ext steps.
-        let mut seen = vec![false; comp.n];
-        let tau_close = |set: &mut Vec<u32>, seen: &mut [bool]| {
-            for &s in set.iter() {
-                seen[s as usize] = true;
-            }
-            let mut i = 0;
-            while i < set.len() {
-                let s = set[i] as usize;
-                for k in comp.int_off[s] as usize..comp.int_off[s + 1] as usize {
-                    let t = comp.int_tgt[k];
-                    if !seen[t as usize] {
-                        seen[t as usize] = true;
-                        set.push(t);
-                    }
-                }
-                i += 1;
-            }
-            set.sort_unstable();
-            for &s in set.iter() {
-                seen[s as usize] = false;
-            }
-        };
+        let (ext, tau) = (comp.ext_edges(), comp.int_edges());
         let all_fail = |subset: &[u32], hub: u32| subset.iter().all(|&s| !sys.progress_ok(s, hub));
 
-        let mut states = SliceInterner::new();
+        // Ids at `T_SENTINEL_BASE` would read as verdicts.
+        let mut states = SubsetKernel::new(comp.n, nsym, T_SENTINEL_BASE as usize).tagged(1);
         let mut work: Vec<u32> = Vec::new();
         let mut trans: Vec<u32> = Vec::new();
         let mut any_fail: Vec<bool> = Vec::new();
         let mut subset_size: Vec<u32> = Vec::new();
         let mut max_subset = 0usize;
+        let mut key = Vec::new();
+        let mut intern =
+            |states: &mut SubsetKernel, hub: u32, subset: &[u32], work: &mut Vec<u32>| {
+                key.clear();
+                key.push(hub);
+                key.extend_from_slice(subset);
+                let (id, fresh) = states
+                    .intern(&key)
+                    .expect("guard DFA state space collides with verdict sentinels");
+                if fresh {
+                    work.push(id);
+                }
+                id
+            };
 
         let initial_hub = sys.initial_hub();
-        let mut initial = vec![comp.initial];
-        tau_close(&mut initial, &mut seen);
-        let mut key = vec![initial_hub];
-        key.extend_from_slice(&initial);
-        let (dfa_initial, _) = states.intern(&key);
-        work.push(dfa_initial);
-        if all_fail(&initial, initial_hub) {
+        let mut next = vec![comp.initial];
+        states.close(&mut next, tau, |_| false);
+        let dfa_initial = intern(&mut states, initial_hub, &next, &mut work);
+        if all_fail(&next, initial_hub) {
             // The initial configuration already fails containment for
             // every reachable state — sessions start convicted, exactly
             // as the reference guard does.
             self.initial_verdict = Some(Conviction::Stalled);
         }
 
-        // Per-event buckets of the expanded state's ext-step targets:
-        // event `ev`'s are `bucket[start[ev]..start[ev + 1]]`.
-        let mut start: Vec<u32> = vec![0; nsym + 1];
-        let mut fill: Vec<u32> = Vec::new();
-        let mut bucket: Vec<u32> = Vec::new();
-        let mut next: Vec<u32> = Vec::new();
         // Every interned state is popped once, and a pop sizes the tables
         // for every state interned so far, so the last pop sizes them all.
         while let Some(id) = work.pop() {
@@ -288,60 +272,22 @@ impl GuardProgram {
             any_fail[id as usize] = subset.iter().any(|&s| !sys.progress_ok(s, hub));
             subset_size[id as usize] = subset.len() as u32;
 
-            start.iter_mut().for_each(|c| *c = 0);
-            for &s in subset {
-                let s = s as usize;
-                for k in comp.ext_off[s] as usize..comp.ext_off[s + 1] as usize {
-                    start[comp.ext_ev[k] as usize + 1] += 1;
-                }
-            }
+            states.expand(id, ext);
             for ev in 0..nsym {
-                start[ev + 1] += start[ev];
-            }
-            bucket.resize(start[nsym] as usize, 0);
-            fill.clear();
-            fill.extend_from_slice(&start);
-            for &s in subset {
-                let s = s as usize;
-                for k in comp.ext_off[s] as usize..comp.ext_off[s + 1] as usize {
-                    let slot = &mut fill[comp.ext_ev[k] as usize];
-                    bucket[*slot as usize] = comp.ext_tgt[k];
-                    *slot += 1;
-                }
-            }
-
-            for ev in 0..nsym {
-                next.clear();
-                for &t in &bucket[start[ev] as usize..start[ev + 1] as usize] {
-                    if !seen[t as usize] {
-                        seen[t as usize] = true;
-                        next.push(t);
-                    }
-                }
-                for &t in next.iter() {
-                    seen[t as usize] = false;
-                }
-                trans[row + ev] = if next.is_empty() {
+                trans[row + ev] = if states.dead(ev) {
                     T_NOT_A_TRACE
                 } else {
                     match sys.hub_step(hub, ev as u32) {
                         None => T_SERVICE_VIOLATION,
                         Some(next_hub) => {
-                            tau_close(&mut next, &mut seen);
+                            states.step(ev, tau, |_| false, &mut next);
                             if all_fail(&next, next_hub) {
                                 // A stall edge is terminal: the target
                                 // state is never resident, so it is not
                                 // interned or explored.
                                 T_STALL
                             } else {
-                                key.clear();
-                                key.push(next_hub);
-                                key.extend_from_slice(&next);
-                                let (to, fresh) = states.intern(&key);
-                                if fresh {
-                                    work.push(to);
-                                }
-                                to
+                                intern(&mut states, next_hub, &next, &mut work)
                             }
                         }
                     }
@@ -349,10 +295,6 @@ impl GuardProgram {
             }
         }
 
-        debug_assert!(
-            states.len() < T_SENTINEL_BASE as usize,
-            "guard DFA state space collides with verdict sentinels"
-        );
         self.dfa_initial = dfa_initial;
         self.nsym = nsym;
         self.build = GuardBuildStats {

@@ -105,7 +105,6 @@ pub struct AdmittedVersion {
 pub struct ConverterRegistry {
     dir: PathBuf,
     service: Spec,
-    threads: usize,
     next_version: u32,
 }
 
@@ -124,15 +123,8 @@ impl ConverterRegistry {
         Ok(ConverterRegistry {
             dir,
             service: service.clone(),
-            threads: 1,
             next_version: base_version.saturating_add(1),
         })
-    }
-
-    /// Worker threads for the admission check's progress scan.
-    pub fn with_verify_threads(mut self, threads: usize) -> ConverterRegistry {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The registry directory.
@@ -184,7 +176,7 @@ impl ConverterRegistry {
         // that admitted the original derivation — on the system
         // `instantiate` just compiled for the guard, not a second
         // compile of the same parts.
-        let verdict = prog.system().verify(self.threads);
+        let verdict = prog.system().verify();
         if let Err(violation) = &verdict.verdict {
             return Err(RegistryError::Refused(format!(
                 "system does not satisfy `{}`: {violation}",
@@ -284,7 +276,7 @@ mod tests {
             if let Err(RegistryError::Refused(msg)) = reg.admit(&bytes) {
                 // The refusal names exactly the violation a standalone
                 // `verify_system` finds on the same parts.
-                let violation = verify_system(&mutated, &service, 1)
+                let violation = verify_system(&mutated, &service)
                     .unwrap()
                     .verdict
                     .expect_err("a refused mutant fails verification");

@@ -4,12 +4,12 @@
 //! Each run `i` of a fleet gets its own deterministic seed
 //! [`derive_seed`]`(base, i)`, its own [`Runner`], [`ServiceMonitor`],
 //! [`ProgressWatchdog`] and fault state — runs share nothing mutable,
-//! so the fleet parallelizes embarrassingly over the vendored
-//! `threadpool`. Results are aggregated into a [`SoakReport`] that is
-//! **invariant in the thread count**: verdict counts are sums, and
-//! counterexamples are kept for the lowest-numbered failing runs, so
-//! `--threads 1` and `--threads 8` produce the same report (modulo
-//! wall-clock throughput). The differential test relies on this.
+//! so the fleet splits them into contiguous chunks, one scoped thread
+//! ([`std::thread::scope`]) per chunk. Results are aggregated into a
+//! [`SoakReport`] that is **invariant in the thread count**: verdict
+//! counts are sums, and counterexamples are kept for the lowest-numbered
+//! failing runs, so `--threads 1` and `--threads 8` produce the same
+//! report (modulo wall-clock throughput). The differential test relies on this.
 //!
 //! Failing schedules are minimized with [`shrink_schedule`] before
 //! reporting (ddmin; see [`crate::shrink`]).
@@ -22,10 +22,8 @@ use protoquot_spec::{verify_system, Spec, SpecError, VerifyEngineStats, Violatio
 use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::thread;
 use std::time::Instant;
-use threadpool::ThreadPool;
 
 /// Outcome of one soak run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -263,9 +261,8 @@ impl fmt::Display for SoakReport {
     }
 }
 
-/// Result of one run, sent back from the workers.
+/// Result of one run, returned by its chunk's thread.
 struct RunResult {
-    run: u64,
     steps: u64,
     verdict: RunVerdict,
     counterexample: Option<Counterexample>,
@@ -273,8 +270,8 @@ struct RunResult {
 
 /// Executes soak fleets over a fixed set of components and a service.
 pub struct FleetRunner {
-    components: Arc<Vec<Spec>>,
-    service: Arc<Spec>,
+    components: Vec<Spec>,
+    service: Spec,
 }
 
 impl FleetRunner {
@@ -282,8 +279,8 @@ impl FleetRunner {
     /// events always enabled) monitored against `service`.
     pub fn new(components: Vec<Spec>, service: Spec) -> FleetRunner {
         FleetRunner {
-            components: Arc::new(components),
-            service: Arc::new(service),
+            components,
+            service,
         }
     }
 
@@ -293,12 +290,9 @@ impl FleetRunner {
     /// — no composite `Spec` is materialized. The dynamic soak runs are
     /// sound with respect to this verdict: a conforming static system
     /// never produces fault-free violations.
-    pub fn static_verdict(
-        &self,
-        threads: usize,
-    ) -> Result<(Result<(), Violation>, VerifyEngineStats), SpecError> {
+    pub fn static_verdict(&self) -> Result<(Result<(), Violation>, VerifyEngineStats), SpecError> {
         let parts: Vec<&Spec> = self.components.iter().collect();
-        let out = verify_system(&parts, &self.service, threads)?;
+        let out = verify_system(&parts, &self.service)?;
         Ok((out.verdict, out.stats))
     }
 
@@ -306,57 +300,24 @@ impl FleetRunner {
     pub fn run(&self, config: &FleetConfig) -> SoakReport {
         let start = Instant::now();
         let threads = config.threads.max(1);
-        let mut results: Vec<RunResult> = Vec::with_capacity(config.runs as usize);
-        if threads == 1 {
-            for run in 0..config.runs {
-                results.push(soak_run(&self.components, &self.service, config, run));
-            }
-        } else {
-            let pool = ThreadPool::new(threads);
-            let (tx, rx) = mpsc::channel::<Vec<RunResult>>();
-            // Contiguous chunks: worker-local counterexample caps stay
-            // exact after the global merge (see below).
-            let chunk = (config.runs).div_ceil(threads as u64).max(1);
-            let mut sent = 0u64;
-            let mut jobs = 0usize;
-            while sent < config.runs {
-                let lo = sent;
-                let hi = (sent + chunk).min(config.runs);
-                sent = hi;
-                jobs += 1;
-                let components = Arc::clone(&self.components);
-                let service = Arc::clone(&self.service);
-                let config = config.clone();
-                let tx = tx.clone();
-                pool.execute(move || {
-                    let mut out = Vec::with_capacity((hi - lo) as usize);
-                    let mut kept = 0usize;
-                    for run in lo..hi {
-                        let mut r = soak_run(&components, &service, &config, run);
-                        // Cap shrink work per worker: the global merge
-                        // keeps the lowest `max_counterexamples` run
-                        // indices, and within a contiguous chunk those
-                        // are always the chunk's first failures.
-                        if r.counterexample.is_some() {
-                            if kept >= config.max_counterexamples {
-                                r.counterexample = None;
-                            } else {
-                                kept += 1;
-                            }
-                        }
-                        out.push(r);
-                    }
-                    tx.send(out).expect("fleet aggregator hung up");
-                });
-            }
-            drop(tx);
-            for _ in 0..jobs {
-                results.extend(rx.recv().expect("fleet worker died"));
-            }
-            pool.join();
-        }
-        // Thread-count invariance: aggregate in run order.
-        results.sort_by_key(|r| r.run);
+        // Contiguous chunks: chunk-local counterexample caps stay exact
+        // after the global merge (see below).
+        let chunk = config.runs.div_ceil(threads as u64).max(1);
+        let results: Vec<RunResult> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..config.runs)
+                .step_by(chunk as usize)
+                .map(|lo| {
+                    let hi = (lo + chunk).min(config.runs);
+                    scope.spawn(move || self.run_chunk(config, lo..hi))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("fleet worker died"))
+                .collect()
+        });
+        // Thread-count invariance: chunks join in order, so the
+        // aggregation below sees runs in run order.
         let mut report = SoakReport {
             runs: config.runs,
             threads,
@@ -392,6 +353,25 @@ impl FleetRunner {
             0.0
         };
         report
+    }
+
+    /// Runs `runs` in order. Shrink work is capped per chunk: the global
+    /// merge keeps the lowest `max_counterexamples` run indices, and
+    /// within a contiguous chunk those are always its first failures.
+    fn run_chunk(&self, config: &FleetConfig, runs: std::ops::Range<u64>) -> Vec<RunResult> {
+        let mut kept = 0usize;
+        runs.map(|run| {
+            let mut r = soak_run(&self.components, &self.service, config, run);
+            if r.counterexample.is_some() {
+                if kept >= config.max_counterexamples {
+                    r.counterexample = None;
+                } else {
+                    kept += 1;
+                }
+            }
+            r
+        })
+        .collect()
     }
 }
 
@@ -489,7 +469,6 @@ fn soak_run(components: &[Spec], service: &Spec, config: &FleetConfig, run: u64)
         })
     };
     RunResult {
-        run,
         steps,
         verdict,
         counterexample,
@@ -556,23 +535,17 @@ mod tests {
     }
 
     #[test]
-    fn static_verdict_agrees_with_soak_and_is_thread_invariant() {
+    fn static_verdict_agrees_with_soak() {
         let (components, service) = ping_pong();
         let clean = FleetRunner::new(components.clone(), service.clone());
-        let (verdict, stats) = clean.static_verdict(1).unwrap();
+        let (verdict, stats) = clean.static_verdict().unwrap();
         assert!(verdict.is_ok());
         assert!(stats.pairs >= 2);
 
         let broken = redirect_transition(&components[0], 1).unwrap();
         let bad = FleetRunner::new(vec![broken], service);
-        let (base, base_stats) = bad.static_verdict(1).unwrap();
+        let (base, _) = bad.static_verdict().unwrap();
         assert!(base.is_err(), "redirected delivery must fail statically");
-        for threads in [2, 8] {
-            let (v, mut s) = bad.static_verdict(threads).unwrap();
-            assert_eq!(format!("{base:?}"), format!("{v:?}"));
-            s.threads = base_stats.threads;
-            assert_eq!(s, base_stats);
-        }
     }
 
     #[test]

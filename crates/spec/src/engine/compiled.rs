@@ -10,7 +10,7 @@
 //! reference verdicts, witness traces, and violation state ids bit for
 //! bit (see `tests/verify_differential.rs`).
 
-use super::intern::SliceInterner;
+use super::subset::{Csr, SliceInterner};
 use crate::event::{Alphabet, EventId};
 use crate::spec::{Spec, StateId};
 use std::collections::HashMap;
@@ -101,10 +101,6 @@ pub(crate) fn set_bit(bits: &mut [u64], i: u32) {
     bits[(i / 64) as usize] |= 1u64 << (i % 64);
 }
 
-pub(crate) fn test_bit(bits: &[u64], i: u32) -> bool {
-    bits[(i / 64) as usize] >> (i % 64) & 1 == 1
-}
-
 pub(crate) fn bits_subset(sub: &[u64], sup: &[u64]) -> bool {
     sub.iter().zip(sup).all(|(&a, &b)| a & !b == 0)
 }
@@ -144,6 +140,24 @@ impl CompiledComposite {
     /// Total edges (external + internal CSR entries).
     pub fn num_transitions(&self) -> usize {
         self.ext_ev.len() + self.int_tgt.len()
+    }
+
+    /// The external edges, labelled by event-table index.
+    pub fn ext_edges(&self) -> Csr<'_> {
+        Csr {
+            off: &self.ext_off,
+            ev: &self.ext_ev,
+            tgt: &self.ext_tgt,
+        }
+    }
+
+    /// The internal edges.
+    pub fn int_edges(&self) -> Csr<'_> {
+        Csr {
+            off: &self.int_off,
+            ev: &[],
+            tgt: &self.int_tgt,
+        }
     }
 
     /// The component states behind composite state `i` (empty for the

@@ -9,21 +9,25 @@
 //!
 //! * **composition** — a single n-way reachable product exploration
 //!   ([`compose_all_nway`]) instead of fold-with-materialization;
-//! * **normalization** — subset construction with hash-consed,
-//!   canonically sorted hub sets and a dense ψ step table;
+//! * **normalization** — subset construction on the [`SubsetKernel`],
+//!   with interned, canonically sorted hub sets and a dense ψ step table;
 //! * **satisfaction** — a depth-first product frontier over a bitmap of
-//!   pairs and a progress scan split across the vendored `threadpool`,
-//!   with a sequential canonical BFS re-walk on failure paths only.
+//!   pairs and one progress scan, with a canonical BFS re-walk on
+//!   failure paths only.
+//!
+//! The [`SubsetKernel`] is also the one subset construction the rest of
+//! the workspace runs on: the Fig. 5 safety engine in `protoquot-core`
+//! and the runtime guard's DFA build both loop over it.
 //!
 //! Everything observable — verdicts, witness traces, violation state
-//! ids, `needed`/`offered` sets — is **bit identical** to the reference
-//! at every thread count; `tests/verify_differential.rs` enforces this.
-//! The reference functions stay in place as oracles.
+//! ids, `needed`/`offered` sets — is **bit identical** to the reference;
+//! `tests/verify_differential.rs` enforces this. The reference functions
+//! stay in place as oracles.
 
 mod compiled;
-mod intern;
 mod norm;
 mod product;
+mod subset;
 
 use crate::error::SpecError;
 use crate::event::{Alphabet, EventId};
@@ -36,12 +40,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 pub use compiled::{CompiledComposite, EventTable, DENSE_TUPLE_SLOTS};
-pub use intern::SliceInterner;
+pub use subset::{Csr, SliceInterner, SubsetKernel};
 
 /// Size and work counters of one engine verification run.
-///
-/// All fields except `threads` are deterministic: they do not vary with
-/// the thread count (asserted by the differential tests).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VerifyEngineStats {
     /// Composite states explored (equals the reference composite).
@@ -57,22 +58,14 @@ pub struct VerifyEngineStats {
     pub dedup_hits: usize,
     /// Bytes held by the compiled CSR tables and interned keys.
     pub arena_bytes: usize,
-    /// Worker threads used for the progress scan.
-    pub threads: usize,
 }
 
 impl std::fmt::Display for VerifyEngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "states={} transitions={} hubs={} pairs={} dedup_hits={} arena={}B threads={}",
-            self.states,
-            self.transitions,
-            self.hubs,
-            self.pairs,
-            self.dedup_hits,
-            self.arena_bytes,
-            self.threads
+            "states={} transitions={} hubs={} pairs={} dedup_hits={} arena={}B",
+            self.states, self.transitions, self.hubs, self.pairs, self.dedup_hits, self.arena_bytes
         )
     }
 }
@@ -125,8 +118,8 @@ fn solo_alphabet(counts: &HashMap<EventId, usize>) -> Alphabet {
 pub struct CompiledSystem {
     table: Arc<EventTable>,
     comp: CompiledComposite,
-    norm: Arc<CompiledNormal>,
-    tau: Arc<Vec<u64>>,
+    norm: CompiledNormal,
+    tau: Vec<u64>,
 }
 
 impl CompiledSystem {
@@ -160,8 +153,8 @@ impl CompiledSystem {
         Ok(CompiledSystem {
             table: Arc::new(table),
             comp,
-            norm: Arc::new(norm),
-            tau: Arc::new(tau),
+            norm,
+            tau,
         })
     }
 
@@ -209,13 +202,11 @@ impl CompiledSystem {
             .any(|needed| bits_subset(needed, offered))
     }
 
-    /// Checks that the system satisfies the service, with the progress
-    /// scan on `threads` workers. Equivalent to
+    /// Checks that the system satisfies the service. Equivalent to
     /// `satisfies(&compose_all(parts)?, service)`: same verdict, same
-    /// witness, at every thread count.
-    pub fn verify(&self, threads: usize) -> EngineVerdict {
-        let threads = threads.max(1);
-        let outcome = run_product(self, threads);
+    /// witness.
+    pub fn verify(&self) -> EngineVerdict {
+        let outcome = run_product(self);
         EngineVerdict {
             verdict: outcome.verdict,
             stats: VerifyEngineStats {
@@ -225,7 +216,6 @@ impl CompiledSystem {
                 pairs: outcome.pairs,
                 dedup_hits: self.comp.dedup_hits + self.norm.dedup_hits,
                 arena_bytes: self.comp.arena_bytes + self.norm.arena_bytes,
-                threads,
             },
         }
     }
@@ -236,20 +226,9 @@ impl CompiledSystem {
 ///
 /// Equivalent to `satisfies(&compose_all(parts)?, service)` — same
 /// errors, same verdict, same witness — but without materializing the
-/// composite `Spec`, and with the progress scan split across `threads`
-/// workers.
-pub fn verify_system(
-    parts: &[&Spec],
-    service: &Spec,
-    threads: usize,
-) -> Result<EngineVerdict, SpecError> {
-    Ok(CompiledSystem::new(parts, service)?.verify(threads))
-}
-
-/// Engine counterpart of [`crate::satisfies`]: checks `B satisfies A`
-/// with `threads` workers, returning the identical verdict plus stats.
-pub fn satisfies_engine(b: &Spec, a: &Spec, threads: usize) -> Result<EngineVerdict, SpecError> {
-    verify_system(&[b], a, threads)
+/// composite `Spec`.
+pub fn verify_system(parts: &[&Spec], service: &Spec) -> Result<EngineVerdict, SpecError> {
+    Ok(CompiledSystem::new(parts, service)?.verify())
 }
 
 /// N-way composition as a single product exploration.
@@ -383,11 +362,9 @@ mod tests {
         sb.int(mid, s1);
         sb.ext(s1, "del", s0);
         let imp = sb.build().unwrap();
-        for threads in [1, 2, 4] {
-            let out = satisfies_engine(&imp, &service, threads).unwrap();
-            assert!(out.verdict.is_ok());
-            assert!(out.stats.pairs >= 3);
-        }
+        let out = verify_system(&[&imp], &service).unwrap();
+        assert!(out.verdict.is_ok());
+        assert!(out.stats.pairs >= 3);
     }
 
     #[test]
@@ -401,14 +378,12 @@ mod tests {
         sb.ext(s1, "del", s1); // duplicate delivery
         let imp = sb.build().unwrap();
         let reference = satisfies(&imp, &service).unwrap();
-        for threads in [1, 2, 8] {
-            let engine = satisfies_engine(&imp, &service, threads).unwrap();
-            match (&reference, &engine.verdict) {
-                (Err(Violation::Safety { trace: rt }), Err(Violation::Safety { trace: et })) => {
-                    assert_eq!(rt, et);
-                }
-                other => panic!("expected matching safety violations, got {other:?}"),
+        let engine = verify_system(&[&imp], &service).unwrap();
+        match (&reference, &engine.verdict) {
+            (Err(Violation::Safety { trace: rt }), Err(Violation::Safety { trace: et })) => {
+                assert_eq!(rt, et);
             }
+            other => panic!("expected matching safety violations, got {other:?}"),
         }
     }
 
@@ -424,30 +399,28 @@ mod tests {
         sb.int(s1, dead);
         let imp = sb.build().unwrap();
         let reference = satisfies(&imp, &service).unwrap();
-        for threads in [1, 2, 8] {
-            let engine = satisfies_engine(&imp, &service, threads).unwrap();
-            match (&reference, &engine.verdict) {
-                (
-                    Err(Violation::Progress {
-                        trace: rt,
-                        state: rs,
-                        needed: rn,
-                        offered: ro,
-                    }),
-                    Err(Violation::Progress {
-                        trace: et,
-                        state: es,
-                        needed: en,
-                        offered: eo,
-                    }),
-                ) => {
-                    assert_eq!(rt, et);
-                    assert_eq!(rs, es);
-                    assert_eq!(rn, en);
-                    assert_eq!(ro, eo);
-                }
-                other => panic!("expected matching progress violations, got {other:?}"),
+        let engine = verify_system(&[&imp], &service).unwrap();
+        match (&reference, &engine.verdict) {
+            (
+                Err(Violation::Progress {
+                    trace: rt,
+                    state: rs,
+                    needed: rn,
+                    offered: ro,
+                }),
+                Err(Violation::Progress {
+                    trace: et,
+                    state: es,
+                    needed: en,
+                    offered: eo,
+                }),
+            ) => {
+                assert_eq!(rt, et);
+                assert_eq!(rs, es);
+                assert_eq!(rn, en);
+                assert_eq!(ro, eo);
             }
+            other => panic!("expected matching progress violations, got {other:?}"),
         }
     }
 
@@ -456,12 +429,12 @@ mod tests {
         let b = alternator("b", "x", "y");
         let a = alternator("a", "x", "z");
         let reference = satisfies(&b, &a).unwrap_err();
-        let engine = satisfies_engine(&b, &a, 1).unwrap_err();
+        let engine = verify_system(&[&b], &a).unwrap_err();
         assert_eq!(format!("{reference}"), format!("{engine}"));
     }
 
     #[test]
-    fn stats_are_thread_invariant() {
+    fn stats_match_the_reference_composite() {
         let (p0, p1, p2) = relay_parts();
         let composite = compose_all(&[&p0, &p1, &p2]).unwrap();
         let service = {
@@ -474,13 +447,14 @@ mod tests {
             sb.build().unwrap()
         };
         let reference = satisfies(&composite, &service).unwrap();
-        let base = verify_system(&[&p0, &p1, &p2], &service, 1).unwrap();
+        let base = verify_system(&[&p0, &p1, &p2], &service).unwrap();
         assert_eq!(reference.is_ok(), base.verdict.is_ok());
-        for threads in [2, 8] {
-            let out = verify_system(&[&p0, &p1, &p2], &service, threads).unwrap();
-            let mut stats = out.stats;
-            stats.threads = base.stats.threads;
-            assert_eq!(stats, base.stats);
-        }
+        assert_eq!(base.stats.states, composite.num_states());
+        assert_eq!(
+            base.stats.transitions,
+            composite.num_external() + composite.num_internal()
+        );
+        let again = verify_system(&[&p0, &p1, &p2], &service).unwrap();
+        assert_eq!(again.stats, base.stats);
     }
 }

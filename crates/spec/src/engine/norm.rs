@@ -1,18 +1,18 @@
 //! Compiled determinization of the service specification.
 //!
-//! The same subset construction as [`crate::normal::normalize`], but
-//! hubs are hash-consed, canonically sorted `Arc<[u32]>` state sets and
-//! the ψ step function is a dense `hubs × events` table instead of
-//! per-hub `HashMap`s. Hub numbering is internal to the engine — the
-//! verdict-relevant content per hub (acceptance sets in first-occurrence
+//! The same subset construction as [`crate::normal::normalize`], run on
+//! the [`SubsetKernel`]: hubs are interned, canonically sorted state
+//! sets and the ψ step function is a dense `hubs × events` table
+//! instead of per-hub `HashMap`s. Hub numbering is internal to the
+//! engine — the content per hub (acceptance sets in first-occurrence
 //! order over ascending members, and the step function on state sets)
-//! is identical to the reference.
+//! is identical to the reference, up to that renaming.
 
-use super::compiled::{set_bit, test_bit, EventTable};
+use super::compiled::{build_single, EventTable};
+use super::subset::SubsetKernel;
 use crate::sink::SinkInfo;
 use crate::spec::{Spec, StateId};
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 /// Sentinel for "event not accepted by this hub" in the step table.
 pub(crate) const NO_HUB: u32 = u32::MAX;
@@ -49,7 +49,9 @@ impl CompiledNormal {
 }
 
 /// Runs the subset construction over `a` against the interned event
-/// table. Every event of `a`'s alphabet must be in the table.
+/// table, on the [`SubsetKernel`]: hubs are expanded in id order, ψ
+/// steps in event-table order. Every event of `a`'s alphabet must be in
+/// the table.
 pub(crate) fn compile_normal(a: &Spec, tbl: &EventTable) -> CompiledNormal {
     let ne = tbl.len();
     let words = tbl.words();
@@ -66,68 +68,27 @@ pub(crate) fn compile_normal(a: &Spec, tbl: &EventTable) -> CompiledNormal {
         }
     }
 
-    let mut mark = vec![false; n];
-    // λ*-closure of `seed`, returned sorted — the canonical hub key.
-    let mut close = move |seed: &[u32], a: &Spec| -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        let mut stack: Vec<u32> = Vec::new();
-        for &s in seed {
-            if !mark[s as usize] {
-                mark[s as usize] = true;
-                out.push(s);
-                stack.push(s);
-            }
-        }
-        while let Some(s) = stack.pop() {
-            for &t in a.internal_from(StateId(s)) {
-                if !mark[t.0 as usize] {
-                    mark[t.0 as usize] = true;
-                    out.push(t.0);
-                    stack.push(t.0);
-                }
-            }
-        }
-        for &s in &out {
-            mark[s as usize] = false;
-        }
-        out.sort_unstable();
-        out
-    };
+    // `a` in CSR form: external edges labelled by event index, λ edges.
+    let csr = build_single(a, tbl);
+    let (ext, lambda) = (csr.ext_edges(), csr.int_edges());
 
-    let mut intern: HashMap<Arc<[u32]>, u32> = HashMap::new();
-    let mut hubs: Vec<Arc<[u32]>> = Vec::new();
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    let mut dedup_hits = 0usize;
-    let mut key_bytes = 0usize;
-
-    let root: Arc<[u32]> = close(&[a.initial().0], a).into();
-    key_bytes += root.len() * 4;
-    intern.insert(root.clone(), 0);
-    hubs.push(root);
-    queue.push_back(0);
+    let mut hubs = SubsetKernel::new(n, ne, NO_HUB as usize);
+    let mut set = vec![a.initial().0];
+    hubs.close(&mut set, lambda, |_| false);
+    hubs.intern(&set);
 
     let mut step: Vec<u32> = Vec::new();
     let mut acc_data: Vec<u64> = Vec::new();
     let mut acc_off: Vec<u32> = vec![0];
-    let mut enabled = vec![0u64; words];
-    let mut seed: Vec<u32> = Vec::new();
 
-    // FIFO pops process hubs exactly in id order, so `step` and the
-    // acceptance storage grow row by row.
-    while let Some(h) = queue.pop_front() {
-        let q = hubs[h as usize].clone();
-
-        enabled.iter_mut().for_each(|w| *w = 0);
-        for &s in q.iter() {
-            for &(e, _) in a.external_from(StateId(s)) {
-                set_bit(&mut enabled, tbl.idx(e));
-            }
-        }
-
+    // Hubs are expanded in id order, so `step` and the acceptance
+    // storage grow row by row.
+    let mut h = 0u32;
+    while (h as usize) < hubs.len() {
         // Acceptance: sink SCC τ* sets over ascending members,
         // deduplicated keeping first occurrence — the reference order.
         let first_set = acc_data.len() / words;
-        for &s in q.iter() {
+        for &s in hubs.get(h) {
             if sinks.is_sink(StateId(s)) {
                 let bits = &scc_bits[&sinks.scc_of(StateId(s))];
                 let sets_so_far = acc_data.len() / words;
@@ -144,43 +105,21 @@ pub(crate) fn compile_normal(a: &Spec, tbl: &EventTable) -> CompiledNormal {
         );
         acc_off.push((acc_data.len() / words) as u32);
 
-        for ev in 0..ne as u32 {
-            if !test_bit(&enabled, ev) {
-                step.push(NO_HUB);
-                continue;
-            }
-            let e = tbl.events[ev as usize];
-            seed.clear();
-            for &s in q.iter() {
-                for &(e2, t) in a.external_from(StateId(s)) {
-                    if e2 == e {
-                        seed.push(t.0);
-                    }
-                }
-            }
-            let next = close(&seed, a);
-            let id = match intern.get(next.as_slice()) {
-                Some(&i) => {
-                    dedup_hits += 1;
-                    i
-                }
-                None => {
-                    let i = hubs.len() as u32;
-                    key_bytes += next.len() * 4;
-                    let key: Arc<[u32]> = next.into();
-                    intern.insert(key.clone(), i);
-                    hubs.push(key);
-                    queue.push_back(i);
-                    i
-                }
-            };
-            step.push(id);
+        hubs.expand(h, ext);
+        for ev in 0..ne {
+            step.push(if hubs.dead(ev) {
+                NO_HUB
+            } else {
+                hubs.step(ev, lambda, |_| false, &mut set);
+                hubs.intern(&set).expect("hub ids stay below NO_HUB").0
+            });
         }
+        h += 1;
     }
 
     let nh = hubs.len();
     debug_assert_eq!(step.len(), nh * ne);
-    let arena_bytes = key_bytes + 4 * (step.len() + acc_off.len()) + 8 * acc_data.len();
+    let arena_bytes = hubs.key_bytes() + 4 * (step.len() + acc_off.len()) + 8 * acc_data.len();
     CompiledNormal {
         nh,
         ne,
@@ -189,7 +128,121 @@ pub(crate) fn compile_normal(a: &Spec, tbl: &EventTable) -> CompiledNormal {
         step,
         acc_data,
         acc_off,
-        dedup_hits,
+        dedup_hits: hubs.dedup_hits(),
         arena_bytes,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::normal::normalize;
+    use crate::spec::SpecBuilder;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::VecDeque;
+
+    /// Walks the compiled normal form and the reference [`normalize`] in
+    /// lockstep from their initial hubs: same hub count, the same
+    /// defined/undefined ψ step per event, a consistent hub bijection,
+    /// and equal acceptance lists in order.
+    fn assert_matches_reference(label: &str, a: &Spec) {
+        let reference = normalize(a);
+        let tbl = EventTable::new(a.alphabet());
+        let norm = compile_normal(a, &tbl);
+        assert_eq!(norm.nh, reference.num_hubs(), "{label}: hub count");
+        let mut to_ref = vec![usize::MAX; norm.nh];
+        let mut to_norm = vec![u32::MAX; norm.nh];
+        let mut queue = VecDeque::new();
+        let mut pair = |h: u32, r: usize, queue: &mut VecDeque<(u32, usize)>| {
+            if to_ref[h as usize] == usize::MAX && to_norm[r] == u32::MAX {
+                to_ref[h as usize] = r;
+                to_norm[r] = h;
+                queue.push_back((h, r));
+            }
+            assert!(
+                to_ref[h as usize] == r && to_norm[r] == h,
+                "{label}: hub {h} pairs with reference hubs {r} and {}",
+                to_ref[h as usize]
+            );
+        };
+        pair(norm.initial, reference.initial_hub(), &mut queue);
+        while let Some((h, r)) = queue.pop_front() {
+            let acc: Vec<_> = norm
+                .acceptance(h as usize)
+                .map(|bits| tbl.to_alphabet(bits))
+                .collect();
+            assert_eq!(
+                acc,
+                reference.acceptance(r),
+                "{label}: acceptance of hub {h}"
+            );
+            for (ev, &e) in tbl.events.iter().enumerate() {
+                match (norm.step[h as usize * norm.ne + ev], reference.step(r, e)) {
+                    (NO_HUB, None) => {}
+                    (h2, Some(r2)) if h2 != NO_HUB => pair(h2, r2, &mut queue),
+                    (h2, r2) => {
+                        panic!("{label}: ψ({h}, {e}) is {h2} here, {r2:?} in the reference")
+                    }
+                }
+            }
+        }
+        assert!(
+            to_norm.iter().all(|&h| h != NO_HUB),
+            "{label}: unpaired hubs"
+        );
+    }
+
+    fn cycle(name: &str, w: usize) -> Spec {
+        let mut b = SpecBuilder::new(name);
+        let states: Vec<_> = (0..=w).map(|i| b.state(&format!("out{i}"))).collect();
+        for i in 0..w {
+            b.ext(states[i], "acc", states[i + 1]);
+            b.ext(states[i + 1], "del", states[i]);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn compiled_normal_form_matches_the_reference() {
+        // The scaling families' services: exactly-once is window 1.
+        for w in 1..=3 {
+            assert_matches_reference(&format!("window-{w}"), &cycle("S", w));
+        }
+        // The §5 weakening (at-least-once), whose duplicate choice is
+        // internal: two acceptance sets on one hub.
+        let mut b = SpecBuilder::new("S-at-least-once");
+        let (u0, u1, hub) = (b.state("u0"), b.state("u1"), b.state("u2"));
+        let (done, dup) = (b.state("u2-done"), b.state("u2-dup"));
+        b.ext(u0, "acc", u1);
+        b.ext(u1, "del", hub);
+        b.int(hub, done);
+        b.int(hub, dup);
+        b.ext(done, "acc", u1);
+        b.ext(dup, "del", hub);
+        assert_matches_reference("at-least-once", &b.build().unwrap());
+        // The random-component sweep's shape (8 states over acc, del and
+        // three internal events, two extra edges a state, 30 % λ edges),
+        // each component normalized as a service: nondeterminism and
+        // λ-closures the services above do not have.
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = SpecBuilder::new("random");
+            let states: Vec<_> = (0..8).map(|i| b.state(&format!("s{i}"))).collect();
+            let events = ["acc", "del", "m0", "m1", "m2"];
+            for i in 1..8 {
+                let from = states[rng.gen_range(0..i)];
+                b.ext(from, events[rng.gen_range(0..events.len())], states[i]);
+            }
+            for &s in &states {
+                for _ in 0..2 {
+                    let to = states[rng.gen_range(0..8)];
+                    b.ext(s, events[rng.gen_range(0..events.len())], to);
+                }
+                if rng.gen_range(0..100) < 30 {
+                    b.int(s, states[rng.gen_range(0..8)]);
+                }
+            }
+            assert_matches_reference(&format!("random({seed})"), &b.build().unwrap());
+        }
     }
 }

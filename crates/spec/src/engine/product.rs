@@ -2,12 +2,11 @@
 //! inclusion, progress as sink-acceptance containment.
 //!
 //! The happy path is a depth-first frontier over a bitmap of pairs,
-//! then a progress scan of the pair space against the system's τ* rows;
-//! `threads` workers split only the progress scan.
-//! Only when a check *fails* does a sequential canonical BFS re-walk
-//! run, reproducing the reference exploration order exactly — so the
+//! then one scan of the reached pairs against the system's τ* rows.
+//! Only when a check *fails* does a canonical BFS re-walk run,
+//! reproducing the reference exploration order exactly — so the
 //! witness trace, violation state id, and needed/offered sets are bit
-//! identical to [`crate::satisfies`] at every thread count.
+//! identical to [`crate::satisfies`].
 
 use super::compiled::{bits_subset, CompiledComposite};
 use super::norm::{CompiledNormal, NO_HUB};
@@ -15,9 +14,6 @@ use super::CompiledSystem;
 use crate::satisfy::{SatisfactionResult, Violation};
 use crate::spec::StateId;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use threadpool::ThreadPool;
 
 use super::compiled::EventTable;
 
@@ -117,13 +113,12 @@ fn trace_to(walk: &Walk, tbl: &EventTable, mut i: usize) -> Vec<crate::event::Ev
 pub(crate) struct ProductOutcome {
     pub(crate) verdict: SatisfactionResult,
     /// Reachable product pairs (up to the stopping point on a safety
-    /// violation — deterministic across thread counts by construction).
+    /// violation).
     pub(crate) pairs: usize,
 }
 
-pub(crate) fn run_product(sys: &CompiledSystem, threads: usize) -> ProductOutcome {
+pub(crate) fn run_product(sys: &CompiledSystem) -> ProductOutcome {
     let (comp, norm, tau, tbl) = (&sys.comp, &sys.norm, &sys.tau, &*sys.table);
-    let threads = threads.max(1);
     let total = comp.n as u64 * norm.nh as u64;
     let Some(seen) = reachable_pairs(comp, norm, total) else {
         // Canonical re-walk to the reference's first violation.
@@ -141,38 +136,7 @@ pub(crate) fn run_product(sys: &CompiledSystem, threads: usize) -> ProductOutcom
 
     // Progress: some acceptance set of the hub must be offered (τ*) by
     // the composite state, for every reachable pair.
-    let seen = Arc::new(seen);
-    let any_fail = if threads == 1 {
-        progress_scan_range(norm, &seen, tau, 0, total)
-    } else {
-        let fail = Arc::new(AtomicBool::new(false));
-        let next_chunk = Arc::new(AtomicUsize::new(0));
-        let chunk = ((total / (threads as u64 * 8)) + 1).max(256);
-        let nchunks = total.div_ceil(chunk);
-        let pool = ThreadPool::new(threads);
-        for _ in 0..threads {
-            let norm = Arc::clone(norm);
-            let seen = Arc::clone(&seen);
-            let tau = Arc::clone(tau);
-            let fail = Arc::clone(&fail);
-            let next_chunk = Arc::clone(&next_chunk);
-            pool.execute(move || loop {
-                let c = next_chunk.fetch_add(1, Ordering::Relaxed) as u64;
-                if c >= nchunks || fail.load(Ordering::Relaxed) {
-                    return;
-                }
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(total);
-                if progress_scan_range(&norm, &seen, &tau, lo, hi) {
-                    fail.store(true, Ordering::Relaxed);
-                    return;
-                }
-            });
-        }
-        pool.join();
-        fail.load(Ordering::Relaxed)
-    };
-
+    let any_fail = progress_fails(norm, &seen, tau, total);
     let pairs = seen.iter().map(|w| w.count_ones() as usize).sum();
 
     if !any_fail {
@@ -253,10 +217,10 @@ fn reachable_pairs(
     Some(seen)
 }
 
-fn progress_scan_range(norm: &CompiledNormal, seen: &[u64], tau: &[u64], lo: u64, hi: u64) -> bool {
+fn progress_fails(norm: &CompiledNormal, seen: &[u64], tau: &[u64], total: u64) -> bool {
     let words = norm.words;
     let nh = norm.nh as u64;
-    for p in lo..hi {
+    for p in 0..total {
         if seen[(p / 64) as usize] >> (p % 64) & 1 == 0 {
             continue;
         }

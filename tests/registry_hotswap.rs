@@ -134,9 +134,8 @@ fn verified_swap_under_load_is_invisible() {
 
     // Admit a freshly encoded, re-verified artifact as v2 and swap.
     let dir = tempdir("swap");
-    let mut registry = ConverterRegistry::open(&dir, &service, gw.active_version())
-        .expect("registry opens")
-        .with_verify_threads(2);
+    let mut registry =
+        ConverterRegistry::open(&dir, &service, gw.active_version()).expect("registry opens");
     let bytes = artifact::encode(&parts, &service).expect("artifact encodes");
     let admitted = registry.admit(&bytes).expect("verified artifact admits");
     assert_eq!(admitted.version, 2);

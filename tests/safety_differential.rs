@@ -1,10 +1,11 @@
-//! Differential test for the interned parallel safety engine: on every
+//! Differential test for the interned safety engine: on every
 //! benchmark-family instance, a sweep of random components and both
 //! paper §5 configurations, the engine must produce a **bit-identical**
-//! [`protoquot_core::SafetyPhase`] — same `c0` (state names included,
-//! thanks to the canonical BFS renumbering), same `f` pair sets, same
-//! transition order — as the direct Figure 5 transcription
-//! (`safety_phase_reference`), at 1, 2 and 8 worker threads alike.
+//! [`protoquot_core::SafetyPhase`] — same `c0` (state names included:
+//! the engine's ids are the reference's FIFO discovery order), same `f`
+//! pair sets, same transition order — as the direct Figure 5
+//! transcription (`safety_phase_reference`). Its counters are pinned on
+//! nfa-blowup(1..11).
 
 use protoquot_core::{safety_engine, safety_phase_reference, SafetyLimits};
 use protoquot_protocols::{
@@ -13,81 +14,67 @@ use protoquot_protocols::{
 };
 use protoquot_spec::{normalize, Alphabet, Spec};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
 /// Runs the engine against the reference on one problem and asserts
-/// bit-identical output at every thread count. Returns false when the
+/// bit-identical output. Returns false when the
 /// problem has no safe converter or exceeds the budget — in which case
 /// the engine must agree on *that* too (callers count covered
 /// instances).
 fn engines_agree(label: &str, b: &Spec, service: &Spec, int: &Alphabet) -> bool {
     let na = normalize(service);
+    let mut covered = false;
     for include_vacuous in [false, true] {
         let reference =
             safety_phase_reference(b, &na, int, include_vacuous, SafetyLimits::default());
-        for threads in THREAD_COUNTS {
-            let engine = safety_engine(
-                b,
-                &na,
-                int,
-                include_vacuous,
-                SafetyLimits::default(),
-                threads,
-            );
-            match (&reference, &engine) {
-                (Ok(Some(r)), Ok(Some(e))) => {
-                    assert_eq!(
-                        e.phase.c0, r.c0,
-                        "{label} / vacuous={include_vacuous} / threads={threads}: C0 differs"
-                    );
-                    assert_eq!(
-                        e.phase.f, r.f,
-                        "{label} / vacuous={include_vacuous} / threads={threads}: f differs"
-                    );
-                    assert_eq!(e.phase.includes_vacuous, r.includes_vacuous);
-                    // The spec compares transitions as sets; the issue
-                    // demands identical *order* too, so compare the
-                    // enumerations directly.
-                    let rt: Vec<_> = r.c0.external_transitions().collect();
-                    let et: Vec<_> = e.phase.c0.external_transitions().collect();
-                    assert_eq!(
-                        et, rt,
-                        "{label} / vacuous={include_vacuous} / threads={threads}: \
-                         transition order differs"
-                    );
-                    // And the names really are the canonical c0..cN.
-                    for (i, s) in r.c0.states().enumerate() {
-                        assert_eq!(e.phase.c0.state_name(s), format!("c{i}"));
-                    }
-                    assert_eq!(e.stats.states, r.c0.num_states());
-                    assert_eq!(e.stats.transitions, r.c0.num_external());
-                    assert_eq!(e.stats.threads, threads);
+        covered |= !include_vacuous && matches!(reference, Ok(Some(_)));
+        let engine = safety_engine(b, &na, int, include_vacuous, SafetyLimits::default(), 1);
+        match (&reference, &engine) {
+            (Ok(Some(r)), Ok(Some(e))) => {
+                assert_eq!(
+                    e.phase.c0, r.c0,
+                    "{label} / vacuous={include_vacuous}: C0 differs"
+                );
+                assert_eq!(
+                    e.phase.f, r.f,
+                    "{label} / vacuous={include_vacuous}: f differs"
+                );
+                assert_eq!(e.phase.includes_vacuous, r.includes_vacuous);
+                // The spec compares transitions as sets, but the engine must
+                // also keep the reference's transition order, so compare the
+                // enumerations directly.
+                let rt: Vec<_> = r.c0.external_transitions().collect();
+                let et: Vec<_> = e.phase.c0.external_transitions().collect();
+                assert_eq!(
+                    et, rt,
+                    "{label} / vacuous={include_vacuous}: \
+                     transition order differs"
+                );
+                // And the names really are the canonical c0..cN.
+                for (i, s) in r.c0.states().enumerate() {
+                    assert_eq!(e.phase.c0.state_name(s), format!("c{i}"));
                 }
-                (Ok(None), Ok(None)) => {}
-                (Err(r), Err(e)) => {
-                    assert_eq!(e.violation.event, r.violation.event, "{label}");
-                    assert_eq!(e.violation.hub, r.violation.hub, "{label}");
-                    assert_eq!(e.violation.b_state, r.violation.b_state, "{label}");
-                }
-                (r, e) => panic!(
-                    "{label} / vacuous={include_vacuous} / threads={threads}: outcome \
-                     shape differs (reference ok={:?}, engine ok={:?})",
-                    r.is_ok(),
-                    e.is_ok()
-                ),
+                assert_eq!(e.stats.states, r.c0.num_states());
+                assert_eq!(e.stats.transitions, r.c0.num_external());
+                assert_eq!(
+                    e.stats.dedup_hits,
+                    e.stats.transitions - (e.stats.states - 1),
+                    "{label}: every transition but a new state's is a dedup hit"
+                );
             }
+            (Ok(None), Ok(None)) => {}
+            (Err(r), Err(e)) => {
+                assert_eq!(e.violation.event, r.violation.event, "{label}");
+                assert_eq!(e.violation.hub, r.violation.hub, "{label}");
+                assert_eq!(e.violation.b_state, r.violation.b_state, "{label}");
+            }
+            (r, e) => panic!(
+                "{label} / vacuous={include_vacuous}: outcome \
+                 shape differs (reference ok={:?}, engine ok={:?})",
+                r.is_ok(),
+                e.is_ok()
+            ),
         }
     }
-    matches!(&reference_outcome(b, &na, int), Ok(Some(_)))
-}
-
-/// The reference outcome used only for coverage counting.
-fn reference_outcome(
-    b: &Spec,
-    na: &protoquot_spec::NormalSpec,
-    int: &Alphabet,
-) -> Result<Option<protoquot_core::SafetyPhase>, protoquot_core::SafetyFailure> {
-    safety_phase_reference(b, na, int, false, SafetyLimits::default())
+    covered
 }
 
 #[test]
@@ -177,17 +164,48 @@ fn engines_agree_at_tight_budgets() {
     for max_states in [0, 1, n - 1, n, n + 1] {
         let reference =
             safety_phase_reference(&b, &na, &int, false, SafetyLimits { max_states }).unwrap();
-        for threads in THREAD_COUNTS {
-            let engine =
-                safety_engine(&b, &na, &int, false, SafetyLimits { max_states }, threads).unwrap();
+        let engine = safety_engine(&b, &na, &int, false, SafetyLimits { max_states }, 1).unwrap();
+        assert_eq!(engine.is_some(), reference.is_some(), "budget {max_states}");
+        if let (Some(e), Some(r)) = (&engine, &reference) {
+            assert_eq!(e.phase.c0, r.c0, "budget {max_states}");
+        }
+    }
+}
+
+/// Safety-engine counters on nfa-blowup(n), n = 1..=11:
+/// `(states, transitions, dedup_hits, arena_bytes)`, with or without
+/// vacuous states (the family has none).
+const NFA_BLOWUP_SAFETY: [(usize, usize, usize, usize); 11] = [
+    (3, 6, 4, 24),
+    (5, 10, 6, 48),
+    (9, 18, 10, 104),
+    (17, 34, 18, 232),
+    (33, 66, 34, 520),
+    (65, 130, 66, 1160),
+    (129, 258, 130, 2568),
+    (257, 514, 258, 5640),
+    (513, 1026, 514, 12296),
+    (1025, 2050, 1026, 26632),
+    (2049, 4098, 2050, 57352),
+];
+
+#[test]
+fn engine_counters_are_pinned_on_nfa_blowup() {
+    let na = normalize(&exactly_once());
+    for (i, &pinned) in NFA_BLOWUP_SAFETY.iter().enumerate() {
+        let (b, int) = nfa_blowup(i + 1);
+        for include_vacuous in [false, true] {
+            let s = safety_engine(&b, &na, &int, include_vacuous, SafetyLimits::default(), 1)
+                .unwrap()
+                .unwrap()
+                .stats;
             assert_eq!(
-                engine.is_some(),
-                reference.is_some(),
-                "budget {max_states} / threads {threads}"
+                (s.states, s.transitions, s.dedup_hits, s.arena_bytes),
+                pinned,
+                "nfa-blowup({}) / vacuous={include_vacuous}",
+                i + 1
             );
-            if let (Some(e), Some(r)) = (&engine, &reference) {
-                assert_eq!(e.phase.c0, r.c0, "budget {max_states} / threads {threads}");
-            }
+            assert_eq!(s.dedup_hits, s.transitions - (s.states - 1));
         }
     }
 }

@@ -2,13 +2,13 @@
 //! benchmark-family instance, a sweep of random components, both paper
 //! §5 configurations and the AB↔NAK gateway, one
 //! [`protoquot_spec::CompiledSystem`] — compiled once, as registry
-//! admission reuses the guard's — verified at 1, 2 and 8 worker threads
-//! must be **bit-identical** to the retained reference oracle
+//! admission reuses the guard's — must verify **bit-identically** to
+//! the retained reference oracle
 //! ([`protoquot_core::converter_verdict_reference`] = pairwise
 //! `compose` + interpreted `satisfies`): same verdict shape, same
 //! witness trace event-for-event, same `Progress` state/needed/offered
-//! contents. Engine counters must not depend on the thread count
-//! either.
+//! contents. Its size counters must match the reference composite, and
+//! on nfa-blowup(1..11) the engine and guard counters are pinned.
 //!
 //! The n-way composition the engine explores is pinned too:
 //! [`protoquot_spec::compose_all_nway`] must equal the reference
@@ -24,12 +24,11 @@ use protoquot_protocols::{
     ab_to_nak_configuration, colocated_configuration, exactly_once, nfa_blowup, random_component,
     relay_chain, symmetric_configuration, toggle_puzzle, windowed, Configuration, RandomParams,
 };
+use protoquot_runtime::GuardProgram;
 use protoquot_spec::{
-    compose_all, compose_all_nway, Alphabet, Closures, CompiledSystem, Spec, SpecBuilder, StateId,
-    VerifyEngineStats, Violation, DENSE_TUPLE_SLOTS,
+    compose, compose_all, compose_all_nway, Alphabet, Closures, CompiledSystem, Spec, SpecBuilder,
+    StateId, Violation, DENSE_TUPLE_SLOTS,
 };
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// A converter over `int` that declares every interface event but
 /// enables none: composing it with `B` freezes all interaction on
@@ -64,13 +63,10 @@ fn drop_last_transition(c: &Spec) -> Spec {
     cb.build().expect("mutant converter is well-formed")
 }
 
-fn assert_violation_eq(label: &str, threads: usize, r: &Violation, e: &Violation) {
+fn assert_violation_eq(label: &str, r: &Violation, e: &Violation) {
     match (r, e) {
         (Violation::Safety { trace: rt }, Violation::Safety { trace: et }) => {
-            assert_eq!(
-                et, rt,
-                "{label} / threads={threads}: safety witness differs"
-            );
+            assert_eq!(et, rt, "{label}: safety witness differs");
         }
         (
             Violation::Progress {
@@ -86,28 +82,20 @@ fn assert_violation_eq(label: &str, threads: usize, r: &Violation, e: &Violation
                 offered: eo,
             },
         ) => {
-            assert_eq!(
-                et, rt,
-                "{label} / threads={threads}: progress trace differs"
-            );
-            assert_eq!(
-                es, rs,
-                "{label} / threads={threads}: progress state differs"
-            );
-            assert_eq!(en, rn, "{label} / threads={threads}: needed sets differ");
-            assert_eq!(eo, ro, "{label} / threads={threads}: offered set differs");
+            assert_eq!(et, rt, "{label}: progress trace differs");
+            assert_eq!(es, rs, "{label}: progress state differs");
+            assert_eq!(en, rn, "{label}: needed sets differ");
+            assert_eq!(eo, ro, "{label}: offered set differs");
         }
-        _ => panic!(
-            "{label} / threads={threads}: violation kind differs (reference {r:?}, engine {e:?})"
-        ),
+        _ => panic!("{label}: violation kind differs (reference {r:?}, engine {e:?})"),
     }
 }
 
 /// Runs the engine against the reference on one `(B, A, C)` problem:
-/// one [`CompiledSystem`] verified at every thread count must give
-/// bit-identical verdicts and thread-invariant engine counters. Returns
-/// true when the converter actually works (callers count coverage of
-/// the `Ok` path).
+/// the [`CompiledSystem`] must give a bit-identical verdict, and its
+/// composite counters must match the materialized reference composite.
+/// Returns true when the converter actually works (callers count
+/// coverage of the `Ok` path).
 fn verdicts_agree(label: &str, b: &Spec, service: &Spec, converter: &Spec) -> bool {
     let reference = converter_verdict_reference(b, service, converter);
     let (system, reference) = match (CompiledSystem::new(&[b, converter], service), &reference) {
@@ -122,26 +110,23 @@ fn verdicts_agree(label: &str, b: &Spec, service: &Spec, converter: &Spec) -> bo
             e.is_ok()
         ),
     };
-    let mut base_stats: Option<VerifyEngineStats> = None;
-    for threads in THREAD_COUNTS {
-        let engine = system.verify(threads);
-        match (reference, &engine.verdict) {
-            (Ok(()), Ok(())) => {}
-            (Err(rv), Err(ev)) => assert_violation_eq(label, threads, rv, ev),
-            (r, e) => panic!(
-                "{label} / threads={threads}: verdict differs (reference {r:?}, engine {e:?})"
-            ),
-        }
-        let mut stats = engine.stats;
-        assert_eq!(stats.threads, threads, "{label}: stats.threads");
-        match &base_stats {
-            None => base_stats = Some(stats),
-            Some(first) => {
-                stats.threads = first.threads;
-                assert_eq!(stats, *first, "{label}: engine counters vary with threads");
-            }
-        }
+    let engine = system.verify();
+    match (reference, &engine.verdict) {
+        (Ok(()), Ok(())) => {}
+        (Err(rv), Err(ev)) => assert_violation_eq(label, rv, ev),
+        (r, e) => panic!("{label}: verdict differs (reference {r:?}, engine {e:?})"),
     }
+    let composite = compose(b, converter);
+    assert_eq!(
+        engine.stats.states,
+        composite.num_states(),
+        "{label}: states"
+    );
+    assert_eq!(
+        engine.stats.transitions,
+        composite.num_external() + composite.num_internal(),
+        "{label}: transitions"
+    );
     reference.is_ok()
 }
 
@@ -257,6 +242,59 @@ fn engine_agrees_on_paper_configurations() {
         !problem_agrees("paper/symmetric", &sym.b, &service, &sym.int),
         "the symmetric configuration must not yield a converter"
     );
+}
+
+/// Counters of the derived converter's system on nfa-blowup(n), n =
+/// 1..=11: verify's `(states, transitions, pairs, dedup_hits,
+/// arena_bytes)` (2 hubs each) and the guard's `max_subset` (4 DFA
+/// states, 52 table bytes each).
+const NFA_BLOWUP_SYSTEM: [(usize, usize, usize, usize, usize, usize); 11] = [
+    (6, 12, 6, 8, 216, 4),
+    (12, 24, 12, 14, 368, 9),
+    (26, 52, 26, 28, 720, 21),
+    (58, 116, 58, 60, 1520, 49),
+    (130, 260, 130, 132, 3312, 113),
+    (290, 580, 290, 292, 7280, 257),
+    (642, 1284, 642, 644, 15984, 577),
+    (1410, 2820, 1410, 1412, 34928, 1281),
+    (3074, 6148, 3074, 3076, 75888, 2817),
+    (6658, 13316, 6658, 6660, 163952, 6145),
+    (14338, 28676, 14338, 14340, 352368, 13313),
+];
+
+#[test]
+fn engine_and_guard_counters_are_pinned_on_nfa_blowup() {
+    let service = exactly_once();
+    for (i, &(states, transitions, pairs, dedup, arena, max_subset)) in
+        NFA_BLOWUP_SYSTEM.iter().enumerate()
+    {
+        let (b, int) = nfa_blowup(i + 1);
+        let q = solve(&b, &service, &int).expect("nfa-blowup has a converter");
+        let prog = GuardProgram::new(&[&b, &q.converter], &service).unwrap();
+        let v = prog.system().verify();
+        assert!(v.verdict.is_ok(), "nfa-blowup({})", i + 1);
+        let st = v.stats;
+        assert_eq!(
+            (
+                st.states,
+                st.transitions,
+                st.hubs,
+                st.pairs,
+                st.dedup_hits,
+                st.arena_bytes
+            ),
+            (states, transitions, 2, pairs, dedup, arena),
+            "nfa-blowup({}): verify counters",
+            i + 1
+        );
+        let g = prog.build_stats();
+        assert_eq!(
+            (g.dfa_states, g.table_bytes, g.max_subset),
+            (4, 52, max_subset),
+            "nfa-blowup({}): guard counters",
+            i + 1
+        );
+    }
 }
 
 #[test]
