@@ -718,8 +718,16 @@ fn main() {
 
     println!("\n== EXP-C3: incremental engine vs full-recompute reference ==");
     println!(
-        "{:>14} {:>10} {:>12} {:>12} {:>12} {:>8} {:>16}",
-        "family", "param", "ref ms", "incr ms", "speedup", "iters", "slice sizes"
+        "{:>14} {:>10} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10} {:>16}",
+        "family",
+        "param",
+        "ref ms",
+        "incr ms",
+        "speedup",
+        "iters",
+        "grid",
+        "product",
+        "slice sizes"
     );
     let colocated = protoquot_protocols::colocated_configuration();
     for (label, b, int) in [
@@ -749,13 +757,15 @@ fn main() {
         assert_eq!(pr.iterations, pi.iterations);
         let slices: Vec<String> = pi.stats.slice_sizes.iter().map(|s| s.to_string()).collect();
         println!(
-            "{:>14} {:>10} {:>12.3} {:>12.3} {:>11.2}x {:>8} {:>16}",
+            "{:>14} {:>10} {:>12.3} {:>12.3} {:>11.2}x {:>8} {:>10} {:>10} {:>16}",
             label,
             "-",
             ref_ms,
             inc_ms,
             ref_ms / inc_ms,
             pi.iterations,
+            b.num_states() * s.c0.num_states(),
+            pi.stats.product_nodes,
             slices.join(",")
         );
     }

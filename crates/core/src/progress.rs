@@ -8,35 +8,38 @@
 //! check repeats until a fixpoint; removing the initial state means no
 //! converter exists.
 //!
-//! τ*⟨b,c⟩ is computed on the `S_B × S_C` product: internal edges are
-//! B's λ moves plus `Int`-synchronised moves of B and C (and, for
-//! reachability, B's `Ext` moves); the per-node enabled set is
-//! `τ.b ∩ Ext` (C has no `Ext` events). The per-node sets propagate
-//! over the condensation of the internal graph.
+//! τ*⟨b,c⟩ is computed on the reachable product `B ‖ C0`, compiled by
+//! the verify engine ([`CompiledComposite::product`]): internal edges
+//! are B's λ moves plus `Int`-synchronised moves of B and C0, external
+//! edges are B's `Ext` moves (C0 has no `Ext` events), so a node's
+//! local offer is `τ.b ∩ Ext`. Fig. 6 only ever asks about `⟨b, c⟩`
+//! with `(a, b) ∈ f.c`, and `f.c` is closed under B's λ and `Ext` moves
+//! and stepped by `Int`, so those nodes are exactly the reachable ones;
+//! the rest of `S_B × S_C0` is never built.
 //!
 //! ## The incremental engine
 //!
 //! The fixpoint is driven by an incremental engine instead of a
 //! naive re-run of Figure 6's recompute step:
 //!
-//! * The product graph is built **once**, in CSR (compressed sparse
-//!   row) form, forward and reverse, using event-indexed B-transition
-//!   tables — no hash lookups and no per-iteration adjacency
-//!   allocation. An edge is *active* iff the converter states of both
-//!   endpoints are still alive, so deletion never rewrites the graph.
-//! * τ* is kept per product node, derived from per-SCC masks. After a
-//!   deletion round only the **backward slice** — the product nodes
-//!   that could reach a deleted node over the previous graph, found by
-//!   a worklist over the reverse CSR — can change, and Tarjan runs on
-//!   that slice alone, reading the cached τ* of untouched neighbours
-//!   as boundary constants. τ* only ever shrinks, so cached values
-//!   outside the slice stay exact.
-//! * Only converter states watching a recomputed product node are
+//! * The product is compiled **once**, plus a reverse CSR of its
+//!   internal edges. An edge is *live* iff the converter state of its
+//!   target is still alive (a recomputed node's own state always is),
+//!   so deletion never rewrites the graph.
+//! * τ* rows are bitsets over the `Ext` event table, computed by the
+//!   verify engine's one τ* routine ([`TauStar`]): the first pass over
+//!   every node, as for verification. After a deletion round only the
+//!   **backward slice** — the nodes that could reach a deleted node over
+//!   the previous graph, found by a worklist over the reverse CSR — can
+//!   change. Those are reopened and the routine runs on them alone,
+//!   reading the final rows of untouched neighbours as boundary
+//!   constants. τ* only ever shrinks, so rows outside the slice stay
+//!   exact.
+//! * Only converter states owning a recomputed product node are
 //!   re-checked for badness; everything else is provably unchanged.
-//! * `Ext` sets are `u64` masks when at most 64 external events exist
-//!   (the common case, allocation-free), and dynamic `u64`-word
-//!   bit-vectors beyond that — the engine is generic over the mask
-//!   representation, so wide alphabets no longer panic.
+//!   (Each node is some pair's: every reachable `⟨b, c⟩` has an
+//!   `(a, b) ∈ f.c`. A re-check of an unchanged state is harmless: it
+//!   finds the same pairs good as before.)
 //!
 //! The pre-incremental implementation is retained as
 //! [`progress_phase_reference_with`] so equivalence is *tested* (see
@@ -58,7 +61,10 @@
 //!   tests and `tests/properties.rs`).
 
 use crate::safety::SafetyPhase;
-use protoquot_spec::{prune_unreachable, Alphabet, EventId, NormalSpec, Spec, StateId};
+use protoquot_spec::{
+    bits_subset, prune_unreachable, Alphabet, CompiledComposite, EventId, EventTable, NormalSpec,
+    Spec, StateId, TauStar,
+};
 use std::collections::HashMap;
 
 /// How the fixpoint treats pairs made unreachable by earlier deletions
@@ -94,15 +100,15 @@ pub struct ProgressWitness {
 }
 
 /// Work counters from the incremental fixpoint engine, per
-/// [`progress_phase_with`] run. All counts are in product nodes
-/// (`|S_B| × |S_C0|` is the full product).
+/// [`progress_phase_with`] run. They count nodes and edges of the
+/// reachable product `B ‖ C0`, never of the grid `S_B × S_C0`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProgressEngineStats {
-    /// Product nodes (`nb * nc`).
+    /// Nodes of the reachable product `B ‖ C0`.
     pub product_nodes: usize,
-    /// Internal + Int-synchronised product edges in the CSR graph.
+    /// Its internal edges: B's λ moves plus `Int` synchronisations.
     pub product_edges: usize,
-    /// τ*-recompute set size per iteration: the full product on the
+    /// τ*-recompute set size per iteration: the whole product on the
     /// first iteration, the backward slice of the deletions afterwards.
     pub slice_sizes: Vec<usize>,
     /// Total product nodes whose τ* was recomputed, summed over all
@@ -137,533 +143,226 @@ pub fn progress_phase(b: &Spec, na: &NormalSpec, safety: &SafetyPhase) -> Progre
 }
 
 /// Runs the progress fixpoint with an explicit strategy, via the
-/// incremental engine.
+/// incremental engine. `safety` must be the safety phase's output for
+/// `b` (so `Int ⊆ Σ_B`, as [`crate::validate_problem`] checks).
 pub fn progress_phase_with(
     b: &Spec,
     na: &NormalSpec,
     safety: &SafetyPhase,
     strategy: ProgressStrategy,
 ) -> ProgressPhase {
-    let ext = b.alphabet().difference(safety.c0.alphabet());
-    let ext_bits = ExtBits::new(&ext);
-    if ext_bits.len() <= 64 {
-        Engine::<u64>::new(b, na, safety, &ext_bits).run(b, na, safety, strategy, &ext_bits)
-    } else {
-        Engine::<WideMask>::new(b, na, safety, &ext_bits).run(b, na, safety, strategy, &ext_bits)
-    }
+    Engine::new(b, na, safety).run(na, safety, strategy)
 }
 
-// ---------------------------------------------------------------------------
-// Ext masks: u64 fast path + dynamic wide bit-vectors.
-// ---------------------------------------------------------------------------
-
-/// Maps an `Ext` alphabet to bit positions. Alphabets of ≤ 64 events
-/// use plain `u64` masks; larger alphabets use [`WideMask`].
-struct ExtBits {
-    bit: HashMap<EventId, u32>,
-    events: Vec<EventId>,
-}
-
-impl ExtBits {
-    fn new(ext: &Alphabet) -> ExtBits {
-        ExtBits {
-            bit: ext.iter().zip(0u32..).collect(),
-            events: ext.iter().collect(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `u64` words needed for a wide mask.
-    fn words(&self) -> usize {
-        self.len().div_ceil(64).max(1)
-    }
-
-    /// Mask of the events of `a` that are in `Ext` (≤ 64 events only).
-    fn mask(&self, a: &Alphabet) -> u64 {
-        a.iter()
-            .filter_map(|e| self.bit.get(&e))
-            .fold(0u64, |m, &b| m | (1 << b))
-    }
-
-    /// Inverse of [`mask`](Self::mask).
-    fn unmask(&self, m: u64) -> Alphabet {
-        self.events
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| m & (1 << i) != 0)
-            .map(|(_, &e)| e)
-            .collect()
-    }
-}
-
-/// A set of `Ext` events, abstracted over representation so the engine
-/// compiles to raw `u64` ops in the common case.
-trait ExtMask: Clone {
-    fn from_alphabet(bits: &ExtBits, a: &Alphabet) -> Self;
-    fn to_alphabet(&self, bits: &ExtBits) -> Alphabet;
-    fn union_with(&mut self, other: &Self);
-    /// `req ⊆ self`.
-    fn covers(&self, req: &Self) -> bool;
-}
-
-impl ExtMask for u64 {
-    fn from_alphabet(bits: &ExtBits, a: &Alphabet) -> u64 {
-        bits.mask(a)
-    }
-
-    fn to_alphabet(&self, bits: &ExtBits) -> Alphabet {
-        bits.unmask(*self)
-    }
-
-    fn union_with(&mut self, other: &u64) {
-        *self |= other;
-    }
-
-    fn covers(&self, req: &u64) -> bool {
-        req & !self == 0
-    }
-}
-
-/// Dynamic bit-vector for `Ext` alphabets beyond 64 events.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct WideMask(Box<[u64]>);
-
-impl ExtMask for WideMask {
-    fn from_alphabet(bits: &ExtBits, a: &Alphabet) -> WideMask {
-        let mut words = vec![0u64; bits.words()];
-        for e in a.iter() {
-            if let Some(&b) = bits.bit.get(&e) {
-                words[(b / 64) as usize] |= 1 << (b % 64);
-            }
-        }
-        WideMask(words.into_boxed_slice())
-    }
-
-    fn to_alphabet(&self, bits: &ExtBits) -> Alphabet {
-        bits.events
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.0[i / 64] & (1 << (i % 64)) != 0)
-            .map(|(_, &e)| e)
-            .collect()
-    }
-
-    fn union_with(&mut self, other: &WideMask) {
-        for (w, o) in self.0.iter_mut().zip(other.0.iter()) {
-            *w |= o;
-        }
-    }
-
-    fn covers(&self, req: &WideMask) -> bool {
-        req.0.iter().zip(self.0.iter()).all(|(r, s)| r & !s == 0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The incremental engine.
-// ---------------------------------------------------------------------------
-
-/// Incremental τ* fixpoint over the `S_B × S_C0` product.
-///
-/// Node encoding: `node(bs, cs) = bs * nc + cs`. The CSR edge lists
-/// are built once over *all* converter states; an edge is active iff
-/// the converter states of both its endpoints are alive (B-internal
-/// edges keep `cs`, so only one check is ever needed per edge).
-struct Engine<M> {
-    nb: usize,
-    nc: usize,
-    nn: usize,
-    // Forward and reverse product CSR (internal + Int-synchronised).
-    fwd_off: Vec<u32>,
-    fwd_dst: Vec<u32>,
+/// Incremental τ* fixpoint over the reachable product `B ‖ C0`.
+struct Engine {
+    comp: CompiledComposite,
+    /// The `Ext` events: the product's interface and the rows' bits.
+    table: EventTable,
+    /// Converter state per product node.
+    conv: Vec<u32>,
+    /// `(B-state, node)` for the nodes of converter state `c`, ascending,
+    /// are `bucket[bucket_off[c]..bucket_off[c + 1]]`.
+    bucket_off: Vec<u32>,
+    bucket: Vec<(u32, u32)>,
+    /// Reverse CSR of the product's internal edges.
     rev_off: Vec<u32>,
-    rev_dst: Vec<u32>,
-    // Per-B-state Ext successors (CSR over B states), for the
-    // reachable-product forward closure.
-    ext_off: Vec<u32>,
-    ext_dst: Vec<u32>,
-    /// `τ.b ∩ Ext` per B-state.
-    local: Vec<M>,
-    /// Current τ* per product node (exact for every alive node).
-    tau: Vec<M>,
-    /// Per-hub acceptance sets as masks.
-    acceptance: Vec<Vec<M>>,
-    /// Product nodes some converter state's pair set watches.
-    watched: Vec<bool>,
+    rev_src: Vec<u32>,
+    /// τ* per product node (exact for every node of an alive state).
+    tau: TauStar,
+    /// Per-hub acceptance sets, as bitset rows back to back.
+    acceptance: Vec<Vec<u64>>,
     /// Liveness per converter state.
     alive: Vec<bool>,
-    // Scratch, allocated once (epoch-stamped where cheap to reset).
+    // Scratch, allocated once and epoch-stamped.
     epoch: u32,
-    in_set: Vec<u32>,
     mark: Vec<u32>,
-    visited: Vec<u32>,
-    order: Vec<u32>,
-    low: Vec<u32>,
-    on_stack: Vec<bool>,
-    scc_of: Vec<u32>,
-    base: Vec<M>,
-    tarjan_call: Vec<(u32, u32)>,
-    tarjan_stack: Vec<u32>,
-    scc_members: Vec<u32>,
-    scc_starts: Vec<u32>,
-    scc_masks: Vec<M>,
     queue: Vec<u32>,
     dirty: Vec<u32>,
     stats: ProgressEngineStats,
 }
 
-impl<M: ExtMask> Engine<M> {
-    fn new(b: &Spec, na: &NormalSpec, safety: &SafetyPhase, ext_bits: &ExtBits) -> Engine<M> {
+impl Engine {
+    fn new(b: &Spec, na: &NormalSpec, safety: &SafetyPhase) -> Engine {
         let ext = b.alphabet().difference(safety.c0.alphabet());
-        let nb = b.num_states();
-        let nc = safety.c0.num_states();
-        let nn = nb
-            .checked_mul(nc)
-            .filter(|&n| n < u32::MAX as usize)
-            .expect("product graph exceeds u32 node space");
-        let node = |bs: usize, cs: usize| (bs * nc + cs) as u32;
+        let table = EventTable::new(&ext);
+        // No budget of its own: every reachable ⟨b, c⟩ has some
+        // `(a, b) ∈ f.c`, so the product is no larger than the pair sets
+        // the safety phase already holds, and its `max_states` budget
+        // bounds both.
+        let comp = CompiledComposite::product(&[b, &safety.c0], &table);
+        let (n, nc) = (comp.n, safety.c0.num_states());
+        let conv: Vec<u32> = (0..n).map(|i| comp.tuple(i)[1]).collect();
 
-        // Event-indexed B-transition tables (Int events) and per-state
-        // Ext adjacency.
-        let mut max_event = 0usize;
-        for (_, e, _) in b.external_transitions() {
-            max_event = max_event.max(e.index());
+        let mut bucket_off = vec![0u32; nc + 1];
+        for &c in &conv {
+            bucket_off[c as usize + 1] += 1;
         }
-        let mut b_by_event: Vec<Vec<(u32, u32)>> = vec![Vec::new(); max_event + 1];
-        let mut ext_adj: Vec<Vec<u32>> = vec![Vec::new(); nb];
-        for (s, e, t) in b.external_transitions() {
-            if ext.contains(e) {
-                ext_adj[s.index()].push(t.index() as u32);
-            } else {
-                b_by_event[e.index()].push((s.index() as u32, t.index() as u32));
-            }
+        for c in 0..nc {
+            bucket_off[c + 1] += bucket_off[c];
         }
-        let mut ext_off = Vec::with_capacity(nb + 1);
-        let mut ext_dst = Vec::new();
-        ext_off.push(0u32);
-        for targets in &ext_adj {
-            ext_dst.extend_from_slice(targets);
-            ext_off.push(ext_dst.len() as u32);
+        let mut bucket = vec![(0u32, 0u32); n];
+        let mut cursor = bucket_off.clone();
+        for (i, &c) in conv.iter().enumerate() {
+            bucket[cursor[c as usize] as usize] = (comp.tuple(i)[0], i as u32);
+            cursor[c as usize] += 1;
         }
+        for c in 0..nc {
+            bucket[bucket_off[c] as usize..bucket_off[c + 1] as usize].sort_unstable();
+        }
+        let (rev_off, rev_src) = comp.reverse_internal();
 
-        // Product edges: B's λ moves replicated over every converter
-        // state, plus Int-synchronised moves of B and C0.
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for bs in b.states() {
-            for &tb in b.internal_from(bs) {
-                for cs in 0..nc {
-                    edges.push((node(bs.index(), cs), node(tb.index(), cs)));
-                }
-            }
-        }
-        for (cs, e, ct) in safety.c0.external_transitions() {
-            for &(bs, bt) in &b_by_event[e.index()] {
-                edges.push((
-                    bs * nc as u32 + cs.index() as u32,
-                    bt * nc as u32 + ct.index() as u32,
-                ));
-            }
-        }
-        let (fwd_off, fwd_dst) = build_csr(nn, edges.iter().copied());
-        let (rev_off, rev_dst) = build_csr(nn, edges.iter().map(|&(s, t)| (t, s)));
-        let product_edges = fwd_dst.len();
-
-        let local: Vec<M> = b
-            .states()
-            .map(|s| M::from_alphabet(ext_bits, &b.tau(s)))
-            .collect();
-        let tau: Vec<M> = (0..nn).map(|n| local[n / nc].clone()).collect();
-        let base = tau.clone();
-        let acceptance: Vec<Vec<M>> = (0..na.num_hubs())
+        let acceptance = (0..na.num_hubs())
             .map(|h| {
                 na.acceptance(h)
                     .iter()
-                    .map(|a| M::from_alphabet(ext_bits, a))
+                    .flat_map(|a| table.alphabet_bits(&a.intersection(&ext)))
                     .collect()
             })
             .collect();
-        let mut watched = vec![false; nn];
-        for cs in 0..nc {
-            for (_, bs) in safety.f[cs].iter() {
-                watched[bs.index() * nc + cs] = true;
-            }
-        }
-
+        let stats = ProgressEngineStats {
+            product_nodes: n,
+            product_edges: comp.int_tgt.len(),
+            ..ProgressEngineStats::default()
+        };
         Engine {
-            nb,
-            nc,
-            nn,
-            fwd_off,
-            fwd_dst,
+            tau: TauStar::new(n, table.words()),
+            comp,
+            table,
+            conv,
+            bucket_off,
+            bucket,
             rev_off,
-            rev_dst,
-            ext_off,
-            ext_dst,
-            local,
-            tau,
+            rev_src,
             acceptance,
-            watched,
             alive: vec![true; nc],
             epoch: 0,
-            in_set: vec![0; nn],
-            mark: vec![0; nn],
-            visited: vec![0; nn],
-            order: vec![0; nn],
-            low: vec![0; nn],
-            on_stack: vec![false; nn],
-            scc_of: vec![0; nn],
-            base,
-            tarjan_call: Vec::new(),
-            tarjan_stack: Vec::new(),
-            scc_members: Vec::new(),
-            scc_starts: Vec::new(),
-            scc_masks: Vec::new(),
+            mark: vec![0; n],
             queue: Vec::new(),
             dirty: Vec::new(),
-            stats: ProgressEngineStats {
-                product_nodes: nn,
-                product_edges,
-                ..ProgressEngineStats::default()
-            },
+            stats,
         }
     }
 
-    /// Recomputes τ* for the node set stamped `in_set == epoch`
-    /// (provided as a list): Tarjan over the induced subgraph of
-    /// active edges, reading cached τ* of out-of-set active successors
-    /// as boundary constants. SCCs are emitted in reverse topological
-    /// order, so one ascending pass over per-SCC masks folds in all
-    /// cross-SCC reachability.
-    fn recompute(&mut self, set: &[u32]) {
-        self.stats.nodes_touched += set.len();
-        self.stats.tau_star_recomputations += 1;
-        let epoch = self.epoch;
-        for &v in set {
-            debug_assert_eq!(self.in_set[v as usize], epoch);
-            self.base[v as usize] = self.local[v as usize / self.nc].clone();
-        }
-        self.tarjan_call.clear();
-        self.tarjan_stack.clear();
-        self.scc_members.clear();
-        self.scc_starts.clear();
-        self.scc_masks.clear();
-        let mut next_index = 0u32;
-        let mut num_sccs = 0u32;
+    /// `(B-state, node)` for every node of converter state `cs`.
+    fn bucket(&self, cs: usize) -> &[(u32, u32)] {
+        &self.bucket[self.bucket_off[cs] as usize..self.bucket_off[cs + 1] as usize]
+    }
 
-        for &root in set {
-            if self.visited[root as usize] == epoch {
-                continue;
-            }
-            self.visited[root as usize] = epoch;
-            self.order[root as usize] = next_index;
-            self.low[root as usize] = next_index;
-            next_index += 1;
-            self.tarjan_stack.push(root);
-            self.on_stack[root as usize] = true;
-            self.tarjan_call.push((root, self.fwd_off[root as usize]));
-
-            while let Some(&(v, cursor)) = self.tarjan_call.last() {
-                let v_us = v as usize;
-                if cursor < self.fwd_off[v_us + 1] {
-                    self.tarjan_call.last_mut().unwrap().1 += 1;
-                    let w = self.fwd_dst[cursor as usize];
-                    let w_us = w as usize;
-                    if !self.alive[w_us % self.nc] {
-                        continue; // inactive edge
-                    }
-                    if self.in_set[w_us] != epoch {
-                        // Boundary: w's τ* is cached and final.
-                        let (base, tau) = (&mut self.base, &self.tau);
-                        base[v_us].union_with(&tau[w_us]);
-                    } else if self.visited[w_us] != epoch {
-                        self.visited[w_us] = epoch;
-                        self.order[w_us] = next_index;
-                        self.low[w_us] = next_index;
-                        next_index += 1;
-                        self.tarjan_stack.push(w);
-                        self.on_stack[w_us] = true;
-                        self.tarjan_call.push((w, self.fwd_off[w_us]));
-                    } else if self.on_stack[w_us] {
-                        self.low[v_us] = self.low[v_us].min(self.order[w_us]);
-                    }
-                } else {
-                    if self.low[v_us] == self.order[v_us] {
-                        self.scc_starts.push(self.scc_members.len() as u32);
-                        loop {
-                            let w = self.tarjan_stack.pop().unwrap();
-                            self.on_stack[w as usize] = false;
-                            self.scc_of[w as usize] = num_sccs;
-                            self.scc_members.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        num_sccs += 1;
-                    }
-                    self.tarjan_call.pop();
-                    if let Some(&(parent, _)) = self.tarjan_call.last() {
-                        let p = parent as usize;
-                        self.low[p] = self.low[p].min(self.low[v_us]);
-                    }
-                }
-            }
-        }
-
-        // Ascending pass: cross-SCC edges always point to an
-        // earlier-emitted SCC, whose mask is already final.
-        for k in 0..num_sccs as usize {
-            let start = self.scc_starts[k] as usize;
-            let end = self
-                .scc_starts
-                .get(k + 1)
-                .map_or(self.scc_members.len(), |&s| s as usize);
-            let mut mask = self.base[self.scc_members[start] as usize].clone();
-            for &v in &self.scc_members[start + 1..end] {
-                mask.union_with(&self.base[v as usize]);
-            }
-            for i in start..end {
-                let v = self.scc_members[i] as usize;
-                for ei in self.fwd_off[v]..self.fwd_off[v + 1] {
-                    let w = self.fwd_dst[ei as usize] as usize;
-                    if !self.alive[w % self.nc] || self.in_set[w] != epoch {
-                        continue;
-                    }
-                    let kw = self.scc_of[w] as usize;
-                    if kw != k {
-                        debug_assert!(kw < k, "cross edge into a later SCC");
-                        mask.union_with(&self.scc_masks[kw]);
-                    }
-                }
-            }
-            self.scc_masks.push(mask);
-        }
-        for &v in set {
-            self.tau[v as usize] = self.scc_masks[self.scc_of[v as usize] as usize].clone();
-        }
+    /// The product node `⟨bs, cs⟩` of a pair `(a, bs) ∈ f.cs`.
+    fn node(&self, bs: StateId, cs: usize) -> u32 {
+        let row = self.bucket(cs);
+        let at = row
+            .binary_search_by_key(&bs.0, |&(b, _)| b)
+            .expect("every pair of f.c occurs in the reachable B ‖ C0");
+        row[at].1
     }
 
     /// Backward slice: every still-alive product node that could reach
     /// a node of a just-removed converter state over the *previous*
-    /// (pre-removal) active graph. Fills `self.dirty` and stamps the
-    /// members with `in_set = self.epoch` (callers bump the epoch
-    /// first).
-    fn backward_slice(&mut self, removed_cs: &[usize], just_removed: &[bool]) {
+    /// (pre-removal) live graph. Fills `self.dirty` and stamps
+    /// `mark = self.epoch` on everything visited (callers bump the
+    /// epoch first).
+    fn backward_slice(&mut self, removed_cs: &[usize]) {
         let epoch = self.epoch;
         self.queue.clear();
         self.dirty.clear();
         for &cs in removed_cs {
-            for bs in 0..self.nb {
-                let n = (bs * self.nc + cs) as u32;
+            for i in self.bucket_off[cs]..self.bucket_off[cs + 1] {
+                let n = self.bucket[i as usize].1;
                 self.mark[n as usize] = epoch;
                 self.queue.push(n);
             }
         }
         while let Some(n) = self.queue.pop() {
-            let n_us = n as usize;
-            for ei in self.rev_off[n_us]..self.rev_off[n_us + 1] {
-                let p = self.rev_dst[ei as usize];
-                let p_us = p as usize;
-                if self.mark[p_us] == epoch {
+            let n = n as usize;
+            for ei in self.rev_off[n]..self.rev_off[n + 1] {
+                let p = self.rev_src[ei as usize];
+                if self.mark[p as usize] == epoch {
                     continue;
                 }
-                let pcs = p_us % self.nc;
-                // The edge had to be active before this round's
-                // removals for p's τ* to have depended on it.
-                if !(self.alive[pcs] || just_removed[pcs]) {
+                // A dead `p` needs no row. It cannot be a just-removed
+                // node either: those are the seeds, already marked.
+                if !self.alive[self.conv[p as usize] as usize] {
                     continue;
                 }
-                self.mark[p_us] = epoch;
+                self.mark[p as usize] = epoch;
                 self.queue.push(p);
-                if self.alive[pcs] {
-                    self.in_set[p_us] = epoch;
-                    self.dirty.push(p);
+                self.dirty.push(p);
+            }
+        }
+    }
+
+    /// Forward closure from the initial composite state over live
+    /// internal edges plus B's `Ext` moves (which keep the converter
+    /// state fixed). Marks members with `mark = self.epoch`.
+    fn forward_reachable(&mut self) {
+        let epoch = self.epoch;
+        let start = self.comp.initial;
+        self.queue.clear();
+        self.mark[start as usize] = epoch;
+        self.queue.push(start);
+        while let Some(n) = self.queue.pop() {
+            let n = n as usize;
+            let (comp, mark) = (&self.comp, &mut self.mark);
+            let int = &comp.int_tgt[comp.int_off[n] as usize..comp.int_off[n + 1] as usize];
+            let ext = &comp.ext_tgt[comp.ext_off[n] as usize..comp.ext_off[n + 1] as usize];
+            for &w in int.iter().chain(ext) {
+                if self.alive[self.conv[w as usize] as usize] && mark[w as usize] != epoch {
+                    mark[w as usize] = epoch;
+                    self.queue.push(w);
                 }
             }
         }
     }
 
-    /// Forward closure from the initial composite state over active
-    /// product edges plus B's Ext moves (which keep the converter
-    /// state fixed). Marks members with `mark = self.epoch`.
-    fn forward_reachable(&mut self, start: u32) {
-        let epoch = self.epoch;
-        self.queue.clear();
-        self.mark[start as usize] = epoch;
-        self.queue.push(start);
-        while let Some(n) = self.queue.pop() {
-            let n_us = n as usize;
-            let (bs, cs) = (n_us / self.nc, n_us % self.nc);
-            for ei in self.fwd_off[n_us]..self.fwd_off[n_us + 1] {
-                let w = self.fwd_dst[ei as usize];
-                if self.alive[w as usize % self.nc] && self.mark[w as usize] != epoch {
-                    self.mark[w as usize] = epoch;
-                    self.queue.push(w);
-                }
-            }
-            for ei in self.ext_off[bs]..self.ext_off[bs + 1] {
-                let bt = self.ext_dst[ei as usize] as usize;
-                let m = (bt * self.nc + cs) as u32;
-                if self.mark[m as usize] != epoch {
-                    self.mark[m as usize] = epoch;
-                    self.queue.push(m);
-                }
-            }
+    /// Counts one τ* pass over `len` nodes.
+    fn count_pass(&mut self, len: usize) {
+        self.stats.slice_sizes.push(len);
+        if len > 0 {
+            self.stats.nodes_touched += len;
+            self.stats.tau_star_recomputations += 1;
         }
     }
 
     /// The remove-and-recompute fixpoint (Figure 6).
     fn run(
         mut self,
-        b: &Spec,
         na: &NormalSpec,
         safety: &SafetyPhase,
         strategy: ProgressStrategy,
-        ext_bits: &ExtBits,
     ) -> ProgressPhase {
-        let nc = self.nc;
         let c0_initial = safety.c0.initial().index();
-        let start_node = (b.initial().index() * nc + c0_initial) as u32;
+        let words = self.table.words();
         let mut iterations = 0usize;
         let mut removed = 0usize;
         let mut first_witness: Option<ProgressWitness> = None;
         let mut removed_cs: Vec<usize> = Vec::new();
-        let mut just_removed = vec![false; nc];
-        let mut recheck = vec![false; nc];
+        let mut recheck = vec![false; self.alive.len()];
 
         loop {
             iterations += 1;
-            // 1. (Re)compute τ* — full product on the first pass, the
-            //    backward slice of last round's deletions afterwards.
+            // 1. (Re)compute τ* — the whole product on the first pass,
+            //    the backward slice of last round's deletions afterwards.
             if iterations == 1 {
-                self.epoch += 1;
-                let all_nodes: Vec<u32> = (0..self.nn as u32).collect();
-                for &n in &all_nodes {
-                    self.in_set[n as usize] = self.epoch;
-                }
-                self.stats.slice_sizes.push(all_nodes.len());
-                self.recompute(&all_nodes);
+                self.count_pass(self.comp.n);
+                self.tau.pass(&self.comp, 0..self.comp.n as u32, |_| true);
                 recheck.fill(true);
             } else {
                 self.epoch += 1;
-                self.backward_slice(&removed_cs, &just_removed);
+                self.backward_slice(&removed_cs);
                 let dirty = std::mem::take(&mut self.dirty);
-                self.stats.slice_sizes.push(dirty.len());
+                self.count_pass(dirty.len());
                 recheck.fill(false);
                 for &n in &dirty {
-                    if self.watched[n as usize] {
-                        recheck[n as usize % nc] = true;
-                    }
+                    recheck[self.conv[n as usize] as usize] = true;
+                    self.tau.reopen(n);
                 }
-                if !dirty.is_empty() {
-                    self.recompute(&dirty);
-                }
+                let (alive, conv) = (&self.alive, &self.conv);
+                self.tau.pass(&self.comp, dirty.iter().copied(), |w| {
+                    alive[conv[w as usize] as usize]
+                });
                 self.dirty = dirty;
-                for &cs in &removed_cs {
-                    just_removed[cs] = false;
-                }
             }
             removed_cs.clear();
 
@@ -673,26 +372,30 @@ impl<M: ExtMask> Engine<M> {
             if strategy == ProgressStrategy::ReachableProduct && recheck.iter().any(|&r| r) {
                 self.epoch += 1;
                 reach_epoch = self.epoch;
-                self.forward_reachable(start_node);
+                self.forward_reachable();
             }
 
-            // 3. Re-check watching states, ascending, matching the
+            // 3. Re-check the slice's states, ascending, matching the
             //    reference scan order exactly.
             let mut any_bad = false;
-            for cs in 0..nc {
-                if !recheck[cs] || !self.alive[cs] {
+            for (cs, &check) in recheck.iter().enumerate() {
+                if !check || !self.alive[cs] {
                     continue;
                 }
-                let bad_pair = safety.f[cs].iter().find(|&(hub, bs)| {
-                    let n = bs.index() * nc + cs;
-                    if strategy == ProgressStrategy::ReachableProduct && self.mark[n] != reach_epoch
+                let bad = safety.f[cs].iter().find_map(|(hub, bs)| {
+                    let n = self.node(bs, cs);
+                    if strategy == ProgressStrategy::ReachableProduct
+                        && self.mark[n as usize] != reach_epoch
                     {
-                        return false; // cannot occur: skip
+                        return None; // cannot occur: skip
                     }
-                    let offered = &self.tau[n];
-                    !self.acceptance[hub].iter().any(|req| offered.covers(req))
+                    let offered = self.tau.row(n);
+                    let covered = self.acceptance[hub]
+                        .chunks(words)
+                        .any(|req| bits_subset(req, offered));
+                    (!covered).then_some((hub, bs, n))
                 });
-                if let Some((hub, bs)) = bad_pair {
+                if let Some((hub, bs, n)) = bad {
                     if first_witness.is_none() {
                         first_witness = Some(ProgressWitness {
                             state: StateId(cs as u32),
@@ -700,51 +403,21 @@ impl<M: ExtMask> Engine<M> {
                             hub,
                             b_state: bs,
                             needed: na.acceptance(hub).to_vec(),
-                            offered: self.tau[bs.index() * nc + cs].to_alphabet(ext_bits),
+                            offered: self.table.to_alphabet(self.tau.row(n)),
                         });
                     }
                     self.alive[cs] = false;
-                    just_removed[cs] = true;
                     removed_cs.push(cs);
                     removed += 1;
                     any_bad = true;
                 }
             }
-            if !self.alive[c0_initial] {
-                return ProgressPhase {
-                    converter: None,
-                    iterations,
-                    removed,
-                    first_witness,
-                    stats: self.stats,
-                };
-            }
-            if !any_bad {
+            if !self.alive[c0_initial] || !any_bad {
                 break;
             }
         }
-
-        // Materialize the surviving converter and drop unreachable
-        // states.
-        let names: Vec<String> = (0..nc).map(|i| format!("c{i}")).collect();
-        let transitions: Vec<(StateId, EventId, StateId)> = safety
-            .c0
-            .external_transitions()
-            .filter(|(s, _, t)| self.alive[s.index()] && self.alive[t.index()])
-            .collect();
-        // Dead states stay as isolated vertices; pruning removes them
-        // along with anything no longer reachable.
-        let full = protoquot_spec::spec_from_parts(
-            "C".to_owned(),
-            safety.c0.alphabet().clone(),
-            names,
-            safety.c0.initial(),
-            transitions,
-            Vec::new(),
-        )
-        .expect("progress phase constructs a valid spec");
         ProgressPhase {
-            converter: Some(prune_unreachable(&full)),
+            converter: surviving(&safety.c0, &self.alive),
             iterations,
             removed,
             first_witness,
@@ -753,23 +426,29 @@ impl<M: ExtMask> Engine<M> {
     }
 }
 
-/// Builds a CSR (offsets + targets) from an edge iterator via counting
-/// sort; edges keep their enumeration order within a source bucket.
-fn build_csr(n: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<u32>, Vec<u32>) {
-    let mut off = vec![0u32; n + 1];
-    for (s, _) in edges.clone() {
-        off[s as usize + 1] += 1;
+/// The surviving converter: `c0` restricted to the alive states and
+/// pruned to the reachable ones; `None` once the initial state died.
+fn surviving(c0: &Spec, alive: &[bool]) -> Option<Spec> {
+    if !alive[c0.initial().index()] {
+        return None;
     }
-    for i in 0..n {
-        off[i + 1] += off[i];
-    }
-    let mut dst = vec![0u32; off[n] as usize];
-    let mut cursor = off.clone();
-    for (s, t) in edges {
-        dst[cursor[s as usize] as usize] = t;
-        cursor[s as usize] += 1;
-    }
-    (off, dst)
+    let names: Vec<String> = (0..c0.num_states()).map(|i| format!("c{i}")).collect();
+    let transitions: Vec<(StateId, EventId, StateId)> = c0
+        .external_transitions()
+        .filter(|(s, _, t)| alive[s.index()] && alive[t.index()])
+        .collect();
+    // Dead states stay as isolated vertices; pruning removes them along
+    // with anything no longer reachable.
+    let full = protoquot_spec::spec_from_parts(
+        "C".to_owned(),
+        c0.alphabet().clone(),
+        names,
+        c0.initial(),
+        transitions,
+        Vec::new(),
+    )
+    .expect("progress phase constructs a valid spec");
+    Some(prune_unreachable(&full))
 }
 
 // ---------------------------------------------------------------------------
@@ -798,13 +477,14 @@ pub fn progress_phase_reference_with(
         "the reference progress engine supports at most 64 external events (got {})",
         ext.len()
     );
-    let ext_bits = ExtBits::new(&ext);
+    let table = EventTable::new(&ext);
+    let mask = |a: &Alphabet| table.alphabet_bits(&a.intersection(&ext))[0];
     // Per-hub acceptance sets as masks.
     let acceptance: Vec<Vec<u64>> = (0..na.num_hubs())
-        .map(|h| na.acceptance(h).iter().map(|a| ext_bits.mask(a)).collect())
+        .map(|h| na.acceptance(h).iter().map(mask).collect())
         .collect();
     // τ.b ∩ Ext per B-state.
-    let b_tau: Vec<u64> = b.states().map(|s| ext_bits.mask(&b.tau(s))).collect();
+    let b_tau: Vec<u64> = b.states().map(|s| mask(&b.tau(s))).collect();
 
     let nb = b.num_states();
     let nc = safety.c0.num_states();
@@ -910,7 +590,7 @@ pub fn progress_phase_reference_with(
                         hub,
                         b_state: bs,
                         needed: na.acceptance(hub).to_vec(),
-                        offered: ext_bits.unmask(tau_star[node(bs.index(), cs)]),
+                        offered: table.to_alphabet(&[tau_star[node(bs.index(), cs)]]),
                     });
                 }
                 alive[cs] = false;
@@ -918,40 +598,12 @@ pub fn progress_phase_reference_with(
                 any_bad = true;
             }
         }
-        if !alive[safety.c0.initial().index()] {
-            return ProgressPhase {
-                converter: None,
-                iterations,
-                removed,
-                first_witness,
-                stats: ProgressEngineStats::default(),
-            };
-        }
-        if !any_bad {
+        if !alive[safety.c0.initial().index()] || !any_bad {
             break;
         }
     }
-
-    // Materialize the surviving converter and drop unreachable states.
-    let names: Vec<String> = (0..nc).map(|i| format!("c{i}")).collect();
-    let transitions: Vec<(StateId, EventId, StateId)> = safety
-        .c0
-        .external_transitions()
-        .filter(|(s, _, t)| alive[s.index()] && alive[t.index()])
-        .collect();
-    // Dead states stay as isolated vertices; pruning removes them along
-    // with anything no longer reachable.
-    let full = protoquot_spec::spec_from_parts(
-        "C".to_owned(),
-        safety.c0.alphabet().clone(),
-        names,
-        safety.c0.initial(),
-        transitions,
-        Vec::new(),
-    )
-    .expect("progress phase constructs a valid spec");
     ProgressPhase {
-        converter: Some(prune_unreachable(&full)),
+        converter: surviving(&safety.c0, &alive),
         iterations,
         removed,
         first_witness,
@@ -1241,37 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn ext_bits_masks_roundtrip() {
-        let ext = Alphabet::from_names(["x", "y"]);
-        let bits = ExtBits::new(&ext);
-        let m = bits.mask(&Alphabet::from_names(["y", "z"]));
-        assert_eq!(m.count_ones(), 1);
-        assert_eq!(bits.unmask(m), Alphabet::from_names(["y"]));
-        assert_eq!(bits.mask(&ext).count_ones(), 2);
-        assert_eq!(bits.unmask(bits.mask(&ext)), ext);
-        assert_eq!(bits.mask(&Alphabet::new()), 0);
-    }
-
-    #[test]
-    fn wide_masks_roundtrip_past_64_events() {
-        let names: Vec<String> = (0..130).map(|i| format!("ev{i:03}")).collect();
-        let ext: Alphabet = names.iter().map(|s| s.as_str()).collect();
-        let bits = ExtBits::new(&ext);
-        assert!(bits.len() > 64);
-        let full = WideMask::from_alphabet(&bits, &ext);
-        assert_eq!(full.to_alphabet(&bits), ext);
-        let some: Alphabet = Alphabet::from_names(["ev000", "ev064", "ev129"]);
-        let m = WideMask::from_alphabet(&bits, &some);
-        assert_eq!(m.to_alphabet(&bits), some);
-        assert!(full.covers(&m));
-        assert!(!m.covers(&full));
-        let mut u = WideMask::from_alphabet(&bits, &Alphabet::new());
-        assert_eq!(u.to_alphabet(&bits), Alphabet::new());
-        u.union_with(&m);
-        assert_eq!(u.to_alphabet(&bits), some);
-    }
-
-    #[test]
     fn tau_star_propagation_on_dag_and_cycle() {
         // 0 -> 1 -> 2, 2 -> 1 (cycle 1-2), local: 0:001, 1:010, 2:100.
         let adj = vec![vec![1], vec![2], vec![1]];
@@ -1280,14 +901,5 @@ mod tests {
         assert_eq!(t[2], 0b110);
         assert_eq!(t[1], 0b110);
         assert_eq!(t[0], 0b111);
-    }
-
-    #[test]
-    fn csr_buckets_preserve_order() {
-        let edges = [(2u32, 0u32), (0, 1), (2, 1), (0, 2)];
-        let (off, dst) = build_csr(3, edges.iter().copied());
-        assert_eq!(off, vec![0, 2, 2, 4]);
-        assert_eq!(&dst[off[0] as usize..off[1] as usize], &[1, 2]);
-        assert_eq!(&dst[off[2] as usize..off[3] as usize], &[0, 1]);
     }
 }

@@ -15,13 +15,14 @@
 //! Two implementations exist:
 //!
 //! * [`safety_phase`] — the production entry point, backed by the
-//!   parallel interned engine in [`mod@crate::safety_engine`];
+//!   interned engine in [`mod@crate::safety_engine`], one loop over the
+//!   subset-construction kernel;
 //! * [`safety_phase_reference`] — the direct Figure 5 transcription
 //!   below, kept so the engine's equivalence is *tested*
 //!   (`tests/safety_differential.rs`), not assumed. Its worklist is
 //!   FIFO, so states are created (and named `c0, c1, …`) in
-//!   breadth-first discovery order — the canonical order the engine's
-//!   renumbering pass reproduces.
+//!   breadth-first discovery order — the canonical order the kernel's
+//!   first-intern ids give the engine with no renumbering.
 
 use crate::pairset::{h_epsilon, phi, OkViolation, PairSet};
 use protoquot_spec::{spec_from_parts, Alphabet, EventId, NormalSpec, Spec, StateId};

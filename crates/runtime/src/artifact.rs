@@ -148,7 +148,8 @@ pub struct CompiledArtifact {
     pub dfa: ArtifactDfa,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a-64, the artifact's content hash.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);

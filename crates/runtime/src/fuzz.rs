@@ -41,7 +41,7 @@
 //! reporting. [`FuzzReport::to_json`] is deterministic — timing never
 //! enters it — so CI can pin the clean report byte for byte.
 
-use crate::artifact::{encode_with_program, ArtifactError, CompiledArtifact};
+use crate::artifact::{encode_with_program, fnv1a, ArtifactError, CompiledArtifact};
 use crate::codec::{
     decode_frame, decode_reply, encode_frame, encode_reply, read_frame, read_reply, Frame,
     FrameBuffer, RejectReason, Reply, ReplyBuffer,
@@ -828,6 +828,11 @@ fn batch_case(
 /// must keep decoding and instantiating; anything that still decodes
 /// after mutation must also survive `instantiate` without panicking
 /// (either rebuilding the guard or refusing with a divergence).
+///
+/// A program whose first byte has bit 2 set (about half of them)
+/// re-stamps the content hash after mutating, so its bytes get past
+/// the hash check into the payload parser, the spec rebuild and the
+/// guard comparison instead of stopping at the header.
 fn artifact_case(base: &Arc<Vec<u8>>, input: &[u8]) -> Option<String> {
     let mut bytes = base.as_ref().clone();
     for op in input.chunks(3) {
@@ -846,6 +851,10 @@ fn artifact_case(base: &Arc<Vec<u8>>, input: &[u8]) -> Option<String> {
             2 => bytes.truncate(pos),
             _ => bytes.insert(pos, kind),
         }
+    }
+    if input.first().is_some_and(|&k| k & 0x04 != 0) && bytes.len() >= 24 {
+        let hash = fnv1a(&bytes[24..]);
+        bytes[8..16].copy_from_slice(&hash.to_be_bytes());
     }
     let pristine = bytes == **base;
     match CompiledArtifact::decode(&bytes) {

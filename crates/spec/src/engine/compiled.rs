@@ -101,7 +101,8 @@ pub(crate) fn set_bit(bits: &mut [u64], i: u32) {
     bits[(i / 64) as usize] |= 1u64 << (i % 64);
 }
 
-pub(crate) fn bits_subset(sub: &[u64], sup: &[u64]) -> bool {
+/// `sub ⊆ sup` for two bitset rows over one event table.
+pub fn bits_subset(sub: &[u64], sup: &[u64]) -> bool {
     sub.iter().zip(sup).all(|(&a, &b)| a & !b == 0)
 }
 
@@ -137,6 +138,35 @@ pub struct CompiledComposite {
 }
 
 impl CompiledComposite {
+    /// The reachable product `P_0 ‖ … ‖ P_{n-1}`, explored from the
+    /// initial tuple with ids in first-reach order. `table` must hold
+    /// every event owned by exactly one part (those label the external
+    /// edges), and no event may be shared by more than two parts.
+    pub fn product(parts: &[&Spec], table: &EventTable) -> CompiledComposite {
+        build_nway(parts, table)
+    }
+
+    /// The internal edges reversed, as CSR `(off, src)`: row `t` lists
+    /// the source of every internal edge into `t`, ascending.
+    pub fn reverse_internal(&self) -> (Vec<u32>, Vec<u32>) {
+        let mut off = vec![0u32; self.n + 1];
+        for &t in &self.int_tgt {
+            off[t as usize + 1] += 1;
+        }
+        for i in 0..self.n {
+            off[i + 1] += off[i];
+        }
+        let mut src = vec![0u32; self.int_tgt.len()];
+        let mut cursor = off.clone();
+        for s in 0..self.n {
+            for &t in &self.int_tgt[self.int_off[s] as usize..self.int_off[s + 1] as usize] {
+                src[cursor[t as usize] as usize] = s as u32;
+                cursor[t as usize] += 1;
+            }
+        }
+        (off, src)
+    }
+
     /// Total edges (external + internal CSR entries).
     pub fn num_transitions(&self) -> usize {
         self.ext_ev.len() + self.int_tgt.len()
@@ -661,93 +691,145 @@ fn csr_int(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
 
 /// `τ*` rows for every composite state: the externally offered events
 /// after any number of internal moves, as bitsets over the event table.
-///
-/// One iterative Tarjan pass over the internal graph, with the reverse
-/// topological DP folded in: SCCs complete successors-first, so when
-/// one completes, every internal successor outside it already holds its
-/// final row. The SCC's row — its members' external events plus those
-/// rows — is written to every member at once. Linear in the composite,
-/// instead of the reference's per-state DFS.
+/// One [`TauStar::pass`] over every state and every edge.
 pub(crate) fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
-    let n = comp.n;
-    const UNVISITED: u32 = u32::MAX;
-    // A completed state's index: above every live index, so the
-    // low-link `min` ignores it and no on-stack flag is needed.
-    const DONE: u32 = u32::MAX - 1;
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0u32; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut frames: Vec<(u32, u32)> = Vec::new();
-    let mut rows = vec![0u64; n * words];
-    let mut acc = vec![0u64; words];
-    let mut next_index = 0u32;
+    let mut tau = TauStar::new(comp.n, words);
+    tau.pass(comp, 0..comp.n as u32, |_| true);
+    tau.rows
+}
 
-    for root in 0..n as u32 {
-        if index[root as usize] != UNVISITED {
-            continue;
+/// [`TauStar`] index of a state whose row is final. It lies above every
+/// live Tarjan index, so the low-link `min` ignores it and no on-stack
+/// flag is needed.
+const DONE: u32 = u32::MAX - 1;
+/// [`TauStar`] index of a state the next pass recomputes.
+const UNVISITED: u32 = u32::MAX;
+
+/// `τ*` rows of a compiled composite and the one routine that computes
+/// them, from scratch or again after edges died.
+///
+/// A [`pass`](TauStar::pass) is one iterative Tarjan walk over the
+/// internal graph with the reverse topological DP folded in: SCCs
+/// complete successors-first, so when one completes, every successor
+/// outside it holds its final row, and the SCC's row — its members'
+/// external events plus those rows — is written to every member at
+/// once. A pass computes only states marked unvisited; a finished state
+/// it meets is a boundary constant, read and never re-entered. So a
+/// caller that kills edges reopens the states whose rows could shrink
+/// and re-runs the pass on them alone.
+pub struct TauStar {
+    words: usize,
+    rows: Vec<u64>,
+    /// Tarjan index of a state during a pass, [`DONE`] once its row is
+    /// final, [`UNVISITED`] while a pass is to compute it.
+    index: Vec<u32>,
+    stack: Vec<u32>,
+    /// DFS frames: state, next internal edge, low-link.
+    frames: Vec<(u32, u32, u32)>,
+    acc: Vec<u64>,
+}
+
+impl TauStar {
+    /// `n` unvisited states with empty `words`-word rows.
+    pub fn new(n: usize, words: usize) -> TauStar {
+        TauStar {
+            words,
+            rows: vec![0; n * words],
+            index: vec![UNVISITED; n],
+            stack: Vec::new(),
+            frames: Vec::new(),
+            acc: vec![0; words],
         }
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        frames.push((root, 0));
-        while let Some(frame) = frames.last_mut() {
-            let v = frame.0;
-            let s = v as usize;
-            let begin = comp.int_off[s] as usize;
-            let end = comp.int_off[s + 1] as usize;
-            if (frame.1 as usize) < end - begin {
-                let w = comp.int_tgt[begin + frame.1 as usize];
-                frame.1 += 1;
-                let ws = w as usize;
-                if index[ws] == UNVISITED {
-                    index[ws] = next_index;
-                    low[ws] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    frames.push((w, 0));
-                } else {
-                    low[s] = low[s].min(index[ws]);
-                }
+    }
+
+    /// The `τ*` row of state `s` (final once a pass has reached it).
+    pub fn row(&self, s: u32) -> &[u64] {
+        &self.rows[s as usize * self.words..(s as usize + 1) * self.words]
+    }
+
+    /// Marks `s` for recomputation by the next pass.
+    pub fn reopen(&mut self, s: u32) {
+        self.index[s as usize] = UNVISITED;
+    }
+
+    /// Computes the row of every unvisited state reachable from `roots`
+    /// over live internal edges; an edge into a state `live` refuses is
+    /// dead and skipped.
+    pub fn pass(
+        &mut self,
+        comp: &CompiledComposite,
+        roots: impl IntoIterator<Item = u32>,
+        live: impl Fn(u32) -> bool,
+    ) {
+        let words = self.words;
+        let mut next_index = 0u32;
+        for root in roots {
+            if self.index[root as usize] != UNVISITED {
                 continue;
             }
-            frames.pop();
-            if let Some(parent) = frames.last() {
-                let p = parent.0 as usize;
-                low[p] = low[p].min(low[s]);
-            }
-            if low[s] != index[s] {
-                continue;
-            }
-            // `v` roots an SCC: its members are the stack above it, and
-            // still carry live indices, so `DONE` marks exactly the
-            // successors outside it.
-            let root_at = stack
-                .iter()
-                .rposition(|&w| w == v)
-                .expect("an SCC root is on the Tarjan stack");
-            acc.iter_mut().for_each(|w| *w = 0);
-            for &m in &stack[root_at..] {
-                let mu = m as usize;
-                for k in comp.ext_off[mu] as usize..comp.ext_off[mu + 1] as usize {
-                    set_bit(&mut acc, comp.ext_ev[k]);
+            self.open(comp, root, &mut next_index);
+            while let Some(&(v, edge, low)) = self.frames.last() {
+                let s = v as usize;
+                if edge < comp.int_off[s + 1] {
+                    self.frames.last_mut().expect("a frame is open").1 += 1;
+                    let w = comp.int_tgt[edge as usize];
+                    if !live(w) {
+                        continue;
+                    }
+                    match self.index[w as usize] {
+                        UNVISITED => self.open(comp, w, &mut next_index),
+                        i => {
+                            let frame = self.frames.last_mut().expect("a frame is open");
+                            frame.2 = frame.2.min(i);
+                        }
+                    }
+                    continue;
                 }
-                for k in comp.int_off[mu] as usize..comp.int_off[mu + 1] as usize {
-                    let t = comp.int_tgt[k] as usize;
-                    if index[t] == DONE {
-                        for (a, &r) in acc.iter_mut().zip(&rows[t * words..(t + 1) * words]) {
-                            *a |= r;
+                self.frames.pop();
+                if let Some(parent) = self.frames.last_mut() {
+                    parent.2 = parent.2.min(low);
+                }
+                if low != self.index[s] {
+                    continue;
+                }
+                // `v` roots an SCC: its members are the stack above it, and
+                // still carry live indices, so `DONE` marks exactly the
+                // successors outside it.
+                let root_at = self
+                    .stack
+                    .iter()
+                    .rposition(|&w| w == v)
+                    .expect("an SCC root is on the Tarjan stack");
+                self.acc.iter_mut().for_each(|w| *w = 0);
+                for &m in &self.stack[root_at..] {
+                    let mu = m as usize;
+                    for k in comp.ext_off[mu] as usize..comp.ext_off[mu + 1] as usize {
+                        set_bit(&mut self.acc, comp.ext_ev[k]);
+                    }
+                    for k in comp.int_off[mu] as usize..comp.int_off[mu + 1] as usize {
+                        let t = comp.int_tgt[k];
+                        if self.index[t as usize] == DONE && live(t) {
+                            let row = &self.rows[t as usize * words..(t as usize + 1) * words];
+                            for (a, &r) in self.acc.iter_mut().zip(row) {
+                                *a |= r;
+                            }
                         }
                     }
                 }
+                for &m in &self.stack[root_at..] {
+                    let mu = m as usize;
+                    self.rows[mu * words..(mu + 1) * words].copy_from_slice(&self.acc);
+                    self.index[mu] = DONE;
+                }
+                self.stack.truncate(root_at);
             }
-            for &m in &stack[root_at..] {
-                let mu = m as usize;
-                rows[mu * words..(mu + 1) * words].copy_from_slice(&acc);
-                index[mu] = DONE;
-            }
-            stack.truncate(root_at);
         }
     }
-    rows
+
+    fn open(&mut self, comp: &CompiledComposite, s: u32, next_index: &mut u32) {
+        self.index[s as usize] = *next_index;
+        self.stack.push(s);
+        self.frames.push((s, comp.int_off[s as usize], *next_index));
+        *next_index += 1;
+    }
 }

@@ -33,13 +33,13 @@ use crate::error::SpecError;
 use crate::event::{Alphabet, EventId};
 use crate::satisfy::SatisfactionResult;
 use crate::spec::{spec_from_parts, Spec, StateId};
-use compiled::{bits_subset, build_nway, build_single, tau_star_rows};
+use compiled::{build_nway, build_single, tau_star_rows};
 use norm::{compile_normal, CompiledNormal, NO_HUB};
 use product::run_product;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-pub use compiled::{CompiledComposite, EventTable, DENSE_TUPLE_SLOTS};
+pub use compiled::{bits_subset, CompiledComposite, EventTable, TauStar, DENSE_TUPLE_SLOTS};
 pub use subset::{Csr, SliceInterner, SubsetKernel};
 
 /// Size and work counters of one engine verification run.

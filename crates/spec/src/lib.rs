@@ -79,8 +79,9 @@ pub use closure::Closures;
 pub use compose::{compose, compose_all, compose_full, hide, sync_product};
 pub use dot::{to_dot, to_text};
 pub use engine::{
-    compose_all_nway, verify_system, CompiledComposite, CompiledSystem, Csr, EngineVerdict,
-    EventTable, SliceInterner, SubsetKernel, VerifyEngineStats, DENSE_TUPLE_SLOTS,
+    bits_subset, compose_all_nway, verify_system, CompiledComposite, CompiledSystem, Csr,
+    EngineVerdict, EventTable, SliceInterner, SubsetKernel, TauStar, VerifyEngineStats,
+    DENSE_TUPLE_SLOTS,
 };
 pub use error::SpecError;
 pub use event::{Alphabet, EventId};

@@ -1,7 +1,7 @@
-//! Quotient problems with more than 64 external events. The progress
-//! engine's `u64` mask fast path cannot represent these; they exercise
-//! the dynamic wide-mask path (the seed implementation panicked on
-//! `Ext > 64`).
+//! Quotient problems with more than 64 external events. τ* rows,
+//! acceptance sets and witness offers are bitsets over the `Ext` event
+//! table, one `u64` word per 64 events; these cases cross from one word
+//! to two (an early implementation panicked on `Ext > 64`).
 
 use protoquot_core::{solve, verify_converter};
 use protoquot_spec::{Alphabet, Spec, SpecBuilder};
@@ -38,7 +38,7 @@ fn wide_ring(n: usize) -> (Spec, Spec, Alphabet) {
 fn seventy_external_events_solve_and_verify() {
     let (service, b, int) = wide_ring(70);
     let ext = b.alphabet().difference(&int);
-    assert!(ext.len() > 64, "fixture must exceed the u64 fast path");
+    assert!(ext.len() > 64, "fixture must exceed one bitset word");
     let q = solve(&b, &service, &int).expect("a converter exists");
     verify_converter(&b, &service, &q.converter).expect("derived converter verifies");
     // The driving converter fires each f{i} in turn: one state per
@@ -47,8 +47,8 @@ fn seventy_external_events_solve_and_verify() {
     assert_eq!(q.stats.removed_states, 0);
 }
 
-/// Exactly at the boundary the fast path still applies; one past it the
-/// wide path takes over — both must derive and verify.
+/// Exactly at the boundary the rows still fit one word; one past it
+/// they take two — both must derive and verify.
 #[test]
 fn mask_representation_boundary() {
     for n in [64usize, 65] {
