@@ -28,6 +28,21 @@ use protoquot_spec::{normalize, CompiledSystem};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Best of 3 runs of `f`: the fastest wall time (ms) and the last run's
+/// result. A single cold call would time first-call allocation as much
+/// as the work.
+fn best_of_3<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..3 {
+        let t = Instant::now();
+        let o = f();
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        out = Some(o);
+    }
+    (best, out.unwrap())
+}
+
 /// Best-of-3 wall times (ms) of the nfa-blowup-11 safety and progress
 /// phases — the workload the CI smoke gate tracks.
 fn nfa_blowup_11_phase_times() -> (f64, f64) {
@@ -59,14 +74,10 @@ fn exp_w_verify_time() -> f64 {
     let cfg = symmetric_configuration();
     let service = at_least_once();
     let q = solve(&cfg.b, &service, &cfg.int).expect("EXP-W converter exists");
-    let mut verify_ms = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let (verdict, _) =
-            converter_verdict_with(&cfg.b, &service, &q.converter, 1).expect("interfaces line up");
-        verify_ms = verify_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        assert!(verdict.is_ok(), "EXP-W converter must verify");
-    }
+    let (verify_ms, (verdict, _)) = best_of_3(|| {
+        converter_verdict_with(&cfg.b, &service, &q.converter, 1).expect("interfaces line up")
+    });
+    assert!(verdict.is_ok(), "EXP-W converter must verify");
     verify_ms
 }
 
@@ -327,7 +338,7 @@ fn guard_build_time() -> f64 {
 
 /// Best-of-3 wall time (ms) of `ConverterRegistry::admit` at one
 /// verify thread on nfa-blowup(11)'s artifact (a 14,338-state `B ‖ C`):
-/// decode, guard rebuild with the bit-identical table check, and the
+/// decode, guard rebuild with the tables-digest check, and the
 /// full product check. The smoke gate at 2× the baseline is coarse:
 /// it catches admission growing back to the ~34 ms that boxed-tuple
 /// interning plus a second compile cost, not one extra compile on its
@@ -339,12 +350,7 @@ fn admit_time() -> f64 {
     let bytes = encode(&[&b, &q.converter], &service).expect("artifact encodes");
     let dir = std::env::temp_dir().join(format!("protoquot-smoke-admit-{}", std::process::id()));
     let mut registry = ConverterRegistry::open(&dir, &service, 1).expect("registry opens");
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        registry.admit(&bytes).expect("verified artifact admits");
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
+    let (best, _) = best_of_3(|| registry.admit(&bytes).expect("verified artifact admits"));
     let _ = std::fs::remove_dir_all(&dir);
     best
 }
@@ -699,9 +705,7 @@ fn main() {
         let s = safety_phase(&b, &na, &int, false, SafetyLimits::default())
             .unwrap()
             .unwrap();
-        let t = Instant::now();
-        let p = progress_phase(&b, &na, &s);
-        let ms = t.elapsed().as_secs_f64() * 1e3;
+        let (ms, p) = best_of_3(|| progress_phase(&b, &na, &s));
         assert!(p.converter.is_some());
         println!(
             "{:>14} {:>10} {:>12} {:>12.3} {:>14.5} {:>12} {:>12} {:>10}",
@@ -740,19 +744,8 @@ fn main() {
         let s = safety_phase(&b, &na, &int, false, SafetyLimits::default())
             .unwrap()
             .unwrap();
-        let time = |f: &dyn Fn() -> protoquot_core::ProgressPhase| {
-            let mut best = f64::INFINITY;
-            let mut out = None;
-            for _ in 0..3 {
-                let t = Instant::now();
-                let p = f();
-                best = best.min(t.elapsed().as_secs_f64() * 1e3);
-                out = Some(p);
-            }
-            (best, out.unwrap())
-        };
-        let (ref_ms, pr) = time(&|| protoquot_core::progress_phase_reference(&b, &na, &s));
-        let (inc_ms, pi) = time(&|| progress_phase(&b, &na, &s));
+        let (ref_ms, pr) = best_of_3(|| protoquot_core::progress_phase_reference(&b, &na, &s));
+        let (inc_ms, pi) = best_of_3(|| progress_phase(&b, &na, &s));
         assert_eq!(pr.converter, pi.converter, "engines must agree");
         assert_eq!(pr.iterations, pi.iterations);
         let slices: Vec<String> = pi.stats.slice_sizes.iter().map(|s| s.to_string()).collect();
@@ -784,29 +777,16 @@ fn main() {
         ("paper/Fig12", symmetric.b, symmetric.int),
     ] {
         let na = normalize(&exactly_once());
-        // Best of 3, like EXP-C3.
-        let mut ref_ms = f64::INFINITY;
-        let mut reference = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let s = safety_phase_reference(&b, &na, &int, false, SafetyLimits::default())
+        let (ref_ms, reference) = best_of_3(|| {
+            safety_phase_reference(&b, &na, &int, false, SafetyLimits::default())
                 .unwrap()
-                .unwrap();
-            ref_ms = ref_ms.min(t.elapsed().as_secs_f64() * 1e3);
-            reference = Some(s);
-        }
-        let reference = reference.unwrap();
-        let mut eng_ms = f64::INFINITY;
-        let mut out = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let o = safety_engine(&b, &na, &int, false, SafetyLimits::default(), 1)
                 .unwrap()
-                .unwrap();
-            eng_ms = eng_ms.min(t.elapsed().as_secs_f64() * 1e3);
-            out = Some(o);
-        }
-        let out = out.unwrap();
+        });
+        let (eng_ms, out) = best_of_3(|| {
+            safety_engine(&b, &na, &int, false, SafetyLimits::default(), 1)
+                .unwrap()
+                .unwrap()
+        });
         assert_eq!(out.phase.c0, reference.c0, "engines must agree");
         assert_eq!(out.phase.f, reference.f);
         println!(
@@ -861,25 +841,11 @@ fn main() {
         ];
         for (label, b, int, service) in instances {
             let q = solve(&b, &service, &int).expect("instance has a converter");
-            let mut ref_ms = f64::INFINITY;
-            let mut reference = None;
-            for _ in 0..3 {
-                let t = Instant::now();
-                let r = converter_verdict_reference(&b, &service, &q.converter).unwrap();
-                ref_ms = ref_ms.min(t.elapsed().as_secs_f64() * 1e3);
-                reference = Some(r);
-            }
-            let reference = reference.unwrap();
+            let (ref_ms, reference) =
+                best_of_3(|| converter_verdict_reference(&b, &service, &q.converter).unwrap());
             assert!(reference.is_ok(), "{label}: derived converter must verify");
-            let mut eng_ms = f64::INFINITY;
-            let mut out = None;
-            for _ in 0..3 {
-                let t = Instant::now();
-                let o = converter_verdict_with(&b, &service, &q.converter, 1).unwrap();
-                eng_ms = eng_ms.min(t.elapsed().as_secs_f64() * 1e3);
-                out = Some(o);
-            }
-            let (verdict, stats) = out.unwrap();
+            let (eng_ms, (verdict, stats)) =
+                best_of_3(|| converter_verdict_with(&b, &service, &q.converter, 1).unwrap());
             assert!(verdict.is_ok(), "{label}: engines must agree");
             println!(
                 "{:>14} {:>10.3} {:>10.3} {:>9.2}x {:>8} {:>8} {:>6} {:>8} {:>10.1}",

@@ -10,21 +10,14 @@
 //!
 //! ```text
 //! magic            4  b"PQCA"
-//! format version   4  u32, currently 1
+//! format version   4  u32, currently 2
 //! content hash     8  FNV-1a-64 over every payload byte
 //! table hash       8  codec::table_hash of the event table
 //! payload:
 //!   service          SpecDoc
 //!   part count       u32
 //!   parts            SpecDocs (fixed components first, converter last)
-//!   guard DFA:
-//!     nsym             u32
-//!     dfa_initial      u32
-//!     trans            u64 count + count × u32
-//!     any_fail         u64 count + count × u8 (0|1)
-//!     subset_size      u64 count + count × u32
-//!     initial verdict  u8 code (0 none, 1 not-a-trace, 2 service
-//!                      violation, 3 stalled) + u16 event for 1/2
+//!   tables digest    u64 FNV-1a-64 of the guard's table section
 //! ```
 //!
 //! A `SpecDoc` is encoded as: name, alphabet (count + names), states
@@ -32,14 +25,26 @@
 //! `(u32, name, u32)`), internal transitions (count × `(u32, u32)`);
 //! strings are a `u32` length plus UTF-8 bytes.
 //!
-//! The artifact carries *both* the source specs and the determinized
-//! guard tables. The specs are load-bearing: registry admission re-runs
-//! the product check ([`protoquot_spec::CompiledSystem::verify`]) on the
-//! system compiled from them before a version may go live, and
-//! [`CompiledArtifact::instantiate`] rebuilds the guard from
-//! them and refuses the artifact unless the rebuilt tables are
-//! byte-identical to the stored ones — a tampered or bit-rotted table
-//! can never reach a session even if its content hash was re-stamped.
+//! The *table section* is the guard DFA the specs compile to, laid out
+//! as format 1 stored it: `nsym` and `dfa_initial` (`u32` each),
+//! `trans` (`u64` count + `u32`s), `any_fail` (`u64` count + bytes
+//! 0|1), `subset_size` (`u64` count + `u32`s), and the initial verdict
+//! (a `u8` code — 0 none, 1 not-a-trace, 2 service violation, 3
+//! stalled — plus a `u16` event for codes 1 and 2).
+//!
+//! The specs are the artifact: registry admission re-runs the product
+//! check ([`protoquot_spec::CompiledSystem::verify`]) on the system
+//! compiled from them before a version may go live, and
+//! [`CompiledArtifact::instantiate`] rebuilds the guard from them and
+//! refuses the artifact unless the rebuilt tables hash to the stored
+//! digest — a compiler that drifted from the one that wrote the
+//! artifact, or specs tampered with under a re-stamped content hash,
+//! cannot reach a session unnoticed.
+//!
+//! A format 1 artifact stores the table section itself in place of the
+//! digest. It still loads: its digest is the FNV-1a-64 of that stored
+//! section, which is never parsed, so a damaged section is refused as
+//! an [`ArtifactError::Divergence`] by `instantiate`.
 
 use crate::codec::table_hash;
 use crate::guard::{Conviction, GuardProgram};
@@ -49,8 +54,12 @@ use std::fmt;
 /// Leading magic of every compiled artifact.
 pub const ARTIFACT_MAGIC: [u8; 4] = *b"PQCA";
 
-/// The one format version this build reads and writes.
-pub const ARTIFACT_FORMAT: u32 = 1;
+/// The format version this build writes. It also reads format 1,
+/// which stored the guard tables in place of their digest.
+pub const ARTIFACT_FORMAT: u32 = 2;
+
+/// The previous format, still read.
+const FORMAT_V1: u32 = 1;
 
 /// Sanity cap on any single encoded string (event, state, spec name):
 /// far above anything a real spec produces, low enough that a corrupt
@@ -79,8 +88,8 @@ pub enum ArtifactError {
     /// The embedded specs do not rebuild into a valid system.
     Spec(SpecError),
     /// The guard rebuilt from the embedded specs disagrees with the
-    /// stored tables (or the stored table hash): the artifact was
-    /// tampered with after compilation.
+    /// stored tables digest (or the stored table hash): the artifact
+    /// was tampered with after compilation, or the compiler drifted.
     Divergence(String),
 }
 
@@ -88,9 +97,10 @@ impl fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ArtifactError::BadMagic => write!(f, "not a compiled artifact (bad magic)"),
-            ArtifactError::UnsupportedFormat(v) => {
-                write!(f, "unsupported artifact format {v} (this build reads {ARTIFACT_FORMAT})")
-            }
+            ArtifactError::UnsupportedFormat(v) => write!(
+                f,
+                "unsupported artifact format {v} (this build reads {FORMAT_V1} and {ARTIFACT_FORMAT})"
+            ),
             ArtifactError::ContentHash { stored, computed } => write!(
                 f,
                 "content hash mismatch: header says {stored:016x}, payload hashes to {computed:016x}"
@@ -110,27 +120,9 @@ impl From<SpecError> for ArtifactError {
     }
 }
 
-/// The guard-DFA tables as stored in an artifact.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ArtifactDfa {
-    /// `|Σ|` — the transition-row stride.
-    pub nsym: u32,
-    /// Initial DFA state.
-    pub dfa_initial: u32,
-    /// Dense transition/verdict table, `dfa_states × nsym`.
-    pub trans: Vec<u32>,
-    /// Per-state attested-stall confirmation flags.
-    pub any_fail: Vec<bool>,
-    /// Per-state composite-subset sizes.
-    pub subset_size: Vec<u32>,
-    /// Conviction sessions start with, if any: the verdict code and
-    /// the event index (0 for stalls).
-    pub initial_verdict: Option<(u8, u16)>,
-}
-
 /// One decoded compiled artifact: integrity-checked bytes parsed into
-/// specs plus guard tables, not yet trusted to serve traffic — that
-/// takes [`CompiledArtifact::instantiate`] (table agreement) and, for
+/// specs plus a tables digest, not yet trusted to serve traffic — that
+/// takes [`CompiledArtifact::instantiate`] (digest agreement) and, for
 /// the registry, the product check on the rebuilt system.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompiledArtifact {
@@ -144,11 +136,11 @@ pub struct CompiledArtifact {
     pub service: SpecDoc,
     /// The system parts: fixed components first, converter last.
     pub parts: Vec<SpecDoc>,
-    /// The determinized guard tables.
-    pub dfa: ArtifactDfa,
+    /// FNV-1a-64 of the guard's table section (see the module docs).
+    pub tables_digest: u64,
 }
 
-/// FNV-1a-64, the artifact's content hash.
+/// FNV-1a-64, the artifact's content hash and tables digest.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
@@ -202,8 +194,44 @@ fn put_spec(out: &mut Vec<u8>, spec: &Spec) {
     }
 }
 
+/// Writes `prog`'s determinized tables in the table-section layout.
+fn put_tables(out: &mut Vec<u8>, prog: &GuardProgram) {
+    let t = prog.dfa_tables();
+    put_u32(out, t.nsym);
+    out.extend_from_slice(&t.dfa_initial.to_be_bytes());
+    out.extend_from_slice(&(t.trans.len() as u64).to_be_bytes());
+    for &x in t.trans {
+        out.extend_from_slice(&x.to_be_bytes());
+    }
+    out.extend_from_slice(&(t.any_fail.len() as u64).to_be_bytes());
+    out.extend(t.any_fail.iter().map(|&b| u8::from(b)));
+    out.extend_from_slice(&(t.subset_size.len() as u64).to_be_bytes());
+    for &x in t.subset_size {
+        out.extend_from_slice(&x.to_be_bytes());
+    }
+    match t.initial_verdict {
+        None => out.push(0),
+        Some(&Conviction::NotATrace { event }) => {
+            out.push(1);
+            out.extend_from_slice(&event.to_be_bytes());
+        }
+        Some(&Conviction::ServiceViolation { event }) => {
+            out.push(2);
+            out.extend_from_slice(&event.to_be_bytes());
+        }
+        Some(Conviction::Stalled) => out.push(3),
+    }
+}
+
+/// The tables digest of `prog`: FNV-1a-64 of its table section.
+fn tables_digest(prog: &GuardProgram) -> u64 {
+    let mut tables = Vec::new();
+    put_tables(&mut tables, prog);
+    fnv1a(&tables)
+}
+
 /// Compiles `parts` (converter included) against `service` and encodes
-/// the whole system — specs plus determinized guard tables — as one
+/// the whole system — specs plus the guard's tables digest — as one
 /// artifact.
 pub fn encode(parts: &[&Spec], service: &Spec) -> Result<Vec<u8>, ArtifactError> {
     let prog = GuardProgram::new(parts, service)?;
@@ -219,26 +247,7 @@ pub fn encode_with_program(parts: &[&Spec], service: &Spec, prog: &GuardProgram)
     for part in parts {
         put_spec(&mut payload, part);
     }
-    let t = prog.dfa_tables();
-    put_u32(&mut payload, t.nsym);
-    payload.extend_from_slice(&t.dfa_initial.to_be_bytes());
-    payload.extend_from_slice(&(t.trans.len() as u64).to_be_bytes());
-    for &x in t.trans {
-        payload.extend_from_slice(&x.to_be_bytes());
-    }
-    payload.extend_from_slice(&(t.any_fail.len() as u64).to_be_bytes());
-    payload.extend(t.any_fail.iter().map(|&b| u8::from(b)));
-    payload.extend_from_slice(&(t.subset_size.len() as u64).to_be_bytes());
-    for &x in t.subset_size {
-        payload.extend_from_slice(&x.to_be_bytes());
-    }
-    match verdict_code(t.initial_verdict) {
-        None => payload.push(0),
-        Some((code, event)) => {
-            payload.push(code);
-            payload.extend_from_slice(&event.to_be_bytes());
-        }
-    }
+    payload.extend_from_slice(&tables_digest(prog).to_be_bytes());
 
     let mut out = Vec::with_capacity(24 + payload.len());
     out.extend_from_slice(&ARTIFACT_MAGIC);
@@ -247,14 +256,6 @@ pub fn encode_with_program(parts: &[&Spec], service: &Spec, prog: &GuardProgram)
     out.extend_from_slice(&table_hash(prog.table()).to_be_bytes());
     out.extend_from_slice(&payload);
     out
-}
-
-fn verdict_code(v: Option<&Conviction>) -> Option<(u8, u16)> {
-    v.map(|c| match c {
-        Conviction::NotATrace { event } => (1, *event),
-        Conviction::ServiceViolation { event } => (2, *event),
-        Conviction::Stalled => (3, 0),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -294,14 +295,6 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8<W: fmt::Display + ?Sized>(&mut self, what: &W) -> Result<u8, ArtifactError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16<W: fmt::Display + ?Sized>(&mut self, what: &W) -> Result<u16, ArtifactError> {
-        Ok(u16::from_be_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
     fn u32<W: fmt::Display + ?Sized>(&mut self, what: &W) -> Result<u32, ArtifactError> {
         Ok(u32::from_be_bytes(self.take(4, what)?.try_into().unwrap()))
     }
@@ -335,7 +328,7 @@ impl<'a> Reader<'a> {
         what: &W,
     ) -> Result<usize, ArtifactError> {
         let n = self.u32(what)? as usize;
-        let remaining = self.bytes.len() - self.at;
+        let remaining = self.rest().len();
         if n.saturating_mul(min_elem) > remaining {
             return Err(ArtifactError::Malformed(format!(
                 "{what}: count {n} cannot fit in {remaining} remaining bytes"
@@ -344,8 +337,8 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
+    fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.at..]
     }
 }
 
@@ -391,31 +384,17 @@ fn get_doc<W: fmt::Display + ?Sized>(
     })
 }
 
-fn get_u32_seq(r: &mut Reader<'_>, what: &str) -> Result<Vec<u32>, ArtifactError> {
-    let n = r.u64(what)? as usize;
-    let remaining = r.bytes.len() - r.at;
-    if n.saturating_mul(4) > remaining {
-        return Err(ArtifactError::Malformed(format!(
-            "{what}: count {n} cannot fit in {remaining} remaining bytes"
-        )));
-    }
-    let raw = r.take(n * 4, what)?;
-    Ok(raw
-        .chunks_exact(4)
-        .map(|c| u32::from_be_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
 impl CompiledArtifact {
-    /// Parses and integrity-checks artifact bytes. Strict: every length
-    /// is bounds-checked, the content hash must match the payload, and
-    /// trailing bytes are an error. This is the surface `protoquot fuzz
-    /// --target artifact` attacks; it must return [`ArtifactError`] on
-    /// any hostile input, never panic.
+    /// Parses and integrity-checks artifact bytes of either readable
+    /// format. Strict: every length is bounds-checked, the content hash
+    /// must match the payload, and a format 2 payload must end at its
+    /// digest. This is the surface `protoquot fuzz --target artifact`
+    /// attacks; it must return [`ArtifactError`] on any hostile input,
+    /// never panic.
     ///
     /// A decoded artifact is *parsed*, not *trusted*:
     /// [`CompiledArtifact::instantiate`] rebuilds the guard from the
-    /// embedded specs and compares tables, and registry admission runs
+    /// embedded specs and compares digests, and registry admission runs
     /// the product check on the rebuilt system on top.
     pub fn decode(bytes: &[u8]) -> Result<CompiledArtifact, ArtifactError> {
         if bytes.len() < 24 {
@@ -428,7 +407,7 @@ impl CompiledArtifact {
             return Err(ArtifactError::BadMagic);
         }
         let format = u32::from_be_bytes(bytes[4..8].try_into().unwrap());
-        if format != ARTIFACT_FORMAT {
+        if format != FORMAT_V1 && format != ARTIFACT_FORMAT {
             return Err(ArtifactError::UnsupportedFormat(format));
         }
         let stored = u64::from_be_bytes(bytes[8..16].try_into().unwrap());
@@ -452,97 +431,32 @@ impl CompiledArtifact {
         if parts.is_empty() {
             return Err(ArtifactError::Malformed("artifact holds no parts".into()));
         }
-        let nsym = r.u32("dfa.nsym")?;
-        let dfa_initial = r.u32("dfa.initial")?;
-        let trans = get_u32_seq(&mut r, "dfa.trans")?;
-        let n = r.u64("dfa.any_fail")? as usize;
-        let remaining = r.bytes.len() - r.at;
-        if n > remaining {
-            return Err(ArtifactError::Malformed(format!(
-                "dfa.any_fail: count {n} cannot fit in {remaining} remaining bytes"
-            )));
-        }
-        let mut any_fail = Vec::with_capacity(n);
-        for &b in r.take(n, "dfa.any_fail")? {
-            match b {
-                0 => any_fail.push(false),
-                1 => any_fail.push(true),
-                other => {
-                    return Err(ArtifactError::Malformed(format!(
-                        "dfa.any_fail: flag byte {other} is neither 0 nor 1"
-                    )))
-                }
-            }
-        }
-        let subset_size = get_u32_seq(&mut r, "dfa.subset_size")?;
-        let initial_verdict = match r.u8("dfa.initial_verdict")? {
-            0 => None,
-            code @ 1..=3 => {
-                let event = if code == 3 {
-                    0
-                } else {
-                    r.u16("dfa.initial_verdict event")?
-                };
-                Some((code, event))
-            }
-            other => {
-                return Err(ArtifactError::Malformed(format!(
-                    "dfa.initial_verdict: unknown code {other}"
-                )))
-            }
-        };
-        if !r.done() {
-            return Err(ArtifactError::Malformed(format!(
-                "{} trailing bytes after the artifact",
-                r.bytes.len() - r.at
-            )));
-        }
-
-        // Structural consistency of the tables themselves.
-        if nsym == 0 && !trans.is_empty() {
-            return Err(ArtifactError::Malformed(
-                "dfa.trans is non-empty but nsym is 0".into(),
-            ));
-        }
-        if nsym != 0 && trans.len() % nsym as usize != 0 {
-            return Err(ArtifactError::Malformed(format!(
-                "dfa.trans length {} is not a multiple of nsym {nsym}",
-                trans.len()
-            )));
-        }
-        let states = if nsym == 0 {
-            0
+        let tables_digest = if format == FORMAT_V1 {
+            // The stored table section runs to the end of the payload.
+            fnv1a(r.rest())
         } else {
-            trans.len() / nsym as usize
+            let digest = r.u64("tables digest")?;
+            if !r.rest().is_empty() {
+                return Err(ArtifactError::Malformed(format!(
+                    "{} trailing bytes after the artifact",
+                    r.rest().len()
+                )));
+            }
+            digest
         };
-        if any_fail.len() != states || subset_size.len() != states {
-            return Err(ArtifactError::Malformed(format!(
-                "per-state arrays disagree: {states} states, {} any_fail, {} subset_size",
-                any_fail.len(),
-                subset_size.len()
-            )));
-        }
-
         Ok(CompiledArtifact {
             content_hash: stored,
             table_hash,
             service,
             parts,
-            dfa: ArtifactDfa {
-                nsym,
-                dfa_initial,
-                trans,
-                any_fail,
-                subset_size,
-                initial_verdict,
-            },
+            tables_digest,
         })
     }
 
     /// Rebuilds the runnable system: specs out of the embedded docs, a
     /// fresh [`GuardProgram`] compiled from them, and a proof of
-    /// agreement — the rebuilt guard's event-table hash and DFA tables
-    /// must match the stored ones exactly, else the artifact is
+    /// agreement — the rebuilt guard's event-table hash and tables
+    /// digest must match the stored ones exactly, else the artifact is
     /// refused with [`ArtifactError::Divergence`].
     ///
     /// Returns `(parts, service, program)`; the program's compiled
@@ -564,25 +478,12 @@ impl CompiledArtifact {
                 self.table_hash
             )));
         }
-        let t = prog.dfa_tables();
-        if t.nsym as u64 != u64::from(self.dfa.nsym) || t.dfa_initial != self.dfa.dfa_initial {
+        let rebuilt_digest = tables_digest(&prog);
+        if rebuilt_digest != self.tables_digest {
             return Err(ArtifactError::Divergence(format!(
-                "DFA shape: stored nsym {} initial {}, rebuilt nsym {} initial {}",
-                self.dfa.nsym, self.dfa.dfa_initial, t.nsym, t.dfa_initial
+                "guard tables digest: stored {:016x}, rebuilt {rebuilt_digest:016x}",
+                self.tables_digest
             )));
-        }
-        if t.trans != &self.dfa.trans[..]
-            || t.any_fail != &self.dfa.any_fail[..]
-            || t.subset_size != &self.dfa.subset_size[..]
-        {
-            return Err(ArtifactError::Divergence(
-                "DFA tables are not byte-identical to a rebuild from the embedded specs".into(),
-            ));
-        }
-        if verdict_code(t.initial_verdict) != self.dfa.initial_verdict {
-            return Err(ArtifactError::Divergence(
-                "initial verdict disagrees with a rebuild from the embedded specs".into(),
-            ));
         }
         Ok((parts, service, prog))
     }
@@ -591,6 +492,7 @@ impl CompiledArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::COLOCATED_V1;
     use protoquot_core::solve;
     use protoquot_protocols::{colocated_configuration, exactly_once};
 
@@ -601,17 +503,22 @@ mod tests {
         encode(&[&system.b, &q.converter], &service).expect("system compiles")
     }
 
-    /// emit → load → byte-identical guard DFA and event table (the
-    /// satellite roundtrip requirement).
+    /// Re-stamps the content hash over the (edited) payload.
+    fn restamp(mut b: Vec<u8>) -> Vec<u8> {
+        let hash = fnv1a(&b[24..]);
+        b[8..16].copy_from_slice(&hash.to_be_bytes());
+        b
+    }
+
+    /// emit → load → the same digest and event table, and a re-encode
+    /// byte-identical to the artifact.
     #[test]
     fn roundtrip_is_byte_identical() {
         let bytes = artifact_bytes();
+        assert_eq!(bytes[4..8], ARTIFACT_FORMAT.to_be_bytes());
         let art = CompiledArtifact::decode(&bytes).expect("decodes");
         let (parts, service, prog) = art.instantiate().expect("instantiates");
-        // The rebuilt guard's tables equal the stored ones (instantiate
-        // already asserted this; double-check through the accessor).
-        let t = prog.dfa_tables();
-        assert_eq!(t.trans, &art.dfa.trans[..]);
+        assert_eq!(tables_digest(&prog), art.tables_digest);
         assert_eq!(table_hash(prog.table()), art.table_hash);
         // Re-encoding the instantiated system reproduces the artifact
         // byte for byte: content addressing is deterministic.
@@ -624,6 +531,60 @@ mod tests {
         );
     }
 
+    /// A format 1 artifact (the colocated system as format 1 wrote it)
+    /// decodes and instantiates, and its digest — of the stored table
+    /// section — is the digest a format 2 encode of the same system
+    /// stores. The two payloads agree byte for byte up to the tables.
+    #[test]
+    fn format_1_fixture_loads_with_the_format_2_digest() {
+        assert_eq!(COLOCATED_V1[4..8], FORMAT_V1.to_be_bytes());
+        let v1 = CompiledArtifact::decode(COLOCATED_V1).expect("the v1 fixture decodes");
+        assert_eq!(v1.content_hash, 0xfaf8_7c19_818a_d985);
+        let (parts, service, prog) = v1.instantiate().expect("the v1 fixture instantiates");
+        let refs: Vec<&Spec> = parts.iter().collect();
+        let bytes = encode_with_program(&refs, &service, &prog);
+        assert_eq!(
+            bytes,
+            artifact_bytes(),
+            "the fixture holds the derived system"
+        );
+        let v2 = CompiledArtifact::decode(&bytes).unwrap();
+        assert_eq!(v2.tables_digest, v1.tables_digest);
+        assert_eq!(v2.table_hash, v1.table_hash);
+        let specs_end = bytes.len() - 8;
+        assert_eq!(bytes[24..specs_end], COLOCATED_V1[24..specs_end]);
+        let mut section = Vec::new();
+        put_tables(&mut section, &prog);
+        assert_eq!(COLOCATED_V1[specs_end..], section[..]);
+    }
+
+    /// A damaged format 1 table section is never parsed: it decodes,
+    /// and `instantiate` refuses it because its digest diverges.
+    #[test]
+    fn restamped_v1_table_damage_is_a_divergence() {
+        let mut b = COLOCATED_V1.to_vec();
+        let at = b.len() - 10;
+        b[at] ^= 0x01;
+        let art = CompiledArtifact::decode(&restamp(b)).expect("a re-stamped flip decodes");
+        assert!(matches!(
+            art.instantiate(),
+            Err(ArtifactError::Divergence(m)) if m.starts_with("guard tables digest")
+        ));
+    }
+
+    /// A format 2 digest flipped under a re-stamped content hash is
+    /// refused at `instantiate`.
+    #[test]
+    fn restamped_digest_damage_is_a_divergence() {
+        let mut b = artifact_bytes();
+        *b.last_mut().unwrap() ^= 0x80;
+        let art = CompiledArtifact::decode(&restamp(b)).expect("a re-stamped flip decodes");
+        assert!(matches!(
+            art.instantiate(),
+            Err(ArtifactError::Divergence(m)) if m.starts_with("guard tables digest")
+        ));
+    }
+
     #[test]
     fn header_damage_is_refused_cleanly() {
         let bytes = artifact_bytes();
@@ -631,13 +592,16 @@ mod tests {
         let mut b = bytes.clone();
         b[0] ^= 0xFF;
         assert_eq!(CompiledArtifact::decode(&b), Err(ArtifactError::BadMagic));
-        // Format version.
+        // Format version: the one after the current is refused, and
+        // the refusal names both readable formats.
         let mut b = bytes.clone();
-        b[7] = 99;
-        assert!(matches!(
-            CompiledArtifact::decode(&b),
-            Err(ArtifactError::UnsupportedFormat(99))
-        ));
+        b[7] = 3;
+        let err = CompiledArtifact::decode(&b).unwrap_err();
+        assert_eq!(err, ArtifactError::UnsupportedFormat(3));
+        assert_eq!(
+            err.to_string(),
+            "unsupported artifact format 3 (this build reads 1 and 2)"
+        );
         // Content hash.
         let mut b = bytes.clone();
         b[15] ^= 0x01;
@@ -652,31 +616,37 @@ mod tests {
         ));
     }
 
-    /// Every single-byte truncation of a valid artifact decodes to a
-    /// clean error — the loader never panics on torn files.
+    /// Every truncation of a valid artifact, of either format, decodes
+    /// to a clean error — the loader never panics on torn files.
     #[test]
     fn every_truncation_errors_cleanly() {
-        let bytes = artifact_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                CompiledArtifact::decode(&bytes[..cut]).is_err(),
-                "truncation to {cut} bytes must not decode"
-            );
+        for bytes in [artifact_bytes(), COLOCATED_V1.to_vec()] {
+            for cut in 0..bytes.len() {
+                assert!(
+                    CompiledArtifact::decode(&bytes[..cut]).is_err(),
+                    "truncation to {cut} bytes must not decode"
+                );
+            }
+            // Trailing garbage is refused by the content hash.
+            let mut b = bytes.clone();
+            b.push(0);
+            assert!(CompiledArtifact::decode(&b).is_err());
         }
-        // Trailing garbage is also refused (hash covers payload only up
-        // to its own length, so extend + rehash to isolate the check).
-        let mut b = bytes.clone();
+        // Re-stamped, a format 2 payload must still end at its digest.
+        let mut b = artifact_bytes();
         b.push(0);
-        assert!(CompiledArtifact::decode(&b).is_err());
+        assert_eq!(
+            CompiledArtifact::decode(&restamp(b)),
+            Err(ArtifactError::Malformed(
+                "1 trailing bytes after the artifact".into()
+            ))
+        );
     }
 
     /// Cuts the payload to `len` bytes and re-stamps the content hash,
     /// so the decoder gets past the integrity check to the field.
     fn restamped_cut(bytes: &[u8], len: usize) -> Vec<u8> {
-        let mut b = bytes[..24 + len].to_vec();
-        let hash = fnv1a(&b[24..]);
-        b[8..16].copy_from_slice(&hash.to_be_bytes());
-        b
+        restamp(bytes[..24 + len].to_vec())
     }
 
     fn str_len(s: &str) -> usize {
@@ -760,36 +730,12 @@ mod tests {
         let first_byte = 24 + doc_head_len(&art.service) + 4 + 4 + 4;
         let mut b = bytes.clone();
         b[first_byte] = b'!';
-        let hash = fnv1a(&b[24..]);
-        b[8..16].copy_from_slice(&hash.to_be_bytes());
         let stray = format!("!{}", &event[1..]);
-        let art = CompiledArtifact::decode(&b).expect("a re-stamped flip decodes");
+        let art = CompiledArtifact::decode(&restamp(b)).expect("a re-stamped flip decodes");
         assert_eq!(art.service.external[0].1, stray);
         assert_eq!(
             art.instantiate().err(),
             Some(ArtifactError::Spec(SpecError::UnknownEvent(stray)))
         );
-    }
-
-    /// A payload flip that is *re-stamped* with a matching content hash
-    /// still cannot reach a session: instantiate rebuilds the guard
-    /// from the specs and catches table tampering.
-    #[test]
-    fn restamped_table_tampering_is_caught_at_instantiate() {
-        let bytes = artifact_bytes();
-        let mut art = CompiledArtifact::decode(&bytes).expect("decodes");
-        assert!(!art.dfa.trans.is_empty());
-        // Redirect one DFA edge, leaving the specs untouched.
-        let i = art
-            .dfa
-            .trans
-            .iter()
-            .position(|&t| t == u32::MAX)
-            .expect("some dead edge exists");
-        art.dfa.trans[i] = art.dfa.dfa_initial;
-        assert!(matches!(
-            art.instantiate(),
-            Err(ArtifactError::Divergence(_))
-        ));
     }
 }

@@ -28,10 +28,11 @@
 //!   inline reply stream, and the same session-table size and
 //!   sessions-opened count at every split.
 //! * **artifact** — the [`CompiledArtifact`] loader on mutated,
-//!   truncated, and bit-flipped copies of a valid compiled artifact:
-//!   every mutation must decode to a clean [`ArtifactError`] or a
-//!   verified artifact — never a panic or a hang — and the unmutated
-//!   bytes must keep decoding and instantiating.
+//!   truncated, and bit-flipped copies of a valid compiled artifact,
+//!   in the current format or format 1: every mutation must decode to
+//!   a clean [`ArtifactError`] or a verified artifact — never a panic
+//!   or a hang — and the unmutated bytes must keep decoding and
+//!   instantiating.
 //!
 //! Every case is keyed by `(seed, target, case-index)` alone, so a
 //! finding's reproduction needs nothing but the seed printed in the
@@ -292,7 +293,8 @@ pub fn fuzz(
     // own, so their session counts stay comparable case by case.
     let batched = Gateway::new(parts, service, fuzz_gateway_cfg.clone())?;
     let oracle = Gateway::new(parts, service, fuzz_gateway_cfg)?;
-    // The artifact target mutates copies of this known-good encoding.
+    // The artifact target mutates copies of this known-good encoding
+    // (or of the format 1 fixture).
     let artifact_base: Arc<Vec<u8>> = Arc::new(encode_with_program(parts, service, &prog));
     let mut harness = Harness::spawn();
     let mut report = FuzzReport {
@@ -399,7 +401,8 @@ fn case_seed(seed: u64, target: FuzzTarget, case: u64) -> u64 {
 fn gen_input(cfg: &FuzzConfig, target: FuzzTarget, case: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(case_seed(cfg.seed, target, case));
     let max_len = cfg.max_len.max(1);
-    if rng.gen_bool(0.4) {
+    // An artifact input is a mutation program, never a wire stream.
+    if target == FuzzTarget::Artifact || rng.gen_bool(0.4) {
         // Byte-level: pure noise at a random length.
         let len = rng.gen_range(0..max_len + 1);
         return (0..len).map(|_| rng.gen_range(0u16..256) as u8).collect();
@@ -821,21 +824,29 @@ fn batch_case(
     None
 }
 
-/// Artifact target: the input bytes are read as a mutation program
-/// applied to a copy of a known-good compiled artifact — bit flips,
-/// byte overwrites, truncations, insertions — and the loader must
-/// classify every result cleanly. The empty program (pristine bytes)
-/// must keep decoding and instantiating; anything that still decodes
-/// after mutation must also survive `instantiate` without panicking
-/// (either rebuilding the guard or refusing with a divergence).
+/// The colocated system as artifact format 1 wrote it: the artifact
+/// target's second base, so the format 1 reader is fuzzed too.
+pub(crate) static COLOCATED_V1: &[u8] = include_bytes!("../testdata/colocated-v1.pqca");
+
+/// The artifact target's input, read as a mutation program: returns the
+/// base it picked and the mutated copy.
 ///
-/// A program whose first byte has bit 2 set (about half of them)
-/// re-stamps the content hash after mutating, so its bytes get past
-/// the hash check into the payload parser, the spec rebuild and the
-/// guard comparison instead of stopping at the header.
-fn artifact_case(base: &Arc<Vec<u8>>, input: &[u8]) -> Option<String> {
-    let mut bytes = base.as_ref().clone();
-    for op in input.chunks(3) {
+/// The first byte is the program's header. Its bits 0–1 give the number
+/// of ops, 1 to 4: a short program leaves enough of the artifact intact
+/// for the spec rebuild and the digest check to run on it. Bit 2 picks
+/// the base: the format 1 fixture [`COLOCATED_V1`] when set, else `v2`.
+/// Unless bits 3–4 are both clear, the content hash is re-stamped after
+/// mutating, so the bytes get past the hash check into the payload
+/// parser, the spec rebuild and the digest comparison instead of
+/// stopping at the header. Each following 3-byte chunk is one op — bit
+/// flip, byte overwrite, truncation or insertion at a 16-bit position.
+fn mutate_artifact<'a>(v2: &'a [u8], input: &[u8]) -> (&'a [u8], Vec<u8>) {
+    let Some((&head, program)) = input.split_first() else {
+        return (v2, v2.to_vec());
+    };
+    let base = if head & 0x04 != 0 { COLOCATED_V1 } else { v2 };
+    let mut bytes = base.to_vec();
+    for op in program.chunks(3).take(1 + usize::from(head & 0x03)) {
         let (kind, lo, hi) = (
             op[0],
             op.get(1).copied().unwrap_or(0),
@@ -852,11 +863,21 @@ fn artifact_case(base: &Arc<Vec<u8>>, input: &[u8]) -> Option<String> {
             _ => bytes.insert(pos, kind),
         }
     }
-    if input.first().is_some_and(|&k| k & 0x04 != 0) && bytes.len() >= 24 {
+    if head & 0x18 != 0 && bytes.len() >= 24 {
         let hash = fnv1a(&bytes[24..]);
         bytes[8..16].copy_from_slice(&hash.to_be_bytes());
     }
-    let pristine = bytes == **base;
+    (base, bytes)
+}
+
+/// Artifact target: the loader must classify every mutated artifact
+/// ([`mutate_artifact`]) cleanly. The empty program (pristine bytes)
+/// must keep decoding and instantiating; anything that still decodes
+/// after mutation must also survive `instantiate` without panicking
+/// (either rebuilding the guard or refusing with a divergence).
+fn artifact_case(v2: &[u8], input: &[u8]) -> Option<String> {
+    let (base, bytes) = mutate_artifact(v2, input);
+    let pristine = bytes == base;
     match CompiledArtifact::decode(&bytes) {
         Err(e) => {
             if pristine {
@@ -1085,5 +1106,33 @@ mod tests {
         assert!(matches!(hang, Some(FindingKind::Hang)));
         let pass = harness.run(&[0x00], &body, Duration::from_secs(5));
         assert!(pass.is_none(), "fresh worker must serve the next case");
+    }
+
+    /// Short mutation programs reach past the payload parser: at least
+    /// 5 % of the first 20,000 inputs of the pinned campaign seed decode
+    /// to a mutated artifact, on both bases.
+    #[test]
+    fn artifact_cases_reach_the_deep_layers() {
+        let system = colocated_configuration();
+        let service = exactly_once();
+        let q = solve(&system.b, &service, &system.int).expect("converter derives");
+        let v2 = crate::artifact::encode(&[&system.b, &q.converter], &service).unwrap();
+        let cfg = FuzzConfig::default();
+        let (mut on_v2, mut on_v1) = (0, 0);
+        for case in 0..20_000 {
+            let input = gen_input(&cfg, FuzzTarget::Artifact, case);
+            let (base, bytes) = mutate_artifact(&v2, &input);
+            if bytes != base && CompiledArtifact::decode(&bytes).is_ok() {
+                if base == COLOCATED_V1 {
+                    on_v1 += 1;
+                } else {
+                    on_v2 += 1;
+                }
+            }
+        }
+        assert!(
+            on_v2 + on_v1 >= 1_000 && on_v2 > 0 && on_v1 > 0,
+            "mutated artifacts decoding: {on_v2} on v2, {on_v1} on v1, of 20000"
+        );
     }
 }

@@ -134,11 +134,9 @@ const T_STALL: u32 = u32::MAX - 2;
 const T_SENTINEL_BASE: u32 = T_STALL;
 
 /// Borrowed view of a [`GuardProgram`]'s determinized tables — the
-/// exact arrays the per-frame check reads — exposed for the compiled
-/// artifact format ([`crate::artifact`]), which persists them and
-/// asserts a loaded artifact's tables are byte-identical to a fresh
-/// rebuild from its embedded specs.
-pub struct GuardDfaTables<'a> {
+/// exact arrays the per-frame check reads — for the compiled artifact
+/// format ([`crate::artifact`]), which digests them.
+pub(crate) struct GuardDfaTables<'a> {
     /// `|Σ|` — the transition-row stride.
     pub nsym: usize,
     /// Initial DFA state.
@@ -215,8 +213,9 @@ impl GuardProgram {
     /// Each state is interned once, as the flat key `[hub, subset…]`.
     /// Expanding a state buckets its members' external edges by event
     /// in one pass; every event's successor is then read off its bucket.
-    /// States are expanded last-in first-out, an order every stored
-    /// artifact's DFA ids depend on.
+    /// States are expanded last-in first-out. The DFA ids this order
+    /// assigns feed every artifact's tables digest, so changing it
+    /// refuses every artifact written before.
     fn determinize(&mut self) {
         let t0 = Instant::now();
         let sys = &self.system;
@@ -341,11 +340,11 @@ impl GuardProgram {
         &self.build
     }
 
-    /// Borrowed view of the determinized tables, for compiled-artifact
-    /// serialization and the byte-identical rebuild check on load. The
-    /// subset construction is deterministic for a given system, so two
-    /// builds of the same specs always return identical tables.
-    pub fn dfa_tables(&self) -> GuardDfaTables<'_> {
+    /// Borrowed view of the determinized tables, for the compiled
+    /// artifact's tables digest. The subset construction is
+    /// deterministic for a given system, so two builds of the same specs
+    /// always return identical tables.
+    pub(crate) fn dfa_tables(&self) -> GuardDfaTables<'_> {
         GuardDfaTables {
             nsym: self.nsym,
             dfa_initial: self.dfa_initial,

@@ -52,9 +52,9 @@
 //!   the connection-eviction taxonomy (`slow_consumer`, `slow_read`,
 //!   `protocol`) behind the resource limits in [`transport`];
 //! * [`artifact`] — the `PQCA` compiled-converter format: specs plus
-//!   the prebuilt guard-DFA tables under a content hash, with a
+//!   a digest of their guard-DFA tables under a content hash, with a
 //!   strict fuzzable loader whose [`CompiledArtifact::instantiate`]
-//!   demands the rebuilt guard be byte-identical to the stored one;
+//!   demands the rebuilt guard's tables match the stored digest;
 //! * [`registry`] — the versioned converter store behind live
 //!   hot-swap: admission re-runs the product check
 //!   ([`protoquot_spec::CompiledSystem::verify`], on the system the
@@ -91,7 +91,7 @@ pub mod stats;
 pub mod transport;
 
 pub use adversarial::{adversarial, AdversarialConfig, AdversarialReport, AttackOutcome};
-pub use artifact::{ArtifactDfa, ArtifactError, CompiledArtifact, ARTIFACT_FORMAT, ARTIFACT_MAGIC};
+pub use artifact::{ArtifactError, CompiledArtifact, ARTIFACT_FORMAT, ARTIFACT_MAGIC};
 pub use codec::{
     table_hash, Frame, FrameBuffer, RejectReason, Reply, ReplyBuffer, WireCodec, WireError,
 };

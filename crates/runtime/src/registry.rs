@@ -9,8 +9,8 @@
 //! 1. **Integrity** — [`CompiledArtifact::decode`]: magic, format,
 //!    content hash, strict bounds on every field.
 //! 2. **Self-agreement** — [`CompiledArtifact::instantiate`]: the
-//!    guard rebuilt from the embedded specs must be byte-identical to
-//!    the stored tables, and carry the stored event-table hash.
+//!    guard rebuilt from the embedded specs must hash to the stored
+//!    tables digest, and carry the stored event-table hash.
 //! 3. **Contract** — the embedded service spec must equal the
 //!    registry's, and the full product check
 //!    ([`protoquot_spec::CompiledSystem::verify`]) must re-prove that
@@ -250,6 +250,19 @@ mod tests {
         assert_eq!(v3.version, 3);
         assert_eq!(v3.content_hash, v2.content_hash);
         assert_eq!(reg.stored().unwrap().len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A format 1 artifact, which stores the guard tables in place of
+    /// their digest, still admits.
+    #[test]
+    fn admits_a_format_1_artifact() {
+        let dir = tempdir("format1");
+        let mut reg = ConverterRegistry::open(&dir, &exactly_once(), 1).unwrap();
+        let v2 = reg
+            .admit(crate::fuzz::COLOCATED_V1)
+            .expect("the v1 fixture admits");
+        assert_eq!(v2.content_hash, 0xfaf8_7c19_818a_d985);
         let _ = fs::remove_dir_all(&dir);
     }
 
