@@ -15,7 +15,8 @@ use protoquot_core::{
 };
 use protoquot_protocols::service::windowed;
 use protoquot_protocols::{
-    at_least_once, exactly_once, nfa_blowup, relay_chain, symmetric_configuration, toggle_puzzle,
+    at_least_once, colocated_configuration, connection_service, exactly_once,
+    gateway_configuration, nfa_blowup, relay_chain, symmetric_configuration, toggle_puzzle,
 };
 use protoquot_runtime::artifact::encode;
 use protoquot_runtime::{
@@ -24,7 +25,7 @@ use protoquot_runtime::{
     SessionGuardReference,
 };
 use protoquot_sim::{redirect_transition, FaultPlan, FleetConfig, FleetRunner};
-use protoquot_spec::{normalize, CompiledSystem};
+use protoquot_spec::{minimize, normalize, Alphabet, CompiledSystem, Spec};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -1079,6 +1080,48 @@ fn main() {
                     guard_observe_throughput(parts, service, reference, sessions, trace_len);
                 println!("{label:>12} {guard:>10} {frames:>12} {events_per_sec:>14.0}");
             }
+        }
+    }
+
+    println!("\n== EXP-MIN: the guard serves each part's bisimulation minimum ==");
+    {
+        // `solve` returns Fig. 6's maximal converter; the guard compiles
+        // each part's strong-bisimulation minimum, so `B ‖ C` and its
+        // subsets shrink while every verdict stays the literal one's.
+        println!(
+            "{:>16} {:>6} {:>7} {:>10} {:>10} {:>11} {:>9}",
+            "system", "|C|", "|C_min|", "B‖C lit", "B‖C served", "max subset", "guard ms"
+        );
+        let mut systems: Vec<(String, Spec, Alphabet, Spec)> = (1..=11)
+            .map(|n| {
+                let (b, int) = nfa_blowup(n);
+                (format!("nfa-blowup-{n}"), b, int, exactly_once())
+            })
+            .collect();
+        let (sym, col, gw) = (
+            symmetric_configuration(),
+            colocated_configuration(),
+            gateway_configuration(),
+        );
+        let (toggle, toggle_int) = toggle_puzzle(6);
+        systems.extend([
+            ("EXP-W/sym".into(), sym.b, sym.int, at_least_once()),
+            ("toggle-puzzle-6".into(), toggle, toggle_int, exactly_once()),
+            ("colocated".into(), col.b, col.int, exactly_once()),
+            ("gateway".into(), gw.b, gw.int, connection_service()),
+        ]);
+        for (label, b, int, service) in &systems {
+            let c = solve(b, service, int).expect("converter exists").converter;
+            let literal = CompiledSystem::new(&[b, &c], service).expect("system compiles");
+            let (ms, prog) = best_of_3(|| GuardProgram::new(&[b, &c], service).unwrap());
+            println!(
+                "{label:>16} {:>6} {:>7} {:>10} {:>10} {:>11} {ms:>9.3}",
+                c.num_states(),
+                minimize(&c).num_states(),
+                literal.composite().n,
+                prog.num_states(),
+                prog.build_stats().max_subset,
+            );
         }
     }
 

@@ -541,24 +541,16 @@ fn solve_system(p: &Parsed, b: Spec, srv: &Spec, int: &Alphabet) -> Result<Strin
             out.push('\n');
             match p.value("--emit") {
                 Some("compiled") => {
-                    // With `--out`, one compile of `B ‖ C` feeds both the
-                    // JSON dump and the artifact's guard tables; without
-                    // it, the dump needs no guard.
+                    // The dump is the system the guard serves, each part
+                    // minimized; with `--out`, the same guard feeds the
+                    // artifact's tables digest.
                     let parts = [&b, &converter];
-                    match p.value("--out") {
-                        Some(path) => {
-                            let prog = GuardProgram::new(&parts, srv)
-                                .map_err(|e| CliError(e.to_string()))?;
-                            out.push_str(&emit_compiled(prog.system())?);
-                            out.push('\n');
-                            out.push_str(&emit_artifact(&parts, srv, &prog, path)?);
-                        }
-                        None => {
-                            let system = CompiledSystem::new(&parts, srv)
-                                .map_err(|e| CliError(e.to_string()))?;
-                            out.push_str(&emit_compiled(&system)?);
-                            out.push('\n');
-                        }
+                    let prog =
+                        GuardProgram::new(&parts, srv).map_err(|e| CliError(e.to_string()))?;
+                    out.push_str(&emit_compiled(prog.system())?);
+                    out.push('\n');
+                    if let Some(path) = p.value("--out") {
+                        out.push_str(&emit_artifact(&parts, srv, &prog, path)?);
                     }
                 }
                 Some(other) => {
@@ -929,7 +921,8 @@ fn cmd_soak(rest: &[String]) -> Result<String, CliError> {
     })
 }
 
-/// JSON dump of the compiled CSR automaton of `B ‖ C` over the shared
+/// JSON dump of the compiled CSR automaton of `B ‖ C` the guard serves
+/// (each part minimized, [`GuardProgram::new`]) over the shared
 /// name-sorted event table: states, event-indexed external adjacency,
 /// internal adjacency, and `τ*` rows — everything the runtime guard
 /// loads, emitted so external tools can consume a derived converter
@@ -1894,7 +1887,10 @@ mod tests {
                 "--out",
                 &artifact_path,
             ]);
-            // The JSON stdout is unchanged; the receipt line follows it.
+            // The JSON stdout is the one without `--out`; the receipt
+            // line follows it.
+            let plain = run_ok(&["solve", path, "--problem", "relay", "--emit", "compiled"]);
+            assert!(out.starts_with(&plain), "{out}");
             assert!(out.contains("\"tau_star\""), "{out}");
             assert!(out.contains(&format!("wrote {artifact_path}:")), "{out}");
             // The file decodes, re-verifies, and carries the same wire

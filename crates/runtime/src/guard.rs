@@ -1,11 +1,13 @@
 //! Online conformance guard: per-session trace validation.
 //!
 //! A [`GuardProgram`] compiles the loaded system — the fixed components
-//! plus the derived converter — into the one [`CompiledSystem`] the
-//! static verifier runs on (composite CSR, τ* rows and ψ step table
-//! over the shared [`protoquot_spec::EventTable`]), keeps it for
-//! admission's re-verification, and then **determinizes** the whole
-//! per-frame check into a DFA at build time: states are the reachable
+//! plus the derived converter, each reduced to its strong-bisimulation
+//! minimum ([`protoquot_spec::minimize`]) — into the one
+//! [`CompiledSystem`] the static verifier runs on (composite CSR, τ*
+//! rows and ψ step table over the shared
+//! [`protoquot_spec::EventTable`]), keeps it for admission's
+//! re-verification, and then **determinizes** the whole per-frame check
+//! into a DFA at build time: states are the reachable
 //! `(τ-closed composite subset, ψ-hub)` pairs, and the τ-closure, the
 //! external step and the ψ-hub step are fused into one dense
 //! `|states| × |Σ|` transition table whose entries carry the verdict:
@@ -35,9 +37,19 @@
 //! a converter that passes [`protoquot_spec::verify_system`], every
 //! reachable `(state, hub)` pair satisfies containment, so no genuine
 //! trace can ever convict.
+//!
+//! Minimizing the parts changes sizes, not verdicts. Strong bisimulation
+//! is a congruence for `‖` and keeps traces, τ* and acceptance sets, so
+//! the minimized `B ‖ C` satisfies the service iff the literal one does,
+//! and a DFA state's subset is the image of the literal subset: empty,
+//! all-failing or some-failing exactly when that one is. Composite state
+//! ids, `possible_states` and subset sizes count states of the minimized
+//! composite (on nfa-blowup(11), 13 rather than the literal 14,338).
 
 use crate::codec::RejectReason;
-use protoquot_spec::{CompiledSystem, EventId, EventTable, Spec, SpecError, SubsetKernel};
+use protoquot_spec::{
+    minimize, CompiledSystem, EventId, EventTable, Spec, SpecError, SubsetKernel,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -96,11 +108,11 @@ pub struct GuardBuildStats {
     /// Bytes of the dense transition table plus the per-state verdict
     /// and subset-size side arrays.
     pub table_bytes: usize,
-    /// Largest composite subset behind any DFA state.
+    /// Largest subset of the minimized composite behind any DFA state.
     pub max_subset: usize,
     /// Wall-clock milliseconds spent compiling the system the DFA is
-    /// built over: the composite product, its τ* rows and the service's
-    /// normal form ([`CompiledSystem::new`]).
+    /// built over: each part's minimum, then the composite product, its
+    /// τ* rows and the service's normal form ([`CompiledSystem::new`]).
     pub compile_ms: f64,
     /// Wall-clock milliseconds spent subset-constructing the DFA
     /// (the system compile in `compile_ms` excluded).
@@ -167,8 +179,8 @@ pub struct GuardProgram {
     /// Per-DFA-state: some subset member fails containment (confirms an
     /// attested stall).
     any_fail: Vec<bool>,
-    /// Per-DFA-state: composite states in the subset (for parity with
-    /// the reference guard's `possible_states`).
+    /// Per-DFA-state: states of the minimized composite in the subset
+    /// (for parity with the reference guard's `possible_states`).
     subset_size: Vec<u32>,
     /// Set when the *initial* configuration already fails containment
     /// for every reachable state: sessions start convicted.
@@ -177,15 +189,35 @@ pub struct GuardProgram {
 }
 
 impl GuardProgram {
-    /// Compiles `parts` (components plus converter) against `service`
-    /// and subset-constructs the per-frame check into a DFA.
+    /// Compiles each part's strong-bisimulation minimum against
+    /// `service` and subset-constructs the per-frame check into a DFA.
     ///
+    /// Strong bisimulation is a congruence for `‖` and keeps traces, τ*
+    /// and acceptance sets, so every verdict equals the one the literal
+    /// parts would give; only the composite, and so the DFA, is smaller.
     /// Validation is [`CompiledSystem::new`]'s: no event may be shared
     /// by more than two components, and the solo (externally visible)
     /// alphabet of the composition must equal the service alphabet.
     pub fn new(parts: &[&Spec], service: &Spec) -> Result<GuardProgram, SpecError> {
         let t0 = Instant::now();
-        let system = CompiledSystem::new(parts, service)?;
+        let minimal: Vec<Spec> = parts.iter().map(|p| minimize(p)).collect();
+        let refs: Vec<&Spec> = minimal.iter().collect();
+        let system = CompiledSystem::new(&refs, service)?;
+        Ok(GuardProgram::determinized(system, t0))
+    }
+
+    /// The guard over the literal parts, for the differential tests.
+    #[cfg(test)]
+    fn literal(parts: &[&Spec], service: &Spec) -> Result<GuardProgram, SpecError> {
+        let t0 = Instant::now();
+        Ok(GuardProgram::determinized(
+            CompiledSystem::new(parts, service)?,
+            t0,
+        ))
+    }
+
+    /// Wraps a system compiled since `t0` and determinizes it.
+    fn determinized(system: CompiledSystem, t0: Instant) -> GuardProgram {
         let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
         let mut prog = GuardProgram {
             system,
@@ -201,7 +233,7 @@ impl GuardProgram {
             },
         };
         prog.determinize();
-        Ok(prog)
+        prog
     }
 
     /// Subset-constructs the DFA over the compiled composite, on the
@@ -309,8 +341,8 @@ impl GuardProgram {
         self.subset_size = subset_size;
     }
 
-    /// The compiled system the guard runs on, for re-verification at
-    /// admission without compiling `B ‖ C` again.
+    /// The compiled system the guard runs on (the minimized parts), for
+    /// re-verification at admission without compiling `B ‖ C` again.
     pub fn system(&self) -> &CompiledSystem {
         &self.system
     }
@@ -320,7 +352,7 @@ impl GuardProgram {
         self.system.table()
     }
 
-    /// Composite states of the compiled `B ‖ C`.
+    /// States of the compiled `B ‖ C` over the minimized parts.
     pub fn num_states(&self) -> usize {
         self.system.composite().n
     }
@@ -474,7 +506,7 @@ impl SessionGuard {
         self.observed
     }
 
-    /// Number of composite states currently possible.
+    /// Number of states of the minimized composite currently possible.
     pub fn possible_states(&self) -> usize {
         self.prog.subset_size[self.cur as usize] as usize
     }
@@ -805,6 +837,92 @@ mod tests {
         for &ev in &trace {
             assert_eq!(g.observe(ev), Ok(()));
             assert_eq!(r.observe(ev), Ok(()));
+        }
+    }
+
+    /// Asserts that the served guard, built over each part's minimum,
+    /// gives the verdicts of the guard over the literal parts: a BFS over
+    /// pairs of their DFA states compares every table entry's verdict
+    /// sentinel and every state's `any_fail`, after the initial verdicts.
+    fn agrees_with_literal(label: &str, parts: &[&Spec], service: &Spec) {
+        let (lit, min) = match (
+            GuardProgram::literal(parts, service),
+            GuardProgram::new(parts, service),
+        ) {
+            (Ok(lit), Ok(min)) => (lit, min),
+            (lit, min) => {
+                let text = |r: Result<GuardProgram, SpecError>| r.err().map(|e| e.to_string());
+                assert_eq!(text(lit), text(min), "{label}: build errors differ");
+                return;
+            }
+        };
+        assert_eq!(lit.initial_verdict, min.initial_verdict, "{label}");
+        assert!(min.num_states() <= lit.num_states(), "{label}");
+        assert!(min.build.max_subset <= lit.build.max_subset, "{label}");
+        let nsym = lit.nsym;
+        assert_eq!(nsym, min.nsym, "{label}");
+        let kind = |t: u32| t.max(T_SENTINEL_BASE - 1);
+        let mut seen = std::collections::HashSet::new();
+        let mut work = vec![(lit.dfa_initial, min.dfa_initial)];
+        while let Some((a, b)) = work.pop() {
+            if !seen.insert((a, b)) {
+                continue;
+            }
+            let (a, b) = (a as usize, b as usize);
+            assert_eq!(lit.any_fail[a], min.any_fail[b], "{label}: any_fail");
+            for ev in 0..nsym {
+                let (x, y) = (lit.trans[a * nsym + ev], min.trans[b * nsym + ev]);
+                assert_eq!(kind(x), kind(y), "{label}: verdict under event #{ev}");
+                if x < T_SENTINEL_BASE {
+                    work.push((x, y));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn minimized_guard_gives_the_literal_verdicts() {
+        use protoquot_core::solve;
+        use protoquot_protocols::{
+            ab_to_nak_configuration, at_least_once, colocated_configuration, exactly_once,
+            nfa_blowup, random_component, symmetric_configuration, RandomParams,
+        };
+        use protoquot_sim::redirect_transition;
+        let builtins = [
+            ("colocated", colocated_configuration(), exactly_once()),
+            ("symmetric", symmetric_configuration(), at_least_once()),
+            ("ab-nak", ab_to_nak_configuration(), exactly_once()),
+        ];
+        for (label, cfg, service) in &builtins {
+            let c = solve(&cfg.b, service, &cfg.int).unwrap().converter;
+            agrees_with_literal(label, &[&cfg.b, &c], service);
+            for k in 1..=3 {
+                let mutant = redirect_transition(&c, k).unwrap();
+                agrees_with_literal(&format!("{label}/mut{k}"), &[&cfg.b, &mutant], service);
+            }
+        }
+        let service = exactly_once();
+        for n in 1..=8 {
+            let (b, int) = nfa_blowup(n);
+            let c = solve(&b, &service, &int).unwrap().converter;
+            agrees_with_literal(&format!("nfa-blowup({n})"), &[&b, &c], &service);
+        }
+        for seed in 0..40 {
+            let (b, int) = random_component(seed, RandomParams::default());
+            let mut stuck = SpecBuilder::new("stuck");
+            stuck.state("c0");
+            for e in int.iter() {
+                stuck.event(&e.name());
+            }
+            let stuck = stuck.build().unwrap();
+            agrees_with_literal(&format!("random({seed})"), &[&b, &stuck], &service);
+            if let Ok(q) = solve(&b, &service, &int) {
+                agrees_with_literal(
+                    &format!("random({seed})/derived"),
+                    &[&b, &q.converter],
+                    &service,
+                );
+            }
         }
     }
 

@@ -20,7 +20,8 @@
 //!    what its artifact claims.
 //!
 //! Only then is the artifact persisted (content-addressed as
-//! `<content-hash>.pqca` under the registry directory) and assigned
+//! `<content-hash>.pqca` under the registry directory, written to a
+//! temporary name and renamed into place) and assigned
 //! the next version number. The returned [`AdmittedVersion`] carries
 //! the compiled [`GuardProgram`] ready for [`Gateway::swap`]; the
 //! gateway — not the registry — owns the active/draining version
@@ -183,13 +184,7 @@ impl ConverterRegistry {
                 self.service.name()
             )));
         }
-        let path = self
-            .dir
-            .join(format!("{:016x}.pqca", artifact.content_hash));
-        // Content-addressed: identical bytes are already in place.
-        if !path.exists() {
-            fs::write(&path, bytes)?;
-        }
+        let path = self.store(artifact.content_hash, bytes)?;
         let version = self.next_version;
         self.next_version += 1;
         Ok(AdmittedVersion {
@@ -199,6 +194,24 @@ impl ConverterRegistry {
             program: Arc::new(prog),
             path,
         })
+    }
+
+    /// Persists `bytes` as `<hash>.pqca`. The file is content-addressed,
+    /// so one of the right length is kept; any other (a write torn by a
+    /// crash) is replaced. The bytes go to a temporary name in the same
+    /// directory first and are renamed into place, so the final name
+    /// never holds a partial write.
+    fn store(&self, hash: u64, bytes: &[u8]) -> io::Result<PathBuf> {
+        let path = self.dir.join(format!("{hash:016x}.pqca"));
+        if fs::metadata(&path).is_ok_and(|m| m.len() == bytes.len() as u64) {
+            return Ok(path);
+        }
+        let tmp = self
+            .dir
+            .join(format!("{hash:016x}.pqca.{}.tmp", std::process::id()));
+        fs::write(&tmp, bytes)?;
+        fs::rename(&tmp, &path).inspect_err(|_| drop(fs::remove_file(&tmp)))?;
+        Ok(path)
     }
 
     /// [`ConverterRegistry::admit`] on a file.
@@ -215,8 +228,11 @@ impl ConverterRegistry {
 mod tests {
     use super::*;
     use crate::artifact::encode;
-    use protoquot_core::solve;
-    use protoquot_protocols::{colocated_configuration, exactly_once};
+    use protoquot_core::{converter_verdict, solve};
+    use protoquot_protocols::{
+        at_least_once, colocated_configuration, exactly_once, symmetric_configuration,
+    };
+    use protoquot_sim::redirect_transition;
     use protoquot_spec::verify_system;
 
     fn derived() -> (Vec<Spec>, Spec) {
@@ -253,6 +269,27 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A `<hash>.pqca` torn by a crash mid-write is replaced with the
+    /// full bytes when the same artifact is admitted again.
+    #[test]
+    fn a_truncated_store_file_is_replaced() {
+        let (parts, service) = derived();
+        let refs: Vec<&Spec> = parts.iter().collect();
+        let bytes = encode(&refs, &service).unwrap();
+        let hash = CompiledArtifact::decode(&bytes).unwrap().content_hash;
+        let dir = tempdir("torn");
+        let mut reg = ConverterRegistry::open(&dir, &service, 1).unwrap();
+        let path = dir.join(format!("{hash:016x}.pqca"));
+        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let v2 = reg.admit(&bytes).expect("verified artifact admits");
+        assert_eq!(v2.path, path);
+        assert_eq!(fs::read(&path).unwrap(), bytes);
+        assert_eq!(reg.stored().unwrap(), vec![hash]);
+        let names = fs::read_dir(&dir).unwrap().count();
+        assert_eq!(names, 1, "no temporary file is left behind");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// A format 1 artifact, which stores the guard tables in place of
     /// their digest, still admits.
     #[test]
@@ -276,7 +313,7 @@ mod tests {
         let dir = tempdir("mutant");
         let mut refused = false;
         for k in 0..16 {
-            let Some(mutant) = protoquot_sim::redirect_transition(&parts[1], k) else {
+            let Some(mutant) = redirect_transition(&parts[1], k) else {
                 break;
             };
             let mutated: Vec<&Spec> = vec![&parts[0], &mutant];
@@ -309,6 +346,35 @@ mod tests {
             refused,
             "some redirected-transition mutant must be refused at admission"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Admission runs the product check on the minimized system; its
+    /// verdict is the literal system's on every single-transition mutant
+    /// of the colocated (Fig. 13) and weakened symmetric (Fig. 9, §5)
+    /// converters.
+    #[test]
+    fn admission_agrees_with_the_literal_verdict_on_every_mutant() {
+        let systems = [
+            (colocated_configuration(), exactly_once()),
+            (symmetric_configuration(), at_least_once()),
+        ];
+        let dir = tempdir("verdicts");
+        for (cfg, service) in &systems {
+            let c = solve(&cfg.b, service, &cfg.int).unwrap().converter;
+            let mut reg = ConverterRegistry::open(&dir, service, 0).unwrap();
+            for (k, mutant) in (0..).map_while(|k| Some((k, redirect_transition(&c, k)?))) {
+                let literal = converter_verdict(&cfg.b, service, &mutant).unwrap();
+                let bytes = encode(&[&cfg.b, &mutant], service).unwrap();
+                match reg.admit(&bytes) {
+                    Ok(_) => assert!(literal.is_ok(), "{}/mut{k} admitted", service.name()),
+                    Err(RegistryError::Refused(_)) => {
+                        assert!(literal.is_err(), "{}/mut{k} refused", service.name())
+                    }
+                    Err(e) => panic!("{}/mut{k}: {e}", service.name()),
+                }
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -17,13 +17,15 @@
 //!
 //! The [`SubsetKernel`] is also the one subset construction the rest of
 //! the workspace runs on: the Fig. 5 safety engine in `protoquot-core`
-//! and the runtime guard's DFA build both loop over it.
+//! and the runtime guard's DFA build both loop over it. Its sibling, the
+//! strong-bisimulation kernel, runs `minimize` and `bisimilar`.
 //!
 //! Everything observable — verdicts, witness traces, violation state
 //! ids, `needed`/`offered` sets — is **bit identical** to the reference;
 //! `tests/verify_differential.rs` enforces this. The reference functions
 //! stay in place as oracles.
 
+mod bisim;
 mod compiled;
 mod norm;
 mod product;
@@ -33,6 +35,7 @@ use crate::error::SpecError;
 use crate::event::{Alphabet, EventId};
 use crate::satisfy::SatisfactionResult;
 use crate::spec::{spec_from_parts, Spec, StateId};
+pub(crate) use bisim::bisim_classes;
 use compiled::{build_nway, build_single, tau_star_rows};
 use norm::{compile_normal, CompiledNormal, NO_HUB};
 use product::run_product;

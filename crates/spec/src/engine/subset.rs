@@ -156,7 +156,7 @@ pub struct Csr<'a> {
 }
 
 impl Csr<'_> {
-    fn edges(&self, u: u32) -> std::ops::Range<usize> {
+    pub(crate) fn edges(&self, u: u32) -> std::ops::Range<usize> {
         self.off[u as usize] as usize..self.off[u as usize + 1] as usize
     }
 }

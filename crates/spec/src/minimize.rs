@@ -1,58 +1,47 @@
 //! Strong bisimulation: minimization and equivalence checking.
 //!
-//! Used to compare algorithm outputs against expected machines modulo
-//! state naming — the paper's figures are concrete graphs, and two
-//! derivations of the "same" converter should be bisimilar even if the
-//! construction numbered states differently.
-//!
-//! Internal transitions are treated as a distinguished label (strong
-//! bisimulation). This is finer than trace or testing equivalence, which
-//! is what we want when checking structural claims.
+//! [`minimize`] quotients a machine by strong bisimulation and
+//! [`bisimilar`] compares two machines. The runtime guard serves each
+//! part's minimum, and tests compare algorithm outputs modulo state
+//! naming. Internal moves are one more label, so this is finer than
+//! trace or testing equivalence. Both run on the engine's one
+//! O(m log n) partition-refinement kernel.
 
+use crate::engine::{bisim_classes, Csr};
 use crate::event::EventId;
 use crate::spec::{spec_from_parts, Spec, StateId};
-use std::collections::{BTreeSet, HashMap};
 
-/// Computes the coarsest strong-bisimulation partition of the states.
-/// Returns the block id of every state.
-/// A state's refinement signature: its current block plus the set of
-/// `(label, target block)` pairs (`None` = internal transition).
-type Signature = (usize, BTreeSet<(Option<EventId>, usize)>);
-
-fn partition(spec: &Spec) -> Vec<usize> {
-    let n = spec.num_states();
-    let mut block = vec![0usize; n];
-    let mut num_blocks = 1usize;
-    loop {
-        let mut sig_index: HashMap<Signature, usize> = HashMap::new();
-        let mut next_block = vec![0usize; n];
-        let mut next_count = 0usize;
-        for s in 0..n {
-            let sid = StateId(s as u32);
-            let mut sig: BTreeSet<(Option<EventId>, usize)> = BTreeSet::new();
-            for &(e, t) in spec.external_from(sid) {
-                sig.insert((Some(e), block[t.index()]));
+/// `specs` side by side as one labelled graph: each spec's states follow
+/// the ones before it, an external edge is labelled by its event's rank
+/// among the events on edges, and an internal edge by one label more.
+fn graph(specs: &[&Spec]) -> (Vec<u32>, Vec<u32>, Vec<u32>, usize) {
+    let mut events: Vec<EventId> = specs
+        .iter()
+        .flat_map(|s| s.external_transitions().map(|(_, e, _)| e))
+        .collect();
+    events.sort_unstable();
+    events.dedup();
+    let (mut off, mut ev, mut tgt, mut base) = (vec![0], Vec::new(), Vec::new(), 0);
+    for spec in specs {
+        for s in spec.states() {
+            for &(e, t) in spec.external_from(s) {
+                ev.push(events.binary_search(&e).expect("collected above") as u32);
+                tgt.push(base + t.0);
             }
-            for &t in spec.internal_from(sid) {
-                sig.insert((None, block[t.index()]));
+            for &t in spec.internal_from(s) {
+                ev.push(events.len() as u32);
+                tgt.push(base + t.0);
             }
-            let key = (block[s], sig);
-            let id = *sig_index.entry(key).or_insert_with(|| {
-                let id = next_count;
-                next_count += 1;
-                id
-            });
-            next_block[s] = id;
+            off.push(tgt.len() as u32);
         }
-        if next_count == num_blocks {
-            return next_block;
-        }
-        block = next_block;
-        num_blocks = next_count;
+        base += spec.num_states() as u32;
     }
+    (off, ev, tgt, events.len() + 1)
 }
 
-/// Quotients the specification by strong bisimulation.
+/// Quotients the specification by strong bisimulation. States are
+/// numbered breadth first from the initial one, and each takes the name
+/// and the edge order of the state it was first reached at.
 ///
 /// ```
 /// use protoquot_spec::{minimize, bisimilar, SpecBuilder};
@@ -68,37 +57,24 @@ fn partition(spec: &Spec) -> Vec<usize> {
 /// assert!(bisimilar(&big, &small));
 /// ```
 pub fn minimize(spec: &Spec) -> Spec {
-    let block = partition(spec);
-    let num_blocks = block.iter().max().map(|m| m + 1).unwrap_or(0);
-    // Representative (first) state per block for naming.
-    let mut names = vec![String::new(); num_blocks];
-    for s in spec.states() {
-        let b = block[s.index()];
-        if names[b].is_empty() {
-            names[b] = spec.state_name(s).to_owned();
-        }
+    let (off, ev, tgt, labels) = graph(&[spec]);
+    let csr = Csr {
+        off: &off,
+        ev: &ev,
+        tgt: &tgt,
+    };
+    let (class, reps) = bisim_classes(csr, labels, &[spec.initial().0]);
+    let to = |t: StateId| StateId(class[t.index()]);
+    let (mut ext, mut int) = (Vec::new(), Vec::new());
+    for (c, &r) in reps.iter().enumerate() {
+        let (from, r) = (StateId(c as u32), StateId(r));
+        ext.extend(spec.external_from(r).iter().map(|&(e, t)| (from, e, to(t))));
+        int.extend(spec.internal_from(r).iter().map(|&t| (from, to(t))));
     }
-    let mut ext: Vec<(StateId, EventId, StateId)> = Vec::new();
-    let mut int: Vec<(StateId, StateId)> = Vec::new();
-    for s in spec.states() {
-        let from = StateId(block[s.index()] as u32);
-        for &(e, t) in spec.external_from(s) {
-            ext.push((from, e, StateId(block[t.index()] as u32)));
-        }
-        for &t in spec.internal_from(s) {
-            int.push((from, StateId(block[t.index()] as u32)));
-        }
-    }
-    let min = spec_from_parts(
-        format!("{}/min", spec.name()),
-        spec.alphabet().clone(),
-        names,
-        StateId(block[spec.initial().index()] as u32),
-        ext,
-        int,
-    )
-    .expect("minimization preserves validity");
-    crate::graph::prune_unreachable(&min)
+    let names = reps.iter().map(|&r| spec.state_name(StateId(r)).to_owned());
+    let (name, alphabet) = (format!("{}/min", spec.name()), spec.alphabet().clone());
+    spec_from_parts(name, alphabet, names.collect(), StateId(0), ext, int)
+        .expect("minimization preserves validity")
 }
 
 /// True iff the two specifications have equal alphabets and bisimilar
@@ -107,46 +83,166 @@ pub fn bisimilar(a: &Spec, b: &Spec) -> bool {
     if a.alphabet() != b.alphabet() {
         return false;
     }
-    // Disjoint union, then one partition refinement.
-    let offset = a.num_states() as u32;
-    let mut names: Vec<String> = Vec::new();
-    for s in a.states() {
-        names.push(format!("L:{}", a.state_name(s)));
-    }
-    for s in b.states() {
-        names.push(format!("R:{}", b.state_name(s)));
-    }
-    let mut ext = Vec::new();
-    let mut int = Vec::new();
-    for (s, e, t) in a.external_transitions() {
-        ext.push((s, e, t));
-    }
-    for (s, t) in a.internal_transitions() {
-        int.push((s, t));
-    }
-    for (s, e, t) in b.external_transitions() {
-        ext.push((StateId(s.0 + offset), e, StateId(t.0 + offset)));
-    }
-    for (s, t) in b.internal_transitions() {
-        int.push((StateId(s.0 + offset), StateId(t.0 + offset)));
-    }
-    let union = spec_from_parts(
-        "union".to_owned(),
-        a.alphabet().union(b.alphabet()),
-        names,
-        StateId(0),
-        ext,
-        int,
-    )
-    .expect("union is valid");
-    let block = partition(&union);
-    block[a.initial().index()] == block[(b.initial().0 + offset) as usize]
+    let (off, ev, tgt, labels) = graph(&[a, b]);
+    let csr = Csr {
+        off: &off,
+        ev: &ev,
+        tgt: &tgt,
+    };
+    let roots = [a.initial().0, a.num_states() as u32 + b.initial().0];
+    let (class, _) = bisim_classes(csr, labels, &roots);
+    class[roots[0] as usize] == class[roots[1] as usize]
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::SpecBuilder;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// A random machine of 1..=8 states over `a`, `b`, `c`, with some
+    /// internal moves and possibly unreachable states.
+    fn random_spec(seed: u64) -> Spec {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = SpecBuilder::new("random");
+        let n = rng.gen_range(1..9);
+        let s: Vec<_> = (0..n).map(|i| b.state(&format!("s{i}"))).collect();
+        for e in ["a", "b", "c"] {
+            b.event(e);
+        }
+        for _ in 0..rng.gen_range(0..2 * n + 1) {
+            let (from, to) = (s[rng.gen_range(0..n)], s[rng.gen_range(0..n)]);
+            b.ext(from, ["a", "b", "c"][rng.gen_range(0..3)], to);
+        }
+        for _ in 0..rng.gen_range(0..n / 2 + 1) {
+            b.int(s[rng.gen_range(0..n)], s[rng.gen_range(0..n)]);
+        }
+        b.build().unwrap()
+    }
+
+    /// Bisimilarity as the greatest fixpoint over pairs of states: drop
+    /// a pair while one side has a move the other cannot match.
+    fn bisimilarity(spec: &Spec) -> Vec<Vec<bool>> {
+        let n = spec.num_states();
+        let moves = |s: usize| -> Vec<(Option<EventId>, usize)> {
+            let s = StateId(s as u32);
+            let ext = spec
+                .external_from(s)
+                .iter()
+                .map(|&(e, t)| (Some(e), t.index()));
+            ext.chain(spec.internal_from(s).iter().map(|&t| (None, t.index())))
+                .collect()
+        };
+        let mut rel = vec![vec![true; n]; n];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for p in 0..n {
+                for q in 0..n {
+                    let matched = |x: usize, y: usize| {
+                        moves(x)
+                            .iter()
+                            .all(|&(l, x2)| moves(y).iter().any(|&(l2, y2)| l == l2 && rel[x2][y2]))
+                    };
+                    if rel[p][q] && !(matched(p, q) && matched(q, p)) {
+                        rel[p][q] = false;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        rel
+    }
+
+    #[test]
+    fn kernel_classes_are_bisimilarity() {
+        for seed in 0..400 {
+            let spec = random_spec(seed);
+            let (off, ev, tgt, labels) = graph(&[&spec]);
+            let csr = Csr {
+                off: &off,
+                ev: &ev,
+                tgt: &tgt,
+            };
+            let all: Vec<u32> = (0..spec.num_states() as u32).collect();
+            let (class, reps) = bisim_classes(csr, labels, &all);
+            let rel = bisimilarity(&spec);
+            for p in 0..spec.num_states() {
+                assert!(reps[class[p] as usize] as usize <= p, "seed {seed}");
+                for q in 0..spec.num_states() {
+                    assert_eq!(class[p] == class[q], rel[p][q], "seed {seed}: {p} ~ {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn minimum_is_bisimilar_idempotent_and_has_no_bisimilar_states() {
+        for seed in 0..400 {
+            let spec = random_spec(seed);
+            let m = minimize(&spec);
+            assert!(bisimilar(&spec, &m), "seed {seed}");
+            assert_eq!(minimize(&m).with_name(m.name()), m, "seed {seed}");
+            let rel = bisimilarity(&m);
+            for (p, row) in rel.iter().enumerate() {
+                for (q, &related) in row.iter().enumerate() {
+                    assert_eq!(related, p == q, "seed {seed}: {p} ~ {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn renumbering_the_states_changes_nothing() {
+        for seed in 0..400 {
+            let spec = random_spec(seed);
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let n = spec.num_states();
+            // Fisher–Yates: state `s` becomes `to[s]`.
+            let mut to: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                to.swap(i, rng.gen_range(0..i + 1));
+            }
+            let map = |s: StateId| StateId(to[s.index()]);
+            let mut names = vec![String::new(); n];
+            for s in spec.states() {
+                names[to[s.index()] as usize] = spec.state_name(s).to_owned();
+            }
+            let ext = spec
+                .external_transitions()
+                .map(|(s, e, t)| (map(s), e, map(t)));
+            let int = spec.internal_transitions().map(|(s, t)| (map(s), map(t)));
+            let renumbered = spec_from_parts(
+                spec.name().to_owned(),
+                spec.alphabet().clone(),
+                names,
+                map(spec.initial()),
+                ext.collect(),
+                int.collect(),
+            )
+            .unwrap();
+            assert_eq!(minimize(&renumbered), minimize(&spec), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_long_chain_minimizes_in_well_under_a_second() {
+        // s0 -a-> s1 -a-> … -a-> s19999: no two states are bisimilar, and
+        // round-based refinement would need 20,000 rounds.
+        let n = 20_000;
+        let names = (0..n).map(|i| format!("s{i}")).collect();
+        let a = EventId::new("a");
+        let ext = (0..n - 1)
+            .map(|i| (StateId(i), a, StateId(i + 1)))
+            .collect();
+        let alphabet = crate::event::Alphabet::from_names(["a"]);
+        let chain = spec_from_parts("chain".into(), alphabet, names, StateId(0), ext, vec![]);
+        let chain = chain.unwrap();
+        let t = std::time::Instant::now();
+        let m = minimize(&chain);
+        let elapsed = t.elapsed();
+        assert_eq!(m.num_states(), n as usize);
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+    }
 
     fn two_state_loop(name: &str) -> Spec {
         let mut b = SpecBuilder::new(name);
