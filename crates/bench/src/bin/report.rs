@@ -21,8 +21,8 @@ use protoquot_protocols::{
 use protoquot_runtime::artifact::encode;
 use protoquot_runtime::{
     drive, Conn, ConverterRegistry, DriveConfig, Frame, Gateway, GatewayConfig, GuardProgram,
-    LoopbackConn, MuxClient, MuxTransport, ReactorConfig, ReactorServer, Reply, SessionGuard,
-    SessionGuardReference,
+    LoopbackConn, LoopbackMux, MuxClient, MuxTransport, ReactorConfig, ReactorServer, Reply,
+    SessionGuard, SessionGuardReference,
 };
 use protoquot_sim::{redirect_transition, FaultPlan, FleetConfig, FleetRunner};
 use protoquot_spec::{minimize, normalize, Alphabet, CompiledSystem, Spec};
@@ -83,10 +83,11 @@ fn exp_w_verify_time() -> f64 {
 }
 
 /// Relays `runs` gateway sessions of the Fig. 14 colocated system over
-/// the in-process loopback transport with `threads` client threads,
-/// each answered inline on its own thread, returning `(accepted_events_per_sec,
-/// frames_relayed)`. The gateway's online guard is live for every
-/// frame, so this measures the full codec → shard → guard path.
+/// the in-process mux loopback with `threads` client threads at one
+/// session per connection, each answered inline on its own thread,
+/// returning `(accepted_events_per_sec, frames_relayed)`. The
+/// gateway's online guard is live for every frame, so this measures
+/// the full codec → shard → guard path.
 fn loopback_throughput(threads: usize, runs: u64) -> (f64, u64) {
     let cfg = protoquot_protocols::colocated_configuration();
     let service = exactly_once();
@@ -103,7 +104,7 @@ fn loopback_throughput(threads: usize, runs: u64) -> (f64, u64) {
     };
     let t = Instant::now();
     let report = drive(&[cfg.b, q.converter], &service, &dcfg, || {
-        Ok(Box::new(LoopbackConn::new(gw.clone())) as Box<dyn Conn>)
+        Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)
     });
     let secs = t.elapsed().as_secs_f64();
     gw.drain();

@@ -31,10 +31,9 @@
 
 use protoquot_core::{prune_useless, solve_with, ProgressStrategy, QuotientOptions};
 use protoquot_runtime::{
-    adversarial, drive, drive_mux, table_hash, AdversarialConfig, CompiledArtifact, Conn,
-    ConnLimits, ConverterRegistry, DriveConfig, FuzzConfig, FuzzTarget, Gateway, GatewayConfig,
-    GuardProgram, LoopbackConn, LoopbackMux, MuxClient, MuxTransport, ReactorConfig, ReactorServer,
-    TcpConn,
+    adversarial, drive, table_hash, AdversarialConfig, CompiledArtifact, ConnLimits,
+    ConverterRegistry, DriveConfig, FuzzConfig, FuzzTarget, Gateway, GatewayConfig, GuardProgram,
+    LoopbackMux, MuxClient, MuxTransport, ReactorConfig, ReactorServer,
 };
 use protoquot_sim::{
     redirect_transition, run_monitored, FaultPlan, FleetConfig, FleetRunner, MonitorVerdict,
@@ -118,6 +117,8 @@ usage:
             [--sessions-per-conn N] [--pipeline N] [--faults loss,dup,reorder,burst]
             [--seed S] [--duration SECS] [--expect-clean] [--adversarial] [--json]
             [--no-hello]
+            (each thread drives N sessions over one connection; the default
+            N = 1 is lockstep, and the report is the same at any N and T)
   protoquot fuzz [FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K]]
             [--target codec|guard|gateway|batch|artifact|all] [--seed S] [--iters N]
             [--max-len N] [--no-shrink] [--json]
@@ -1308,51 +1309,29 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
         pipeline,
         ..DriveConfig::default()
     };
-    // `--sessions-per-conn` selects the multiplexed campaign: the same
-    // per-session state machines, batched over one connection per
-    // thread instead of one blocking call per frame. `--pipeline` is a
-    // property of that campaign, so it selects it too.
-    let mux = p.value("--sessions-per-conn").is_some() || p.value("--pipeline").is_some();
     let report = match (p.value("--connect"), p.has("--loopback")) {
         (Some(addr), false) => {
-            let addr = addr.to_string();
             // Negotiate the wire identity at connection open (the
             // event-table hash is derived from the service alphabet,
             // exactly as the server derives its own); `--no-hello`
             // drives as a legacy peer instead.
             let hash =
                 (!p.has("--no-hello")).then(|| table_hash(&EventTable::new(service.alphabet())));
-            if mux {
-                drive_mux(&components, &service, &cfg, move || {
-                    match hash {
-                        Some(h) => MuxClient::connect_negotiated(&addr, h),
-                        None => MuxClient::connect(&addr),
-                    }
-                    .map(|c| Box::new(c) as Box<dyn MuxTransport>)
-                })
-            } else {
-                drive(&components, &service, &cfg, move || {
-                    match hash {
-                        Some(h) => TcpConn::connect_negotiated(&addr, h),
-                        None => TcpConn::connect(&addr),
-                    }
-                    .map(|c| Box::new(c) as Box<dyn Conn>)
-                })
-            }
+            drive(&components, &service, &cfg, || {
+                match hash {
+                    Some(h) => MuxClient::connect_negotiated(addr, h),
+                    None => MuxClient::connect(addr),
+                }
+                .map(|c| Box::new(c) as Box<dyn MuxTransport>)
+            })
         }
         (None, true) => {
             let parts: Vec<&Spec> = components.iter().collect();
             let gw = Gateway::new(&parts, &service, GatewayConfig::default())
                 .map_err(|e| CliError(e.to_string()))?;
-            let report = if mux {
-                drive_mux(&components, &service, &cfg, || {
-                    Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)
-                })
-            } else {
-                drive(&components, &service, &cfg, || {
-                    Ok(Box::new(LoopbackConn::new(gw.clone())) as Box<dyn Conn>)
-                })
-            };
+            let report = drive(&components, &service, &cfg, || {
+                Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)
+            });
             gw.drain();
             report
         }
@@ -2084,9 +2063,10 @@ mod tests {
 
     #[test]
     fn drive_pipeline_flag_does_not_change_the_report() {
-        // One clean multiplexed campaign, then the same seed with a
-        // pipeline window: the reports must be byte-identical (the
-        // flag changes the hot path, never the outcome).
+        // One clean campaign at four sessions per connection, then the
+        // same seed with a pipeline window: the reports must be
+        // byte-identical (the flag changes the hot path, never the
+        // outcome).
         let base = &[
             "drive",
             "--builtin",
@@ -2108,9 +2088,9 @@ mod tests {
     }
 
     #[test]
-    fn drive_pipeline_selects_mux_and_validates_depth() {
-        // --pipeline alone selects the multiplexed campaign (no
-        // --sessions-per-conn needed) and rejects absurd depths.
+    fn drive_pipeline_validates_depth() {
+        // --pipeline works at the default one session per connection
+        // and rejects absurd depths.
         let out = run_ok(&[
             "drive",
             "--builtin",
@@ -2207,7 +2187,8 @@ mod tests {
     fn serve_reactor_and_drive_multiplexed_over_tcp() {
         // End-to-end over the readiness transport: a reactor-served
         // gateway, driven by multiplexed sessions over one socket per
-        // thread. The mux report must equal a lockstep campaign's.
+        // thread. The report must equal the default one-session-per-
+        // connection (lockstep) campaign's.
         let (components, service) = builtin_soak_system("colocated", None).unwrap();
         let parts: Vec<&Spec> = components.iter().collect();
         let gw = Gateway::new(&parts, &service, GatewayConfig::default()).unwrap();

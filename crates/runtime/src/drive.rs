@@ -12,24 +12,20 @@
 //!
 //! Every run is executed by a resumable `SessionTask` state machine:
 //! `advance(reply) -> Option<Frame>` hands the driver the next frame
-//! to send and parks the task until that frame's reply arrives. Both
-//! campaign shapes are thin loops over it —
+//! to send and parks the task until that frame's reply arrives. Each
+//! worker thread keeps up to [`DriveConfig::sessions_per_conn`] tasks
+//! live on one [`MuxTransport`], batches their frames per exchange,
+//! and routes each reply to the task its session id names. One session
+//! per connection, the default, is the lockstep shape: one frame in
+//! flight per connection.
 //!
-//! * [`drive`] (lockstep): one [`Conn`] per thread, one live task at a
-//!   time, `call` per frame;
-//! * [`drive_mux`] (multiplexed): one [`MuxTransport`] per thread
-//!   carrying up to [`DriveConfig::sessions_per_conn`] concurrent
-//!   tasks, frames batched per exchange and replies dispatched to
-//!   tasks by the session id in their headers.
-//!
-//! Because the two paths share the per-session state machine verbatim
-//! and each task keeps exactly one frame outstanding by default (so
-//! per-session wire order is program order), a mux campaign produces the *same* report
-//! as a lockstep campaign over the same config — transports and
-//! concurrency change the schedule of bytes, not the verdicts.
-//! `tests/reactor_transport.rs` pins this byte-for-byte across
-//! transports. [`DriveConfig::pipeline`] deepens the per-session
-//! window (speculative accepts, see `PipelinedTask`) so the load
+//! Each task keeps exactly one frame outstanding by default, so
+//! per-session wire order is program order and the report does not
+//! depend on the shape: sessions per connection, threads and carrier
+//! change the schedule of bytes, not the verdicts.
+//! `tests/reactor_transport.rs` pins this byte for byte across
+//! carriers. [`DriveConfig::pipeline`] deepens the per-session window
+//! (speculative accepts, see `SessionTask::fill`) so the load
 //! generator can saturate a batching server; reports stay
 //! deterministic at any depth.
 //!
@@ -40,7 +36,7 @@
 //! (safety) or on the attested stall (progress).
 
 use crate::codec::{Frame, Reply, WireCodec};
-use crate::transport::{Conn, MuxTransport};
+use crate::transport::MuxTransport;
 use protoquot_sim::{
     derive_seed, Action, ExternalPolicy, FaultPlan, FaultState, MonitorVerdict, ProgressVerdict,
     ProgressWatchdog, Runner, ServiceMonitor, System,
@@ -72,13 +68,12 @@ pub struct DriveConfig {
     pub probe_budget: usize,
     /// Stop claiming new runs after this wall-clock budget (soak mode).
     pub duration: Option<Duration>,
-    /// Concurrent sessions each connection multiplexes in
-    /// [`drive_mux`] campaigns (total concurrency = `threads` × this).
-    /// Ignored by the lockstep [`drive`] path.
+    /// Concurrent sessions each connection multiplexes (total
+    /// concurrency = `threads` × this; clamped to at least 1). The
+    /// default of 1 is the lockstep shape.
     pub sessions_per_conn: u64,
-    /// Outstanding frames each multiplexed session keeps in flight
-    /// (clamped to at least 1; ignored by the lockstep [`drive`]
-    /// path). Above 1 the driver *speculates*: it consumes an
+    /// Outstanding frames each session keeps in flight (clamped to at
+    /// least 1). Above 1 the driver *speculates*: it consumes an
     /// optimistic `Accepted` for each unanswered event frame and keeps
     /// sending, rolling the accounting back if the real reply turns
     /// out to be a rejection. Reports stay deterministic and
@@ -251,65 +246,91 @@ impl std::fmt::Display for DriveReport {
 
 /// Drives `cfg.runs` sessions of `components` (including the converter)
 /// against a gateway reached through `mk_conn`, monitoring each run
-/// locally against `service`.
+/// locally against `service`, up to [`DriveConfig::sessions_per_conn`]
+/// at a time on each of `cfg.threads` connections. A connection that
+/// fails takes its live sessions with it (each records the transport
+/// error), and the next claimed run reconnects.
 pub fn drive<F>(components: &[Spec], service: &Spec, cfg: &DriveConfig, mk_conn: F) -> DriveReport
 where
-    F: Fn() -> io::Result<Box<dyn Conn>> + Sync,
+    F: Fn() -> io::Result<Box<dyn MuxTransport>> + Sync,
 {
     let codec = match WireCodec::new(service.alphabet()) {
         Ok(c) => c,
-        Err(e) => {
-            // The service alphabet cannot be carried on the wire at
-            // all; report it as a failed run instead of panicking.
-            let mut o = empty_outcome(0);
-            o.io_error = Some(e.to_string());
-            return report_from(vec![o]);
-        }
+        // The service alphabet cannot be carried on the wire at all;
+        // report it as a failed run instead of panicking.
+        Err(e) => return report_from(vec![failed_outcome(0, &e)]),
     };
     let next = AtomicU64::new(0);
     let deadline = cfg.duration.map(|d| Instant::now() + d);
     let outcomes: Mutex<Vec<RunOutcome>> = Mutex::new(Vec::new());
+    // Recover the list even if a sibling driver thread panicked: losing
+    // the partial outcomes would only mask the original failure.
+    let push = |out: RunOutcome| outcomes.lock().unwrap_or_else(|p| p.into_inner()).push(out);
+    let per_conn = cfg.sessions_per_conn.max(1) as usize;
     std::thread::scope(|scope| {
         for _ in 0..cfg.threads.max(1) {
             scope.spawn(|| {
-                let mut conn: Option<Box<dyn Conn>> = None;
+                let mut conn: Option<Box<dyn MuxTransport>> = None;
+                let mut tasks: HashMap<u64, SessionTask> = HashMap::new();
+                let mut replies: Vec<Reply> = Vec::new();
+                let mut exhausted = false;
                 loop {
-                    let run = next.fetch_add(1, Ordering::Relaxed);
-                    if run >= cfg.runs {
-                        break;
-                    }
-                    if let Some(deadline) = deadline {
-                        if Instant::now() >= deadline {
+                    let mut failed = None;
+                    // Refill the task set up to the per-connection cap.
+                    while failed.is_none() && !exhausted && tasks.len() < per_conn {
+                        let run = next.fetch_add(1, Ordering::Relaxed);
+                        if run >= cfg.runs || deadline.is_some_and(|d| Instant::now() >= d) {
+                            exhausted = true;
                             break;
                         }
-                    }
-                    if conn.is_none() {
-                        conn = match mk_conn() {
-                            Ok(c) => Some(c),
-                            Err(e) => {
-                                let mut o = empty_outcome(run);
-                                o.io_error = Some(e.to_string());
-                                // Recover the list even if a sibling
-                                // driver thread panicked: losing the
-                                // partial outcomes would only mask the
-                                // original failure.
-                                outcomes.lock().unwrap_or_else(|p| p.into_inner()).push(o);
-                                continue;
-                            }
+                        let c = match &mut conn {
+                            Some(c) => c,
+                            None => match mk_conn() {
+                                Ok(c) => conn.insert(c),
+                                Err(e) => {
+                                    push(failed_outcome(run, &e));
+                                    continue;
+                                }
+                            },
                         };
+                        let mut task = SessionTask::new(components, service, &codec, cfg, run);
+                        failed = task.fill(c.as_mut()).err();
+                        tasks.insert(run, task);
                     }
-                    let out = run_one(
-                        components,
-                        service,
-                        &codec,
-                        conn.as_deref_mut().unwrap(),
-                        cfg,
-                        run,
-                    );
-                    if out.io_error.is_some() {
-                        conn = None; // reconnect for the next run
+                    // Flush queued frames and hand each reply to its task.
+                    if let (None, Some(c)) = (&failed, &mut conn) {
+                        if !tasks.is_empty() {
+                            match c.exchange(true, &mut replies) {
+                                Ok(()) => {
+                                    for reply in replies.drain(..) {
+                                        let task = tasks.get_mut(&reply.session());
+                                        // Replies for a finished task are dropped.
+                                        let Some(task) = task.filter(|t| !t.complete()) else {
+                                            continue;
+                                        };
+                                        if let Err(e) = task.on_reply(reply, c.as_mut()) {
+                                            task.fail(&e);
+                                            failed = Some(e);
+                                        }
+                                    }
+                                }
+                                Err(e) => failed = Some(e),
+                            }
+                        }
                     }
-                    outcomes.lock().unwrap_or_else(|p| p.into_inner()).push(out);
+                    if let Some(e) = failed {
+                        // The connection died: every task on it records
+                        // the transport error, and the next refill
+                        // reconnects.
+                        tasks.values_mut().for_each(|t| t.fail(&e));
+                        conn = None;
+                    }
+                    for (_, task) in tasks.extract_if(|_, t| t.complete()) {
+                        push(task.out);
+                    }
+                    if exhausted && tasks.is_empty() {
+                        break;
+                    }
                 }
             });
         }
@@ -332,6 +353,14 @@ fn empty_outcome(run: u64) -> RunOutcome {
     }
 }
 
+/// The outcome of a run that failed before its session could start.
+fn failed_outcome(run: u64, e: &dyn std::fmt::Display) -> RunOutcome {
+    RunOutcome {
+        io_error: Some(e.to_string()),
+        ..empty_outcome(run)
+    }
+}
+
 /// Which frame a parked [`SessionTask`] is waiting on.
 enum Pending {
     Event,
@@ -339,16 +368,32 @@ enum Pending {
     Close,
 }
 
-/// One driven session as a resumable state machine.
+/// One driven session as a resumable state machine with up to
+/// [`DriveConfig::pipeline`] frames in flight.
 ///
 /// [`SessionTask::advance`] consumes the reply to the previously
 /// returned frame (if any), runs the fleet-style execution forward,
 /// and returns the next frame to put on the wire — or `None` when the
-/// run is finished and [`SessionTask::into_outcome`] may be taken.
-/// The lockstep and multiplexed campaign drivers differ only in how
-/// they schedule these frames onto connections; the run semantics —
-/// and therefore the [`RunOutcome`] for a given config and run index —
-/// live entirely here.
+/// run is finished. The run semantics — and therefore the
+/// [`RunOutcome`] for a given config and run index — live entirely
+/// here; [`drive`] only schedules frames onto connections.
+///
+/// `advance` consumes exactly one reply per frame, so a deeper window
+/// works by *speculation* ([`SessionTask::fill`]): while the next frame
+/// to send would be an event, the task feeds itself an optimistic
+/// `Accepted` and queues the next frame at once, counting the
+/// unconfirmed speculations. Real replies arrive in per-session order,
+/// so each `Accepted` confirms the oldest one. A real rejection means
+/// the run ended at that frame: the task rolls back the unconfirmed
+/// accepts, records the rejection, seals the session with a `Close`,
+/// and discards the replies of the frames already on the wire. Stall
+/// attestations and closes are never speculated past — their replies
+/// change control flow — so a parked task drains its window first.
+///
+/// Everything here is a deterministic function of the reply sequence,
+/// which is itself deterministic per session, so reports stay thread-
+/// and carrier-invariant at any depth; at depth 1 nothing is ever
+/// speculated.
 struct SessionTask<'a> {
     cfg: &'a DriveConfig,
     codec: &'a WireCodec,
@@ -362,7 +407,13 @@ struct SessionTask<'a> {
     /// Action whose post-reply bookkeeping (`watchdog.note`, verdict
     /// checks) still has to run once the in-flight reply arrives.
     tail_action: Option<Action>,
+    /// The run is over: no further frame is sent, and the replies of
+    /// frames still in flight are discarded.
     done: bool,
+    /// Frames on the wire without a real reply yet.
+    in_flight: u64,
+    /// Optimistic `Accepted`s consumed but not yet confirmed.
+    speculated: u64,
 }
 
 impl<'a> SessionTask<'a> {
@@ -387,7 +438,107 @@ impl<'a> SessionTask<'a> {
             pending: None,
             tail_action: None,
             done: false,
+            in_flight: 0,
+            speculated: 0,
         }
+    }
+
+    /// Tops the window up: queues frames until the depth is reached,
+    /// the task parks on a reply it cannot speculate past (stall or
+    /// close), or the run ends.
+    fn fill(&mut self, conn: &mut dyn MuxTransport) -> io::Result<()> {
+        while !self.done && self.in_flight < self.cfg.pipeline.max(1) {
+            let frame = if self.in_flight == 0 && self.speculated == 0 && self.pending.is_none() {
+                self.advance(None)
+            } else if matches!(self.pending, Some(Pending::Event)) {
+                self.speculated += 1;
+                self.advance(Some(Reply::Accepted {
+                    session: self.session,
+                }))
+            } else {
+                // Parked on a stall or close reply, or waiting for the
+                // window's tail reply at depth 1.
+                return Ok(());
+            };
+            let Some(frame) = frame else {
+                return Ok(());
+            };
+            conn.queue(&frame)?;
+            self.in_flight += 1;
+        }
+        Ok(())
+    }
+
+    /// Consumes one real reply (always for the oldest in-flight frame:
+    /// per-session reply order is wire order) and refills the window.
+    fn on_reply(&mut self, reply: Reply, conn: &mut dyn MuxTransport) -> io::Result<()> {
+        self.in_flight -= 1;
+        if self.done {
+            return Ok(());
+        }
+        if self.speculated == 0 {
+            if let Some(frame) = self.advance(Some(reply)) {
+                conn.queue(&frame)?;
+                self.in_flight += 1;
+            }
+            return self.fill(conn);
+        }
+        // The oldest in-flight frame was an event already answered
+        // optimistically.
+        match reply {
+            Reply::Accepted { .. } => self.speculated -= 1,
+            // Connection-plane; never answers an event frame.
+            Reply::HelloAck { .. } => {}
+            Reply::Rejected { reason, .. } => {
+                // Speculation was wrong: the run ended here. Roll back
+                // the unconfirmed accepts, record the verdict with the
+                // step count as of now, and seal the session the way
+                // `finish` would.
+                self.out.accepted -= self.speculated;
+                self.speculated = 0;
+                self.record_reject(reason);
+                self.out.steps = self.runner.steps();
+                self.done = true;
+                conn.queue(&Frame::Close {
+                    session: self.session,
+                })?;
+                self.in_flight += 1;
+                return Ok(());
+            }
+        }
+        self.fill(conn)
+    }
+
+    /// Whether the run is over and every in-flight reply is accounted
+    /// for — only then may the outcome be taken.
+    fn complete(&self) -> bool {
+        self.done && self.in_flight == 0
+    }
+
+    /// The connection died while frames were in flight. Terminal:
+    /// unconfirmed speculative accepts are rolled back first, so the
+    /// outcome never counts an accept the server was not seen to grant;
+    /// then an unanswered event still runs its tail's safety check,
+    /// and an error on the final `Close` is ignored.
+    fn fail(&mut self, e: &io::Error) {
+        self.out.accepted -= self.speculated;
+        self.speculated = 0;
+        self.in_flight = 0;
+        if !self.done {
+            match self.pending.take() {
+                Some(Pending::Event) => {
+                    self.out.io_error = Some(e.to_string());
+                    let _ = self.tail(true);
+                }
+                Some(Pending::Stall) => {
+                    self.out.io_error = Some(e.to_string());
+                    let _ = self.finish();
+                }
+                // A failed Close is ignored (the run already concluded).
+                Some(Pending::Close) | None => {}
+            }
+        }
+        self.done = true;
     }
 
     /// Feeds the reply to the last returned frame (`None` only on the
@@ -431,33 +582,6 @@ impl<'a> SessionTask<'a> {
             }
         }
         self.step_loop()
-    }
-
-    /// The connection died while this task's frame was in flight.
-    /// Terminal: records the error exactly as the lockstep path does —
-    /// including running the event tail's safety check, and ignoring
-    /// errors on the final `Close`.
-    fn fail(&mut self, e: &io::Error) {
-        if self.done {
-            return;
-        }
-        match self.pending.take() {
-            Some(Pending::Event) => {
-                self.out.io_error = Some(e.to_string());
-                let _ = self.tail(true);
-            }
-            Some(Pending::Stall) => {
-                self.out.io_error = Some(e.to_string());
-                let _ = self.finish();
-            }
-            // A failed Close is ignored (the run already concluded).
-            Some(Pending::Close) | None => {}
-        }
-        self.done = true;
-    }
-
-    fn into_outcome(self) -> RunOutcome {
-        self.out
     }
 
     /// Runs the execution until a frame must cross the wire.
@@ -572,315 +696,6 @@ impl<'a> SessionTask<'a> {
     }
 }
 
-/// A [`SessionTask`] with up to [`DriveConfig::pipeline`] frames in
-/// flight at once, used by [`drive_mux`] to saturate a batching
-/// server.
-///
-/// The underlying state machine consumes exactly one reply per frame,
-/// so pipelining works by *speculation*: while the next frame to send
-/// would be an event, the wrapper feeds the task an optimistic
-/// `Accepted` and queues the next frame immediately, counting how many
-/// optimistic replies are unconfirmed. Real replies arrive in
-/// per-session order, so each `Accepted` confirms the oldest
-/// speculation. A real rejection means the run actually ended at that
-/// frame: the wrapper rolls back the unconfirmed accepts, records the
-/// rejection, seals the session with a `Close`, and discards the
-/// replies of the frames that were already on the wire. Stall
-/// attestations and closes are never speculated past — their replies
-/// change control flow — so a parked task drains its window first.
-///
-/// Everything here is a deterministic function of the reply sequence,
-/// which is itself deterministic per session, so campaign reports stay
-/// thread- and carrier-invariant at any depth; at depth 1 no
-/// speculation ever happens and the behavior is exactly the classic
-/// one-outstanding-frame loop.
-struct PipelinedTask<'a> {
-    task: SessionTask<'a>,
-    /// Frame window (≥ 1).
-    depth: u64,
-    /// Frames on the wire without a real reply yet.
-    in_flight: u64,
-    /// Optimistic `Accepted`s consumed but not yet confirmed.
-    speculated: u64,
-    /// A rejection landed mid-window: the run is over, remaining
-    /// in-flight replies (including the sealing `Close`) are drained
-    /// and discarded.
-    draining: bool,
-}
-
-impl<'a> PipelinedTask<'a> {
-    fn new(task: SessionTask<'a>, depth: u64) -> PipelinedTask<'a> {
-        PipelinedTask {
-            task,
-            depth: depth.max(1),
-            in_flight: 0,
-            speculated: 0,
-            draining: false,
-        }
-    }
-
-    /// Tops the window up: queues frames until the depth is reached,
-    /// the task parks on a reply it cannot speculate past (stall or
-    /// close), or the run ends.
-    fn fill(&mut self, conn: &mut dyn MuxTransport) -> io::Result<()> {
-        while !self.draining && !self.task.done && self.in_flight < self.depth {
-            let frame =
-                if self.in_flight == 0 && self.speculated == 0 && self.task.pending.is_none() {
-                    self.task.advance(None)
-                } else if matches!(self.task.pending, Some(Pending::Event)) {
-                    self.speculated += 1;
-                    self.task.advance(Some(Reply::Accepted {
-                        session: self.task.session,
-                    }))
-                } else {
-                    // Parked on a stall or close reply, or waiting for the
-                    // window's tail reply at depth 1.
-                    return Ok(());
-                };
-            match frame {
-                Some(frame) => {
-                    conn.queue(&frame)?;
-                    self.in_flight += 1;
-                }
-                None => return Ok(()),
-            }
-        }
-        Ok(())
-    }
-
-    /// Consumes one real reply (always for the oldest in-flight frame:
-    /// per-session reply order is wire order) and refills the window.
-    fn on_reply(&mut self, reply: Reply, conn: &mut dyn MuxTransport) -> io::Result<()> {
-        self.in_flight -= 1;
-        if self.draining {
-            return Ok(());
-        }
-        if self.speculated > 0 {
-            // The oldest in-flight frame was an event we already
-            // answered optimistically.
-            match reply {
-                Reply::Accepted { .. } => self.speculated -= 1,
-                // Connection-plane; never answers an event frame.
-                Reply::HelloAck { .. } => {}
-                Reply::Rejected { reason, .. } => {
-                    // Speculation was wrong: the run ended here. Roll
-                    // back the unconfirmed accepts, record the verdict
-                    // with the step count as of now, and seal the
-                    // session the way `finish` would.
-                    self.task.out.accepted -= self.speculated;
-                    self.speculated = 0;
-                    self.task.record_reject(reason);
-                    self.task.out.steps = self.task.runner.steps();
-                    self.task.pending = None;
-                    self.task.tail_action = None;
-                    self.draining = true;
-                    conn.queue(&Frame::Close {
-                        session: self.task.session,
-                    })?;
-                    self.in_flight += 1;
-                    return Ok(());
-                }
-            }
-        } else if let Some(frame) = self.task.advance(Some(reply)) {
-            conn.queue(&frame)?;
-            self.in_flight += 1;
-        }
-        self.fill(conn)
-    }
-
-    /// Whether the run is over and every in-flight reply is accounted
-    /// for — only then may the outcome be taken.
-    fn complete(&self) -> bool {
-        self.in_flight == 0 && (self.task.done || self.draining)
-    }
-
-    /// The connection died. Unconfirmed speculative accepts are rolled
-    /// back before the terminal bookkeeping so the outcome never
-    /// counts an accept the server was not seen to grant.
-    fn fail(&mut self, e: &io::Error) {
-        self.task.out.accepted -= self.speculated;
-        self.speculated = 0;
-        if !self.draining {
-            self.task.fail(e);
-        }
-        self.task.done = true;
-    }
-
-    fn into_outcome(self) -> RunOutcome {
-        self.task.into_outcome()
-    }
-}
-
-/// One session over a lockstep connection: drive the [`SessionTask`]
-/// frame by frame, each `call` blocking for its reply.
-fn run_one(
-    components: &[Spec],
-    service: &Spec,
-    codec: &WireCodec,
-    conn: &mut dyn Conn,
-    cfg: &DriveConfig,
-    run: u64,
-) -> RunOutcome {
-    let mut task = SessionTask::new(components, service, codec, cfg, run);
-    let mut next = task.advance(None);
-    while let Some(frame) = next {
-        match conn.call(&frame) {
-            Ok(reply) => next = task.advance(Some(reply)),
-            Err(e) => {
-                task.fail(&e);
-                break;
-            }
-        }
-    }
-    task.into_outcome()
-}
-
-/// Drives `cfg.runs` sessions multiplexed over [`MuxTransport`]
-/// connections: each of `cfg.threads` worker threads keeps up to
-/// [`DriveConfig::sessions_per_conn`] concurrent `PipelinedTask`s
-/// live on one connection, batching their frames per exchange and
-/// routing each reply to the task its session id names.
-///
-/// At the default [`DriveConfig::pipeline`] of 1 every task holds at
-/// most one outstanding frame, so per-session wire order equals
-/// program order and the report matches a lockstep [`drive`] campaign
-/// over the same config, field for field. Deeper pipelines keep up to
-/// that many frames in flight per session (see `PipelinedTask`);
-/// reports stay deterministic, and runs the server never rejects are
-/// still identical to depth 1.
-pub fn drive_mux<F>(
-    components: &[Spec],
-    service: &Spec,
-    cfg: &DriveConfig,
-    mk_conn: F,
-) -> DriveReport
-where
-    F: Fn() -> io::Result<Box<dyn MuxTransport>> + Sync,
-{
-    let codec = match WireCodec::new(service.alphabet()) {
-        Ok(c) => c,
-        Err(e) => {
-            let mut o = empty_outcome(0);
-            o.io_error = Some(e.to_string());
-            return report_from(vec![o]);
-        }
-    };
-    let next = AtomicU64::new(0);
-    let deadline = cfg.duration.map(|d| Instant::now() + d);
-    let outcomes: Mutex<Vec<RunOutcome>> = Mutex::new(Vec::new());
-    let per_conn = cfg.sessions_per_conn.max(1) as usize;
-    let depth = cfg.pipeline.max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.threads.max(1) {
-            scope.spawn(|| {
-                let mut conn: Option<Box<dyn MuxTransport>> = None;
-                let mut tasks: HashMap<u64, PipelinedTask> = HashMap::new();
-                let mut replies: Vec<Reply> = Vec::new();
-                let mut exhausted = false;
-                let push = |out: RunOutcome| {
-                    outcomes.lock().unwrap_or_else(|p| p.into_inner()).push(out);
-                };
-                loop {
-                    // Refill the task set up to the per-connection cap.
-                    while !exhausted && tasks.len() < per_conn {
-                        let run = next.fetch_add(1, Ordering::Relaxed);
-                        if run >= cfg.runs {
-                            exhausted = true;
-                            break;
-                        }
-                        if let Some(deadline) = deadline {
-                            if Instant::now() >= deadline {
-                                exhausted = true;
-                                break;
-                            }
-                        }
-                        if conn.is_none() {
-                            conn = match mk_conn() {
-                                Ok(c) => Some(c),
-                                Err(e) => {
-                                    let mut o = empty_outcome(run);
-                                    o.io_error = Some(e.to_string());
-                                    push(o);
-                                    continue;
-                                }
-                            };
-                        }
-                        let task = SessionTask::new(components, service, &codec, cfg, run);
-                        let mut task = PipelinedTask::new(task, depth);
-                        match task.fill(conn.as_mut().unwrap().as_mut()) {
-                            Ok(()) => {
-                                if task.complete() {
-                                    push(task.into_outcome());
-                                } else {
-                                    tasks.insert(run, task);
-                                }
-                            }
-                            Err(e) => {
-                                task.fail(&e);
-                                push(task.into_outcome());
-                            }
-                        }
-                    }
-                    if tasks.is_empty() {
-                        if exhausted {
-                            break;
-                        }
-                        continue;
-                    }
-                    // Flush queued frames and wait for replies.
-                    let c = conn.as_mut().expect("live tasks imply a connection");
-                    match c.exchange(true, &mut replies) {
-                        Ok(()) => {
-                            let mut failed = None;
-                            for reply in replies.drain(..) {
-                                let session = reply.session();
-                                let Some(mut task) = tasks.remove(&session) else {
-                                    continue; // reply for an already-failed task
-                                };
-                                match task.on_reply(reply, conn.as_mut().unwrap().as_mut()) {
-                                    Ok(()) => {
-                                        if task.complete() {
-                                            push(task.into_outcome());
-                                        } else {
-                                            tasks.insert(session, task);
-                                        }
-                                    }
-                                    Err(e) => {
-                                        task.fail(&e);
-                                        push(task.into_outcome());
-                                        failed = Some(e);
-                                    }
-                                }
-                            }
-                            if let Some(e) = failed {
-                                fail_all(&mut tasks, &e, &push);
-                                conn = None;
-                            }
-                        }
-                        Err(e) => {
-                            // The connection died: every in-flight task
-                            // on it records the transport error, and the
-                            // next refill reconnects.
-                            fail_all(&mut tasks, &e, &push);
-                            conn = None;
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let outcomes = outcomes.into_inner().unwrap_or_else(|p| p.into_inner());
-    report_from(outcomes)
-}
-
-/// Terminally fails every in-flight task with `e`.
-fn fail_all<F: Fn(RunOutcome)>(tasks: &mut HashMap<u64, PipelinedTask>, e: &io::Error, push: &F) {
-    for (_, mut task) in tasks.drain() {
-        task.fail(e);
-        push(task.into_outcome());
-    }
-}
-
 /// Sorts outcomes by run and aggregates the campaign totals.
 fn report_from(mut outcomes: Vec<RunOutcome>) -> DriveReport {
     outcomes.sort_by_key(|o| o.run);
@@ -900,7 +715,7 @@ fn report_from(mut outcomes: Vec<RunOutcome>) -> DriveReport {
 mod tests {
     use super::*;
     use crate::gateway::{Gateway, GatewayConfig};
-    use crate::transport::{LoopbackConn, LoopbackMux};
+    use crate::transport::LoopbackMux;
     use protoquot_core::solve;
     use protoquot_protocols::{colocated_configuration, exactly_once};
     use protoquot_sim::redirect_transition;
@@ -923,12 +738,23 @@ mod tests {
         }
     }
 
-    /// A multiplexed campaign must reproduce the lockstep campaign's
-    /// report byte for byte — same accepts, same convictions, same
-    /// stall attestations — for a clean derived converter and for a
-    /// convicted mutant alike, at several concurrency shapes.
+    /// One campaign over the in-process mux loopback, on a fresh gateway
+    /// (run indices are session ids, and closed sessions linger until
+    /// idle eviction).
+    fn campaign(components: &[Spec], service: &Spec, cfg: &DriveConfig) -> DriveReport {
+        let gw = gateway(components, service);
+        drive(components, service, cfg, || {
+            Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)
+        })
+    }
+
+    /// The report is a property of the system and the schedule, not of
+    /// the client shape: sessions per connection and client threads
+    /// change how frames are batched, never the verdicts. Pinned byte
+    /// for byte against the lockstep shape (one session, one thread),
+    /// for a clean derived converter and a convicted mutant alike.
     #[test]
-    fn mux_campaigns_match_lockstep_campaigns() {
+    fn campaign_reports_are_shape_invariant() {
         let system = colocated_configuration();
         let service = exactly_once();
         let q = solve(&system.b, &service, &system.int).expect("colocated converter derives");
@@ -937,20 +763,16 @@ mod tests {
             .expect("converter has transitions to mutate");
         for (label, converter) in [("derived", &q.converter), ("mutant", &mutant)] {
             let components = [system.b.clone(), converter.clone()];
-            let gw = gateway(&components, &service);
-            let lockstep = drive(&components, &service, &cfg(1, 1), || {
-                Ok(Box::new(LoopbackConn::new(gw.clone())) as Box<dyn Conn>)
-            });
-            for (sessions, threads) in [(1u64, 1usize), (8, 1), (16, 2)] {
-                let gw = gateway(&components, &service);
-                let mux = drive_mux(&components, &service, &cfg(sessions, threads), || {
-                    Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)
-                });
-                assert_eq!(
-                    lockstep.to_json(),
-                    mux.to_json(),
-                    "{label}: mux report diverges at {sessions} sessions/conn × {threads} threads"
-                );
+            let lockstep = campaign(&components, &service, &cfg(1, 1));
+            for sessions in [1u64, 8, 16] {
+                for threads in [1usize, 2] {
+                    let shaped = campaign(&components, &service, &cfg(sessions, threads));
+                    assert_eq!(
+                        lockstep.to_json(),
+                        shaped.to_json(),
+                        "{label}: report diverges at {sessions} sessions/conn × {threads} threads"
+                    );
+                }
             }
             if label == "mutant" {
                 assert!(
@@ -979,18 +801,12 @@ mod tests {
             .find_map(|k| redirect_transition(&q.converter, k))
             .expect("converter has transitions to mutate");
         let piped = |components: &[Spec], threads: usize, pipeline: u64| {
-            let gw = gateway(components, &service);
             let mut c = cfg(8, threads);
             c.pipeline = pipeline;
-            drive_mux(components, &service, &c, || {
-                Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)
-            })
+            campaign(components, &service, &c)
         };
         let derived = [system.b.clone(), q.converter.clone()];
-        let gw = gateway(&derived, &service);
-        let lockstep = drive(&derived, &service, &cfg(1, 1), || {
-            Ok(Box::new(LoopbackConn::new(gw.clone())) as Box<dyn Conn>)
-        });
+        let lockstep = campaign(&derived, &service, &cfg(1, 1));
         assert!(lockstep.is_clean(), "derived converter was convicted");
         for pipeline in [2, 4, 16] {
             assert_eq!(
@@ -1040,7 +856,7 @@ mod tests {
         let service = exactly_once();
         let q = solve(&system.b, &service, &system.int).expect("colocated converter derives");
         let components = [system.b.clone(), q.converter.clone()];
-        let report = drive_mux(&components, &service, &cfg(4, 1), || {
+        let report = drive(&components, &service, &cfg(4, 1), || {
             Ok(Box::new(FailingMux { calls: 0 }) as Box<dyn MuxTransport>)
         });
         assert_eq!(report.runs, 48, "every claimed run must be accounted for");

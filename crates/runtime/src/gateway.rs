@@ -2,24 +2,24 @@
 //!
 //! A [`Gateway`] owns one compiled [`GuardProgram`] and a sharded
 //! session table: `session id → SessionCore` (guard state plus
-//! lifecycle), spread over stripe-locked maps. Every frame is answered
-//! inline on the thread that hands it in — admission, the session's
-//! lock, one guard-DFA row. [`Gateway::call_batch`] runs a transport
-//! batch grouped by session, one lock acquisition per session per
-//! batch; [`Gateway::call`] is the same step for a single frame. The
-//! session lock serializes a session whose frames arrive on several
-//! threads, while distinct sessions proceed in parallel.
+//! lifecycle), stored by value in stripe-locked maps. Every frame is
+//! answered inline on the thread that hands it in — admission, the
+//! session's shard lock, one guard-DFA row. [`Gateway::call_batch`]
+//! runs a transport batch grouped by session, one lock acquisition
+//! per session per batch; [`Gateway::call`] is the same step for a
+//! single frame. The shard lock is the session lock: it serializes a
+//! session whose frames arrive on several threads, while sessions in
+//! distinct shards proceed in parallel. No code path waits for a shard
+//! lock while it holds another gateway lock, so the gateway cannot
+//! deadlock against itself.
 //!
 //! Lifecycle:
 //!
 //! * [`Gateway::evict_idle`] sweeps sessions idle past the configured
-//!   timeout (never one a caller is holding);
+//!   timeout, shard by shard under the same lock;
 //! * [`Gateway::drain`] stops admitting frames
 //!   ([`RejectReason::Draining`]). Nothing is ever queued, so every
 //!   frame admitted before the flag was set has already been answered.
-//!
-//! Lock order is always shard map → session core, so the gateway
-//! cannot deadlock against itself.
 
 use crate::codec::{encode_reply, table_hash, Frame, RejectReason, Reply, WireCodec, WireError};
 use crate::guard::{GuardProgram, SessionGuard};
@@ -27,7 +27,7 @@ use crate::stats::{RuntimeStats, StatsSnapshot};
 use protoquot_spec::{Spec, SpecError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock, TryLockError};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Stripe-locked shards of the session table.
@@ -184,7 +184,7 @@ struct SessionCore {
     version: u32,
 }
 
-type Shard = Mutex<HashMap<u64, Arc<Mutex<SessionCore>>>>;
+type Shard = Mutex<HashMap<u64, SessionCore>>;
 
 struct GatewayInner {
     /// The active converter: `(version, program)`. Read once per
@@ -385,52 +385,46 @@ impl Gateway {
         }
     }
 
-    /// The session core for `session`, created on first contact.
-    fn core_for(&self, session: u64) -> Arc<Mutex<SessionCore>> {
-        let inner = &self.inner;
-        let shard = &inner.shards[(session % SHARDS as u64) as usize];
-        let mut map = shard.lock().unwrap();
-        Arc::clone(map.entry(session).or_insert_with(|| {
-            let (version, prog) = {
-                let active = inner.active.read().unwrap();
-                (active.0, Arc::clone(&active.1))
-            };
-            inner.stats.note_open();
-            inner.stats.note_version_open(version);
-            Arc::new(Mutex::new(SessionCore {
-                guard: SessionGuard::new(prog),
-                closed: false,
-                last_active: Instant::now(),
-                frames_seen: 0,
-                version,
-            }))
-        }))
-    }
-
     /// The execution step every entry point shares: takes `session`'s
-    /// lock once and runs `frames` — all of that session, in arrival
-    /// order — through admission and the guard, handing each reply to
-    /// `answer`. Returns whether another thread held the lock; the
-    /// `try_lock` first costs nothing when none does.
+    /// shard lock once, opens the session on first contact, and runs
+    /// `frames` — all of that session, in arrival order — through
+    /// admission and the guard, handing each reply to `answer`.
+    /// Returns whether another thread held the lock; trying it first
+    /// costs nothing when none does.
     fn step_session(
         &self,
         session: u64,
         frames: impl Iterator<Item = Frame>,
         mut answer: impl FnMut(Reply),
     ) -> bool {
-        let core = self.core_for(session);
-        let (mut locked, contended) = match core.try_lock() {
-            Ok(locked) => (locked, false),
-            Err(TryLockError::WouldBlock) => (core.lock().expect("session lock poisoned"), true),
-            Err(e @ TryLockError::Poisoned(_)) => panic!("{e}"),
+        let inner = &self.inner;
+        let shard = &inner.shards[(session % SHARDS as u64) as usize];
+        let (mut map, contended) = match shard.try_lock() {
+            Ok(map) => (map, false),
+            Err(_) => (shard.lock().expect("shard lock poisoned"), true),
         };
+        let core = map.entry(session).or_insert_with(|| {
+            let (version, prog) = {
+                let active = inner.active.read().unwrap();
+                (active.0, Arc::clone(&active.1))
+            };
+            inner.stats.note_open();
+            inner.stats.note_version_open(version);
+            SessionCore {
+                guard: SessionGuard::new(prog),
+                closed: false,
+                last_active: Instant::now(),
+                frames_seen: 0,
+                version,
+            }
+        });
         for frame in frames {
             answer(match self.admit(frame) {
-                Ok(op) => process(&self.inner, &mut locked, session, op),
+                Ok(op) => process(inner, core, session, op),
                 Err(reply) => reply,
             });
         }
-        locked.last_active = Instant::now();
+        core.last_active = Instant::now();
         contended
     }
 
@@ -450,10 +444,10 @@ impl Gateway {
     }
 
     /// Processes one transport batch — every frame decoded from one
-    /// readiness chunk — grouped by session: one shard lookup, one
-    /// session-lock acquisition, and one contiguous guard-DFA run per
-    /// session per batch. Replies are encoded straight into `out` (the
-    /// caller's reusable outbound buffer) with no per-frame allocation.
+    /// readiness chunk — grouped by session: one shard-lock
+    /// acquisition and one contiguous guard-DFA run per session per
+    /// batch. Replies are encoded straight into `out` (the caller's
+    /// reusable outbound buffer) with no per-frame allocation.
     ///
     /// Every frame is answered inline, so `slow` is never invoked; the
     /// parameter is kept only so existing callers compile unchanged.
@@ -461,8 +455,8 @@ impl Gateway {
     /// Replies land in `out` grouped by session (groups in order of
     /// first appearance, per-session order preserved) — equivalent to
     /// per-frame execution for any client that attributes replies by
-    /// the session id in their headers, which both campaign drivers
-    /// do. The `batch` fuzz target holds this equivalence against
+    /// the session id in their headers, as the campaign driver does.
+    /// The `batch` fuzz target holds this equivalence against
     /// per-frame [`Gateway::call`]s at arbitrary batch boundaries.
     pub fn call_batch(
         &self,
@@ -519,12 +513,6 @@ impl Gateway {
         for shard in &inner.shards {
             let mut map = shard.lock().unwrap();
             map.retain(|_, core| {
-                // A core some caller still holds is in use, not idle.
-                // Only `core_for` clones it, under this shard lock.
-                let Some(core) = Arc::get_mut(core) else {
-                    return true;
-                };
-                let core = core.get_mut().expect("session lock poisoned");
                 let stale = core.last_active.elapsed() >= inner.cfg.idle_timeout;
                 if stale {
                     if core.closed {
@@ -592,7 +580,7 @@ impl Gateway {
     }
 }
 
-/// Applies one admitted operation to a session under its lock.
+/// Applies one admitted operation to a session under its shard lock.
 fn process(inner: &GatewayInner, core: &mut SessionCore, session: u64, op: SessionOp) -> Reply {
     let reject = |reason: RejectReason| {
         inner.stats.note_reject(reason);
@@ -993,20 +981,6 @@ mod tests {
         );
         assert_eq!(snap.queue_high_water, 999);
         assert_eq!(snap.sessions_expelled, 1);
-    }
-
-    /// The idle sweep never evicts a session some caller is holding.
-    #[test]
-    fn evict_idle_skips_sessions_in_use() {
-        let gw = gateway(GatewayConfig {
-            idle_timeout: Duration::ZERO,
-            ..GatewayConfig::default()
-        });
-        let held = gw.core_for(5);
-        assert_eq!(gw.evict_idle(), 0);
-        drop(held);
-        assert_eq!(gw.evict_idle(), 1);
-        assert_eq!(gw.resident_sessions(), 0);
     }
 
     /// Negotiation through `call_batch` is connection-level exactly as

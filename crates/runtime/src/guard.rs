@@ -2,7 +2,7 @@
 //!
 //! A [`GuardProgram`] compiles the loaded system — the fixed components
 //! plus the derived converter, each reduced to its strong-bisimulation
-//! minimum ([`protoquot_spec::minimize`]) — into the one
+//! minimum ([`protoquot_spec::minimize()`]) — into the one
 //! [`CompiledSystem`] the static verifier runs on (composite CSR, τ*
 //! rows and ψ step table over the shared
 //! [`protoquot_spec::EventTable`]), keeps it for admission's
@@ -360,11 +360,6 @@ impl GuardProgram {
     /// ψ-hubs of the normalized service.
     pub fn num_hubs(&self) -> usize {
         self.system.num_hubs()
-    }
-
-    /// DFA states of the determinized guard.
-    pub fn num_dfa_states(&self) -> usize {
-        self.build.dfa_states
     }
 
     /// Build-time cost and size of the guard DFA.

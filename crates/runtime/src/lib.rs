@@ -18,26 +18,26 @@
 //!   differential oracle;
 //! * [`gateway`] — a sharded, session-multiplexed relay that answers
 //!   every frame inline on the thread that hands it in: striped
-//!   session table, idle eviction, per-session frame budgets, drain;
-//!   transports hand it whole readiness batches via
-//!   [`Gateway::call_batch`] — one shard lookup, one session lock, and
-//!   one contiguous guard-DFA run per session per batch, replies
-//!   encoded zero-copy into the caller's outbound buffer;
+//!   session table whose shard lock is the session lock, idle
+//!   eviction, per-session frame budgets, drain; transports hand it
+//!   whole readiness batches via [`Gateway::call_batch`] — one shard
+//!   lock and one contiguous guard-DFA run per session per batch,
+//!   replies encoded zero-copy into the caller's outbound buffer;
 //!   [`Gateway::call`] is the same step for one frame;
 //! * [`transport`] — carriers of the same bytes: the in-memory
 //!   loopback and the non-blocking epoll reactor ([`ReactorServer`]),
 //!   which serves every connection from a fixed pool of event loops
 //!   and multiplexes 100k+ sessions per socket via the session ids
-//!   already present in each frame header; [`TcpConn`] and
-//!   [`MuxClient`] are its lockstep and multiplexed clients;
+//!   already present in each frame header; [`MuxClient`] is its
+//!   campaign client, and [`TcpConn`] a blocking one-frame client;
 //! * [`mod@drive`] — a seeded load generator replaying fleet-style fault
-//!   schedules over the wire, attesting stalls to the server; one
-//!   session at a time per connection ([`drive()`]) or many concurrent
-//!   sessions multiplexed over each connection ([`drive_mux`]), with
-//!   byte-identical reports either way, and an optional per-session
-//!   pipeline window ([`DriveConfig::pipeline`]) that speculates
-//!   accepts to keep a batching server saturated — deterministic at
-//!   any depth;
+//!   schedules over the wire, attesting stalls to the server: one
+//!   driver ([`drive()`]) multiplexing [`DriveConfig::sessions_per_conn`]
+//!   concurrent sessions over each [`MuxTransport`] (1, the default,
+//!   is lockstep), with byte-identical reports at any shape, and an
+//!   optional per-session pipeline window ([`DriveConfig::pipeline`])
+//!   that speculates accepts to keep a batching server saturated —
+//!   deterministic at any depth;
 //! * [`mod@fuzz`] — a vendored deterministic fuzz engine (seeded
 //!   corpus, structure-aware frame mutators, panic/hang detection,
 //!   ddmin shrinking) over the codec, guard, gateway dispatch, batch
@@ -70,7 +70,8 @@
 //! static checker rejects is convicted online** when driven with the
 //! same fleet schedules. `tests/reactor_transport.rs` extends the
 //! differential across carriers: the same campaign produces the same
-//! report over loopback and the reactor, lockstep or multiplexed.
+//! report over loopback and the reactor, at one session per
+//! connection or many.
 //!
 //! The operator-facing guide — every CLI flag, the stats/report JSON
 //! schemas, reject reasons, and write-bound/eviction/drain semantics
@@ -95,7 +96,7 @@ pub use artifact::{ArtifactError, CompiledArtifact, ARTIFACT_FORMAT, ARTIFACT_MA
 pub use codec::{
     table_hash, Frame, FrameBuffer, RejectReason, Reply, ReplyBuffer, WireCodec, WireError,
 };
-pub use drive::{drive, drive_mux, DriveConfig, DriveReport, RunOutcome};
+pub use drive::{drive, DriveConfig, DriveReport, RunOutcome};
 pub use fuzz::{Finding, FindingKind, FuzzConfig, FuzzReport, FuzzTarget};
 pub use gateway::{BatchScratch, Gateway, GatewayConfig, GatewayError};
 pub use guard::{Conviction, GuardBuildStats, GuardProgram, SessionGuard, SessionGuardReference};

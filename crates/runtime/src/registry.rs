@@ -233,7 +233,7 @@ mod tests {
         at_least_once, colocated_configuration, exactly_once, symmetric_configuration,
     };
     use protoquot_sim::redirect_transition;
-    use protoquot_spec::verify_system;
+    use protoquot_spec::{minimize, verify_system};
 
     fn derived() -> (Vec<Spec>, Spec) {
         let system = colocated_configuration();
@@ -324,15 +324,23 @@ mod tests {
             };
             let mut reg = ConverterRegistry::open(&dir, &service, 1).unwrap();
             if let Err(RegistryError::Refused(msg)) = reg.admit(&bytes) {
-                // The refusal names exactly the violation a standalone
-                // `verify_system` finds on the same parts.
-                let violation = verify_system(&mutated, &service)
+                // Admission verifies the system the guard serves — each
+                // part's bisimulation minimum — so the refusal names
+                // exactly the violation `verify_system` finds on the
+                // minimized parts; the literal parts fail too.
+                let minimized: Vec<Spec> = mutated.iter().map(|p| minimize(p)).collect();
+                let minimized: Vec<&Spec> = minimized.iter().collect();
+                let violation = verify_system(&minimized, &service)
                     .unwrap()
                     .verdict
                     .expect_err("a refused mutant fails verification");
                 assert_eq!(
                     msg,
                     format!("system does not satisfy `{}`: {violation}", service.name())
+                );
+                assert!(
+                    verify_system(&mutated, &service).unwrap().verdict.is_err(),
+                    "the literal mutant must fail verification too"
                 );
                 // Nothing was persisted and no version was burned.
                 assert_eq!(reg.stored().unwrap(), Vec::<u64>::new());

@@ -123,10 +123,10 @@ pub struct RuntimeStats {
     batches: AtomicU64,
     /// Frames carried by those batches.
     batch_frames: AtomicU64,
-    /// Batched frames processed inline under the session lock.
+    /// Batched frames processed inline under their session's shard lock.
     batch_inline: AtomicU64,
-    /// Batched frames whose session lock was held by another thread
-    /// when their group reached it.
+    /// Batched frames whose session's shard lock was held by another
+    /// thread when their group reached it.
     batch_slow: AtomicU64,
     /// Batch-size histogram, power-of-two buckets.
     batch_hist: [AtomicU64; BATCH_BUCKETS],
@@ -323,13 +323,13 @@ impl RuntimeStats {
         self.batch_hist[batch_bucket(frames)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `n` batched frames were processed inline under the session lock.
+    /// `n` batched frames were processed inline under their shard lock.
     pub fn note_batch_inline(&self, n: usize) {
         self.batch_inline.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// `n` batched frames found their session lock held by another
-    /// thread and waited for it.
+    /// `n` batched frames found their session's shard lock held by
+    /// another thread and waited for it.
     pub fn note_batch_slow(&self, n: usize) {
         self.batch_slow.fetch_add(n as u64, Ordering::Relaxed);
     }
@@ -445,9 +445,10 @@ pub struct StatsSnapshot {
     pub batches: u64,
     /// Frames carried by those batches.
     pub batch_frames: u64,
-    /// Batched frames processed inline under the session lock.
+    /// Batched frames processed inline under their session's shard lock.
     pub batch_inline: u64,
-    /// Batched frames whose session lock was held by another thread.
+    /// Batched frames whose session's shard lock was held by another
+    /// thread.
     pub batch_slow: u64,
     /// Batch-size histogram: power-of-two buckets (`"1"`, `"2"`, …,
     /// `"128+"`), every bucket listed with zero counts included.

@@ -8,15 +8,16 @@
 //! event-loop threads, so concurrency is bounded by session state, not
 //! by thread count.
 //!
-//! Two client shapes exist. [`Conn`] is lockstep — one outstanding
-//! frame per connection, reply matching trivial — served over TCP by
-//! [`TcpConn`]. [`MuxTransport`] is the multiplexed shape: a driver
-//! queues frames from *many* sessions onto one connection, flushes
-//! them in one batch, and attributes each interleaved reply to the
-//! session its header names ([`MuxClient`] over TCP, [`LoopbackMux`]
-//! in process). The reactor plus a mux client is how `protoquot drive
+//! The campaign driver speaks [`MuxTransport`]: it queues frames from
+//! one or *many* sessions onto one connection, flushes them in one
+//! batch, and attributes each interleaved reply to the session its
+//! header names ([`MuxClient`] over TCP, [`LoopbackMux`] in process).
+//! The reactor plus a mux client is how `protoquot drive
 //! --sessions-per-conn N` holds tens of thousands of concurrent
-//! sessions over a handful of sockets.
+//! sessions over a handful of sockets; one session per connection is
+//! the lockstep shape. [`Conn`] is a blocking one-frame call
+//! ([`TcpConn`], [`LoopbackConn`]) for probes and pumps that send a
+//! frame and wait for its reply.
 //!
 //! ## Reactor anatomy
 //!
@@ -814,8 +815,8 @@ fn drop_conn(
 /// A connection carrying frames from many sessions at once: queue
 /// frames, then [`MuxTransport::exchange`] to flush them and collect
 /// whatever replies have arrived. Reply attribution is by the session
-/// id in each reply header — valid because the driver keeps at most
-/// one outstanding frame per session.
+/// id in each reply header — valid because a session's replies come
+/// back in the order of its frames.
 pub trait MuxTransport {
     /// Buffers `frame` for the next exchange.
     fn queue(&mut self, frame: &Frame) -> io::Result<()>;

@@ -170,11 +170,6 @@ impl ProgressWatchdog {
         }
     }
 
-    /// Steps since the last service-visible event.
-    pub fn quiescent_steps(&self) -> u64 {
-        self.quiescent
-    }
-
     /// Builds the deadlock verdict for a global state with no enabled
     /// actions (the runner reports that by returning `None`).
     pub fn deadlock(system: &System, states: &[StateId]) -> ProgressVerdict {

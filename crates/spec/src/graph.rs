@@ -62,15 +62,6 @@ pub fn prune_unreachable(spec: &Spec) -> Spec {
     .expect("pruning preserves validity")
 }
 
-/// States with no outgoing transitions at all (external or internal).
-/// In a closed system these are deadlocks; in an open one they simply
-/// refuse everything.
-pub fn terminal_states(spec: &Spec) -> Vec<StateId> {
-    spec.states()
-        .filter(|&s| spec.external_from(s).is_empty() && spec.internal_from(s).is_empty())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,16 +109,6 @@ mod tests {
         let s = b.build().unwrap();
         let p = prune_unreachable(&s);
         assert_eq!(p, s);
-    }
-
-    #[test]
-    fn terminal_states_found() {
-        let mut b = SpecBuilder::new("t");
-        let a = b.state("a");
-        let dead = b.state("dead");
-        b.ext(a, "e", dead);
-        let s = b.build().unwrap();
-        assert_eq!(terminal_states(&s), vec![dead]);
     }
 
     #[test]

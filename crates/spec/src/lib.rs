@@ -63,7 +63,6 @@ pub mod dot;
 pub mod engine;
 pub mod error;
 pub mod event;
-pub mod failures;
 pub mod graph;
 pub mod lang;
 pub mod minimize;
@@ -85,7 +84,6 @@ pub use engine::{
 };
 pub use error::SpecError;
 pub use event::{Alphabet, EventId};
-pub use failures::Failures;
 pub use graph::{prune_unreachable, reachable};
 pub use lang::{all_minimal_violations, determinize, language_equal, MinimalViolation};
 pub use minimize::{bisimilar, minimize};

@@ -3,7 +3,8 @@
 //! must produce byte-identical [`DriveReport`] JSON over
 //!
 //! * the in-memory loopback (no socket at all),
-//! * the reactor server driven by lockstep clients, and
+//! * the reactor server driven with one session per connection (the
+//!   lockstep shape), and
 //! * the reactor server driven by multiplexed sessions
 //!   (`sessions_per_conn` > 1 over a [`MuxClient`]),
 //!
@@ -15,8 +16,8 @@
 use protoquot_core::{converter_verdict, solve};
 use protoquot_protocols::{colocated_configuration, exactly_once};
 use protoquot_runtime::{
-    drive, drive_mux, Conn, DriveConfig, DriveReport, Gateway, GatewayConfig, LoopbackConn,
-    MuxClient, MuxTransport, ReactorConfig, ReactorServer, TcpConn,
+    drive, DriveConfig, DriveReport, Gateway, GatewayConfig, LoopbackMux, MuxClient, MuxTransport,
+    ReactorConfig, ReactorServer,
 };
 use protoquot_sim::{redirect_transition, FaultPlan};
 use protoquot_spec::Spec;
@@ -42,6 +43,7 @@ fn gateway(components: &[Spec], service: &Spec) -> Gateway {
 }
 
 /// One campaign over the named carrier, with its own server teardown.
+/// `reactor-lockstep` drives the config at one session per connection.
 fn campaign(
     carrier: &str,
     components: &[Spec],
@@ -51,25 +53,22 @@ fn campaign(
     let gw = gateway(components, service);
     let report = match carrier {
         "loopback" => drive(components, service, cfg, || {
-            Ok(Box::new(LoopbackConn::new(gw.clone())) as Box<dyn Conn>)
+            Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)
         }),
-        "reactor-lockstep" => {
+        "reactor-lockstep" | "reactor-mux" => {
             let mut server =
                 ReactorServer::bind(gw.clone(), "127.0.0.1:0", ReactorConfig::default())
                     .expect("bind");
             let addr = server.local_addr();
-            let report = drive(components, service, cfg, move || {
-                TcpConn::connect(addr).map(|c| Box::new(c) as Box<dyn Conn>)
-            });
-            server.stop();
-            report
-        }
-        "reactor-mux" => {
-            let mut server =
-                ReactorServer::bind(gw.clone(), "127.0.0.1:0", ReactorConfig::default())
-                    .expect("bind");
-            let addr = server.local_addr();
-            let report = drive_mux(components, service, cfg, move || {
+            let shaped = DriveConfig {
+                sessions_per_conn: if carrier == "reactor-lockstep" {
+                    1
+                } else {
+                    cfg.sessions_per_conn
+                },
+                ..cfg.clone()
+            };
+            let report = drive(components, service, &shaped, move || {
                 MuxClient::connect(addr).map(|c| Box::new(c) as Box<dyn MuxTransport>)
             });
             server.stop();
@@ -135,8 +134,8 @@ fn reports_identical_across_all_transports() {
 
 /// Client-side pipelining composes with the server's batched dispatch:
 /// a clean campaign driven with a deep speculation window over the
-/// reactor produces the same report as the unpipelined multiplexed
-/// campaign (which in turn equals the loopback baseline).
+/// multiplexed reactor produces the same report as the unpipelined
+/// campaign at one session per connection.
 #[test]
 fn pipelined_reactor_campaigns_match_lockstep() {
     let system = colocated_configuration();
@@ -144,7 +143,7 @@ fn pipelined_reactor_campaigns_match_lockstep() {
     let q = solve(&system.b, &service, &system.int).expect("colocated converter derives");
     let components = [system.b.clone(), q.converter.clone()];
     let cfg = config(24, 2, 8);
-    let (baseline, _, _) = campaign("reactor-mux", &components, &service, &cfg);
+    let (baseline, _, _) = campaign("reactor-lockstep", &components, &service, &cfg);
     assert!(baseline.is_clean(), "verified converter convicted");
     for pipeline in [4u64, 16] {
         let piped_cfg = DriveConfig {
@@ -183,7 +182,7 @@ fn reactor_sustains_a_thousand_sessions_per_connection() {
     let mut server =
         ReactorServer::bind(gw.clone(), "127.0.0.1:0", ReactorConfig::default()).expect("bind");
     let addr = server.local_addr();
-    let report = drive_mux(&components, &service, &cfg, move || {
+    let report = drive(&components, &service, &cfg, move || {
         MuxClient::connect(addr).map(|c| Box::new(c) as Box<dyn MuxTransport>)
     });
     server.stop();

@@ -15,8 +15,8 @@
 use protoquot_core::solve;
 use protoquot_protocols::{colocated_configuration, exactly_once};
 use protoquot_runtime::{
-    artifact, drive_mux, table_hash, Conn, ConnLimits, ConverterRegistry, DriveConfig, Frame,
-    Gateway, GatewayConfig, GuardProgram, MuxClient, MuxTransport, ReactorConfig, ReactorServer,
+    artifact, drive, table_hash, Conn, ConnLimits, ConverterRegistry, DriveConfig, Frame, Gateway,
+    GatewayConfig, GuardProgram, MuxClient, MuxTransport, ReactorConfig, ReactorServer,
     RegistryError, StatsSnapshot, TcpConn,
 };
 use protoquot_sim::redirect_transition;
@@ -125,7 +125,7 @@ fn verified_swap_under_load_is_invisible() {
     let driver = {
         let (components, service) = (components.clone(), service.clone());
         std::thread::spawn(move || {
-            drive_mux(&components, &service, &cfg, move || {
+            drive(&components, &service, &cfg, move || {
                 MuxClient::connect_negotiated(addr, hash)
                     .map(|c| Box::new(c) as Box<dyn MuxTransport>)
             })

@@ -25,12 +25,12 @@ use protoquot_protocols::{
     symmetric_configuration, RandomParams,
 };
 use protoquot_runtime::{
-    drive, Conn, DriveConfig, DriveReport, Frame, Gateway, GatewayConfig, GuardProgram,
-    LoopbackConn, Reply, SessionGuard, SessionGuardReference,
+    drive, DriveConfig, DriveReport, Frame, Gateway, GatewayConfig, GuardProgram, LoopbackMux,
+    MuxTransport, Reply, SessionGuard, SessionGuardReference,
 };
 use protoquot_sim::{redirect_transition, FaultPlan};
 use protoquot_spec::{compose_all, has_trace, Alphabet, EventId, Spec, SpecBuilder};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::{Arc, Mutex};
 
@@ -52,22 +52,38 @@ fn config(threads: usize) -> DriveConfig {
 type ExchangeLog = Arc<Mutex<HashMap<u64, Vec<(Frame, Reply)>>>>;
 
 /// A loopback connection that records every exchange per session —
-/// the runtime's observable behaviour, replayable offline.
-struct RecordingConn {
-    inner: LoopbackConn,
+/// the runtime's observable behaviour, replayable offline. A frame is
+/// noted when queued and paired with its session's next reply when an
+/// exchange returns it: a session's replies come back in frame order.
+struct RecordingMux {
+    inner: LoopbackMux,
+    unanswered: HashMap<u64, VecDeque<Frame>>,
     log: ExchangeLog,
 }
 
-impl Conn for RecordingConn {
-    fn call(&mut self, frame: &Frame) -> io::Result<Reply> {
-        let reply = self.inner.call(frame)?;
-        self.log
-            .lock()
-            .unwrap()
+impl MuxTransport for RecordingMux {
+    fn queue(&mut self, frame: &Frame) -> io::Result<()> {
+        self.inner.queue(frame)?;
+        self.unanswered
             .entry(frame.session())
             .or_default()
-            .push((*frame, reply));
-        Ok(reply)
+            .push_back(*frame);
+        Ok(())
+    }
+
+    fn exchange(&mut self, wait: bool, replies: &mut Vec<Reply>) -> io::Result<()> {
+        let from = replies.len();
+        self.inner.exchange(wait, replies)?;
+        let mut log = self.log.lock().unwrap();
+        for &reply in &replies[from..] {
+            let frame = self
+                .unanswered
+                .get_mut(&reply.session())
+                .and_then(VecDeque::pop_front)
+                .expect("every reply answers a queued frame of its session");
+            log.entry(reply.session()).or_default().push((frame, reply));
+        }
+        Ok(())
     }
 }
 
@@ -111,10 +127,11 @@ fn campaign(components: &[Spec], service: &Spec, threads: usize) -> Campaign {
         .expect("gateway must compile the system");
     let log: ExchangeLog = Arc::new(Mutex::new(HashMap::new()));
     let report = drive(components, service, &config(threads), || {
-        Ok(Box::new(RecordingConn {
-            inner: LoopbackConn::new(gateway.clone()),
+        Ok(Box::new(RecordingMux {
+            inner: LoopbackMux::new(gateway.clone()),
+            unanswered: HashMap::new(),
             log: Arc::clone(&log),
-        }) as Box<dyn Conn>)
+        }) as Box<dyn MuxTransport>)
     });
     gateway.drain();
     assert_eq!(
