@@ -1147,8 +1147,8 @@ fn main() {
 
     println!("\n== EXP-R5: batched dispatch — reactor mux pump ==");
     {
-        // The reactor mux pump: one shard lookup, one session lock,
-        // one contiguous guard-DFA run per session per readiness
+        // The reactor mux pump: one shard-lock acquisition and one
+        // contiguous guard-DFA run per session per readiness
         // batch, replies coalesced into a single buffered write.
         println!(
             "{:>10} {:>10} {:>12} {:>14}",
