@@ -81,57 +81,43 @@ impl Frame {
     }
 }
 
-/// Why the gateway refused a frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RejectReason {
-    /// The event extends no trace of the composed system B‖C: the
-    /// online guard's state set went empty.
-    NotATrace,
-    /// The event is a trace of B‖C but not of the service: ψ has no
-    /// step for it — the dynamic twin of a safety violation.
-    ServiceViolation,
-    /// A progress-violating state of the B‖C × service product is
-    /// reachable under the observed trace (confirmed stall).
-    Stalled,
-    /// The session already carries a conviction; no further events are
-    /// tracked.
-    Convicted,
-    /// Reserved, never sent by this server: it answers every frame
-    /// inline and queues nothing. The variant and its wire code 5 stay
-    /// so replies from older peers still decode.
-    Backpressure,
-    /// The gateway is draining for shutdown and accepts no new work.
-    Draining,
-    /// The session was closed or evicted.
-    Closed,
-    /// The event index is outside the shared table.
-    UnknownEvent,
-    /// The frame overran a configured resource budget (per-session
-    /// frame budget, or per-connection session cap at the transport).
-    ResourceLimit,
-    /// Version negotiation failed: the peer's hello carried an
-    /// [`EventTable`] hash (or pinned converter version) that does not
-    /// match the active one — or a hello was required and never came.
-    VersionMismatch,
+named_enum! {
+    /// Why the gateway refused a frame. The discriminant is the wire code.
+    pub enum RejectReason {
+        /// The event extends no trace of the composed system B‖C: the
+        /// online guard's state set went empty.
+        NotATrace = 1 => "not_a_trace",
+        /// The event is a trace of B‖C but not of the service: ψ has no
+        /// step for it — the dynamic twin of a safety violation.
+        ServiceViolation = 2 => "service_violation",
+        /// A progress-violating state of the B‖C × service product is
+        /// reachable under the observed trace (confirmed stall).
+        Stalled = 3 => "stalled",
+        /// The session already carries a conviction; no further events
+        /// are tracked.
+        Convicted = 4 => "convicted",
+        /// Reserved, never sent by this server: it answers every frame
+        /// inline and queues nothing. The variant and its wire code 5
+        /// stay so replies from older peers still decode.
+        Backpressure = 5 => "backpressure",
+        /// The gateway is draining for shutdown and accepts no new work.
+        Draining = 6 => "draining",
+        /// The session was closed or evicted.
+        Closed = 7 => "closed",
+        /// The event index is outside the shared table.
+        UnknownEvent = 8 => "unknown_event",
+        /// The frame overran a configured resource budget (per-session
+        /// frame budget, or per-connection session cap at the transport).
+        ResourceLimit = 9 => "resource_limit",
+        /// Version negotiation failed: the peer's hello carried an
+        /// [`EventTable`] hash (or pinned converter version) that does
+        /// not match the active one — or a hello was required and never
+        /// came.
+        VersionMismatch = 10 => "version_mismatch",
+    }
 }
 
 impl RejectReason {
-    /// Stable snake_case name for reports and stats keys.
-    pub fn name(self) -> &'static str {
-        match self {
-            RejectReason::NotATrace => "not_a_trace",
-            RejectReason::ServiceViolation => "service_violation",
-            RejectReason::Stalled => "stalled",
-            RejectReason::Convicted => "convicted",
-            RejectReason::Backpressure => "backpressure",
-            RejectReason::Draining => "draining",
-            RejectReason::Closed => "closed",
-            RejectReason::UnknownEvent => "unknown_event",
-            RejectReason::ResourceLimit => "resource_limit",
-            RejectReason::VersionMismatch => "version_mismatch",
-        }
-    }
-
     /// Whether the reason is a *conviction* — the online guard's
     /// verdict on the session's trace — as opposed to an operational
     /// rejection (flow control, lifecycle, malformed input, budgets)
@@ -147,52 +133,19 @@ impl RejectReason {
     }
 
     fn code(self) -> u8 {
-        match self {
-            RejectReason::NotATrace => 1,
-            RejectReason::ServiceViolation => 2,
-            RejectReason::Stalled => 3,
-            RejectReason::Convicted => 4,
-            RejectReason::Backpressure => 5,
-            RejectReason::Draining => 6,
-            RejectReason::Closed => 7,
-            RejectReason::UnknownEvent => 8,
-            RejectReason::ResourceLimit => 9,
-            RejectReason::VersionMismatch => 10,
-        }
+        self as u8
     }
 
     pub(crate) fn from_code(c: u8) -> Option<RejectReason> {
-        Some(match c {
-            1 => RejectReason::NotATrace,
-            2 => RejectReason::ServiceViolation,
-            3 => RejectReason::Stalled,
-            4 => RejectReason::Convicted,
-            5 => RejectReason::Backpressure,
-            6 => RejectReason::Draining,
-            7 => RejectReason::Closed,
-            8 => RejectReason::UnknownEvent,
-            9 => RejectReason::ResourceLimit,
-            10 => RejectReason::VersionMismatch,
-            _ => return None,
-        })
+        let slot = c.checked_sub(RejectReason::ALL[0].code())?;
+        RejectReason::ALL.get(usize::from(slot)).copied()
     }
 }
 
+/// The name with hyphens: `not-a-trace`, `unknown-event`.
 impl fmt::Display for RejectReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            RejectReason::NotATrace => "not-a-trace",
-            RejectReason::ServiceViolation => "service-violation",
-            RejectReason::Stalled => "stalled",
-            RejectReason::Convicted => "convicted",
-            RejectReason::Backpressure => "backpressure",
-            RejectReason::Draining => "draining",
-            RejectReason::Closed => "closed",
-            RejectReason::UnknownEvent => "unknown-event",
-            RejectReason::ResourceLimit => "resource-limit",
-            RejectReason::VersionMismatch => "version-mismatch",
-        };
-        f.write_str(s)
+        f.write_str(&self.name().replace('_', "-"))
     }
 }
 
@@ -744,18 +697,7 @@ mod tests {
                 version: 3,
             },
         ];
-        for reason in [
-            RejectReason::NotATrace,
-            RejectReason::ServiceViolation,
-            RejectReason::Stalled,
-            RejectReason::Convicted,
-            RejectReason::Backpressure,
-            RejectReason::Draining,
-            RejectReason::Closed,
-            RejectReason::UnknownEvent,
-            RejectReason::ResourceLimit,
-            RejectReason::VersionMismatch,
-        ] {
+        for reason in RejectReason::ALL {
             replies.push(Reply::Rejected { session: 9, reason });
         }
         for reply in replies {
@@ -763,6 +705,40 @@ mod tests {
             encode_reply(&reply, &mut buf);
             let mut r = io::Cursor::new(buf);
             assert_eq!(read_reply(&mut r).unwrap(), Some(reply));
+        }
+    }
+
+    /// The wire codes are fixed at 1–10, codes outside them decode to
+    /// nothing, and each reason's names are pinned.
+    #[test]
+    fn reject_codes_and_names_are_pinned() {
+        use RejectReason::*;
+        let pinned = [
+            (NotATrace, 1, "not_a_trace", "not-a-trace"),
+            (
+                ServiceViolation,
+                2,
+                "service_violation",
+                "service-violation",
+            ),
+            (Stalled, 3, "stalled", "stalled"),
+            (Convicted, 4, "convicted", "convicted"),
+            (Backpressure, 5, "backpressure", "backpressure"),
+            (Draining, 6, "draining", "draining"),
+            (Closed, 7, "closed", "closed"),
+            (UnknownEvent, 8, "unknown_event", "unknown-event"),
+            (ResourceLimit, 9, "resource_limit", "resource-limit"),
+            (VersionMismatch, 10, "version_mismatch", "version-mismatch"),
+        ];
+        assert_eq!(RejectReason::ALL.len(), pinned.len());
+        for (reason, code, name, shown) in pinned {
+            assert_eq!(reason.code(), code, "{reason:?}");
+            assert_eq!(RejectReason::from_code(code), Some(reason));
+            assert_eq!(reason.name(), name);
+            assert_eq!(reason.to_string(), shown);
+        }
+        for code in [0, 11, 0xFF] {
+            assert_eq!(RejectReason::from_code(code), None, "code {code}");
         }
     }
 

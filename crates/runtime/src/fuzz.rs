@@ -88,55 +88,29 @@ impl Default for FuzzConfig {
     }
 }
 
-/// One fuzzable surface.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FuzzTarget {
-    /// Incremental wire decoding ([`FrameBuffer`], [`ReplyBuffer`],
-    /// [`read_frame`], [`read_reply`]).
-    Codec,
-    /// The online guard DFA against its reference interpreter.
-    Guard,
-    /// The gateway dispatch path under arbitrary frame programs.
-    Gateway,
-    /// Batched dispatch ([`Gateway::call_batch`]) differentially
-    /// against per-frame dispatch on arbitrary frame splits.
-    Batch,
-    /// The compiled-artifact loader ([`CompiledArtifact::decode`]) on
-    /// mutated copies of a valid artifact.
-    Artifact,
+named_enum! {
+    /// One fuzzable surface.
+    pub enum FuzzTarget {
+        /// Incremental wire decoding ([`FrameBuffer`], [`ReplyBuffer`],
+        /// [`read_frame`], [`read_reply`]).
+        Codec = 0 => "codec",
+        /// The online guard DFA against its reference interpreter.
+        Guard = 1 => "guard",
+        /// The gateway dispatch path under arbitrary frame programs.
+        Gateway = 2 => "gateway",
+        /// Batched dispatch ([`Gateway::call_batch`]) differentially
+        /// against per-frame dispatch on arbitrary frame splits.
+        Batch = 3 => "batch",
+        /// The compiled-artifact loader ([`CompiledArtifact::decode`]) on
+        /// mutated copies of a valid artifact.
+        Artifact = 4 => "artifact",
+    }
 }
 
 impl FuzzTarget {
-    /// Every target, in report order.
-    pub const ALL: [FuzzTarget; 5] = [
-        FuzzTarget::Codec,
-        FuzzTarget::Guard,
-        FuzzTarget::Gateway,
-        FuzzTarget::Batch,
-        FuzzTarget::Artifact,
-    ];
-
-    /// Stable name used in reports and on the CLI.
-    pub fn name(self) -> &'static str {
-        match self {
-            FuzzTarget::Codec => "codec",
-            FuzzTarget::Guard => "guard",
-            FuzzTarget::Gateway => "gateway",
-            FuzzTarget::Batch => "batch",
-            FuzzTarget::Artifact => "artifact",
-        }
-    }
-
     /// Parses a CLI target name (`all` is handled by the caller).
     pub fn parse(s: &str) -> Option<FuzzTarget> {
-        Some(match s {
-            "codec" => FuzzTarget::Codec,
-            "guard" => FuzzTarget::Guard,
-            "gateway" => FuzzTarget::Gateway,
-            "batch" => FuzzTarget::Batch,
-            "artifact" => FuzzTarget::Artifact,
-            _ => return None,
-        })
+        FuzzTarget::ALL.into_iter().find(|t| t.name() == s)
     }
 }
 
@@ -1051,6 +1025,16 @@ mod tests {
             max_len: 128,
             ..FuzzConfig::default()
         }
+    }
+
+    /// Every target's name parses back to it; `all` is the caller's.
+    #[test]
+    fn target_names_parse_back() {
+        for t in FuzzTarget::ALL {
+            assert_eq!(FuzzTarget::parse(t.name()), Some(t));
+        }
+        assert_eq!(FuzzTarget::parse("all"), None);
+        assert_eq!(FuzzTarget::parse("Codec"), None);
     }
 
     /// The fixed-seed smoke campaign over every target finds nothing

@@ -415,8 +415,7 @@ impl Gateway {
                 let active = inner.active.read().unwrap();
                 (active.0, Arc::clone(&active.1))
             };
-            inner.stats.note_open();
-            inner.stats.note_version_open(version);
+            inner.stats.note_open(version);
             Box::new(SessionCore {
                 guard: SessionGuard::new(prog),
                 closed: false,
@@ -628,7 +627,7 @@ fn process(inner: &GatewayInner, core: &mut SessionCore, session: u64, op: Sessi
         Ok(()) => Reply::Accepted { session },
         Err(_) if already => reject(RejectReason::Convicted),
         Err(conviction) => {
-            inner.stats.note_conviction(&conviction);
+            inner.stats.note_conviction();
             reject(conviction.reject_reason())
         }
     }

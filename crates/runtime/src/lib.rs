@@ -80,6 +80,53 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Declares a fieldless enum as one table: each variant with its
+/// discriminant (a wire code, where the value travels) and its stable
+/// snake_case name. The enum, `ALL`, `name()` and `index()` all come from
+/// that table. Discriminants must run contiguously in declaration order,
+/// checked at compile time, so `index()` is one subtraction.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $code:literal => $name:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum $ty {
+            $($(#[$vmeta])* $variant = $code,)+
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: [$ty; [$($name),+].len()] = [$($ty::$variant),+];
+
+            /// Stable snake_case name, used in reports, stats keys and
+            /// on the command line.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+
+            /// The variant's position in `ALL` (its counter slot).
+            pub fn index(self) -> usize {
+                usize::from(self as u8 - $ty::ALL[0] as u8)
+            }
+        }
+
+        const _: () = {
+            let mut i = 0;
+            while i < $ty::ALL.len() {
+                assert!($ty::ALL[i] as usize == $ty::ALL[0] as usize + i);
+                i += 1;
+            }
+        };
+    };
+}
+
 pub mod adversarial;
 pub mod artifact;
 pub mod codec;

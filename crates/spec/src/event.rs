@@ -127,7 +127,10 @@ impl Alphabet {
         self.events.remove(&e)
     }
 
-    /// Iterates events in a stable (sorted) order.
+    /// Iterates events in [`EventId`] order: the order this process
+    /// interned their names in, stable within one run but not name
+    /// order. Sort by name (or use an `EventTable`) where the order
+    /// must hold across processes.
     pub fn iter(&self) -> impl Iterator<Item = EventId> + '_ {
         self.events.iter().copied()
     }
@@ -175,7 +178,8 @@ impl Alphabet {
         self.events.is_disjoint(&other.events)
     }
 
-    /// Event names, sorted, for display and serialization.
+    /// Event names in [`Alphabet::iter`] order (interning order, not
+    /// name order).
     pub fn names(&self) -> Vec<String> {
         self.events.iter().map(|e| e.name()).collect()
     }
