@@ -2,26 +2,9 @@
 //!
 //! A command-line front end for the protocol-converter toolkit: author
 //! machines in the textual language (see `protoquot-speclang`), then
-//! compose, check, derive and simulate from the shell.
-//!
-//! ```text
-//! protoquot parse FILE                          list the specs in a file
-//! protoquot show FILE SPEC [--dot]              print one spec (text or DOT)
-//! protoquot compose FILE SPEC... [--name N]     compose and print
-//! protoquot check FILE --impl S --service A     satisfaction check
-//! protoquot solve FILE --service A --int e1,e2 [--b SPEC...]
-//!          [--dot] [--prune] [--vacuous] [--reachable]
-//! protoquot simulate FILE --service A --components S1,S2,...
-//!          [--steps N] [--seed K] [--loss COMP=WEIGHT]...
-//! protoquot minimize FILE SPEC                  bisimulation quotient
-//! protoquot normalize FILE SPEC                 service normal form
-//! protoquot violations FILE --impl S --service A all minimal escapes
-//! protoquot explore FILE --service A --components S1,S2,...
-//!          [--max-states N]                     exhaustive check
-//! protoquot soak (FILE --service A --components S1,... | --builtin NAME [--mutate K])
-//!          [--runs N] [--threads T] [--steps N] [--faults loss,dup,reorder,burst]
-//!          [--seed S] [--no-shrink] [--json]    fault-injecting soak fleet
-//! ```
+//! compose, check, derive and simulate from the shell. `protoquot help`
+//! prints every command's usage; that usage text is also the only
+//! declaration of the flags each command accepts.
 //!
 //! The command logic lives in [`run`], which returns the output as a
 //! string so it is unit-testable; `main` is a thin shell around it.
@@ -82,47 +65,115 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
-/// Top-level usage text.
-pub const USAGE: &str = "protoquot — derive protocol converters (Calvert & Lam, SIGCOMM '89)
+/// A command handler, given the arguments its usage admits.
+type Handler = fn(&Parsed) -> Result<String, CliError>;
 
-usage:
-  protoquot parse FILE
-  protoquot show FILE SPEC [--dot]
-  protoquot compose FILE SPEC... [--name NAME] [--dot]
-  protoquot check FILE --impl SPEC --service SPEC
-  protoquot solve FILE --service SPEC --int e1,e2,... [--b SPEC...]
-            [--dot] [--prune] [--vacuous] [--reachable] [--stats]
+/// Every command as `(usage, handler)`, in `help` order. The usage is
+/// what `help` prints and what a misuse error shows, and it is the
+/// command's flag declaration (see `flags`).
+const COMMANDS: &[(&str, Handler)] = &[
+    ("protoquot parse FILE", cmd_parse),
+    ("protoquot show FILE SPEC [--dot]", cmd_show),
+    (
+        "protoquot compose FILE SPEC... [--name NAME] [--dot]",
+        cmd_compose,
+    ),
+    ("protoquot check FILE --impl SPEC --service SPEC", cmd_check),
+    (
+        "protoquot solve FILE --service SPEC --int e1,e2,... [--b SPEC...]
+            [--dot] [--json] [--prune] [--vacuous] [--reachable] [--stats]
             [--emit compiled [--out PATH]]
-  protoquot solve FILE --problem NAME [--dot] [--prune] [--vacuous] [--reachable]
+  protoquot solve FILE --problem NAME [--dot] [--json] [--prune] [--vacuous] [--reachable]
             [--stats] [--emit compiled [--out PATH]]
-  protoquot solve --builtin colocated|symmetric|ab-nak [--mutate K] [options as above]
-  protoquot simulate FILE --service SPEC --components S1,S2,...
-            [--steps N] [--seed K] [--loss COMPONENT=WEIGHT]...
-  protoquot minimize FILE SPEC
-  protoquot normalize FILE SPEC
-  protoquot violations FILE --impl SPEC --service SPEC
-  protoquot explore FILE --service SPEC --components S1,S2,... [--max-states N]
-  protoquot soak FILE --service SPEC --components S1,S2,...
+  protoquot solve --builtin colocated|symmetric|ab-nak [--mutate K] [options as above]",
+        cmd_solve,
+    ),
+    (
+        "protoquot simulate FILE --service SPEC --components S1,S2,...
+            [--steps N] [--seed K] [--loss COMPONENT=WEIGHT]...",
+        cmd_simulate,
+    ),
+    ("protoquot minimize FILE SPEC", cmd_minimize),
+    ("protoquot normalize FILE SPEC", cmd_normalize),
+    (
+        "protoquot violations FILE --impl SPEC --service SPEC",
+        cmd_violations,
+    ),
+    (
+        "protoquot explore FILE --service SPEC --components S1,S2,... [--max-states N]",
+        cmd_explore,
+    ),
+    (
+        "protoquot soak FILE --service SPEC --components S1,S2,...
             [--runs N] [--threads T] [--steps N] [--faults loss,dup,reorder,burst]
             [--seed S] [--no-shrink] [--json]
-  protoquot soak --builtin colocated|symmetric|ab-nak [--mutate K] [options as above]
-  protoquot serve (FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K])
+  protoquot soak --builtin colocated|symmetric|ab-nak [--mutate K] [options as above]",
+        cmd_soak,
+    ),
+    (
+        "protoquot serve (FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K])
             [--addr HOST:PORT] [--loops N] [--duration SECS]
             [--stats] [--frame-budget N] [--max-sessions-per-conn N]
             [--read-deadline SECS] [--registry DIR [--control HOST:PORT]]
-            [--require-hello]
-  protoquot reload --control HOST:PORT --artifact PATH
-  protoquot drive (FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K])
+            [--require-hello]",
+        cmd_serve,
+    ),
+    (
+        "protoquot reload --control HOST:PORT --artifact PATH",
+        cmd_reload,
+    ),
+    (
+        "protoquot drive (FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K])
             (--connect HOST:PORT | --loopback) [--runs N] [--threads T] [--steps N]
             [--sessions-per-conn N] [--pipeline N] [--faults loss,dup,reorder,burst]
             [--seed S] [--duration SECS] [--expect-clean] [--adversarial] [--json]
             [--no-hello]
             (each thread drives N sessions over one connection; the default
-            N = 1 is lockstep, and the report is the same at any N and T)
-  protoquot fuzz [FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K]]
+            N = 1 is lockstep, and the report is the same at any N and T)",
+        cmd_drive,
+    ),
+    (
+        "protoquot fuzz [FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K]]
             [--target codec|guard|gateway|batch|artifact|all] [--seed S] [--iters N]
-            [--max-len N] [--no-shrink] [--json]
+            [--max-len N] [--no-shrink] [--json]",
+        cmd_fuzz,
+    ),
+];
 
+/// A command's name: the second word of its usage.
+fn name(usage: &str) -> &str {
+    usage.split_whitespace().nth(1).unwrap_or_default()
+}
+
+/// Every flag `usage` declares, with whether it takes a value: a flag
+/// followed by a placeholder (`--seed S`) does, a bracketed one alone
+/// (`[--json]`) does not.
+fn flags(usage: &'static str) -> Vec<(&'static str, bool)> {
+    let words: Vec<&'static str> = usage.split_whitespace().collect();
+    let mut flags = Vec::new();
+    for (i, word) in words.iter().enumerate() {
+        let word = word.trim_start_matches(['[', '(']);
+        let flag = word.trim_end_matches([']', ')']);
+        if flag.starts_with("--") {
+            let placeholder = words
+                .get(i + 1)
+                .filter(|w| !w.starts_with(['[', '(', '|', '-']));
+            flags.push((flag, flag == word && placeholder.is_some()));
+        }
+    }
+    flags
+}
+
+/// Top-level usage text: every command's usage, then a sample spec.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "protoquot — derive protocol converters (Calvert & Lam, SIGCOMM '89)\n\nusage:\n",
+    );
+    for (usage, _) in COMMANDS {
+        out.push_str(&format!("  {usage}\n"));
+    }
+    out.push_str(
+        "
 FILE contains specifications in the textual language, e.g.:
 
   spec N0 {
@@ -131,124 +182,80 @@ FILE contains specifications in the textual language, e.g.:
     n1: -D -> n2;
     n2: +A -> n0 | t_N -> n1;
   }
-";
+",
+    );
+    out
+}
 
 /// Executes a CLI invocation (without the program name) and returns its
 /// stdout content.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((cmd, rest)) = args.split_first() else {
-        return err(USAGE);
+        return err(usage());
     };
-    match cmd.as_str() {
-        "parse" => cmd_parse(rest),
-        "show" => cmd_show(rest),
-        "compose" => cmd_compose(rest),
-        "check" => cmd_check(rest),
-        "solve" => cmd_solve(rest),
-        "simulate" => cmd_simulate(rest),
-        "minimize" => cmd_minimize(rest),
-        "normalize" => cmd_normalize(rest),
-        "violations" => cmd_violations(rest),
-        "explore" => cmd_explore(rest),
-        "soak" => cmd_soak(rest),
-        "serve" => cmd_serve(rest),
-        "reload" => cmd_reload(rest),
-        "drive" => cmd_drive(rest),
-        "fuzz" => cmd_fuzz(rest),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
-        other => err(format!("unknown command `{other}`\n\n{USAGE}")),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
     }
+    let Some(&(usage, handler)) = COMMANDS.iter().find(|(u, _)| name(u) == cmd) else {
+        return err(format!("unknown command `{cmd}`\n\n{}", self::usage()));
+    };
+    let p = parse_args(rest)?;
+    // A flag only another command declares is refused, not ignored.
+    let declared = flags(usage);
+    if let Some((flag, _)) = p
+        .flags
+        .iter()
+        .find(|(f, _)| !declared.iter().any(|(d, _)| d == f))
+    {
+        return err(format!("unknown flag {flag} for `{cmd}`\n\nusage: {usage}"));
+    }
+    handler(&Parsed { usage, ..p })
 }
 
-/// Splits `rest` into positional arguments and `--flag [value]` options.
+/// One command's arguments: positionals and `--flag [value]` options.
 struct Parsed {
+    /// The usage of the command they were given to.
+    usage: &'static str,
     positional: Vec<String>,
     flags: Vec<(String, Vec<String>)>,
 }
 
-/// Which flags take a value.
-const VALUED: &[&str] = &[
-    "--problem",
-    "--name",
-    "--impl",
-    "--service",
-    "--int",
-    "--b",
-    "--components",
-    "--steps",
-    "--seed",
-    "--loss",
-    "--max-states",
-    "--threads",
-    "--runs",
-    "--faults",
-    "--builtin",
-    "--mutate",
-    "--emit",
-    "--addr",
-    "--connect",
-    "--duration",
-    "--loops",
-    "--sessions-per-conn",
-    "--frame-budget",
-    "--max-sessions-per-conn",
-    "--read-deadline",
-    "--target",
-    "--iters",
-    "--max-len",
-    "--pipeline",
-    "--out",
-    "--registry",
-    "--control",
-    "--artifact",
-];
-
-/// Which flags stand alone.
-const BOOLEAN: &[&str] = &[
-    "--dot",
-    "--prune",
-    "--vacuous",
-    "--reachable",
-    "--stats",
-    "--json",
-    "--no-shrink",
-    "--require-hello",
-    "--loopback",
-    "--expect-clean",
-    "--adversarial",
-    "--no-hello",
-];
-
+/// Splits `rest` into positional arguments and `--flag [value]` options.
+/// A flag takes a value when the usage declaring it gives one; a flag
+/// no command declares is an error.
 fn parse_args(rest: &[String]) -> Result<Parsed, CliError> {
-    let mut positional = Vec::new();
-    let mut flags: Vec<(String, Vec<String>)> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let a = &rest[i];
-        if let Some(flag) = a.strip_prefix("--").map(|_| a.clone()) {
-            if VALUED.contains(&flag.as_str()) {
-                let Some(v) = rest.get(i + 1) else {
-                    return err(format!("flag {flag} needs a value"));
-                };
-                match flags.iter_mut().find(|(f, _)| *f == flag) {
-                    Some((_, vs)) => vs.push(v.clone()),
-                    None => flags.push((flag, vec![v.clone()])),
-                }
-                i += 2;
-            } else if BOOLEAN.contains(&flag.as_str()) {
-                if !flags.iter().any(|(f, _)| *f == flag) {
-                    flags.push((flag, Vec::new()));
-                }
-                i += 1;
-            } else {
-                return err(format!("unknown flag {flag}"));
-            }
+    let mut p = Parsed {
+        usage: "",
+        positional: Vec::new(),
+        flags: Vec::new(),
+    };
+    let mut args = rest.iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with("--") {
+            p.positional.push(a.clone());
+            continue;
+        }
+        let Some((_, valued)) = COMMANDS
+            .iter()
+            .flat_map(|(usage, _)| flags(usage))
+            .find(|(f, _)| f == a)
+        else {
+            return err(format!("unknown flag {a}"));
+        };
+        let value = if valued {
+            let v = args
+                .next()
+                .ok_or_else(|| CliError(format!("flag {a} needs a value")))?;
+            Some(v.clone())
         } else {
-            positional.push(a.clone());
-            i += 1;
+            None
+        };
+        match p.flags.iter_mut().find(|(f, _)| f == a) {
+            Some((_, vs)) => vs.extend(value),
+            None => p.flags.push((a.clone(), value.into_iter().collect())),
         }
     }
-    Ok(Parsed { positional, flags })
+    Ok(p)
 }
 
 impl Parsed {
@@ -257,11 +264,7 @@ impl Parsed {
     }
 
     fn value(&self, flag: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(f, _)| f == flag)
-            .and_then(|(_, vs)| vs.first())
-            .map(String::as_str)
+        self.values(flag).first().copied()
     }
 
     fn values(&self, flag: &str) -> Vec<&str> {
@@ -271,6 +274,59 @@ impl Parsed {
             .map(|(_, vs)| vs.iter().map(String::as_str).collect())
             .unwrap_or_default()
     }
+
+    /// The error for positional arguments the command cannot take.
+    fn misuse<T>(&self) -> Result<T, CliError> {
+        err(format!("usage: {}", self.usage))
+    }
+
+    /// The integer value of `flag`, if given. Reports print seeds in
+    /// hex, so `0x…` is accepted beside decimal: a seed reproduces by
+    /// copy-paste.
+    fn num<T: TryFrom<u64>>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        self.value(flag)
+            .map(|v| parse_num(v).ok_or_else(|| CliError(format!("{flag} must be a number"))))
+            .transpose()
+    }
+
+    /// The spec a required `--service` or `--impl` flag names.
+    fn spec<'a>(&self, specs: &'a [Spec], flag: &str) -> Result<&'a Spec, CliError> {
+        let name = self
+            .value(flag)
+            .ok_or_else(|| CliError(format!("{flag} required")))?;
+        find(specs, name)
+    }
+
+    /// The specs the required `--components S1,S2,...` list names.
+    fn components(&self, specs: &[Spec]) -> Result<Vec<Spec>, CliError> {
+        self.value("--components")
+            .ok_or(CliError("--components required".into()))?
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(|n| find(specs, n).cloned())
+            .collect()
+    }
+
+    /// A report as `--json` asks for it: its JSON plus a newline, or else
+    /// `text`.
+    fn render(&self, json: impl FnOnce() -> String, text: impl FnOnce() -> String) -> String {
+        if self.has("--json") {
+            json() + "\n"
+        } else {
+            text()
+        }
+    }
+}
+
+/// An unsigned integer in decimal or `0x…` hex, if it fits `T`.
+fn parse_num<T: TryFrom<u64>>(v: &str) -> Option<T> {
+    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    }
+    .ok()?
+    .try_into()
+    .ok()
 }
 
 fn load(path: &str) -> Result<Vec<Spec>, CliError> {
@@ -292,10 +348,9 @@ fn find<'a>(specs: &'a [Spec], name: &str) -> Result<&'a Spec, CliError> {
     })
 }
 
-fn cmd_parse(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_parse(p: &Parsed) -> Result<String, CliError> {
     let [file] = &p.positional[..] else {
-        return err("usage: protoquot parse FILE");
+        return p.misuse();
     };
     let specs = load(file)?;
     let mut out = String::new();
@@ -306,10 +361,9 @@ fn cmd_parse(rest: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_show(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_show(p: &Parsed) -> Result<String, CliError> {
     let [file, name] = &p.positional[..] else {
-        return err("usage: protoquot show FILE SPEC [--dot]");
+        return p.misuse();
     };
     let specs = load(file)?;
     let s = find(&specs, name)?;
@@ -320,10 +374,9 @@ fn cmd_show(rest: &[String]) -> Result<String, CliError> {
     })
 }
 
-fn cmd_compose(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_compose(p: &Parsed) -> Result<String, CliError> {
     let Some((file, names)) = p.positional.split_first() else {
-        return err("usage: protoquot compose FILE SPEC... [--name NAME] [--dot]");
+        return p.misuse();
     };
     if names.len() < 2 {
         return err("compose needs at least two spec names");
@@ -343,22 +396,13 @@ fn cmd_compose(rest: &[String]) -> Result<String, CliError> {
     })
 }
 
-fn cmd_check(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_check(p: &Parsed) -> Result<String, CliError> {
     let [file] = &p.positional[..] else {
-        return err("usage: protoquot check FILE --impl SPEC --service SPEC");
+        return p.misuse();
     };
     let specs = load(file)?;
-    let imp = find(
-        &specs,
-        p.value("--impl")
-            .ok_or(CliError("--impl required".into()))?,
-    )?;
-    let srv = find(
-        &specs,
-        p.value("--service")
-            .ok_or(CliError("--service required".into()))?,
-    )?;
+    let imp = p.spec(&specs, "--impl")?;
+    let srv = p.spec(&specs, "--service")?;
     match satisfies(imp, srv).map_err(|e| CliError(e.to_string()))? {
         Ok(()) => Ok(format!(
             "OK: `{}` satisfies `{}` (safety and progress)\n",
@@ -369,8 +413,7 @@ fn cmd_check(rest: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn cmd_solve(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_solve(p: &Parsed) -> Result<String, CliError> {
     // A built-in target needs no spec file: the configuration carries
     // B, the interface and the service.
     if let Some(name) = p.value("--builtin") {
@@ -378,13 +421,10 @@ fn cmd_solve(rest: &[String]) -> Result<String, CliError> {
             return err("--builtin does not take a FILE");
         }
         let (cfg, service) = builtin_configuration(name)?;
-        return solve_system(&p, cfg.b, &service, &cfg.int);
+        return solve_system(p, cfg.b, &service, &cfg.int);
     }
     let [file] = &p.positional[..] else {
-        return err(
-            "usage: protoquot solve (FILE (--problem NAME | --service SPEC --int e1,e2,... \
-             [--b SPEC...]) | --builtin colocated|symmetric|ab-nak)",
-        );
+        return p.misuse();
     };
     let source = load_source(file)?;
     let specs = &source.specs;
@@ -440,15 +480,12 @@ fn cmd_solve(rest: &[String]) -> Result<String, CliError> {
         compose_all(&parts).map_err(|e| CliError(e.to_string()))?
     };
     let srv = srv.clone();
-    solve_system(&p, b, &srv, &int)
+    solve_system(p, b, &srv, &int)
 }
 
 /// The shared back half of `solve`: derives the converter for one
 /// resolved quotient problem and renders/emits it per the flags.
 fn solve_system(p: &Parsed, b: Spec, srv: &Spec, int: &Alphabet) -> Result<String, CliError> {
-    if p.has("--threads") {
-        return err("solve runs on one thread; --threads is a drive and soak option");
-    }
     let options = QuotientOptions {
         include_vacuous: p.has("--vacuous"),
         strategy: if p.has("--reachable") {
@@ -473,23 +510,9 @@ fn solve_system(p: &Parsed, b: Spec, srv: &Spec, int: &Alphabet) -> Result<Strin
             } else {
                 q.converter
             };
-            // A deliberate bug, e.g. to exercise registry admission:
-            // redirect the K-th external transition of the derived
-            // converter before verification and emission.
-            let converter = match p.value("--mutate") {
-                Some(k) => {
-                    let k: usize = k
-                        .parse()
-                        .map_err(|_| CliError("--mutate must be a transition index".into()))?;
-                    redirect_transition(&converter, k).ok_or_else(|| {
-                        CliError(format!(
-                            "--mutate {k}: converter has only {} external transitions",
-                            converter.num_external()
-                        ))
-                    })?
-                }
-                None => converter,
-            };
+            // Mutated before verification and emission, e.g. to
+            // exercise registry admission.
+            let converter = mutate(converter, p.num("--mutate")?)?;
             out.push_str(&format!(
                 "converter derived: {} states, {} transitions \
                  (safety {} states, progress removed {} in {} iterations)\n",
@@ -591,53 +614,25 @@ fn solve_system(p: &Parsed, b: Spec, srv: &Spec, int: &Alphabet) -> Result<Strin
     }
 }
 
-fn cmd_simulate(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_simulate(p: &Parsed) -> Result<String, CliError> {
     let [file] = &p.positional[..] else {
-        return err(
-            "usage: protoquot simulate FILE --service SPEC --components S1,S2,... \
-             [--steps N] [--seed K] [--loss COMPONENT=WEIGHT]...",
-        );
+        return p.misuse();
     };
     let specs = load(file)?;
-    let srv = find(
-        &specs,
-        p.value("--service")
-            .ok_or(CliError("--service required".into()))?,
-    )?;
-    let comp_names: Vec<&str> = p
-        .value("--components")
-        .ok_or(CliError("--components required".into()))?
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .collect();
-    let components: Vec<Spec> = comp_names
-        .iter()
-        .map(|n| find(&specs, n).cloned())
-        .collect::<Result<_, _>>()?;
-    let steps: u64 = match p.value("--steps") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError("--steps must be a number".into()))?,
-        None => 10_000,
-    };
-    let seed: u64 = match p.value("--seed") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError("--seed must be a number".into()))?,
-        None => 0,
-    };
+    let srv = p.spec(&specs, "--service")?;
+    let components = p.components(&specs)?;
+    let names: Vec<String> = components.iter().map(|c| c.name().to_owned()).collect();
+    let steps = p.num("--steps")?.unwrap_or(10_000);
+    let seed = p.num("--seed")?.unwrap_or(0);
     let mut internal_weights = Vec::new();
     for lw in p.values("--loss") {
         let Some((name, w)) = lw.split_once('=') else {
             return err("--loss takes COMPONENT=WEIGHT");
         };
-        let Some(idx) = comp_names.iter().position(|n| *n == name) else {
+        let Some(idx) = names.iter().position(|n| n == name) else {
             return err(format!("--loss: `{name}` is not in --components"));
         };
-        let w: u32 = w
-            .parse()
-            .map_err(|_| CliError("--loss weight must be a number".into()))?;
+        let w = parse_num(w).ok_or(CliError("--loss weight must be a number".into()))?;
         internal_weights.push((idx, w));
     }
     let report = run_monitored(
@@ -654,7 +649,7 @@ fn cmd_simulate(rest: &[String]) -> Result<String, CliError> {
     for (name, count) in &report.monitored_counts {
         out.push_str(&format!("  {name}: {count}\n"));
     }
-    for (i, n) in comp_names.iter().enumerate() {
+    for (i, n) in names.iter().enumerate() {
         if report.internal_counts[i] > 0 {
             out.push_str(&format!(
                 "  internal transitions of {n}: {}\n",
@@ -674,10 +669,9 @@ fn cmd_simulate(rest: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_minimize(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_minimize(p: &Parsed) -> Result<String, CliError> {
     let [file, name] = &p.positional[..] else {
-        return err("usage: protoquot minimize FILE SPEC");
+        return p.misuse();
     };
     let specs = load(file)?;
     let s = find(&specs, name)?;
@@ -690,10 +684,9 @@ fn cmd_minimize(rest: &[String]) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_normalize(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_normalize(p: &Parsed) -> Result<String, CliError> {
     let [file, name] = &p.positional[..] else {
-        return err("usage: protoquot normalize FILE SPEC");
+        return p.misuse();
     };
     let specs = load(file)?;
     let s = find(&specs, name)?;
@@ -707,22 +700,13 @@ fn cmd_normalize(rest: &[String]) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_violations(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_violations(p: &Parsed) -> Result<String, CliError> {
     let [file] = &p.positional[..] else {
-        return err("usage: protoquot violations FILE --impl SPEC --service SPEC");
+        return p.misuse();
     };
     let specs = load(file)?;
-    let imp = find(
-        &specs,
-        p.value("--impl")
-            .ok_or(CliError("--impl required".into()))?,
-    )?;
-    let srv = find(
-        &specs,
-        p.value("--service")
-            .ok_or(CliError("--service required".into()))?,
-    )?;
+    let imp = p.spec(&specs, "--impl")?;
+    let srv = p.spec(&specs, "--service")?;
     if imp.alphabet() != srv.alphabet() {
         return err(format!(
             "interface mismatch: {} vs {}",
@@ -750,78 +734,69 @@ fn cmd_violations(rest: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_explore(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_explore(p: &Parsed) -> Result<String, CliError> {
     let [file] = &p.positional[..] else {
-        return err(
-            "usage: protoquot explore FILE --service SPEC --components S1,S2,... \
-             [--max-states N]",
-        );
+        return p.misuse();
     };
     let specs = load(file)?;
-    let srv = find(
-        &specs,
-        p.value("--service")
-            .ok_or(CliError("--service required".into()))?,
-    )?;
-    let components: Vec<Spec> = p
-        .value("--components")
-        .ok_or(CliError("--components required".into()))?
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|n| find(&specs, n).cloned())
-        .collect::<Result<_, _>>()?;
-    let max_states: usize = match p.value("--max-states") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError("--max-states must be a number".into()))?,
-        None => 1_000_000,
-    };
+    let srv = p.spec(&specs, "--service")?;
+    let components = p.components(&specs)?;
+    let max_states = p.num("--max-states")?.unwrap_or(1_000_000);
     let r = protoquot_sim::explore(components, srv, max_states);
     let mut out = format!(
         "explored {} global states ({})\n",
         r.states_visited,
         if r.complete { "complete" } else { "budget hit" }
     );
+    // A search the budget cut short proves nothing beyond what it saw.
+    let none = |what: &str| {
+        if r.complete {
+            format!("no {what} reachable\n")
+        } else {
+            format!("no {what} found within {} states\n", r.states_visited)
+        }
+    };
     match &r.violation {
         Some((prefix, e)) => out.push_str(&format!(
             "VIOLATION: after `{}`, event `{e}` is not allowed by the service\n",
             protoquot_spec::trace_string(prefix)
         )),
-        None => out.push_str("no safety violation reachable\n"),
+        None => out.push_str(&none("safety violation")),
     }
     match &r.deadlock {
         Some(w) => out.push_str(&format!(
             "DEADLOCK reachable after `{}`\n",
             protoquot_spec::trace_string(w)
         )),
-        None => out.push_str("no deadlock reachable\n"),
+        None => out.push_str(&none("deadlock")),
     }
     Ok(out)
+}
+
+/// `--mutate K`: redirects the converter's `K`-th external transition,
+/// a deliberate bug for the conviction and admission paths to catch.
+fn mutate(converter: Spec, k: Option<usize>) -> Result<Spec, CliError> {
+    let Some(k) = k else {
+        return Ok(converter);
+    };
+    redirect_transition(&converter, k).ok_or_else(|| {
+        CliError(format!(
+            "--mutate {k}: converter has only {} external transitions",
+            converter.num_external()
+        ))
+    })
 }
 
 /// Builds the components + service of a built-in §5 soak target:
 /// `colocated` (Fig. 13/14, exactly-once), `symmetric` (Fig. 9 with the
 /// §5 at-least-once weakening) or `ab-nak` (the ABP↔NAK variant,
-/// exactly-once). The converter is derived on the spot; `--mutate K`
-/// redirects its `K`-th external transition to seed a deliberate bug.
-fn builtin_soak_system(name: &str, mutate: Option<&str>) -> Result<(Vec<Spec>, Spec), CliError> {
+/// exactly-once). The converter is derived on the spot; `k` is its
+/// `--mutate`.
+fn builtin_soak_system(name: &str, k: Option<usize>) -> Result<(Vec<Spec>, Spec), CliError> {
     let (cfg, service) = builtin_configuration(name)?;
     let q = protoquot_core::solve(&cfg.b, &service, &cfg.int)
         .map_err(|e| CliError(format!("cannot derive the {name} converter: {e}")))?;
-    let mut converter = q.converter;
-    if let Some(k) = mutate {
-        let k: usize = k
-            .parse()
-            .map_err(|_| CliError("--mutate must be a transition index".into()))?;
-        converter = redirect_transition(&converter, k).ok_or_else(|| {
-            CliError(format!(
-                "--mutate {k}: converter has only {} external transitions",
-                converter.num_external()
-            ))
-        })?;
-    }
-    Ok((vec![cfg.b, converter], service))
+    Ok((vec![cfg.b, mutate(q.converter, k)?], service))
 }
 
 /// The raw quotient configuration of one built-in §5 target: the fixed
@@ -847,59 +822,34 @@ fn builtin_configuration(
     })
 }
 
-/// Resolves the soak/serve/drive target system: either `--builtin NAME
-/// [--mutate K]` or FILE with `--service`/`--components` (the listed
-/// components must include the converter).
-fn load_target(p: &Parsed, usage: &str) -> Result<(Vec<Spec>, Spec), CliError> {
+/// Resolves the soak/serve/drive/fuzz target system: either `--builtin
+/// NAME [--mutate K]` or FILE with `--service`/`--components` (the
+/// listed components must include the converter).
+fn load_target(p: &Parsed) -> Result<(Vec<Spec>, Spec), CliError> {
     if let Some(builtin) = p.value("--builtin") {
         if !p.positional.is_empty() {
             return err("--builtin does not take a FILE");
         }
-        builtin_soak_system(builtin, p.value("--mutate"))
+        builtin_soak_system(builtin, p.num("--mutate")?)
     } else {
         let [file] = &p.positional[..] else {
-            return err(usage);
+            return p.misuse();
         };
         let specs = load(file)?;
-        let srv = find(
-            &specs,
-            p.value("--service")
-                .ok_or(CliError("--service required".into()))?,
-        )?;
-        let components: Vec<Spec> = p
-            .value("--components")
-            .ok_or(CliError("--components required".into()))?
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|n| find(&specs, n).cloned())
-            .collect::<Result<_, _>>()?;
-        Ok((components, srv.clone()))
+        let srv = p.spec(&specs, "--service")?.clone();
+        Ok((p.components(&specs)?, srv))
     }
 }
 
-fn cmd_soak(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
-    let (components, service) = load_target(
-        &p,
-        "usage: protoquot soak (FILE --service SPEC --components S1,S2,... | \
-         --builtin colocated|symmetric|ab-nak [--mutate K]) [--runs N] [--threads T] \
-         [--steps N] [--faults loss,dup,reorder,burst] [--seed S] [--no-shrink] [--json]",
-    )?;
-    let parse_num = |flag: &str, default: u64| -> Result<u64, CliError> {
-        match p.value(flag) {
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError(format!("{flag} must be a number"))),
-            None => Ok(default),
-        }
-    };
+fn cmd_soak(p: &Parsed) -> Result<String, CliError> {
+    let (components, service) = load_target(p)?;
     let faults = FaultPlan::parse(p.value("--faults").unwrap_or(""))
         .map_err(|e| CliError(format!("--faults: {e}")))?;
     let config = FleetConfig {
-        runs: parse_num("--runs", 1_000)?,
-        threads: parse_num("--threads", 1)? as usize,
-        seed: parse_num("--seed", 0xC0FFEE)?,
-        max_steps: parse_num("--steps", 2_000)?,
+        runs: p.num("--runs")?.unwrap_or(1_000),
+        threads: p.num("--threads")?.unwrap_or(1),
+        seed: p.num("--seed")?.unwrap_or(0xC0FFEE),
+        max_steps: p.num("--steps")?.unwrap_or(2_000),
         faults,
         shrink: !p.has("--no-shrink"),
         ..FleetConfig::default()
@@ -913,13 +863,7 @@ fn cmd_soak(rest: &[String]) -> Result<String, CliError> {
         Err(e) => format!("static verdict: setup error: {e}\n"),
     };
     let report = runner.run(&config);
-    Ok(if p.has("--json") {
-        let mut json = report.to_json();
-        json.push('\n');
-        json
-    } else {
-        format!("{static_line}{report}")
-    })
+    Ok(p.render(|| report.to_json(), || format!("{static_line}{report}")))
 }
 
 /// JSON dump of the compiled CSR automaton of `B ‖ C` the guard serves
@@ -1008,43 +952,19 @@ fn parse_secs(p: &Parsed, flag: &str) -> Result<Option<Duration>, CliError> {
         .transpose()
 }
 
-fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
-    let (components, service) = load_target(
-        &p,
-        "usage: protoquot serve (FILE --service SPEC --components S1,S2,... | \
-         --builtin colocated|symmetric|ab-nak [--mutate K]) [--addr HOST:PORT] \
-         [--loops N] [--duration SECS] [--stats] [--frame-budget N] \
-         [--max-sessions-per-conn N] [--read-deadline SECS] \
-         [--registry DIR [--control HOST:PORT]] [--require-hello]",
-    )?;
-    if p.has("--threads") {
-        return err("serve answers frames on its event loops (--loops); \
-                    --threads is a drive and soak option");
-    }
-    let frame_budget: u64 = match p.value("--frame-budget") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError("--frame-budget must be a number (0 disables)".into()))?,
-        None => 0,
+fn cmd_serve(p: &Parsed) -> Result<String, CliError> {
+    let (components, service) = load_target(p)?;
+    let frame_budget = p.num("--frame-budget")?.unwrap_or(0);
+    let defaults = ConnLimits::default();
+    let limits = ConnLimits {
+        max_sessions_per_conn: p
+            .num("--max-sessions-per-conn")?
+            .unwrap_or(defaults.max_sessions_per_conn),
+        read_deadline: parse_secs(p, "--read-deadline")?.unwrap_or(defaults.read_deadline),
+        require_hello: p.has("--require-hello"),
     };
-    let mut limits = ConnLimits::default();
-    if let Some(v) = p.value("--max-sessions-per-conn") {
-        limits.max_sessions_per_conn = v.parse().map_err(|_| {
-            CliError("--max-sessions-per-conn must be a number (0 disables)".into())
-        })?;
-    }
-    if let Some(deadline) = parse_secs(&p, "--read-deadline")? {
-        limits.read_deadline = deadline;
-    }
-    limits.require_hello = p.has("--require-hello");
-    let loops: usize = match p.value("--loops") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError("--loops must be a number".into()))?,
-        None => ReactorConfig::default().loops,
-    };
-    let duration = parse_secs(&p, "--duration")?;
+    let loops = p.num("--loops")?.unwrap_or(ReactorConfig::default().loops);
+    let duration = parse_secs(p, "--duration")?;
     let parts: Vec<&Spec> = components.iter().collect();
     let cfg = GatewayConfig {
         session_frame_budget: frame_budget,
@@ -1221,15 +1141,10 @@ impl ControlServer {
 /// `protoquot reload`: asks a serving gateway's control socket to
 /// admit and hot-swap the artifact at `--artifact PATH` (a path on the
 /// server's filesystem, as emitted by `solve --emit compiled --out`).
-fn cmd_reload(rest: &[String]) -> Result<String, CliError> {
+fn cmd_reload(p: &Parsed) -> Result<String, CliError> {
     use std::io::{BufRead, BufReader, Write};
-    let p = parse_args(rest)?;
-    let usage = "usage: protoquot reload --control HOST:PORT --artifact PATH";
-    let Some(addr) = p.value("--control") else {
-        return err(usage);
-    };
-    let Some(path) = p.value("--artifact") else {
-        return err(usage);
+    let (Some(addr), Some(path)) = (p.value("--control"), p.value("--artifact")) else {
+        return p.misuse();
     };
     let mut stream = std::net::TcpStream::connect(addr)
         .map_err(|e| CliError(format!("cannot reach control socket {addr}: {e}")))?;
@@ -1251,8 +1166,7 @@ fn cmd_reload(rest: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_drive(p: &Parsed) -> Result<String, CliError> {
     // The adversarial campaign attacks the wire itself — no spec needed
     // (and none consulted), so it branches before target loading.
     if p.has("--adversarial") {
@@ -1261,51 +1175,29 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
         };
         let report = adversarial(addr, &AdversarialConfig::default())
             .map_err(|e| CliError(format!("adversarial campaign failed to run: {e}")))?;
-        let out = if p.has("--json") {
-            let mut json = report.to_json();
-            json.push('\n');
-            json
-        } else {
-            format!("{report}")
-        };
         if p.has("--expect-clean") && !report.is_contained() {
             return err(format!(
                 "drive unclean: adversarial campaign not contained \
                  (an attack was neither convicted nor evicted):\n{report}"
             ));
         }
-        return Ok(out);
+        return Ok(p.render(|| report.to_json(), || format!("{report}")));
     }
-    let (components, service) = load_target(
-        &p,
-        "usage: protoquot drive (FILE --service SPEC --components S1,S2,... | \
-         --builtin colocated|symmetric|ab-nak [--mutate K]) (--connect HOST:PORT | \
-         --loopback) [--runs N] [--threads T] [--steps N] [--sessions-per-conn N] \
-         [--pipeline N] [--faults loss,dup,reorder,burst] [--seed S] [--duration SECS] \
-         [--expect-clean] [--adversarial] [--json] [--no-hello]",
-    )?;
-    let parse_num = |flag: &str, default: u64| -> Result<u64, CliError> {
-        match p.value(flag) {
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError(format!("{flag} must be a number"))),
-            None => Ok(default),
-        }
-    };
+    let (components, service) = load_target(p)?;
     let faults = FaultPlan::parse(p.value("--faults").unwrap_or(""))
         .map_err(|e| CliError(format!("--faults: {e}")))?;
-    let pipeline = parse_num("--pipeline", 1)?;
+    let pipeline = p.num("--pipeline")?.unwrap_or(1);
     if !(1..=64).contains(&pipeline) {
         return err("--pipeline must be between 1 and 64");
     }
     let cfg = DriveConfig {
-        runs: parse_num("--runs", 100)?,
-        threads: parse_num("--threads", 1)? as usize,
-        seed: parse_num("--seed", 0xD41E)?,
-        max_steps: parse_num("--steps", 600)?,
+        runs: p.num("--runs")?.unwrap_or(100),
+        threads: p.num("--threads")?.unwrap_or(1),
+        seed: p.num("--seed")?.unwrap_or(0xD41E),
+        max_steps: p.num("--steps")?.unwrap_or(600),
         faults,
-        duration: parse_secs(&p, "--duration")?,
-        sessions_per_conn: parse_num("--sessions-per-conn", 1)?,
+        duration: parse_secs(p, "--duration")?,
+        sessions_per_conn: p.num("--sessions-per-conn")?.unwrap_or(1),
         pipeline,
         ..DriveConfig::default()
     };
@@ -1337,13 +1229,6 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
         }
         _ => return err("give exactly one of --connect HOST:PORT or --loopback"),
     };
-    let out = if p.has("--json") {
-        let mut json = report.to_json();
-        json.push('\n');
-        json
-    } else {
-        format!("{report}\n")
-    };
     if p.has("--expect-clean") && !report.is_clean() {
         // Convictions are verdicts against the converter; everything
         // else unclean is operational. CI keys its exit code off the
@@ -1360,7 +1245,7 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
             report.rejected_runs, report.io_errors
         ));
     }
-    Ok(out)
+    Ok(p.render(|| report.to_json(), || format!("{report}\n")))
 }
 
 /// `protoquot fuzz`: the deterministic fuzz engine over the codec,
@@ -1368,37 +1253,17 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
 /// Without a FILE or
 /// `--builtin` the colocated paper system is fuzzed (the targets need
 /// *a* compiled system; hostile inputs do not care which).
-fn cmd_fuzz(rest: &[String]) -> Result<String, CliError> {
-    let p = parse_args(rest)?;
+fn cmd_fuzz(p: &Parsed) -> Result<String, CliError> {
     let (components, service) = if p.value("--builtin").is_none() && p.positional.is_empty() {
-        builtin_soak_system("colocated", p.value("--mutate"))?
+        builtin_soak_system("colocated", p.num("--mutate")?)?
     } else {
-        load_target(
-            &p,
-            "usage: protoquot fuzz [FILE --service SPEC --components S1,S2,... | \
-                 --builtin colocated|symmetric|ab-nak [--mutate K]] \
-                 [--target codec|guard|gateway|batch|artifact|all] [--seed S] [--iters N] \
-                 [--max-len N] [--no-shrink] [--json]",
-        )?
-    };
-    // Seeds round-trip through the report, which prints them in hex;
-    // accept both `0x…` and decimal so a red report reproduces by
-    // copy-paste.
-    let parse_num = |flag: &str, default: u64| -> Result<u64, CliError> {
-        match p.value(flag) {
-            Some(v) => match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => v.parse(),
-            }
-            .map_err(|_| CliError(format!("{flag} must be a number"))),
-            None => Ok(default),
-        }
+        load_target(p)?
     };
     let defaults = FuzzConfig::default();
     let cfg = FuzzConfig {
-        seed: parse_num("--seed", defaults.seed)?,
-        iters: parse_num("--iters", defaults.iters)?,
-        max_len: parse_num("--max-len", defaults.max_len as u64)? as usize,
+        seed: p.num("--seed")?.unwrap_or(defaults.seed),
+        iters: p.num("--iters")?.unwrap_or(defaults.iters),
+        max_len: p.num("--max-len")?.unwrap_or(defaults.max_len),
         shrink: !p.has("--no-shrink"),
         ..defaults
     };
@@ -1414,30 +1279,25 @@ fn cmd_fuzz(rest: &[String]) -> Result<String, CliError> {
     let report = protoquot_runtime::fuzz::fuzz(&parts, &service, &targets, &cfg)
         .map_err(|e| CliError(format!("fuzz target system does not compile: {e}")))?;
     let elapsed = started.elapsed();
-    let mut out = if p.has("--json") {
-        let mut json = report.to_json();
-        json.push('\n');
-        json
-    } else {
-        format!("{report}\n")
-    };
-    if !p.has("--json") {
-        // Throughput goes to the human report only — the JSON stays
-        // deterministic for CI pinning.
-        let total: u64 = report.executed.iter().map(|(_, n)| n).sum();
-        out.push_str(&format!(
-            "{total} cases in {:.2}s ({:.0} cases/s)\n",
-            elapsed.as_secs_f64(),
-            total as f64 / elapsed.as_secs_f64().max(1e-9),
-        ));
-    }
     if !report.is_clean() {
         return err(format!(
             "fuzz found {} failing case(s):\n{report}",
             report.findings.len()
         ));
     }
-    Ok(out)
+    // Throughput goes to the human report only — the JSON stays
+    // deterministic for CI pinning.
+    Ok(p.render(
+        || report.to_json(),
+        || {
+            let total: u64 = report.executed.iter().map(|(_, n)| n).sum();
+            format!(
+                "{report}\n{total} cases in {:.2}s ({:.0} cases/s)\n",
+                elapsed.as_secs_f64(),
+                total as f64 / elapsed.as_secs_f64().max(1e-9),
+            )
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -1900,13 +1760,14 @@ mod tests {
     /// duration flags, never a panic in `Duration::from_secs_f64`.
     #[test]
     fn bad_durations_are_named_errors() {
-        for (cmd, flag) in [
-            ("serve", "--duration"),
-            ("drive", "--duration"),
-            ("serve", "--read-deadline"),
+        // A switch each command declares: only drive takes --loopback.
+        for (cmd, switch, flag) in [
+            ("serve", "--stats", "--duration"),
+            ("drive", "--loopback", "--duration"),
+            ("serve", "--stats", "--read-deadline"),
         ] {
             for bad in ["-1", "nan", "inf", "-inf", "soon"] {
-                let args: Vec<String> = [cmd, "--builtin", "colocated", "--loopback", flag, bad]
+                let args: Vec<String> = [cmd, "--builtin", "colocated", switch, flag, bad]
                     .iter()
                     .map(|s| s.to_string())
                     .collect();
@@ -2280,6 +2141,207 @@ mod tests {
         let help = run(&["help".to_owned()]).unwrap();
         assert!(help.contains("usage:"));
         assert!(run(&[]).is_err());
+    }
+
+    /// A search the state budget cut short claims nothing about the
+    /// states it never reached.
+    #[test]
+    fn explore_budget_hit_claims_only_what_it_searched() {
+        let path = temp_path("stuck.pq");
+        std::fs::write(
+            &path,
+            "spec S { initial u0; u0: acc -> u1; u1: del -> u0; }
+             spec R { initial r0; r0: acc -> r1; r1: del -> r2; r2: acc -> r3;
+                      r3: del -> r4; r4: acc -> r5; }",
+        )
+        .unwrap();
+        let path = path.to_str().unwrap();
+        let full = run_ok(&["explore", path, "--service", "S", "--components", "R"]);
+        assert!(
+            full.contains("DEADLOCK reachable after `acc.del.acc.del.acc`"),
+            "{full}"
+        );
+        let cut = run_ok(&[
+            "explore",
+            path,
+            "--service",
+            "S",
+            "--components",
+            "R",
+            "--max-states",
+            "2",
+        ]);
+        assert!(cut.contains("(budget hit)"), "{cut}");
+        assert!(!cut.contains("reachable"), "{cut}");
+        assert!(
+            cut.contains("no safety violation found within 2 states"),
+            "{cut}"
+        );
+        assert!(cut.contains("no deadlock found within 2 states"), "{cut}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// Every command refuses a flag that only other commands declare,
+    /// instead of ignoring it; and a flag takes a value in every command
+    /// or in none.
+    #[test]
+    fn commands_refuse_flags_they_do_not_declare() {
+        with_file(|path| {
+            for args in [
+                &["parse", path, "--pipeline", "9"][..],
+                &["show", path, "S", "--json"],
+                &["compose", path, "B", "S", "--stats"],
+                &[
+                    "check",
+                    path,
+                    "--impl",
+                    "S",
+                    "--service",
+                    "S",
+                    "--loops",
+                    "2",
+                ],
+                &["solve", path, "--problem", "relay", "--seed", "x"],
+                &["solve", path, "--problem", "relay", "--addr", "1.2.3.4:5"],
+                &["solve", path, "--problem", "relay", "--threads", "4"],
+                &[
+                    "simulate",
+                    path,
+                    "--service",
+                    "S",
+                    "--components",
+                    "S",
+                    "--runs",
+                    "3",
+                ],
+                &["minimize", path, "S", "--dot"],
+                &["normalize", path, "S", "--prune"],
+                &[
+                    "violations",
+                    path,
+                    "--impl",
+                    "S",
+                    "--service",
+                    "S",
+                    "--json",
+                ],
+                &[
+                    "explore",
+                    path,
+                    "--service",
+                    "S",
+                    "--components",
+                    "S",
+                    "--steps",
+                    "5",
+                ],
+                &[
+                    "soak",
+                    "--builtin",
+                    "colocated",
+                    "--emit",
+                    "compiled",
+                    "--dot",
+                ],
+                &["serve", "--builtin", "colocated", "--loopback"],
+                &[
+                    "reload",
+                    "--control",
+                    "127.0.0.1:1",
+                    "--artifact",
+                    "x",
+                    "--json",
+                ],
+                &["drive", "--builtin", "colocated", "--loopback", "--stats"],
+                &["fuzz", "--builtin", "colocated", "--runs", "3"],
+            ] {
+                let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+                let e = run(&args).unwrap_err().to_string();
+                assert!(e.starts_with("unknown flag --"), "{args:?}: {e}");
+            }
+        });
+        let all: Vec<_> = COMMANDS.iter().flat_map(|(u, _)| flags(u)).collect();
+        for (f, valued) in &all {
+            assert!(all.iter().all(|(g, v)| g != f || v == valued), "{f}");
+        }
+    }
+
+    /// `--seed` takes the `0x…` form reports print as well as decimal,
+    /// in every command, and both name the same campaign.
+    #[test]
+    fn hex_and_decimal_seeds_agree() {
+        let with_seed = |args: &[&str], seed: &str| {
+            let mut args = args.to_vec();
+            args.extend(["--seed", seed]);
+            run_ok(&args)
+        };
+        // Soak's report also carries its wall-clock timing.
+        let untimed = |json: String| {
+            let mut v: Value = serde_json::from_str(&json).unwrap();
+            if let Value::Obj(o) = &mut v {
+                o.remove("elapsed_secs");
+                o.remove("steps_per_sec");
+            }
+            serde_json::to_string(&v).unwrap()
+        };
+        let soak = ["soak", "--builtin", "colocated", "--runs", "20", "--json"];
+        let (hex, dec) = (with_seed(&soak, "0xc0ffee"), with_seed(&soak, "12648430"));
+        assert!(hex.contains("\"seed\":12648430"), "{hex}");
+        assert_eq!(untimed(hex), untimed(dec));
+        let drive = [
+            "drive",
+            "--builtin",
+            "colocated",
+            "--loopback",
+            "--runs",
+            "8",
+            "--steps",
+            "200",
+            "--faults",
+            "loss,reorder",
+            "--json",
+        ];
+        assert_eq!(with_seed(&drive, "0xd41e"), with_seed(&drive, "54302"));
+        with_file(|path| {
+            let simulate = ["simulate", path, "--service", "S", "--components", "Broken"];
+            let hex = with_seed(&simulate, "0x2a");
+            assert!(hex.contains("(seed 42)"), "{hex}");
+            assert_eq!(hex, with_seed(&simulate, "42"));
+        });
+    }
+
+    /// docs/RUNTIME.md's `serve` and `drive` flag tables list exactly
+    /// the flags those commands declare (drive selects its target as
+    /// serve does, so serve's target table counts for both).
+    #[test]
+    fn runtime_doc_tables_list_serve_and_drive_flags() {
+        let doc = include_str!("../../../docs/RUNTIME.md");
+        let section = |cmd: &str| {
+            let heading = format!("## `protoquot {cmd}`");
+            doc.split(heading.as_str())
+                .nth(1)
+                .unwrap()
+                .split("\n## ")
+                .next()
+                .unwrap()
+        };
+        fn table_flags(text: &str) -> std::collections::BTreeSet<&str> {
+            text.lines()
+                .filter_map(|l| l.strip_prefix("| `"))
+                .flat_map(|l| l.split('`').next().unwrap().split_whitespace())
+                .filter(|w| w.starts_with("--"))
+                .collect()
+        }
+        let declared = |cmd: &str| {
+            let (usage, _) = COMMANDS.iter().find(|(u, _)| name(u) == cmd).unwrap();
+            flags(usage).into_iter().map(|(f, _)| f).collect()
+        };
+        let serve = section("serve");
+        assert_eq!(table_flags(serve), declared("serve"));
+        let target = serve.split("Serving options").next().unwrap();
+        let mut drive = table_flags(section("drive"));
+        drive.extend(table_flags(target));
+        assert_eq!(drive, declared("drive"));
     }
 
     #[test]

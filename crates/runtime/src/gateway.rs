@@ -505,7 +505,6 @@ impl Gateway {
             }) {
                 inner.stats.note_batch_slow(g.count as usize);
             }
-            inner.stats.note_batch_inline(g.count as usize);
         }
         inner.stats.note_batch_backlog(deepest as usize - 1);
     }
@@ -886,7 +885,6 @@ mod tests {
         assert_eq!(a.frames, b.frames);
         assert_eq!(a.batches, 1);
         assert_eq!(a.batch_frames, frames.len() as u64);
-        assert_eq!(a.batch_inline, frames.len() as u64);
         assert_eq!(a.batch_slow, 0, "one thread never contends a session");
         // Session 1's three frames: two waited behind its first.
         assert_eq!(a.queue_high_water, 2);
@@ -905,7 +903,7 @@ mod tests {
             gw.call_batch(&round, &mut scratch, &mut out, &mut no_slow);
         }
         let snap = gw.stats();
-        assert_eq!((snap.batch_inline, snap.batch_slow), (1024, 0));
+        assert_eq!((snap.batch_frames, snap.batch_slow), (1024, 0));
         assert_eq!(snap.queue_high_water, 0);
     }
 
@@ -978,7 +976,7 @@ mod tests {
             .collect();
         assert_eq!(tally, want);
         let snap = gw.stats();
-        assert_eq!(snap.batch_inline, 2000);
+        assert_eq!(snap.batch_frames, 2000);
         // A group is contended as a whole or not at all.
         assert!(
             [0, 1000, 2000].contains(&snap.batch_slow),

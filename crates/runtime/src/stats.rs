@@ -102,8 +102,6 @@ stats! {
             "Most frames of one session queued behind its own earlier frame in one batch."),
         (batches, "batching.batches", "Batches taken through `Gateway::call_batch`."),
         (batch_frames, "batching.frames", "Frames carried by those batches."),
-        (batch_inline, "batching.inline",
-            "Batched frames processed inline under their session's shard lock."),
         (batch_slow, "batching.slow_path",
             "Batched frames whose session's shard lock another thread held."),
         (bytes_in, "bytes.in", "Raw bytes read off transport sockets."),
@@ -292,11 +290,6 @@ impl RuntimeStats {
         self.batch_hist[batch_bucket(frames)].fetch_add(1, Relaxed);
     }
 
-    /// `n` batched frames were processed inline under their shard lock.
-    pub fn note_batch_inline(&self, n: usize) {
-        self.counters.batch_inline.fetch_add(n as u64, Relaxed);
-    }
-
     /// `n` batched frames waited for a shard lock another thread held.
     pub fn note_batch_slow(&self, n: usize) {
         self.counters.batch_slow.fetch_add(n as u64, Relaxed);
@@ -458,10 +451,9 @@ impl std::fmt::Display for StatsSnapshot {
         if self.batches > 0 {
             writeln!(
                 f,
-                "batches {} | batched frames {} (inline {} slow {}) | sizes {}",
+                "batches {} | batched frames {} (slow {}) | sizes {}",
                 self.batches,
                 self.batch_frames,
-                self.batch_inline,
                 self.batch_slow,
                 pairs(&self.batch_hist, false)
             )?;
@@ -530,7 +522,6 @@ mod tests {
             queue_high_water: 9,
             batches: 8,
             batch_frames: 38,
-            batch_inline: 36,
             batch_slow: 2,
             batch_hist: vec![
                 ("1", 1),
@@ -563,7 +554,7 @@ mod tests {
             snap.to_json(),
             concat!(
                 r#"{"accepted":30,"#,
-                r#""batching":{"batches":8,"frames":38,"inline":36,"#,
+                r#""batching":{"batches":8,"frames":38,"#,
                 r#""sizes":{"1":1,"128+":1,"16":0,"2":2,"32":0,"4":0,"64":1,"8":3},"slow_path":2},"#,
                 r#""bytes":{"in":4096,"out":1234},"#,
                 r#""connections":{"closed":6,"#,
@@ -584,7 +575,7 @@ mod tests {
              connections opened=7 closed=6 | evictions slow_consumer=1 slow_read=2 protocol=3\n\
              sessions expelled=1\n\
              frames 40 | accepted 30 (12 ev/s) | convictions 4 | queue high-water 9\n\
-             batches 8 | batched frames 38 (inline 36 slow 2) | sizes 1=1 2=2 8=3 64=1 128+=1\n\
+             batches 8 | batched frames 38 (slow 2) | sizes 1=1 2=2 8=3 64=1 128+=1\n\
              bytes in 4096 out 1234\n\
              rejects not_a_trace=4 closed=6\n\
              events acc=17 del=13\n\
@@ -659,7 +650,6 @@ mod tests {
         stats.note_batch_backlog(2);
         stats.note_batch(16);
         stats.note_batch(17);
-        stats.note_batch_inline(36);
         stats.note_batch_slow(10);
         stats.note_bytes_in(4096);
         stats.note_bytes_out(1234);
@@ -683,7 +673,6 @@ mod tests {
                 ("queue_high_water", 9),
                 ("batching.batches", 2),
                 ("batching.frames", 33),
-                ("batching.inline", 36),
                 ("batching.slow_path", 10),
                 ("bytes.in", 4096),
                 ("bytes.out", 1234),
@@ -855,7 +844,6 @@ mod tests {
         stats.note_batch(1);
         stats.note_batch(3);
         stats.note_batch(256);
-        stats.note_batch_inline(255);
         stats.note_batch_slow(5);
         stats.note_bytes_in(4096);
         stats.note_bytes_out(1234);
@@ -863,7 +851,6 @@ mod tests {
         let snap = stats.snapshot(&table);
         assert_eq!(snap.batches, 3);
         assert_eq!(snap.batch_frames, 260);
-        assert_eq!(snap.batch_inline, 255);
         assert_eq!(snap.batch_slow, 5);
         assert_eq!(snap.batch_hist.len(), BATCH_BUCKETS);
         assert!(snap.batch_hist.contains(&("1", 1)));
@@ -876,7 +863,6 @@ mod tests {
         let b = value.as_obj().unwrap()["batching"].as_obj().unwrap();
         assert_eq!(b["batches"], Value::Int(3));
         assert_eq!(b["frames"], Value::Int(260));
-        assert_eq!(b["inline"], Value::Int(255));
         assert_eq!(b["slow_path"], Value::Int(5));
         assert_eq!(b["sizes"].as_obj().unwrap()["128+"], Value::Int(1));
         assert_eq!(b["sizes"].as_obj().unwrap()["64"], Value::Int(0));
@@ -885,7 +871,7 @@ mod tests {
         assert_eq!(w["out"], Value::Int(1234));
 
         let text = format!("{snap}");
-        assert!(text.contains("batches 3 | batched frames 260 (inline 255 slow 5)"));
+        assert!(text.contains("batches 3 | batched frames 260 (slow 5)"));
         assert!(text.contains("bytes in 4096 out 1234"));
     }
 
