@@ -125,7 +125,7 @@ const COMMANDS: &[(&str, Handler)] = &[
     (
         "protoquot drive (FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K])
             (--connect HOST:PORT | --loopback) [--runs N] [--threads T] [--steps N]
-            [--sessions-per-conn N] [--pipeline N] [--faults loss,dup,reorder,burst]
+            [--sessions-per-conn N] [--faults loss,dup,reorder,burst]
             [--seed S] [--duration SECS] [--expect-clean] [--adversarial] [--json]
             [--no-hello]
             (each thread drives N sessions over one connection; the default
@@ -417,9 +417,7 @@ fn cmd_solve(p: &Parsed) -> Result<String, CliError> {
     // A built-in target needs no spec file: the configuration carries
     // B, the interface and the service.
     if let Some(name) = p.value("--builtin") {
-        if !p.positional.is_empty() {
-            return err("--builtin does not take a FILE");
-        }
+        builtin_only(p, &["--problem", "--service", "--int", "--b"])?;
         let (cfg, service) = builtin_configuration(name)?;
         return solve_system(p, cfg.b, &service, &cfg.int);
     }
@@ -827,17 +825,30 @@ fn builtin_configuration(
 /// listed components must include the converter).
 fn load_target(p: &Parsed) -> Result<(Vec<Spec>, Spec), CliError> {
     if let Some(builtin) = p.value("--builtin") {
-        if !p.positional.is_empty() {
-            return err("--builtin does not take a FILE");
-        }
+        builtin_only(p, &["--service", "--components"])?;
         builtin_soak_system(builtin, p.num("--mutate")?)
     } else {
         let [file] = &p.positional[..] else {
             return p.misuse();
         };
+        if p.has("--mutate") {
+            return err("--mutate needs --builtin");
+        }
         let specs = load(file)?;
         let srv = p.spec(&specs, "--service")?.clone();
         Ok((p.components(&specs)?, srv))
+    }
+}
+
+/// `--builtin` names the whole system, so a FILE or any of the
+/// `file_flags` that pick parts from one is refused, not ignored.
+fn builtin_only(p: &Parsed, file_flags: &[&str]) -> Result<(), CliError> {
+    if !p.positional.is_empty() {
+        return err("--builtin does not take a FILE");
+    }
+    match file_flags.iter().find(|f| p.has(f)) {
+        Some(f) => err(format!("--builtin does not take {f}")),
+        None => Ok(()),
     }
 }
 
@@ -1143,7 +1154,11 @@ impl ControlServer {
 /// server's filesystem, as emitted by `solve --emit compiled --out`).
 fn cmd_reload(p: &Parsed) -> Result<String, CliError> {
     use std::io::{BufRead, BufReader, Write};
-    let (Some(addr), Some(path)) = (p.value("--control"), p.value("--artifact")) else {
+    let (true, Some(addr), Some(path)) = (
+        p.positional.is_empty(),
+        p.value("--control"),
+        p.value("--artifact"),
+    ) else {
         return p.misuse();
     };
     let mut stream = std::net::TcpStream::connect(addr)
@@ -1170,6 +1185,9 @@ fn cmd_drive(p: &Parsed) -> Result<String, CliError> {
     // The adversarial campaign attacks the wire itself — no spec needed
     // (and none consulted), so it branches before target loading.
     if p.has("--adversarial") {
+        if !p.positional.is_empty() {
+            return p.misuse();
+        }
         let Some(addr) = p.value("--connect") else {
             return err("--adversarial needs --connect HOST:PORT (it attacks the wire itself)");
         };
@@ -1186,10 +1204,6 @@ fn cmd_drive(p: &Parsed) -> Result<String, CliError> {
     let (components, service) = load_target(p)?;
     let faults = FaultPlan::parse(p.value("--faults").unwrap_or(""))
         .map_err(|e| CliError(format!("--faults: {e}")))?;
-    let pipeline = p.num("--pipeline")?.unwrap_or(1);
-    if !(1..=64).contains(&pipeline) {
-        return err("--pipeline must be between 1 and 64");
-    }
     let cfg = DriveConfig {
         runs: p.num("--runs")?.unwrap_or(100),
         threads: p.num("--threads")?.unwrap_or(1),
@@ -1198,7 +1212,6 @@ fn cmd_drive(p: &Parsed) -> Result<String, CliError> {
         faults,
         duration: parse_secs(p, "--duration")?,
         sessions_per_conn: p.num("--sessions-per-conn")?.unwrap_or(1),
-        pipeline,
         ..DriveConfig::default()
     };
     let report = match (p.value("--connect"), p.has("--loopback")) {
@@ -1254,7 +1267,11 @@ fn cmd_drive(p: &Parsed) -> Result<String, CliError> {
 /// `--builtin` the colocated paper system is fuzzed (the targets need
 /// *a* compiled system; hostile inputs do not care which).
 fn cmd_fuzz(p: &Parsed) -> Result<String, CliError> {
-    let (components, service) = if p.value("--builtin").is_none() && p.positional.is_empty() {
+    let (components, service) = if p.value("--builtin").is_none()
+        && p.positional.is_empty()
+        && !p.has("--service")
+        && !p.has("--components")
+    {
         builtin_soak_system("colocated", p.num("--mutate")?)?
     } else {
         load_target(p)?
@@ -1923,65 +1940,6 @@ mod tests {
     }
 
     #[test]
-    fn drive_pipeline_flag_does_not_change_the_report() {
-        // One clean campaign at four sessions per connection, then the
-        // same seed with a pipeline window: the reports must be
-        // byte-identical (the flag changes the hot path, never the
-        // outcome).
-        let base = &[
-            "drive",
-            "--builtin",
-            "colocated",
-            "--loopback",
-            "--runs",
-            "8",
-            "--steps",
-            "200",
-            "--sessions-per-conn",
-            "4",
-            "--expect-clean",
-            "--json",
-        ];
-        let lockstep = run_ok(base);
-        let mut piped = base.to_vec();
-        piped.extend(["--pipeline", "8"]);
-        assert_eq!(lockstep, run_ok(&piped), "--pipeline changed the report");
-    }
-
-    #[test]
-    fn drive_pipeline_validates_depth() {
-        // --pipeline works at the default one session per connection
-        // and rejects absurd depths.
-        let out = run_ok(&[
-            "drive",
-            "--builtin",
-            "colocated",
-            "--loopback",
-            "--runs",
-            "4",
-            "--steps",
-            "200",
-            "--pipeline",
-            "4",
-            "--expect-clean",
-        ]);
-        assert!(out.contains("runs 4"), "{out}");
-        let args: Vec<String> = [
-            "drive",
-            "--builtin",
-            "colocated",
-            "--loopback",
-            "--pipeline",
-            "0",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let e = run(&args).unwrap_err();
-        assert!(e.to_string().contains("--pipeline must be"), "{e}");
-    }
-
-    #[test]
     fn drive_requires_a_transport() {
         let args: Vec<String> = ["drive", "--builtin", "colocated"]
             .iter()
@@ -2188,7 +2146,7 @@ mod tests {
     fn commands_refuse_flags_they_do_not_declare() {
         with_file(|path| {
             for args in [
-                &["parse", path, "--pipeline", "9"][..],
+                &["parse", path, "--sessions-per-conn", "9"][..],
                 &["show", path, "S", "--json"],
                 &["compose", path, "B", "S", "--stats"],
                 &[
@@ -2263,6 +2221,82 @@ mod tests {
         let all: Vec<_> = COMMANDS.iter().flat_map(|(u, _)| flags(u)).collect();
         for (f, valued) in &all {
             assert!(all.iter().all(|(g, v)| g != f || v == valued), "{f}");
+        }
+    }
+
+    /// `--builtin` names the whole system: a flag that picks parts from
+    /// a FILE is refused by name, not ignored, in every command taking
+    /// both forms; and `--mutate` is refused in the FILE form it cannot
+    /// apply to.
+    #[test]
+    fn builtin_refuses_file_form_flags() {
+        let refused = |args: &[&str], flag: &str| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let e = run(&args).unwrap_err().to_string();
+            assert_eq!(e, format!("--builtin does not take {flag}"), "{args:?}");
+        };
+        let solve = ["solve", "--builtin", "colocated"];
+        for (flag, value) in [
+            ("--problem", "nope"),
+            ("--service", "Nope"),
+            ("--int", "zz"),
+            ("--b", "Q"),
+        ] {
+            refused(&[&solve[..], &[flag, value]].concat(), flag);
+        }
+        for cmd in ["soak", "serve", "drive", "fuzz"] {
+            for flag in ["--service", "--components"] {
+                refused(&[cmd, "--builtin", "colocated", flag, "X"], flag);
+            }
+        }
+        with_file(|path| {
+            for cmd in ["soak", "serve", "drive", "fuzz"] {
+                let args = [cmd, path, "--service", "S", "--components", "S"];
+                let args: Vec<String> = [&args[..], &["--mutate", "1"]]
+                    .concat()
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect();
+                let e = run(&args).unwrap_err().to_string();
+                assert_eq!(e, "--mutate needs --builtin", "{args:?}");
+            }
+        });
+        // Without FILE or `--builtin`, fuzz takes the colocated system,
+        // so it refuses what only a FILE could mean.
+        for flag in ["--service", "--components"] {
+            let args: Vec<String> = ["fuzz", flag, "X"].iter().map(|s| s.to_string()).collect();
+            let e = run(&args).unwrap_err().to_string();
+            assert!(e.starts_with("usage: protoquot fuzz"), "{flag}: {e}");
+        }
+    }
+
+    /// A command that takes no positional argument prints its usage for
+    /// a stray one, before it dials anything.
+    #[test]
+    fn stray_positionals_print_the_usage() {
+        for args in [
+            &[
+                "reload",
+                "stray",
+                "--control",
+                "127.0.0.1:1",
+                "--artifact",
+                "x",
+            ][..],
+            &[
+                "drive",
+                "stray",
+                "--adversarial",
+                "--connect",
+                "127.0.0.1:1",
+            ],
+        ] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let e = run(&args).unwrap_err().to_string();
+            assert!(
+                e.starts_with(&format!("usage: protoquot {}", args[0])),
+                "{args:?}: {e}"
+            );
         }
     }
 

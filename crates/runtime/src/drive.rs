@@ -1,14 +1,12 @@
 //! Seeded load generator: replays fleet-style schedules over the wire.
 //!
-//! [`drive`] runs the same weighted random executions as the
-//! `protoquot-sim` soak fleet — same [`derive_seed`] per run, same
-//! fault biasing, same [`ServiceMonitor`]/[`ProgressWatchdog`]
-//! machinery — but relays every *solo* (externally visible) event to a
-//! serving gateway as a wire frame and records the verdicts coming
-//! back. Each run is one session; worker threads claim run indices
-//! from an atomic counter and the outcomes are re-sorted by run, so
-//! the resulting [`DriveReport`] is identical at any client or server
-//! thread count.
+//! [`drive`] runs the soak fleet's executions — one [`Execution`] per
+//! run, seeded by [`derive_seed`] — but relays every *solo* (externally
+//! visible) event to a serving gateway as a wire frame and records the
+//! verdicts coming back. Each run is one session; worker threads claim
+//! run indices from an atomic counter and the outcomes are re-sorted by
+//! run, so the resulting [`DriveReport`] is identical at any client or
+//! server thread count.
 //!
 //! Every run is executed by a resumable `SessionTask` state machine:
 //! `advance(reply) -> Option<Frame>` hands the driver the next frame
@@ -19,15 +17,12 @@
 //! per connection, the default, is the lockstep shape: one frame in
 //! flight per connection.
 //!
-//! Each task keeps exactly one frame outstanding by default, so
-//! per-session wire order is program order and the report does not
-//! depend on the shape: sessions per connection, threads and carrier
-//! change the schedule of bytes, not the verdicts.
-//! `tests/reactor_transport.rs` pins this byte for byte across
-//! carriers. [`DriveConfig::pipeline`] deepens the per-session window
-//! (speculative accepts, see `SessionTask::fill`) so the load
-//! generator can saturate a batching server; reports stay
-//! deterministic at any depth.
+//! A session has at most one frame in flight, so per-session wire
+//! order is program order and the report does not depend on the shape:
+//! sessions per connection, threads and carrier change the schedule of
+//! bytes, not the verdicts. `tests/reactor_transport.rs` pins this byte
+//! for byte across carriers, and `tests/soak_agreement.rs` pins each
+//! session's steps and local verdict to its execution run alone.
 //!
 //! When the local watchdog sees a deadlock or livelock, the client
 //! *attests* a stall ([`crate::codec::Frame::Stall`]); the gateway
@@ -37,13 +32,10 @@
 
 use crate::codec::{Frame, Reply, WireCodec};
 use crate::transport::MuxTransport;
-use protoquot_sim::{
-    derive_seed, Action, ExternalPolicy, FaultPlan, FaultState, MonitorVerdict, ProgressVerdict,
-    ProgressWatchdog, Runner, ServiceMonitor, System,
-};
+use protoquot_sim::{derive_seed, Action, Execution, FaultPlan, RunVerdict};
 use protoquot_spec::Spec;
 use serde::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{hash_map::Entry, BTreeMap, HashMap};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -72,17 +64,6 @@ pub struct DriveConfig {
     /// concurrency = `threads` × this; clamped to at least 1). The
     /// default of 1 is the lockstep shape.
     pub sessions_per_conn: u64,
-    /// Outstanding frames each session keeps in flight (clamped to at
-    /// least 1). Above 1 the driver *speculates*: it consumes an
-    /// optimistic `Accepted` for each unanswered event frame and keeps
-    /// sending, rolling the accounting back if the real reply turns
-    /// out to be a rejection. Reports stay deterministic and
-    /// thread/carrier-invariant at any depth, and runs that are never
-    /// rejected (a clean converter) report identically to depth 1;
-    /// rejected runs may legitimately count extra `frames_sent` for
-    /// the frames that were already on the wire when the rejection
-    /// landed.
-    pub pipeline: u64,
 }
 
 impl Default for DriveConfig {
@@ -97,7 +78,6 @@ impl Default for DriveConfig {
             probe_budget: 20_000,
             duration: None,
             sessions_per_conn: 1,
-            pipeline: 1,
         }
     }
 }
@@ -125,7 +105,7 @@ pub struct RunOutcome {
     /// converter. The run still stops, but it is not a conviction.
     pub rejected: Option<String>,
     /// What the local monitor/watchdog concluded.
-    pub local_verdict: &'static str,
+    pub local_verdict: RunVerdict,
     /// Transport failure, if the run died on I/O.
     pub io_error: Option<String>,
 }
@@ -215,7 +195,7 @@ impl RunOutcome {
         );
         o.insert(
             "local_verdict".into(),
-            Value::Str(self.local_verdict.to_string()),
+            Value::Str(self.local_verdict.to_string().to_lowercase()),
         );
         o.insert(
             "io_error".into(),
@@ -294,8 +274,13 @@ where
                             },
                         };
                         let mut task = SessionTask::new(components, service, &codec, cfg, run);
-                        failed = task.fill(c.as_mut()).err();
-                        tasks.insert(run, task);
+                        match task.advance(None) {
+                            Some(frame) => {
+                                failed = c.queue(&frame).err();
+                                tasks.insert(run, task);
+                            }
+                            None => push(task.out),
+                        }
                     }
                     // Flush queued frames and hand each reply to its task.
                     if let (None, Some(c)) = (&failed, &mut conn) {
@@ -303,14 +288,19 @@ where
                             match c.exchange(true, &mut replies) {
                                 Ok(()) => {
                                     for reply in replies.drain(..) {
-                                        let task = tasks.get_mut(&reply.session());
                                         // Replies for a finished task are dropped.
-                                        let Some(task) = task.filter(|t| !t.complete()) else {
+                                        let Entry::Occupied(mut task) =
+                                            tasks.entry(reply.session())
+                                        else {
                                             continue;
                                         };
-                                        if let Err(e) = task.on_reply(reply, c.as_mut()) {
-                                            task.fail(&e);
-                                            failed = Some(e);
+                                        match task.get_mut().advance(Some(reply)) {
+                                            Some(frame) => {
+                                                if let Err(e) = c.queue(&frame) {
+                                                    failed = Some(e);
+                                                }
+                                            }
+                                            None => push(task.remove().out),
                                         }
                                     }
                                 }
@@ -322,11 +312,11 @@ where
                         // The connection died: every task on it records
                         // the transport error, and the next refill
                         // reconnects.
-                        tasks.values_mut().for_each(|t| t.fail(&e));
+                        for (_, mut task) in tasks.drain() {
+                            task.fail(&e);
+                            push(task.out);
+                        }
                         conn = None;
-                    }
-                    for (_, task) in tasks.extract_if(|_, t| t.complete()) {
-                        push(task.out);
                     }
                     if exhausted && tasks.is_empty() {
                         break;
@@ -348,7 +338,7 @@ fn empty_outcome(run: u64) -> RunOutcome {
         stall_attested: false,
         conviction: None,
         rejected: None,
-        local_verdict: "conforming",
+        local_verdict: RunVerdict::Conforming,
         io_error: None,
     }
 }
@@ -363,57 +353,27 @@ fn failed_outcome(run: u64, e: &dyn std::fmt::Display) -> RunOutcome {
 
 /// Which frame a parked [`SessionTask`] is waiting on.
 enum Pending {
-    Event,
+    /// An event frame: its action settles once the reply lands.
+    Event(Action),
     Stall,
     Close,
 }
 
-/// One driven session as a resumable state machine with up to
-/// [`DriveConfig::pipeline`] frames in flight.
+/// One driven session as a resumable state machine with at most one
+/// frame in flight: the wire half of an [`Execution`].
 ///
 /// [`SessionTask::advance`] consumes the reply to the previously
-/// returned frame (if any), runs the fleet-style execution forward,
-/// and returns the next frame to put on the wire — or `None` when the
-/// run is finished. The run semantics — and therefore the
-/// [`RunOutcome`] for a given config and run index — live entirely
-/// here; [`drive`] only schedules frames onto connections.
-///
-/// `advance` consumes exactly one reply per frame, so a deeper window
-/// works by *speculation* ([`SessionTask::fill`]): while the next frame
-/// to send would be an event, the task feeds itself an optimistic
-/// `Accepted` and queues the next frame at once, counting the
-/// unconfirmed speculations. Real replies arrive in per-session order,
-/// so each `Accepted` confirms the oldest one. A real rejection means
-/// the run ended at that frame: the task rolls back the unconfirmed
-/// accepts, records the rejection, seals the session with a `Close`,
-/// and discards the replies of the frames already on the wire. Stall
-/// attestations and closes are never speculated past — their replies
-/// change control flow — so a parked task drains its window first.
-///
-/// Everything here is a deterministic function of the reply sequence,
-/// which is itself deterministic per session, so reports stay thread-
-/// and carrier-invariant at any depth; at depth 1 nothing is ever
-/// speculated.
+/// returned frame (if any), runs the execution forward, and returns the
+/// next frame to put on the wire — or `None` when the run is finished.
+/// The run semantics — and therefore the [`RunOutcome`] for a given
+/// config and run index — live in [`Execution`] and here; [`drive`]
+/// only schedules frames onto connections.
 struct SessionTask<'a> {
     cfg: &'a DriveConfig,
     codec: &'a WireCodec,
-    runner: Runner,
-    monitor: ServiceMonitor,
-    watchdog: ProgressWatchdog,
-    fault: FaultState,
-    session: u64,
+    exec: Execution,
     out: RunOutcome,
     pending: Option<Pending>,
-    /// Action whose post-reply bookkeeping (`watchdog.note`, verdict
-    /// checks) still has to run once the in-flight reply arrives.
-    tail_action: Option<Action>,
-    /// The run is over: no further frame is sent, and the replies of
-    /// frames still in flight are discarded.
-    done: bool,
-    /// Frames on the wire without a real reply yet.
-    in_flight: u64,
-    /// Optimistic `Accepted`s consumed but not yet confirmed.
-    speculated: u64,
 }
 
 impl<'a> SessionTask<'a> {
@@ -424,233 +384,103 @@ impl<'a> SessionTask<'a> {
         cfg: &'a DriveConfig,
         run: u64,
     ) -> SessionTask<'a> {
-        let seed = derive_seed(cfg.seed, run);
-        let system = System::new(components.to_vec(), ExternalPolicy::AlwaysEnabled);
         SessionTask {
             cfg,
             codec,
-            runner: Runner::new(system, seed),
-            monitor: ServiceMonitor::new(service),
-            watchdog: ProgressWatchdog::new(cfg.quiescence_threshold, cfg.probe_budget),
-            fault: cfg.faults.start(seed),
-            session: run,
+            exec: Execution::new(
+                components,
+                service,
+                derive_seed(cfg.seed, run),
+                &cfg.faults,
+                cfg.quiescence_threshold,
+                cfg.probe_budget,
+            ),
             out: empty_outcome(run),
             pending: None,
-            tail_action: None,
-            done: false,
-            in_flight: 0,
-            speculated: 0,
         }
-    }
-
-    /// Tops the window up: queues frames until the depth is reached,
-    /// the task parks on a reply it cannot speculate past (stall or
-    /// close), or the run ends.
-    fn fill(&mut self, conn: &mut dyn MuxTransport) -> io::Result<()> {
-        while !self.done && self.in_flight < self.cfg.pipeline.max(1) {
-            let frame = if self.in_flight == 0 && self.speculated == 0 && self.pending.is_none() {
-                self.advance(None)
-            } else if matches!(self.pending, Some(Pending::Event)) {
-                self.speculated += 1;
-                self.advance(Some(Reply::Accepted {
-                    session: self.session,
-                }))
-            } else {
-                // Parked on a stall or close reply, or waiting for the
-                // window's tail reply at depth 1.
-                return Ok(());
-            };
-            let Some(frame) = frame else {
-                return Ok(());
-            };
-            conn.queue(&frame)?;
-            self.in_flight += 1;
-        }
-        Ok(())
-    }
-
-    /// Consumes one real reply (always for the oldest in-flight frame:
-    /// per-session reply order is wire order) and refills the window.
-    fn on_reply(&mut self, reply: Reply, conn: &mut dyn MuxTransport) -> io::Result<()> {
-        self.in_flight -= 1;
-        if self.done {
-            return Ok(());
-        }
-        if self.speculated == 0 {
-            if let Some(frame) = self.advance(Some(reply)) {
-                conn.queue(&frame)?;
-                self.in_flight += 1;
-            }
-            return self.fill(conn);
-        }
-        // The oldest in-flight frame was an event already answered
-        // optimistically.
-        match reply {
-            Reply::Accepted { .. } => self.speculated -= 1,
-            // Connection-plane; never answers an event frame.
-            Reply::HelloAck { .. } => {}
-            Reply::Rejected { reason, .. } => {
-                // Speculation was wrong: the run ended here. Roll back
-                // the unconfirmed accepts, record the verdict with the
-                // step count as of now, and seal the session the way
-                // `finish` would.
-                self.out.accepted -= self.speculated;
-                self.speculated = 0;
-                self.record_reject(reason);
-                self.out.steps = self.runner.steps();
-                self.done = true;
-                conn.queue(&Frame::Close {
-                    session: self.session,
-                })?;
-                self.in_flight += 1;
-                return Ok(());
-            }
-        }
-        self.fill(conn)
-    }
-
-    /// Whether the run is over and every in-flight reply is accounted
-    /// for — only then may the outcome be taken.
-    fn complete(&self) -> bool {
-        self.done && self.in_flight == 0
-    }
-
-    /// The connection died while frames were in flight. Terminal:
-    /// unconfirmed speculative accepts are rolled back first, so the
-    /// outcome never counts an accept the server was not seen to grant;
-    /// then an unanswered event still runs its tail's safety check,
-    /// and an error on the final `Close` is ignored.
-    fn fail(&mut self, e: &io::Error) {
-        self.out.accepted -= self.speculated;
-        self.speculated = 0;
-        self.in_flight = 0;
-        if !self.done {
-            match self.pending.take() {
-                Some(Pending::Event) => {
-                    self.out.io_error = Some(e.to_string());
-                    let _ = self.tail(true);
-                }
-                Some(Pending::Stall) => {
-                    self.out.io_error = Some(e.to_string());
-                    let _ = self.finish();
-                }
-                // A failed Close is ignored (the run already concluded).
-                Some(Pending::Close) | None => {}
-            }
-        }
-        self.done = true;
     }
 
     /// Feeds the reply to the last returned frame (`None` only on the
     /// first call) and returns the next frame to send, or `None` when
     /// the run is complete.
     fn advance(&mut self, reply: Option<Reply>) -> Option<Frame> {
-        if self.done {
-            return None;
-        }
         match self.pending.take() {
             None => {}
-            Some(Pending::Event) => {
+            Some(Pending::Event(action)) => {
                 match reply {
                     Some(Reply::Accepted { .. }) => self.out.accepted += 1,
                     Some(Reply::Rejected { reason, .. }) => self.record_reject(reason),
                     // Connection-plane; never answers an event frame.
-                    Some(Reply::HelloAck { .. }) => {}
-                    None => return self.finish(),
+                    Some(Reply::HelloAck { .. }) | None => {}
                 }
                 let stop = self.out.conviction.is_some() || self.out.rejected.is_some();
-                if let Some(frame) = self.tail(stop) {
+                if let Some(frame) = self.settle(&action, stop) {
                     return Some(frame);
-                }
-                if self.done {
-                    return None;
                 }
             }
             Some(Pending::Stall) => {
-                match reply {
-                    Some(Reply::Accepted { .. }) | Some(Reply::HelloAck { .. }) => {}
-                    Some(Reply::Rejected { reason, .. }) => self.record_reject(reason),
-                    None => {}
+                if let Some(Reply::Rejected { reason, .. }) = reply {
+                    self.record_reject(reason);
                 }
                 // An attested stall always ends the run, confirmed or
                 // dismissed.
                 return self.finish();
             }
-            Some(Pending::Close) => {
-                self.done = true;
-                return None;
-            }
+            Some(Pending::Close) => return None,
         }
-        self.step_loop()
-    }
-
-    /// Runs the execution until a frame must cross the wire.
-    fn step_loop(&mut self) -> Option<Frame> {
         loop {
-            if self.runner.steps() >= self.cfg.max_steps {
+            if self.exec.steps() >= self.cfg.max_steps {
                 return self.finish();
             }
-            let fault = &mut self.fault;
-            let Some(action) = self.runner.step_weighted(|a, base| fault.weigh(a, base)) else {
-                self.out.local_verdict = "deadlock";
-                return self.attest();
+            let action = match self.exec.act() {
+                Ok(action) => action,
+                Err((verdict, _)) => return Some(self.attest(verdict)),
             };
-            self.fault.note(&action);
+            // Solo events are the composite interface: relay them.
             if let Action::Event { event, .. } = &action {
-                self.monitor.observe(*event);
-                // Solo events are the composite interface: relay them.
-                if let Some(frame) = self.codec.event_frame(self.session, *event) {
+                if let Some(frame) = self.codec.event_frame(self.out.run, *event) {
                     self.out.frames_sent += 1;
-                    self.tail_action = Some(action);
-                    self.pending = Some(Pending::Event);
+                    self.pending = Some(Pending::Event(action));
                     return Some(frame);
                 }
             }
-            self.tail_action = Some(action);
-            if let Some(frame) = self.tail(false) {
+            if let Some(frame) = self.settle(&action, false) {
                 return Some(frame);
-            }
-            if self.done {
-                return None;
             }
         }
     }
 
-    /// Post-action bookkeeping: watchdog note, safety verdict, and —
-    /// unless the run is already stopping — the progress probe. Returns
-    /// a frame (stall attestation or close) when one must be sent.
-    fn tail(&mut self, mut stop: bool) -> Option<Frame> {
-        let action = self
-            .tail_action
-            .take()
-            .expect("tail runs once per recorded action");
-        self.watchdog.note(&action, &self.monitor);
-        if matches!(
-            self.monitor.verdict(),
-            MonitorVerdict::SafetyViolation { .. }
-        ) {
-            self.out.local_verdict = "safety";
-            stop = true;
-        } else if !stop {
-            match self
-                .watchdog
-                .poll(self.runner.system(), self.runner.states(), &self.monitor)
-            {
-                ProgressVerdict::Livelock { .. } => {
-                    self.out.local_verdict = "livelock";
-                    return self.attest();
-                }
-                ProgressVerdict::Deadlock { .. } => {
-                    self.out.local_verdict = "deadlock";
-                    return self.attest();
-                }
-                ProgressVerdict::Progressing => {}
+    /// The connection died with this task's frame in flight. An
+    /// unanswered event still settles (its safety verdict stands), and
+    /// an error on the final `Close` is ignored.
+    fn fail(&mut self, e: &io::Error) {
+        match self.pending.take() {
+            Some(Pending::Event(action)) => {
+                self.out.io_error = Some(e.to_string());
+                self.settle(&action, true);
             }
+            Some(Pending::Stall) => {
+                self.out.io_error = Some(e.to_string());
+                self.finish();
+            }
+            // A failed Close is ignored (the run already concluded).
+            Some(Pending::Close) | None => {}
         }
-        if stop {
-            return self.finish();
+    }
+
+    /// Settles `action` and answers the execution's verdict: a safety
+    /// violation (or a run already `stopping`) closes the session, a
+    /// stuck run attests a stall. Returns the frame to send, if any.
+    fn settle(&mut self, action: &Action, stopping: bool) -> Option<Frame> {
+        match self.exec.settle(action, stopping) {
+            Some((RunVerdict::Safety, _)) => {
+                self.out.local_verdict = RunVerdict::Safety;
+                self.finish()
+            }
+            Some((verdict, _)) => Some(self.attest(verdict)),
+            None if stopping => self.finish(),
+            None => None,
         }
-        None
     }
 
     /// Classifies a server rejection: guard verdicts are convictions,
@@ -665,33 +495,27 @@ impl<'a> SessionTask<'a> {
         }
     }
 
-    /// Sends a stall attestation; a `Stalled` rejection is a
-    /// conviction.
-    fn attest(&mut self) -> Option<Frame> {
-        if self.out.conviction.is_some()
-            || self.out.rejected.is_some()
-            || self.out.io_error.is_some()
-        {
-            return self.finish();
-        }
+    /// Records the local deadlock or livelock `verdict` and attests a
+    /// stall; a `Stalled` rejection is a conviction.
+    fn attest(&mut self, verdict: RunVerdict) -> Frame {
+        self.out.local_verdict = verdict;
         self.out.stall_attested = true;
         self.pending = Some(Pending::Stall);
-        Some(Frame::Stall {
-            session: self.session,
-        })
+        Frame::Stall {
+            session: self.out.run,
+        }
     }
 
     /// Ends the execution: fixes the step count and sends the final
     /// `Close` unless the transport already failed.
     fn finish(&mut self) -> Option<Frame> {
-        self.out.steps = self.runner.steps();
+        self.out.steps = self.exec.steps();
         if self.out.io_error.is_some() {
-            self.done = true;
             return None;
         }
         self.pending = Some(Pending::Close);
         Some(Frame::Close {
-            session: self.session,
+            session: self.out.run,
         })
     }
 }
@@ -784,55 +608,6 @@ mod tests {
                 assert!(lockstep.accepted > 0, "derived campaign relayed nothing");
             }
         }
-    }
-
-    /// Pipelined campaigns: a converter the server never rejects
-    /// produces a report byte-identical to lockstep at any depth (all
-    /// speculation confirms), and a convicted mutant — where
-    /// speculation rolls back — still reports identically across
-    /// thread counts and depths-of-window (determinism), with the same
-    /// set of convicted runs as depth 1.
-    #[test]
-    fn pipelined_campaigns_stay_deterministic() {
-        let system = colocated_configuration();
-        let service = exactly_once();
-        let q = solve(&system.b, &service, &system.int).expect("colocated converter derives");
-        let mutant = (0..8)
-            .find_map(|k| redirect_transition(&q.converter, k))
-            .expect("converter has transitions to mutate");
-        let piped = |components: &[Spec], threads: usize, pipeline: u64| {
-            let mut c = cfg(8, threads);
-            c.pipeline = pipeline;
-            campaign(components, &service, &c)
-        };
-        let derived = [system.b.clone(), q.converter.clone()];
-        let lockstep = campaign(&derived, &service, &cfg(1, 1));
-        assert!(lockstep.is_clean(), "derived converter was convicted");
-        for pipeline in [2, 4, 16] {
-            assert_eq!(
-                lockstep.to_json(),
-                piped(&derived, 1, pipeline).to_json(),
-                "clean pipelined campaign diverged at depth {pipeline}"
-            );
-        }
-        let mutated = [system.b.clone(), mutant.clone()];
-        let one = piped(&mutated, 1, 4);
-        assert!(one.convicted_runs > 0, "mutant campaign saw no convictions");
-        assert_eq!(
-            one.to_json(),
-            piped(&mutated, 2, 4).to_json(),
-            "pipelined mutant report depends on thread count"
-        );
-        // Speculation may widen frames_sent on rejected runs, but the
-        // verdicts must match the classic window exactly.
-        let classic = piped(&mutated, 1, 1);
-        let convicted = |r: &DriveReport| {
-            r.outcomes
-                .iter()
-                .map(|o| (o.run, o.conviction.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(convicted(&one), convicted(&classic));
     }
 
     /// A mux connection that dies mid-campaign records transport errors

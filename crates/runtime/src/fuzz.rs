@@ -3,8 +3,8 @@
 //! A vendored, dependency-free harness in the spirit of a proptest
 //! shim: a seeded SplitMix64 corpus (the vendored [`rand`] generator),
 //! byte-level and structure-aware frame mutators, crash and hang
-//! detection, and ddmin input shrinking reusing the chunk-removal
-//! strategy of `protoquot_sim`'s schedule shrinker. Five targets
+//! detection, and ddmin input shrinking with `protoquot_sim`'s
+//! [`ddmin`], the loop that also minimizes soak schedules. Five targets
 //! cover the paths hostile bytes can reach:
 //!
 //! * **codec** — [`FrameBuffer`]/[`ReplyBuffer`] incremental decode on
@@ -49,6 +49,7 @@ use crate::codec::{
 };
 use crate::gateway::{BatchScratch, Gateway, GatewayConfig, GatewayError};
 use crate::guard::{GuardProgram, SessionGuard, SessionGuardReference};
+use protoquot_sim::ddmin;
 use protoquot_spec::Spec;
 use rand::prelude::*;
 use serde::Value;
@@ -970,46 +971,16 @@ fn still_fails(
     )
 }
 
-/// ddmin over the input bytes — the same chunk-removal loop as
-/// `protoquot_sim`'s schedule shrinker, with a probe budget so a
+/// [`ddmin`] over the input bytes, with a probe budget so a
 /// pathological case cannot stall the campaign.
 fn shrink_input(
     input: &[u8],
     kind: &FindingKind,
     body: &(dyn Fn(&[u8]) -> Option<String> + Send + Sync),
 ) -> Vec<u8> {
-    const MAX_PROBES: usize = 512;
-    let mut current = input.to_vec();
-    let mut probes = 0usize;
-    let mut chunks = 2usize;
-    while current.len() >= 2 && probes < MAX_PROBES {
-        let chunk_len = current.len().div_ceil(chunks);
-        let mut reduced = false;
-        let mut start = 0;
-        while start < current.len() && probes < MAX_PROBES {
-            let end = (start + chunk_len).min(current.len());
-            let candidate: Vec<u8> = current[..start]
-                .iter()
-                .chain(&current[end..])
-                .copied()
-                .collect();
-            probes += 1;
-            if still_fails(&candidate, kind, body) {
-                current = candidate;
-                chunks = 2.max(chunks.saturating_sub(1));
-                reduced = true;
-                break;
-            }
-            start = end;
-        }
-        if !reduced {
-            if chunks >= current.len() {
-                break;
-            }
-            chunks = (chunks * 2).min(current.len());
-        }
-    }
-    current
+    ddmin(input.to_vec(), 512, |candidate| {
+        still_fails(candidate, kind, body).then(|| candidate.to_vec())
+    })
 }
 
 #[cfg(test)]

@@ -30,14 +30,12 @@
 //!   and multiplexes 100k+ sessions per socket via the session ids
 //!   already present in each frame header; [`MuxClient`] is its
 //!   campaign client, and [`TcpConn`] a blocking one-frame client;
-//! * [`mod@drive`] — a seeded load generator replaying fleet-style fault
-//!   schedules over the wire, attesting stalls to the server: one
+//! * [`mod@drive`] — a seeded load generator replaying the soak fleet's
+//!   executions over the wire, attesting stalls to the server: one
 //!   driver ([`drive()`]) multiplexing [`DriveConfig::sessions_per_conn`]
 //!   concurrent sessions over each [`MuxTransport`] (1, the default,
-//!   is lockstep), with byte-identical reports at any shape, and an
-//!   optional per-session pipeline window ([`DriveConfig::pipeline`])
-//!   that speculates accepts to keep a batching server saturated —
-//!   deterministic at any depth;
+//!   is lockstep), one frame in flight per session, with
+//!   byte-identical reports at any shape;
 //! * [`mod@fuzz`] — a vendored deterministic fuzz engine (seeded
 //!   corpus, structure-aware frame mutators, panic/hang detection,
 //!   ddmin shrinking) over the codec, guard, gateway dispatch, batch

@@ -1,10 +1,10 @@
 //! The soak fleet: thousands of independent seeded, fault-injected,
 //! fully monitored runs executed across worker threads.
 //!
-//! Each run `i` of a fleet gets its own deterministic seed
-//! [`derive_seed`]`(base, i)`, its own [`Runner`], [`ServiceMonitor`],
-//! [`ProgressWatchdog`] and fault state — runs share nothing mutable,
-//! so the fleet splits them into contiguous chunks, one scoped thread
+//! Each run `i` of a fleet is its own [`Execution`] — a [`Runner`],
+//! [`ServiceMonitor`], [`ProgressWatchdog`] and fault state under the
+//! deterministic seed [`derive_seed`]`(base, i)`. Runs share nothing
+//! mutable, so the fleet splits them into contiguous chunks, one scoped thread
 //! ([`std::thread::scope`]) per chunk. Results are aggregated into a
 //! [`SoakReport`] that is **invariant in the thread count**: verdict
 //! counts are sums, and counterexamples are kept for the lowest-numbered
@@ -15,8 +15,8 @@
 //! reporting (ddmin; see [`crate::shrink`]).
 
 use crate::engine::{derive_seed, Action, ExternalPolicy, Runner, System};
-use crate::fault::FaultPlan;
-use crate::monitor::{MonitorVerdict, ProgressVerdict, ProgressWatchdog, ServiceMonitor};
+use crate::fault::{FaultPlan, FaultState};
+use crate::monitor::{pinpoint, MonitorVerdict, ProgressVerdict, ProgressWatchdog, ServiceMonitor};
 use crate::shrink::{shrink_schedule, FailureKind};
 use protoquot_spec::{verify_system, Spec, SpecError, VerifyEngineStats, Violation};
 use serde::Value;
@@ -384,94 +384,167 @@ fn render_action(system: &System, action: &Action) -> String {
     }
 }
 
+/// Why a run stopped before its step budget: the verdict and, for a
+/// deadlock or livelock, the `component:state` pinpoint of the stuck
+/// global state.
+pub type Halt = (RunVerdict, Vec<String>);
+
+/// One seeded, fault-biased, monitored execution of a fleet's system —
+/// a soak run here, a drive session in `protoquot-runtime` — resumable
+/// one action at a time. [`Execution::act`] takes a step and
+/// [`Execution::settle`] judges it, so a caller may put the action's
+/// event on the wire in between; [`Execution::run`] loops the two.
+pub struct Execution {
+    runner: Runner,
+    monitor: ServiceMonitor,
+    watchdog: ProgressWatchdog,
+    fault: FaultState,
+}
+
+impl Execution {
+    /// Run `seed` of `components` (wired by event-name sharing,
+    /// external events always enabled), biased by `faults` and
+    /// monitored against `service`; the watchdog probes after
+    /// `quiescence_threshold` service-silent steps, exploring at most
+    /// `probe_budget` global states.
+    pub fn new(
+        components: &[Spec],
+        service: &Spec,
+        seed: u64,
+        faults: &FaultPlan,
+        quiescence_threshold: u64,
+        probe_budget: usize,
+    ) -> Execution {
+        let system = System::new(components.to_vec(), ExternalPolicy::AlwaysEnabled);
+        Execution {
+            runner: Runner::new(system, seed),
+            monitor: ServiceMonitor::new(service),
+            watchdog: ProgressWatchdog::new(quiescence_threshold, probe_budget),
+            fault: faults.start(seed),
+        }
+    }
+
+    /// Takes one fault-weighted step and shows its event to the safety
+    /// monitor; the action must be settled before the next `act`. A
+    /// global state with no enabled action halts the run as a deadlock.
+    pub fn act(&mut self) -> Result<Action, Halt> {
+        let fault = &mut self.fault;
+        let Some(action) = self.runner.step_weighted(|a, base| fault.weigh(a, base)) else {
+            let states = pinpoint(self.runner.system(), self.runner.states());
+            return Err((RunVerdict::Deadlock, states));
+        };
+        self.fault.note(&action);
+        if let Action::Event { event, .. } = &action {
+            self.monitor.observe(*event);
+        }
+        Ok(action)
+    }
+
+    /// Judges the last action taken: the watchdog notes it, then the
+    /// safety verdict and — unless the run is `stopping` anyway — the
+    /// progress probe may halt the run.
+    pub fn settle(&mut self, action: &Action, stopping: bool) -> Option<Halt> {
+        self.watchdog.note(action, &self.monitor);
+        if matches!(
+            self.monitor.verdict(),
+            MonitorVerdict::SafetyViolation { .. }
+        ) {
+            return Some((RunVerdict::Safety, Vec::new()));
+        }
+        if stopping {
+            return None;
+        }
+        match self
+            .watchdog
+            .poll(self.runner.system(), self.runner.states(), &self.monitor)
+        {
+            ProgressVerdict::Livelock { states } => Some((RunVerdict::Livelock, states)),
+            ProgressVerdict::Deadlock { states } => Some((RunVerdict::Deadlock, states)),
+            ProgressVerdict::Progressing => None,
+        }
+    }
+
+    /// Acts and settles until `max_steps` steps or a halt, appending
+    /// every action taken to `schedule`. `None` means the run conformed
+    /// for its whole budget.
+    pub fn run(&mut self, max_steps: u64, schedule: &mut Vec<Action>) -> Option<Halt> {
+        while self.steps() < max_steps {
+            let action = match self.act() {
+                Ok(action) => action,
+                Err(halt) => return Some(halt),
+            };
+            let halt = self.settle(&action, false);
+            schedule.push(action);
+            if halt.is_some() {
+                return halt;
+            }
+        }
+        None
+    }
+
+    /// Scheduler steps taken so far (internal moves included).
+    pub fn steps(&self) -> u64 {
+        self.runner.steps()
+    }
+
+    /// The system being run.
+    pub fn system(&self) -> &System {
+        self.runner.system()
+    }
+}
+
 /// One fully monitored, fault-injected run.
 fn soak_run(components: &[Spec], service: &Spec, config: &FleetConfig, run: u64) -> RunResult {
     let seed = derive_seed(config.seed, run);
-    let system = System::new(components.to_vec(), ExternalPolicy::AlwaysEnabled);
-    let mut runner = Runner::new(system, seed);
-    let mut monitor = ServiceMonitor::new(service);
-    let mut watchdog = ProgressWatchdog::new(config.quiescence_threshold, config.probe_budget);
-    let mut fault = config.faults.start(seed);
+    let mut exec = Execution::new(
+        components,
+        service,
+        seed,
+        &config.faults,
+        config.quiescence_threshold,
+        config.probe_budget,
+    );
     let mut schedule: Vec<Action> = Vec::new();
-    let mut verdict = RunVerdict::Conforming;
-    let mut pinpoint: Vec<String> = Vec::new();
-    while runner.steps() < config.max_steps {
-        match runner.step_weighted(|a, base| fault.weigh(a, base)) {
-            None => {
-                verdict = RunVerdict::Deadlock;
-                if let ProgressVerdict::Deadlock { states } =
-                    ProgressWatchdog::deadlock(runner.system(), runner.states())
-                {
-                    pinpoint = states;
-                }
-                break;
-            }
-            Some(action) => {
-                fault.note(&action);
-                if let Action::Event { event, .. } = &action {
-                    monitor.observe(*event);
-                }
-                watchdog.note(&action, &monitor);
-                schedule.push(action);
-                if matches!(monitor.verdict(), MonitorVerdict::SafetyViolation { .. }) {
-                    verdict = RunVerdict::Safety;
-                    break;
-                }
-                match watchdog.poll(runner.system(), runner.states(), &monitor) {
-                    ProgressVerdict::Livelock { states } => {
-                        verdict = RunVerdict::Livelock;
-                        pinpoint = states;
-                        break;
-                    }
-                    ProgressVerdict::Deadlock { states } => {
-                        verdict = RunVerdict::Deadlock;
-                        pinpoint = states;
-                        break;
-                    }
-                    ProgressVerdict::Progressing => {}
-                }
-            }
-        }
-    }
-    let steps = runner.steps();
-    let counterexample = if verdict == RunVerdict::Conforming {
-        None
-    } else {
-        let minimized = match (config.shrink, verdict) {
-            (true, RunVerdict::Safety) => {
-                shrink_schedule(runner.system(), service, &schedule, FailureKind::Safety)
-            }
-            (true, RunVerdict::Deadlock) => {
-                shrink_schedule(runner.system(), service, &schedule, FailureKind::Deadlock)
-            }
-            // Livelock is a property of the reachable closure, not of a
-            // finite prefix; report the raw schedule with the pinpoint.
-            _ => schedule,
+    let Some((verdict, pinpoint)) = exec.run(config.max_steps, &mut schedule) else {
+        return RunResult {
+            steps: exec.steps(),
+            verdict: RunVerdict::Conforming,
+            counterexample: None,
         };
-        let rendered: Vec<String> = minimized
-            .iter()
-            .map(|a| render_action(runner.system(), a))
-            .collect();
-        let events: Vec<String> = minimized
-            .iter()
-            .filter_map(|a| match a {
-                Action::Event { event, .. } => Some(event.name()),
-                Action::Internal { .. } => None,
-            })
-            .collect();
-        Some(Counterexample {
+    };
+    let minimized = match (config.shrink, verdict) {
+        (true, RunVerdict::Safety) => {
+            shrink_schedule(exec.system(), service, &schedule, FailureKind::Safety)
+        }
+        (true, RunVerdict::Deadlock) => {
+            shrink_schedule(exec.system(), service, &schedule, FailureKind::Deadlock)
+        }
+        // Livelock is a property of the reachable closure, not of a
+        // finite prefix; report the raw schedule with the pinpoint.
+        _ => schedule,
+    };
+    let rendered: Vec<String> = minimized
+        .iter()
+        .map(|a| render_action(exec.system(), a))
+        .collect();
+    let events: Vec<String> = minimized
+        .iter()
+        .filter_map(|a| match a {
+            Action::Event { event, .. } => Some(event.name()),
+            Action::Internal { .. } => None,
+        })
+        .collect();
+    RunResult {
+        steps: exec.steps(),
+        verdict,
+        counterexample: Some(Counterexample {
             run,
             seed,
             verdict,
             schedule: rendered,
             events,
             pinpoint,
-        })
-    };
-    RunResult {
-        steps,
-        verdict,
-        counterexample,
+        }),
     }
 }
 

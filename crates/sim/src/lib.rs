@@ -17,6 +17,8 @@
 //!   enabled actions;
 //! * [`fleet`] — a parallel, seeded soak fleet running thousands of
 //!   monitored, fault-injected runs and aggregating a [`SoakReport`];
+//!   each run is an [`Execution`], which the runtime's `drive` also
+//!   relays over the wire;
 //! * [`shrink`] — delta-debugging minimization of a failing schedule
 //!   to its shortest violating action sequence.
 //!
@@ -40,8 +42,10 @@ pub mod shrink;
 pub use engine::{derive_seed, Action, ExternalPolicy, Runner, System};
 pub use explore::{explore, ExploreResult};
 pub use fault::{redirect_transition, Fault, FaultPlan, FaultState};
-pub use fleet::{Counterexample, FleetConfig, FleetRunner, RunVerdict, SoakReport};
+pub use fleet::{
+    Counterexample, Execution, FleetConfig, FleetRunner, Halt, RunVerdict, SoakReport,
+};
 pub use harness::{run_monitored, run_traced, RunReport, SimConfig};
 pub use log::{render_msc, TraceEntry, TraceEvent};
 pub use monitor::{MonitorVerdict, ProgressVerdict, ProgressWatchdog, ServiceMonitor};
-pub use shrink::{shrink_schedule, FailureKind};
+pub use shrink::{ddmin, shrink_schedule, FailureKind};

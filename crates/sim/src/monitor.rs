@@ -170,14 +170,6 @@ impl ProgressWatchdog {
         }
     }
 
-    /// Builds the deadlock verdict for a global state with no enabled
-    /// actions (the runner reports that by returning `None`).
-    pub fn deadlock(system: &System, states: &[StateId]) -> ProgressVerdict {
-        ProgressVerdict::Deadlock {
-            states: pinpoint(system, states),
-        }
-    }
-
     /// Checks the current global state, probing if quiescent for long
     /// enough. Cheap (one comparison) when no probe is due.
     pub fn poll(
@@ -256,7 +248,8 @@ impl ProgressWatchdog {
     }
 }
 
-fn pinpoint(system: &System, states: &[StateId]) -> Vec<String> {
+/// `component:state` names of the global state `states`.
+pub(crate) fn pinpoint(system: &System, states: &[StateId]) -> Vec<String> {
     system
         .components()
         .iter()
@@ -340,7 +333,11 @@ mod tests {
         let mut m = monitor;
         for _ in 0..max {
             match r.step_random() {
-                None => return ProgressWatchdog::deadlock(r.system(), r.states()),
+                None => {
+                    return ProgressVerdict::Deadlock {
+                        states: pinpoint(r.system(), r.states()),
+                    }
+                }
                 Some(a) => {
                     if let Action::Event { event, .. } = &a {
                         m.observe(*event);

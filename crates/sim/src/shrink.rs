@@ -81,7 +81,7 @@ pub fn replay(
 }
 
 /// Minimizes `schedule` to a (locally) shortest action sequence that
-/// still reproduces `kind` on `system`, using ddmin with
+/// still reproduces `kind` on `system`, using [`ddmin`] with
 /// apply-if-enabled replay. If the input schedule does not reproduce
 /// the failure at all (it should — it was recorded from a failing run),
 /// it is returned unchanged.
@@ -91,24 +91,41 @@ pub fn shrink_schedule(
     schedule: &[Action],
     kind: FailureKind,
 ) -> Vec<Action> {
-    let mut current = match replay(system, service, schedule, kind) {
-        Some(applied) => applied,
-        None => return schedule.to_vec(),
-    };
+    match replay(system, service, schedule, kind) {
+        Some(applied) => ddmin(applied, usize::MAX, |candidate| {
+            replay(system, service, candidate, kind)
+        }),
+        None => schedule.to_vec(),
+    }
+}
+
+/// Delta debugging over a failing `input`: repeatedly deletes one chunk
+/// and probes the rest, keeping what `reproduce` returns for a
+/// candidate that still fails (the candidate itself, or a reduction of
+/// it). Stops at a 1-minimal result or after `max_probes` probes, so a
+/// caller whose probes are costly can bound the search.
+pub fn ddmin<T: Clone>(
+    input: Vec<T>,
+    max_probes: usize,
+    mut reproduce: impl FnMut(&[T]) -> Option<Vec<T>>,
+) -> Vec<T> {
+    let mut current = input;
+    let mut probes = 0usize;
     let mut chunks = 2usize;
-    while current.len() >= 2 {
+    while current.len() >= 2 && probes < max_probes {
         let chunk_len = current.len().div_ceil(chunks);
         let mut reduced = false;
         let mut start = 0;
-        while start < current.len() {
+        while start < current.len() && probes < max_probes {
             let end = (start + chunk_len).min(current.len());
-            let candidate: Vec<Action> = current[..start]
+            let candidate: Vec<T> = current[..start]
                 .iter()
                 .chain(&current[end..])
                 .cloned()
                 .collect();
-            if let Some(applied) = replay(system, service, &candidate, kind) {
-                current = applied;
+            probes += 1;
+            if let Some(kept) = reproduce(&candidate) {
+                current = kept;
                 chunks = 2.max(chunks.saturating_sub(1));
                 reduced = true;
                 break;

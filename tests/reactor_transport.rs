@@ -132,33 +132,6 @@ fn reports_identical_across_all_transports() {
     }
 }
 
-/// Client-side pipelining composes with the server's batched dispatch:
-/// a clean campaign driven with a deep speculation window over the
-/// multiplexed reactor produces the same report as the unpipelined
-/// campaign at one session per connection.
-#[test]
-fn pipelined_reactor_campaigns_match_lockstep() {
-    let system = colocated_configuration();
-    let service = exactly_once();
-    let q = solve(&system.b, &service, &system.int).expect("colocated converter derives");
-    let components = [system.b.clone(), q.converter.clone()];
-    let cfg = config(24, 2, 8);
-    let (baseline, _, _) = campaign("reactor-lockstep", &components, &service, &cfg);
-    assert!(baseline.is_clean(), "verified converter convicted");
-    for pipeline in [4u64, 16] {
-        let piped_cfg = DriveConfig {
-            pipeline,
-            ..config(24, 2, 8)
-        };
-        let (piped, _, _) = campaign("reactor-mux", &components, &service, &piped_cfg);
-        assert_eq!(
-            baseline.to_json(),
-            piped.to_json(),
-            "pipeline depth {pipeline} changed the reactor campaign report"
-        );
-    }
-}
-
 /// The multiplexed driver holds a thousand concurrent sessions per
 /// connection over the reactor without convictions, transport errors,
 /// or report divergence — a scaled-down rehearsal of the 100k+ target

@@ -11,6 +11,9 @@
 //! * a mutated converter that the static check rejects must be caught by
 //!   the soak, with a ddmin-minimized counterexample of at most 20
 //!   events.
+//!
+//! It also pins `drive` to the soak: each driven session runs the same
+//! [`Execution`] as the fleet's run of that seed.
 
 use protoquot_core::{converter_verdict, solve};
 use protoquot_protocols::nak::ab_to_nak_configuration;
@@ -18,7 +21,10 @@ use protoquot_protocols::{
     at_least_once, colocated_configuration, exactly_once, nfa_blowup, relay_chain,
     symmetric_configuration, toggle_puzzle,
 };
-use protoquot_sim::{redirect_transition, FaultPlan, FleetConfig, FleetRunner};
+use protoquot_runtime::{drive, DriveConfig, Gateway, GatewayConfig, LoopbackMux, MuxTransport};
+use protoquot_sim::{
+    derive_seed, redirect_transition, Execution, FaultPlan, FleetConfig, FleetRunner, RunVerdict,
+};
 use protoquot_spec::{Alphabet, Spec};
 
 /// Soak budget per instance; small enough to keep the suite quick yet
@@ -204,5 +210,68 @@ fn mutated_converter_yields_short_minimized_counterexample() {
             vec![cfg.b.clone(), mutant],
             &service,
         );
+    }
+}
+
+/// `drive` relays the soak's executions over the wire: every session of
+/// a loopback campaign takes the steps and reaches the local verdict of
+/// its [`Execution`] run alone, for derived converters and mutants 1–3
+/// alike. The one exception is a run the gateway cuts short by
+/// convicting an event frame as `stalled` (progress is already lost,
+/// which the local watchdog only sees later); a derived converter has
+/// none.
+#[test]
+fn drive_sessions_run_the_soak_executions() {
+    let cfg = DriveConfig {
+        runs: 200,
+        seed: 7,
+        max_steps: 600,
+        faults: FaultPlan::parse("loss,reorder").unwrap(),
+        ..DriveConfig::default()
+    };
+    for (name, system) in [
+        ("colocated", colocated_configuration()),
+        ("ab-nak", ab_to_nak_configuration()),
+    ] {
+        let service = exactly_once();
+        let q = solve(&system.b, &service, &system.int).unwrap();
+        for k in [None, Some(1), Some(2), Some(3)] {
+            let label = format!("{name}/{k:?}");
+            let converter = match k {
+                None => q.converter.clone(),
+                Some(k) => redirect_transition(&q.converter, k).unwrap(),
+            };
+            let components = [system.b.clone(), converter];
+            let parts: Vec<&Spec> = components.iter().collect();
+            let gw = Gateway::new(&parts, &service, GatewayConfig::default()).unwrap();
+            let report = drive(&components, &service, &cfg, || {
+                Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)
+            });
+            assert_eq!(report.io_errors, 0, "{label}: {report}");
+            for o in &report.outcomes {
+                let cut = o.conviction.as_deref() == Some("stalled") && !o.stall_attested;
+                assert!(!cut || k.is_some(), "{label}: run {} cut short", o.run);
+                if cut {
+                    continue;
+                }
+                let mut alone = Execution::new(
+                    &components,
+                    &service,
+                    derive_seed(cfg.seed, o.run),
+                    &cfg.faults,
+                    cfg.quiescence_threshold,
+                    cfg.probe_budget,
+                );
+                let verdict = alone
+                    .run(cfg.max_steps, &mut Vec::new())
+                    .map_or(RunVerdict::Conforming, |(v, _)| v);
+                assert_eq!(
+                    (o.steps, o.local_verdict),
+                    (alone.steps(), verdict),
+                    "{label}: run {} diverges from its execution",
+                    o.run
+                );
+            }
+        }
     }
 }
