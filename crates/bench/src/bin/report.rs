@@ -8,6 +8,7 @@
 //! and exits nonzero if the wall time regressed more than 2× against
 //! the committed baseline (`crates/bench/BENCH_BASELINE.json`).
 
+use protoquot_baselines::submodule_construction;
 use protoquot_bench::paper_report;
 use protoquot_core::{
     converter_verdict_reference, converter_verdict_with, progress_phase, safety_engine,
@@ -15,8 +16,9 @@ use protoquot_core::{
 };
 use protoquot_protocols::service::windowed;
 use protoquot_protocols::{
-    at_least_once, colocated_configuration, connection_service, exactly_once,
-    gateway_configuration, nfa_blowup, relay_chain, symmetric_configuration, toggle_puzzle,
+    ab_channel, ab_sender, at_least_once, colocated_configuration, connection_service,
+    exactly_once, gateway_configuration, nfa_blowup, ns_receiver, relay_chain,
+    symmetric_configuration, toggle_puzzle,
 };
 use protoquot_runtime::artifact::encode;
 use protoquot_runtime::{
@@ -24,7 +26,9 @@ use protoquot_runtime::{
     LoopbackConn, LoopbackMux, MuxClient, MuxTransport, ReactorConfig, ReactorServer, Reply,
     SessionGuard, SessionGuardReference,
 };
-use protoquot_sim::{redirect_transition, FaultPlan, FleetConfig, FleetRunner};
+use protoquot_sim::{
+    redirect_transition, run_monitored, FaultPlan, FleetConfig, FleetRunner, RunParams, SimConfig,
+};
 use protoquot_spec::{minimize, normalize, Alphabet, CompiledSystem, Spec};
 use std::sync::Arc;
 use std::time::Instant;
@@ -87,7 +91,7 @@ fn exp_w_verify_time() -> f64 {
 /// session per connection, each answered inline on its own thread,
 /// returning `(accepted_events_per_sec, frames_relayed)`. The
 /// gateway's online guard is live for every frame, so this measures
-/// the full codec → shard → guard path.
+/// the full codec → session table → guard path.
 fn loopback_throughput(threads: usize, runs: u64) -> (f64, u64) {
     let cfg = protoquot_protocols::colocated_configuration();
     let service = exactly_once();
@@ -97,9 +101,10 @@ fn loopback_throughput(threads: usize, runs: u64) -> (f64, u64) {
     let dcfg = DriveConfig {
         runs,
         threads,
-        seed: 0x50AB,
-        max_steps: 600,
-        faults: FaultPlan::parse("loss,dup,reorder").unwrap(),
+        params: RunParams {
+            faults: FaultPlan::parse("loss,dup,reorder").unwrap(),
+            ..RunParams::new(0x50AB, 600)
+        },
         ..DriveConfig::default()
     };
     let t = Instant::now();
@@ -115,7 +120,7 @@ fn loopback_throughput(threads: usize, runs: u64) -> (f64, u64) {
 /// EXP-R2: the gateway capacity pump. Synthesizes a genuine accepted
 /// trace straight off the guard DFA ([`GuardProgram::sample_accepted`])
 /// and pushes it through the full loopback wire path — encode → decode
-/// → shard → guard → reply — as fast as the gateway takes frames,
+/// → session table → guard → reply — as fast as the gateway takes frames,
 /// `threads` client threads each owning a private block of sessions.
 ///
 /// Unlike EXP-R1 this is not simulator-paced: the drive loop spends
@@ -722,6 +727,37 @@ fn main() {
         );
     }
 
+    println!("\n== EXP-F13/BASE/SIM: the co-located problem, derived and simulated ==");
+    {
+        // The full quotient against the safety-only predecessor on the
+        // Fig. 13 problem, then the derived converter in the simulated
+        // pipeline (AB sender, lossy channel, converter, NS receiver)
+        // under the service monitor, 10 000 steps per loss weight.
+        let cfg = colocated_configuration();
+        let exact = exactly_once();
+        let (full_ms, q) = best_of_3(|| solve(&cfg.b, &exact, &cfg.int).unwrap());
+        let (safety_ms, _) =
+            best_of_3(|| submodule_construction(&cfg.b, &exact, &cfg.int).unwrap());
+        println!("full quotient {full_ms:.3} ms, safety-only (Merlin–Bochmann) {safety_ms:.3} ms");
+        for loss in [0u32, 5, 20] {
+            let parts = vec![
+                ab_sender(),
+                ab_channel(),
+                q.converter.clone(),
+                ns_receiver(),
+            ];
+            let sim = SimConfig {
+                seed: 1,
+                max_steps: 10_000,
+                internal_weights: vec![(1, loss)],
+            };
+            let (ms, report) = best_of_3(|| run_monitored(parts.clone(), &exact, &sim));
+            assert!(report.is_clean(), "the derived pipeline must run clean");
+            let steps_per_sec = report.steps as f64 / ms * 1e3;
+            println!("simulated pipeline, loss weight {loss:>2}: {steps_per_sec:>10.0} steps/s");
+        }
+    }
+
     println!("\n== EXP-C3: incremental engine vs full-recompute reference ==");
     println!(
         "{:>14} {:>10} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10} {:>16}",
@@ -1147,14 +1183,16 @@ fn main() {
 
     println!("\n== EXP-R5: batched dispatch — reactor mux pump ==");
     {
-        // The reactor mux pump: one shard-lock acquisition and one
-        // contiguous guard-DFA run per session per readiness
-        // batch, replies coalesced into a single buffered write.
+        // The reactor mux pump: each readiness batch answered in
+        // arrival order against its connection's own session table,
+        // one lookup per frame and no lock, replies coalesced into a
+        // single buffered write. Four clients on the default two
+        // loops are two connections per loop.
         println!(
             "{:>10} {:>10} {:>12} {:>14}",
             "clients", "sessions", "frames", "batched/s"
         );
-        for &(clients, sessions) in &[(1usize, 256u64), (1, 1_024), (2, 512)] {
+        for &(clients, sessions) in &[(1usize, 256u64), (1, 1_024), (2, 512), (4, 256)] {
             let (batched, frames) = (0..2)
                 .map(|_| reactor_pump_throughput(clients, sessions, 256))
                 .fold((0.0f64, 0u64), |acc, r| (acc.0.max(r.0), r.1));
@@ -1178,9 +1216,10 @@ fn main() {
             let report = fleet.run(&FleetConfig {
                 runs: 2_000,
                 threads,
-                seed: 0x50AB,
-                max_steps: 1_000,
-                faults: faults.clone(),
+                params: RunParams {
+                    faults: faults.clone(),
+                    ..RunParams::new(0x50AB, 1_000)
+                },
                 ..FleetConfig::default()
             });
             println!(
@@ -1203,9 +1242,10 @@ fn main() {
         let report = FleetRunner::new(vec![cfg.b, broken], exactly_once()).run(&FleetConfig {
             runs: 200,
             threads: 8,
-            seed: 0x50AB,
-            max_steps: 1_000,
-            faults,
+            params: RunParams {
+                faults,
+                ..RunParams::new(0x50AB, 1_000)
+            },
             ..FleetConfig::default()
         });
         match report.counterexamples.first() {

@@ -1,13 +1,13 @@
 //! # protoquot-bench
 //!
-//! Benchmark harness and experiment reporting for the Calvert & Lam
-//! SIGCOMM '89 reproduction. The criterion benches (one per experiment
-//! id, see `DESIGN.md`) measure time; [`paper_report`] regenerates the
-//! qualitative results — existence/non-existence, machine sizes, phase
-//! statistics — recorded in `EXPERIMENTS.md`.
+//! Experiment reporting for the Calvert & Lam SIGCOMM '89
+//! reproduction: [`paper_report`] regenerates the qualitative results —
+//! existence/non-existence, machine sizes, phase statistics — recorded
+//! in `EXPERIMENTS.md`, and the `report` binary prints every table
+//! there, timings included.
 //!
-//! Run `cargo run -p protoquot-bench --bin report` for the tables, and
-//! `cargo bench` for the timings.
+//! Run `cargo run --release -p protoquot-bench --bin report`. The
+//! end-to-end and per-layer benchmark is `pqbench` (its own package).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

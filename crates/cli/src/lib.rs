@@ -20,7 +20,7 @@ use protoquot_runtime::{
 };
 use protoquot_sim::{
     redirect_transition, run_monitored, FaultPlan, FleetConfig, FleetRunner, MonitorVerdict,
-    SimConfig,
+    RunParams, SimConfig,
 };
 use protoquot_spec::{
     compose_all, satisfies, to_dot, to_text, Alphabet, CompiledSystem, EventTable, Spec,
@@ -852,18 +852,28 @@ fn builtin_only(p: &Parsed, file_flags: &[&str]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_soak(p: &Parsed) -> Result<String, CliError> {
-    let (components, service) = load_target(p)?;
+/// The `--faults`, `--seed` and `--steps` of soak and drive, over the
+/// command's own `defaults`.
+fn run_params(p: &Parsed, defaults: RunParams) -> Result<RunParams, CliError> {
     let faults = FaultPlan::parse(p.value("--faults").unwrap_or(""))
         .map_err(|e| CliError(format!("--faults: {e}")))?;
-    let config = FleetConfig {
-        runs: p.num("--runs")?.unwrap_or(1_000),
-        threads: p.num("--threads")?.unwrap_or(1),
-        seed: p.num("--seed")?.unwrap_or(0xC0FFEE),
-        max_steps: p.num("--steps")?.unwrap_or(2_000),
+    Ok(RunParams {
         faults,
+        seed: p.num("--seed")?.unwrap_or(defaults.seed),
+        max_steps: p.num("--steps")?.unwrap_or(defaults.max_steps),
+        ..defaults
+    })
+}
+
+fn cmd_soak(p: &Parsed) -> Result<String, CliError> {
+    let (components, service) = load_target(p)?;
+    let defaults = FleetConfig::default();
+    let config = FleetConfig {
+        runs: p.num("--runs")?.unwrap_or(defaults.runs),
+        threads: p.num("--threads")?.unwrap_or(defaults.threads),
+        params: run_params(p, defaults.params)?,
         shrink: !p.has("--no-shrink"),
-        ..FleetConfig::default()
+        ..defaults
     };
     let runner = FleetRunner::new(components, service);
     // Static oracle on the compiled verification engine, so every soak
@@ -1025,7 +1035,6 @@ fn cmd_serve(p: &Parsed) -> Result<String, CliError> {
             _ => {}
         }
         std::thread::sleep(Duration::from_millis(100));
-        gw.evict_idle();
         if p.has("--stats") && last_snapshot.elapsed() >= Duration::from_secs(5) {
             println!("{}", gw.stats().to_json());
             last_snapshot = std::time::Instant::now();
@@ -1111,7 +1120,9 @@ impl ControlServer {
                     }
                 };
                 let mut stream = reader.into_inner().into_inner();
-                let _ = writeln!(stream, "{reply}");
+                // One write: a reply split over two could lose its
+                // tail to the reset that closing an unread flood sends.
+                let _ = stream.write_all(format!("{reply}\n").as_bytes());
             }
         });
         Ok(ControlServer {
@@ -1188,6 +1199,10 @@ fn cmd_drive(p: &Parsed) -> Result<String, CliError> {
         if !p.positional.is_empty() {
             return p.misuse();
         }
+        let reads = ["--adversarial", "--connect", "--expect-clean", "--json"];
+        if let Some((flag, _)) = p.flags.iter().find(|(f, _)| !reads.contains(&f.as_str())) {
+            return err(format!("--adversarial does not take {flag}"));
+        }
         let Some(addr) = p.value("--connect") else {
             return err("--adversarial needs --connect HOST:PORT (it attacks the wire itself)");
         };
@@ -1202,17 +1217,15 @@ fn cmd_drive(p: &Parsed) -> Result<String, CliError> {
         return Ok(p.render(|| report.to_json(), || format!("{report}")));
     }
     let (components, service) = load_target(p)?;
-    let faults = FaultPlan::parse(p.value("--faults").unwrap_or(""))
-        .map_err(|e| CliError(format!("--faults: {e}")))?;
+    let defaults = DriveConfig::default();
     let cfg = DriveConfig {
-        runs: p.num("--runs")?.unwrap_or(100),
-        threads: p.num("--threads")?.unwrap_or(1),
-        seed: p.num("--seed")?.unwrap_or(0xD41E),
-        max_steps: p.num("--steps")?.unwrap_or(600),
-        faults,
+        runs: p.num("--runs")?.unwrap_or(defaults.runs),
+        threads: p.num("--threads")?.unwrap_or(defaults.threads),
+        params: run_params(p, defaults.params)?,
         duration: parse_secs(p, "--duration")?,
-        sessions_per_conn: p.num("--sessions-per-conn")?.unwrap_or(1),
-        ..DriveConfig::default()
+        sessions_per_conn: p
+            .num("--sessions-per-conn")?
+            .unwrap_or(defaults.sessions_per_conn),
     };
     let report = match (p.value("--connect"), p.has("--loopback")) {
         (Some(addr), false) => {
@@ -2029,19 +2042,15 @@ mod tests {
             "--expect-clean",
             "--json",
         ]);
-        // Closed sessions are tombstoned until idle eviction, so the
-        // lockstep control campaign (same run indices = same session
-        // ids) needs a fresh gateway.
-        let gw2 = Gateway::new(&parts, &service, GatewayConfig::default()).unwrap();
-        let mut server2 =
-            ReactorServer::bind(gw2.clone(), "127.0.0.1:0", ReactorConfig::default()).unwrap();
-        let addr2 = server2.local_addr().to_string();
+        // The lockstep control campaign reuses the run indices as
+        // session ids on the same server: ids are scoped to their
+        // connection, and the first campaign's connections are gone.
         let lockstep_out = run_ok(&[
             "drive",
             "--builtin",
             "colocated",
             "--connect",
-            &addr2,
+            &addr,
             "--runs",
             "8",
             "--steps",
@@ -2054,15 +2063,17 @@ mod tests {
             "multiplexed and lockstep campaigns diverged over the reactor"
         );
         server.stop();
-        server2.stop();
         gw.drain();
-        gw2.drain();
         let snap = gw.stats();
         assert!(snap.accepted > 0, "no frames reached the served gateway");
         assert_eq!(snap.convictions, 0);
         assert!(
-            snap.connections_opened >= 1 && snap.connections_opened == snap.connections_closed,
+            snap.connections_opened >= 2 && snap.connections_opened == snap.connections_closed,
             "connection accounting is off: {snap}"
+        );
+        assert_eq!(
+            snap.sessions_active, 0,
+            "sessions outlived their connections"
         );
     }
 
@@ -2267,6 +2278,30 @@ mod tests {
             let args: Vec<String> = ["fuzz", flag, "X"].iter().map(|s| s.to_string()).collect();
             let e = run(&args).unwrap_err().to_string();
             assert!(e.starts_with("usage: protoquot fuzz"), "{flag}: {e}");
+        }
+    }
+
+    /// `drive --adversarial` attacks the wire and reads only
+    /// `--connect`, `--expect-clean` and `--json`; every other flag
+    /// drive declares is refused by name before anything is dialled.
+    #[test]
+    fn adversarial_refuses_campaign_flags() {
+        let (usage, _) = COMMANDS
+            .iter()
+            .find(|(u, _)| u.starts_with("protoquot drive"))
+            .expect("drive is a command");
+        let reads = ["--adversarial", "--connect", "--expect-clean", "--json"];
+        let refused: Vec<_> = flags(usage)
+            .into_iter()
+            .filter(|(f, _)| !reads.contains(f))
+            .collect();
+        assert!(refused.len() >= 10, "{refused:?}");
+        for (flag, valued) in refused {
+            let mut args = vec!["drive", "--adversarial", "--connect", "127.0.0.1:1", flag];
+            args.extend(valued.then_some("bogus"));
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let e = run(&args).unwrap_err().to_string();
+            assert_eq!(e, format!("--adversarial does not take {flag}"), "{args:?}");
         }
     }
 

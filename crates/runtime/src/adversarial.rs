@@ -22,8 +22,9 @@
 //! dwarfs the server's read deadline (or the deadline is disabled, in
 //! which case the drip completes and is answered).
 //!
-//! Attacks use disjoint session-id ranges (1_000_000 apart) so their
-//! gateway-side footprints cannot interact.
+//! Attacks use disjoint session-id ranges (1_000_000 apart), which
+//! keeps their reports readable; each attack's sessions live on its
+//! own connections, whose tables could not interact anyway.
 
 use crate::codec::{read_reply, Frame, Reply};
 use serde::Value;
@@ -385,7 +386,8 @@ fn session_flood<A: ToSocketAddrs>(addr: A, cfg: &AdversarialConfig) -> io::Resu
 
 /// Connection churn: open, send one frame, read its reply, drop the
 /// socket without closing the session — repeatedly. The server must
-/// keep answering fresh connections (its idle sweep owns the corpses).
+/// keep answering fresh connections; each dropped connection ends its
+/// abandoned session at once.
 fn churn<A: ToSocketAddrs + Clone>(addr: A, cfg: &AdversarialConfig) -> io::Result<AttackOutcome> {
     let mut out = AttackOutcome::new("churn");
     for i in 0..cfg.churn_conns {

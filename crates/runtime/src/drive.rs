@@ -1,9 +1,10 @@
 //! Seeded load generator: replays fleet-style schedules over the wire.
 //!
 //! [`drive`] runs the soak fleet's executions — one [`Execution`] per
-//! run, seeded by [`derive_seed`] — but relays every *solo* (externally
-//! visible) event to a serving gateway as a wire frame and records the
-//! verdicts coming back. Each run is one session; worker threads claim
+//! run, seeded by [`derive_seed`](protoquot_sim::derive_seed) — but
+//! relays every *solo* (externally visible) event to a serving gateway
+//! as a wire frame and records the verdicts coming back. Each run is
+//! one session; worker threads claim
 //! run indices from an atomic counter and the outcomes are re-sorted by
 //! run, so the resulting [`DriveReport`] is identical at any client or
 //! server thread count.
@@ -32,7 +33,7 @@
 
 use crate::codec::{Frame, Reply, WireCodec};
 use crate::transport::MuxTransport;
-use protoquot_sim::{derive_seed, Action, Execution, FaultPlan, RunVerdict};
+use protoquot_sim::{Action, Execution, RunParams, RunVerdict};
 use protoquot_spec::Spec;
 use serde::Value;
 use std::collections::{hash_map::Entry, BTreeMap, HashMap};
@@ -48,16 +49,8 @@ pub struct DriveConfig {
     pub runs: u64,
     /// Client worker threads, each with its own connection.
     pub threads: usize,
-    /// Campaign seed; run `i` uses `derive_seed(seed, i)`.
-    pub seed: u64,
-    /// Step budget per run.
-    pub max_steps: u64,
-    /// Fault models biasing every run's schedule.
-    pub faults: FaultPlan,
-    /// Service-silent steps before the watchdog probes.
-    pub quiescence_threshold: u64,
-    /// Global states explored per watchdog probe.
-    pub probe_budget: usize,
+    /// What each run is; run `i` is session `i`.
+    pub params: RunParams,
     /// Stop claiming new runs after this wall-clock budget (soak mode).
     pub duration: Option<Duration>,
     /// Concurrent sessions each connection multiplexes (total
@@ -71,11 +64,7 @@ impl Default for DriveConfig {
         DriveConfig {
             runs: 100,
             threads: 1,
-            seed: 0xD41E,
-            max_steps: 600,
-            faults: FaultPlan::none(),
-            quiescence_threshold: 64,
-            probe_budget: 20_000,
+            params: RunParams::new(0xD41E, 600),
             duration: None,
             sessions_per_conn: 1,
         }
@@ -273,7 +262,8 @@ where
                                 }
                             },
                         };
-                        let mut task = SessionTask::new(components, service, &codec, cfg, run);
+                        let mut task =
+                            SessionTask::new(components, service, &codec, &cfg.params, run);
                         match task.advance(None) {
                             Some(frame) => {
                                 failed = c.queue(&frame).err();
@@ -369,7 +359,6 @@ enum Pending {
 /// config and run index — live in [`Execution`] and here; [`drive`]
 /// only schedules frames onto connections.
 struct SessionTask<'a> {
-    cfg: &'a DriveConfig,
     codec: &'a WireCodec,
     exec: Execution,
     out: RunOutcome,
@@ -381,20 +370,12 @@ impl<'a> SessionTask<'a> {
         components: &[Spec],
         service: &Spec,
         codec: &'a WireCodec,
-        cfg: &'a DriveConfig,
+        params: &RunParams,
         run: u64,
     ) -> SessionTask<'a> {
         SessionTask {
-            cfg,
             codec,
-            exec: Execution::new(
-                components,
-                service,
-                derive_seed(cfg.seed, run),
-                &cfg.faults,
-                cfg.quiescence_threshold,
-                cfg.probe_budget,
-            ),
+            exec: Execution::new(components, service, params, run),
             out: empty_outcome(run),
             pending: None,
         }
@@ -429,7 +410,7 @@ impl<'a> SessionTask<'a> {
             Some(Pending::Close) => return None,
         }
         loop {
-            if self.exec.steps() >= self.cfg.max_steps {
+            if self.exec.exhausted() {
                 return self.finish();
             }
             let action = match self.exec.act() {
@@ -554,17 +535,16 @@ mod tests {
         DriveConfig {
             runs: 48,
             threads,
-            seed: 0xBEEF_CAFE,
-            max_steps: 400,
-            faults: FaultPlan::parse("loss,reorder").unwrap(),
+            params: RunParams {
+                faults: protoquot_sim::FaultPlan::parse("loss,reorder").unwrap(),
+                ..RunParams::new(0xBEEF_CAFE, 400)
+            },
             sessions_per_conn,
             ..DriveConfig::default()
         }
     }
 
-    /// One campaign over the in-process mux loopback, on a fresh gateway
-    /// (run indices are session ids, and closed sessions linger until
-    /// idle eviction).
+    /// One campaign over the in-process mux loopback, on a fresh gateway.
     fn campaign(components: &[Spec], service: &Spec, cfg: &DriveConfig) -> DriveReport {
         let gw = gateway(components, service);
         drive(components, service, cfg, || {

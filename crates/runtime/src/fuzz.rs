@@ -20,13 +20,13 @@
 //!   (events, stalls, closes, session reuse after close, tiny frame
 //!   budgets): every frame must produce exactly one reply carrying the
 //!   frame's session id, without panicking or wedging the gateway.
-//! * **batch** — [`Gateway::call_batch`] differentially against
-//!   per-frame [`Gateway::call`] on a second, identically configured
-//!   gateway: the same frame program (hellos with matching and
-//!   mismatched hashes included), cut at an input-derived split width,
-//!   must produce the same per-session reply sequences, a well-formed
-//!   inline reply stream, and the same session-table size and
-//!   sessions-opened count at every split.
+//! * **batch** — [`Gateway::call_batch`] at an input-derived batch
+//!   width differentially against one-frame calls on a second,
+//!   identically configured gateway: the same frame program (hellos
+//!   with matching and mismatched hashes included) must produce the
+//!   same reply stream in the same order, a well-formed inline reply
+//!   stream, and the same resident-session and sessions-opened counts
+//!   at every split.
 //! * **artifact** — the [`CompiledArtifact`] loader on mutated,
 //!   truncated, and bit-flipped copies of a valid compiled artifact,
 //!   in the current format or format 1: every mutation must decode to
@@ -49,11 +49,12 @@ use crate::codec::{
 };
 use crate::gateway::{BatchScratch, Gateway, GatewayConfig, GatewayError};
 use crate::guard::{GuardProgram, SessionGuard, SessionGuardReference};
+use crate::transport::{Conn, LoopbackConn};
 use protoquot_sim::ddmin;
 use protoquot_spec::Spec;
 use rand::prelude::*;
 use serde::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -255,17 +256,15 @@ pub fn fuzz(
 ) -> Result<FuzzReport, GatewayError> {
     let prog = Arc::new(GuardProgram::new(parts, service).map_err(GatewayError::Spec)?);
     let fuzz_gateway_cfg = GatewayConfig {
-        // Evictable immediately: the campaign trims the session
-        // table between cases so the table stays small.
-        idle_timeout: Duration::ZERO,
         // A tiny budget so the fuzzer exercises the expulsion path
         // on ordinary inputs, not only on 1000-frame outliers.
         session_frame_budget: 24,
+        ..GatewayConfig::default()
     };
     let gateway = Gateway::new(parts, service, fuzz_gateway_cfg.clone())?;
     // The batch target's pair: a batched gateway and its per-frame
-    // oracle, with identical configuration and session tables of their
-    // own, so their session counts stay comparable case by case.
+    // oracle, with identical configuration and stats of their own, so
+    // their session counts stay comparable case by case.
     let batched = Gateway::new(parts, service, fuzz_gateway_cfg.clone())?;
     let oracle = Gateway::new(parts, service, fuzz_gateway_cfg)?;
     // The artifact target mutates copies of this known-good encoding
@@ -279,16 +278,9 @@ pub fn fuzz(
     };
     for &target in targets {
         let mut executed = 0u64;
+        let body = case_body(target, &prog, &gateway, (&batched, &oracle), &artifact_base);
         for case in 0..cfg.iters {
             let input = gen_input(cfg, target, case);
-            let body = case_body(
-                target,
-                &prog,
-                &gateway,
-                (&batched, &oracle),
-                &artifact_base,
-                case,
-            );
             let verdict = harness.run(&input, &body, cfg.hang_timeout);
             executed += 1;
             if let Some(kind) = verdict {
@@ -303,11 +295,6 @@ pub fn fuzz(
                     kind,
                     input,
                 });
-            }
-            if matches!(target, FuzzTarget::Gateway | FuzzTarget::Batch) && case % 64 == 63 {
-                gateway.evict_idle();
-                batched.evict_idle();
-                oracle.evict_idle();
             }
         }
         report.executed.push((target, executed));
@@ -326,7 +313,6 @@ fn case_body(
     gateway: &Gateway,
     (batched, oracle): (&Gateway, &Gateway),
     artifact_base: &Arc<Vec<u8>>,
-    case: u64,
 ) -> CaseBody {
     match target {
         FuzzTarget::Codec => Arc::new(codec_case),
@@ -336,16 +322,14 @@ fn case_body(
         }
         FuzzTarget::Gateway => {
             let gateway = gateway.clone();
-            // Distinct session range per case so cases cannot observe
-            // each other's session state.
-            let base = case.wrapping_mul(16);
-            Arc::new(move |input| gateway_case(&gateway, base, input))
+            // Every run of a case is a fresh connection with its own
+            // session table, so cases cannot observe each other.
+            Arc::new(move |input| gateway_case(&gateway, input))
         }
         FuzzTarget::Batch => {
             let batched = batched.clone();
             let oracle = oracle.clone();
-            let base = case.wrapping_mul(16);
-            Arc::new(move |input| batch_case(&batched, &oracle, base, input))
+            Arc::new(move |input| batch_case(&batched, &oracle, input))
         }
         FuzzTarget::Artifact => {
             let base = Arc::clone(artifact_base);
@@ -644,40 +628,67 @@ fn guard_case(prog: &Arc<GuardProgram>, input: &[u8]) -> Option<String> {
     None
 }
 
+/// A case's frame program: one frame per 3-byte op, over four
+/// sessions so closes and reuse collide. An op's first byte picks the
+/// session (high nibble) and the kind: with `hellos`, its low three
+/// bits pick event (0–3), stall, close, or a hello carrying `hash` or
+/// a mismatched one; without, its low two bits pick event (0–1), stall
+/// or close. The other two bytes are the event index.
+fn frame_program(input: &[u8], hellos: bool, hash: u64) -> Vec<Frame> {
+    input
+        .chunks(3)
+        .map(|op| {
+            let (kind, lo, hi) = (
+                op[0],
+                op.get(1).copied().unwrap_or(0),
+                op.get(2).copied().unwrap_or(0),
+            );
+            let session = u64::from(kind >> 4) % 4;
+            let code = if hellos {
+                kind & 7
+            } else {
+                [0, 1, 4, 5][usize::from(kind & 3)]
+            };
+            match code {
+                0..=3 => Frame::Event {
+                    session,
+                    event: u16::from_be_bytes([lo, hi]),
+                },
+                4 => Frame::Stall { session },
+                5 => Frame::Close { session },
+                // Unpinned, pinned to the active version 1, or pinned
+                // to a version the gateway does not serve.
+                6 => Frame::Hello {
+                    session,
+                    table_hash: hash,
+                    version: u32::from(lo % 3),
+                },
+                _ => Frame::Hello {
+                    session,
+                    table_hash: hash ^ u64::from(lo | 1),
+                    version: 0,
+                },
+            }
+        })
+        .collect()
+}
+
 /// Gateway target: an arbitrary frame program through the dispatch
-/// path; every frame must yield exactly one reply for its session.
-fn gateway_case(gateway: &Gateway, base_session: u64, input: &[u8]) -> Option<String> {
-    for op in input.chunks(3) {
-        let (kind, lo, hi) = (
-            op[0],
-            op.get(1).copied().unwrap_or(0),
-            op.get(2).copied().unwrap_or(0),
-        );
-        // Four local sessions per case, so closes and reuse collide.
-        let session = base_session + (kind >> 4) as u64 % 4;
-        let frame = match kind & 0x03 {
-            0 | 1 => Frame::Event {
-                session,
-                event: u16::from_be_bytes([lo, hi]),
-            },
-            2 => Frame::Stall { session },
-            _ => Frame::Close { session },
+/// path of one in-process connection; every frame must yield exactly
+/// one reply for its session.
+fn gateway_case(gateway: &Gateway, input: &[u8]) -> Option<String> {
+    let mut conn = LoopbackConn::new(gateway.clone());
+    for frame in frame_program(input, false, 0) {
+        let session = frame.session();
+        let reply = match conn.call(&frame) {
+            Ok(reply) => reply,
+            Err(e) => return Some(format!("loopback call failed: {e}")),
         };
-        let reply = gateway.call(frame);
         if reply.session() != session {
             return Some(format!(
                 "reply session {} for frame session {session}",
                 reply.session()
             ));
-        }
-    }
-    // Leave no live session behind.
-    for s in 0..4 {
-        let reply = gateway.call(Frame::Close {
-            session: base_session + s,
-        });
-        if reply.session() != base_session + s {
-            return Some("close reply misattributed".to_string());
         }
     }
     None
@@ -686,69 +697,35 @@ fn gateway_case(gateway: &Gateway, base_session: u64, input: &[u8]) -> Option<St
 /// Batch target: frame programs like the gateway target's, plus
 /// hellos with matching and mismatched hashes and pinned versions, cut
 /// at arbitrary batch boundaries through [`Gateway::call_batch`] and
-/// differentially checked against a per-frame oracle gateway with
-/// identical configuration and separate session state. Batch replies
-/// are ordered within a session, not across sessions, so both sides
-/// are compared as per-session reply sequences; the two session tables
-/// must also agree in size and in sessions opened, so a hello can
-/// never open a session on one path and not the other.
-fn batch_case(
-    batched: &Gateway,
-    oracle: &Gateway,
-    base_session: u64,
-    input: &[u8],
-) -> Option<String> {
-    let hash = batched.table_hash();
-    let mut frames = Vec::with_capacity(input.len() / 3 + 1);
-    for op in input.chunks(3) {
-        let (kind, lo, hi) = (
-            op[0],
-            op.get(1).copied().unwrap_or(0),
-            op.get(2).copied().unwrap_or(0),
-        );
-        let session = base_session + (kind >> 4) as u64 % 4;
-        frames.push(match kind & 0x07 {
-            0..=3 => Frame::Event {
-                session,
-                event: u16::from_be_bytes([lo, hi]),
-            },
-            4 => Frame::Stall { session },
-            5 => Frame::Close { session },
-            // Matching hash; unpinned, pinned to the active version 1,
-            // or pinned to a version the gateway does not serve.
-            6 => Frame::Hello {
-                session,
-                table_hash: hash,
-                version: u32::from(lo % 3),
-            },
-            _ => Frame::Hello {
-                session,
-                table_hash: hash ^ u64::from(lo | 1),
-                version: 0,
-            },
-        });
-    }
-    // The oracle runs every frame through the per-frame path.
-    let mut want: HashMap<u64, Vec<Reply>> = HashMap::new();
-    for &frame in &frames {
-        want.entry(frame.session())
-            .or_default()
-            .push(oracle.call(frame));
+/// differentially checked against one-frame calls on an oracle gateway
+/// with identical configuration. Batching must not change a reply or
+/// its place in the stream; the two gateways must also agree in
+/// resident sessions and sessions opened, so a hello can never open a
+/// session on one path and not the other.
+fn batch_case(batched: &Gateway, oracle: &Gateway, input: &[u8]) -> Option<String> {
+    let frames = frame_program(input, true, batched.table_hash());
+    let mut conn = LoopbackConn::new(oracle.clone());
+    let mut want = Vec::with_capacity(frames.len());
+    for frame in &frames {
+        match conn.call(frame) {
+            Ok(reply) => want.push(reply),
+            Err(e) => return Some(format!("loopback call failed: {e}")),
+        }
     }
     // The batched side runs the same frames through call_batch at an
     // input-derived batch size, decoding replies back off the wire.
     let split = (input.first().copied().unwrap_or(0) as usize % 7) + 1;
-    let mut got: HashMap<u64, Vec<Reply>> = HashMap::new();
-    let mut scratch = BatchScratch::new();
+    let mut got = Vec::with_capacity(frames.len());
+    let mut table = BatchScratch::new();
     let mut out = Vec::new();
     let mut dec = ReplyBuffer::new();
     for chunk in frames.chunks(split) {
         out.clear();
-        batched.call_batch(chunk, &mut scratch, &mut out, &mut |_| {});
+        batched.call_batch(chunk, &mut table, &mut out, &mut |_| {});
         dec.extend(&out);
         loop {
             match dec.next_reply() {
-                Ok(Some(reply)) => got.entry(reply.session()).or_default().push(reply),
+                Ok(Some(reply)) => got.push(reply),
                 Ok(None) => break,
                 Err(e) => return Some(format!("batch reply stream undecodable: {e}")),
             }
@@ -757,46 +734,31 @@ fn batch_case(
             return Some("batch reply stream torn mid-message".to_string());
         }
     }
-    if got != want {
-        for s in 0..4 {
-            let session = base_session + s;
-            if got.get(&session) != want.get(&session) {
-                return Some(format!(
-                    "session {session}: batched {:?} != per-frame {:?}",
-                    got.get(&session),
-                    want.get(&session)
-                ));
-            }
-        }
-        return Some("batched replies != per-frame replies".to_string());
-    }
-    let (b, o) = (batched.resident_sessions(), oracle.resident_sessions());
-    if b != o {
-        return Some(format!("resident sessions: batched {b} != per-frame {o}"));
-    }
-    let (b, o) = (
-        batched.stats().sessions_opened,
-        oracle.stats().sessions_opened,
-    );
-    if b != o {
-        return Some(format!("sessions opened: batched {b} != per-frame {o}"));
-    }
-    // Leave no live session behind on either gateway; the close
-    // replies are the final-state differential.
-    for s in 0..4 {
-        let session = base_session + s;
-        let b = batched.call(Frame::Close { session });
-        let o = oracle.call(Frame::Close { session });
-        if b != o {
-            return Some(format!(
-                "final close diverges on session {session}: batched {b:?}, per-frame {o:?}"
-            ));
-        }
-        if b.session() != session {
-            return Some("close reply misattributed".to_string());
-        }
-    }
-    None
+    let verdict =
+        if let Some(i) = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
+            Some(format!(
+                "frame {i}: batched {:?} != per-frame {:?}",
+                got.get(i),
+                want.get(i)
+            ))
+        } else if batched.resident_sessions() != oracle.resident_sessions() {
+            Some(format!(
+                "resident sessions: batched {} != per-frame {}",
+                batched.resident_sessions(),
+                oracle.resident_sessions()
+            ))
+        } else if batched.stats().sessions_opened != oracle.stats().sessions_opened {
+            Some(format!(
+                "sessions opened: batched {} != per-frame {}",
+                batched.stats().sessions_opened,
+                oracle.stats().sessions_opened
+            ))
+        } else {
+            None
+        };
+    // Leave no live session behind on either gateway.
+    batched.end_sessions(&mut table);
+    verdict
 }
 
 /// The colocated system as artifact format 1 wrote it: the artifact

@@ -1,22 +1,23 @@
 //! The session-multiplexed relay gateway.
 //!
-//! A [`Gateway`] owns one compiled [`GuardProgram`] and a sharded
-//! session table: `session id → SessionCore` (guard state plus
-//! lifecycle), owned by stripe-locked maps. Every frame is
-//! answered inline on the thread that hands it in — admission, the
-//! session's shard lock, one guard-DFA row. [`Gateway::call_batch`]
-//! runs a transport batch grouped by session, one lock acquisition
-//! per session per batch; [`Gateway::call`] is the same step for a
-//! single frame. The shard lock is the session lock: it serializes a
-//! session whose frames arrive on several threads, while sessions in
-//! distinct shards proceed in parallel. No code path waits for a shard
-//! lock while it holds another gateway lock, so the gateway cannot
-//! deadlock against itself.
+//! A [`Gateway`] owns the converter versions — the active compiled
+//! [`GuardProgram`] and at most one draining predecessor — with their
+//! per-version session counts, drain and stats. It owns no session.
+//! A session id is scoped to the connection that carries it: that
+//! connection's FIFO order is the one total order of the session's
+//! events, the trace the guard checks. So each connection holds its
+//! own session table, a [`BatchScratch`]: `session id → SessionCore`
+//! (guard state plus lifecycle), owned by the one thread serving the
+//! connection. [`Gateway::call_batch`] answers a batch of frames in
+//! arrival order against that table, with one table lookup per frame
+//! and no lock.
 //!
 //! Lifecycle:
 //!
-//! * [`Gateway::evict_idle`] sweeps sessions idle past the configured
-//!   timeout, shard by shard under the same lock;
+//! * a session opens on its first frame, bound to the active version;
+//! * [`Gateway::sweep`] removes a table's sessions idle past the
+//!   configured timeout, and [`Gateway::end_sessions`] removes all of
+//!   them when their connection drops;
 //! * [`Gateway::drain`] stops admitting frames
 //!   ([`RejectReason::Draining`]). Nothing is ever queued, so every
 //!   frame admitted before the flag was set has already been answered.
@@ -25,17 +26,10 @@ use crate::codec::{encode_reply, table_hash, Frame, RejectReason, Reply, WireCod
 use crate::guard::{GuardProgram, SessionGuard};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use protoquot_spec::{Spec, SpecError};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
-
-/// Stripe-locked shards of the session table. A session step holds
-/// its shard lock for the whole guard run, so event loops serving
-/// different connections wait on each other only when their sessions
-/// share a shard. With 64 stripes, four connections of 256 sessions on
-/// two loops wait for under 1% of their frames (EXPERIMENTS, EXP-R5).
-const SHARDS: usize = 64;
 
 /// Why a [`Gateway`] failed to start.
 #[derive(Debug)]
@@ -77,7 +71,7 @@ impl From<WireError> for GatewayError {
 /// Tuning knobs of a [`Gateway`].
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
-    /// Idle time after which [`Gateway::evict_idle`] removes a session.
+    /// Idle time after which [`Gateway::sweep`] removes a session.
     pub idle_timeout: Duration,
     /// Frames (events + stalls) one session may send over its
     /// lifetime; beyond it the session is *expelled*: the frame bounces
@@ -96,74 +90,39 @@ impl Default for GatewayConfig {
     }
 }
 
-/// One batch group: the frames of one session, chained in arrival
-/// order through [`BatchScratch::next`].
-struct BatchGroup {
-    session: u64,
-    head: u32,
-    tail: u32,
-    count: u32,
-    /// How many of the frames are hellos.
-    hellos: u32,
-}
-
-/// Reusable per-connection scratch for [`Gateway::call_batch`]:
-/// groups a batch's frames by session without allocating in the
-/// steady state. Grouping is an intrusive linked list over frame
-/// indices — one hash lookup per frame, groups iterated in order of
-/// first appearance, per-session frame order preserved.
+/// One connection's session table: `session id → SessionCore`, plus a
+/// tombstone per closed session. The thread serving the connection
+/// owns it, so the cores sit inline and no lock guards them.
+/// [`Gateway::call_batch`] opens a session on its first frame and ends
+/// it on its `Close`; [`Gateway::sweep`] and [`Gateway::end_sessions`]
+/// remove the rest.
 #[derive(Default)]
 pub struct BatchScratch {
-    by_session: HashMap<u64, u32>,
-    groups: Vec<BatchGroup>,
-    /// `next[i]` is the index of the next frame of the same session,
-    /// or `u32::MAX` at a chain's tail.
-    next: Vec<u32>,
+    /// Live sessions.
+    sessions: HashMap<u64, SessionCore>,
+    /// Ended sessions (closed or expelled) and the time of their last
+    /// frame: a later frame on the id answers `Closed` until the sweep
+    /// drops the tombstone. An id and a time, not a core, so a closed
+    /// session holds no guard and no converter version.
+    closed: HashMap<u64, Instant>,
+    /// Most live sessions the table may hold; `0` is unbounded.
+    cap: usize,
 }
 
 impl BatchScratch {
-    /// An empty scratch; buffers grow to the largest batch seen and
-    /// are retained across calls.
+    /// An empty table with no session cap.
     pub fn new() -> BatchScratch {
         BatchScratch::default()
     }
 
-    fn group(&mut self, frames: &[Frame]) {
-        self.by_session.clear();
-        self.groups.clear();
-        self.next.clear();
-        self.next.resize(frames.len(), u32::MAX);
-        for (i, frame) in frames.iter().enumerate() {
-            let i = i as u32;
-            let g = match self.by_session.entry(frame.session()) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let g = &mut self.groups[*e.get() as usize];
-                    self.next[g.tail as usize] = i;
-                    g.tail = i;
-                    g.count += 1;
-                    g
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(self.groups.len() as u32);
-                    self.groups.push(BatchGroup {
-                        session: frame.session(),
-                        head: i,
-                        tail: i,
-                        count: 1,
-                        hellos: 0,
-                    });
-                    self.groups.last_mut().expect("just pushed")
-                }
-            };
-            g.hellos += u32::from(matches!(frame, Frame::Hello { .. }));
+    /// An empty table holding at most `cap` live sessions (`0`: no
+    /// cap). A frame that would open one more bounces with
+    /// [`RejectReason::ResourceLimit`]; a `Close` frees its slot.
+    pub(crate) fn capped(cap: usize) -> BatchScratch {
+        BatchScratch {
+            cap,
+            ..BatchScratch::default()
         }
-    }
-
-    /// The frame indices of `g`, in arrival order.
-    fn chain(&self, g: &BatchGroup) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(Some(g.head), |&i| Some(self.next[i as usize]))
-            .take(g.count as usize)
-            .map(|i| i as usize)
     }
 }
 
@@ -177,7 +136,6 @@ enum SessionOp {
 
 struct SessionCore {
     guard: SessionGuard,
-    closed: bool,
     last_active: Instant,
     /// Event + stall frames processed, charged against
     /// [`GatewayConfig::session_frame_budget`].
@@ -187,11 +145,6 @@ struct SessionCore {
     /// live session, it only changes what *new* sessions get.
     version: u32,
 }
-
-/// Each core is boxed: cores stored inline would sit next to each
-/// other in the shard's table, so loops stepping neighbouring sessions
-/// would write to the same cache lines.
-type Shard = Mutex<HashMap<u64, Box<SessionCore>>>;
 
 struct GatewayInner {
     /// The active converter: `(version, program)`. Read once per
@@ -206,7 +159,6 @@ struct GatewayInner {
     table_hash: u64,
     codec: WireCodec,
     stats: RuntimeStats,
-    shards: Vec<Shard>,
     draining: AtomicBool,
     cfg: GatewayConfig,
 }
@@ -230,6 +182,21 @@ impl GatewayInner {
                 session,
                 reason: RejectReason::VersionMismatch,
             }
+        }
+    }
+
+    /// A fresh session bound to the active version, counted open.
+    fn open(&self, now: Instant) -> SessionCore {
+        let (version, prog) = {
+            let active = self.active.read().unwrap();
+            (active.0, Arc::clone(&active.1))
+        };
+        self.stats.note_open(version);
+        SessionCore {
+            guard: SessionGuard::new(prog),
+            last_active: now,
+            frames_seen: 0,
+            version,
         }
     }
 
@@ -282,7 +249,6 @@ impl Gateway {
                 table_hash: hash,
                 codec,
                 stats,
-                shards: (0..SHARDS).map(|_| Shard::default()).collect(),
                 draining: AtomicBool::new(false),
                 cfg,
             }),
@@ -364,10 +330,10 @@ impl Gateway {
         Ok(())
     }
 
-    /// Admission, the one step every entry point shares: counts the
-    /// frame, bounces it while the gateway drains, and answers a hello
-    /// from the wire identity. Negotiation is connection-level, so a
-    /// hello never opens or touches a session. Whatever passes is the
+    /// Admission, the first step of every frame: counts the frame,
+    /// bounces it while the gateway drains, and answers a hello from
+    /// the wire identity. Negotiation is connection-level, so a hello
+    /// never opens or touches a session. Whatever passes is the
     /// operation its session applies.
     fn admit(&self, frame: Frame) -> Result<SessionOp, Reply> {
         let inner = &self.inner;
@@ -392,151 +358,112 @@ impl Gateway {
         }
     }
 
-    /// The execution step every entry point shares: takes `session`'s
-    /// shard lock once, opens the session on first contact, and runs
-    /// `frames` — all of that session, in arrival order — through
-    /// admission and the guard, handing each reply to `answer`.
-    /// Returns whether another thread held the lock; trying it first
-    /// costs nothing when none does.
-    fn step_session(
-        &self,
-        session: u64,
-        frames: impl Iterator<Item = Frame>,
-        mut answer: impl FnMut(Reply),
-    ) -> bool {
-        let inner = &self.inner;
-        let shard = &inner.shards[(session % SHARDS as u64) as usize];
-        let (mut map, contended) = match shard.try_lock() {
-            Ok(map) => (map, false),
-            Err(_) => (shard.lock().expect("shard lock poisoned"), true),
+    /// Applies `op` to `session` in `table`: one lookup for a live
+    /// session. An unknown id is looked up once more among the
+    /// tombstones, then opened unless the table's cap is reached. A
+    /// session the operation ends leaves a tombstone.
+    fn step(&self, table: &mut BatchScratch, session: u64, op: SessionOp, now: Instant) -> Reply {
+        let inner = &*self.inner;
+        let reject = |reason: RejectReason| {
+            inner.stats.note_reject(reason);
+            Reply::Rejected { session, reason }
         };
-        let core = map.entry(session).or_insert_with(|| {
-            let (version, prog) = {
-                let active = inner.active.read().unwrap();
-                (active.0, Arc::clone(&active.1))
-            };
-            inner.stats.note_open(version);
-            Box::new(SessionCore {
-                guard: SessionGuard::new(prog),
-                closed: false,
-                last_active: Instant::now(),
-                frames_seen: 0,
-                version,
-            })
-        });
-        for frame in frames {
-            answer(match self.admit(frame) {
-                Ok(op) => process(inner, core, session, op),
-                Err(reply) => reply,
-            });
+        let full = table.cap > 0 && table.sessions.len() >= table.cap;
+        let mut entry = match table.sessions.entry(session) {
+            Entry::Occupied(e) => e,
+            Entry::Vacant(e) => {
+                if let Some(last) = table.closed.get_mut(&session) {
+                    *last = now;
+                    return reject(RejectReason::Closed);
+                }
+                // A `Close` needs no slot: it opens a session only to
+                // end it.
+                if full && !matches!(op, SessionOp::Close) {
+                    return reject(RejectReason::ResourceLimit);
+                }
+                e.insert_entry(inner.open(now))
+            }
+        };
+        let core = entry.get_mut();
+        core.last_active = now;
+        let (reply, ended) = process(inner, core, session, op);
+        if ended {
+            inner.stats.note_close();
+            inner.note_session_gone(entry.remove().version);
+            table.closed.insert(session, now);
         }
-        core.last_active = Instant::now();
-        contended
+        reply
     }
 
-    /// Answers one frame on the caller's thread: the one-frame case of
-    /// the per-session step [`Gateway::call_batch`] runs. A hello, or
-    /// any frame while draining, is answered by admission alone and
-    /// opens no session.
-    pub fn call(&self, frame: Frame) -> Reply {
-        if matches!(frame, Frame::Hello { .. }) || self.inner.draining.load(Ordering::Acquire) {
-            return self
-                .admit(frame)
-                .expect_err("admission answers hellos and draining frames");
-        }
-        let mut reply = None;
-        self.step_session(frame.session(), std::iter::once(frame), |r| reply = Some(r));
-        reply.expect("one frame, one reply")
-    }
-
-    /// Processes one transport batch — every frame decoded from one
-    /// readiness chunk — grouped by session: one shard-lock
-    /// acquisition and one contiguous guard-DFA run per session per
-    /// batch. Replies are encoded straight into `out` (the caller's
-    /// reusable outbound buffer) with no per-frame allocation.
+    /// Answers `frames` — one transport batch of one connection — in
+    /// arrival order against the connection's session `table`, one
+    /// table lookup and one guard-DFA row per frame. Replies are
+    /// encoded straight into `out` (the caller's reusable outbound
+    /// buffer) with no per-frame allocation. A hello, or any frame
+    /// while draining, is answered by admission alone and opens no
+    /// session.
     ///
     /// Every frame is answered inline, so `slow` is never invoked; the
     /// parameter is kept only so existing callers compile unchanged.
-    ///
-    /// Replies land in `out` grouped by session (groups in order of
-    /// first appearance, per-session order preserved) — equivalent to
-    /// per-frame execution for any client that attributes replies by
-    /// the session id in their headers, as the campaign driver does.
-    /// The `batch` fuzz target holds this equivalence against
-    /// per-frame [`Gateway::call`]s at arbitrary batch boundaries.
     pub fn call_batch(
         &self,
         frames: &[Frame],
-        scratch: &mut BatchScratch,
+        table: &mut BatchScratch,
         out: &mut Vec<u8>,
         _slow: &mut dyn FnMut(Frame),
     ) {
         if frames.is_empty() {
             return;
         }
-        let inner = &self.inner;
-        inner.stats.note_batch(frames.len());
-        // A draining gateway admits nothing: every frame is answered
-        // in arrival order, and no session is opened.
-        if inner.draining.load(Ordering::Acquire) {
-            for &frame in frames {
-                let reply = self
-                    .admit(frame)
-                    .expect_err("a draining gateway admits nothing");
-                encode_reply(&reply, out);
-            }
-            return;
+        self.inner.stats.note_batch(frames.len());
+        let now = Instant::now();
+        for &frame in frames {
+            let reply = match self.admit(frame) {
+                Ok(op) => self.step(table, frame.session(), op, now),
+                Err(reply) => reply,
+            };
+            encode_reply(&reply, out);
         }
-        scratch.group(frames);
-        let mut deepest = 0;
-        for g in &scratch.groups {
-            deepest = deepest.max(g.count);
-            if g.hellos == g.count {
-                // Hellos alone need no session core, so negotiation
-                // never opens a session.
-                for i in scratch.chain(g) {
-                    let reply = self
-                        .admit(frames[i])
-                        .expect_err("admission answers every hello");
-                    encode_reply(&reply, out);
-                }
-            } else if self.step_session(g.session, scratch.chain(g).map(|i| frames[i]), |r| {
-                encode_reply(&r, out)
-            }) {
-                inner.stats.note_batch_slow(g.count as usize);
-            }
-        }
-        inner.stats.note_batch_backlog(deepest as usize - 1);
     }
 
-    /// Removes sessions idle longer than the configured timeout.
-    /// Returns how many were evicted.
-    pub fn evict_idle(&self) -> usize {
-        let inner = &self.inner;
-        let mut evicted = 0;
-        let mut gone_versions = Vec::new();
-        for shard in &inner.shards {
-            let mut map = shard.lock().unwrap();
-            map.retain(|_, core| {
-                let stale = core.last_active.elapsed() >= inner.cfg.idle_timeout;
-                if stale {
-                    if core.closed {
-                        inner.stats.note_close();
-                    } else {
-                        inner.stats.note_evict();
-                    }
-                    gone_versions.push(core.version);
-                    evicted += 1;
-                }
-                !stale
-            });
-        }
-        // Version accounting outside the shard locks: draining the
-        // previous version to zero retires it here.
-        for version in gone_versions {
-            inner.note_session_gone(version);
-        }
-        evicted
+    /// Evicts the live sessions of `table` that `gone` picks; a
+    /// previous version drained to zero retires here. Returns how many
+    /// went.
+    fn evict(&self, table: &mut BatchScratch, gone: impl Fn(&SessionCore) -> bool) -> usize {
+        let inner = &*self.inner;
+        let before = table.sessions.len();
+        table.sessions.retain(|_, core| {
+            if !gone(core) {
+                return true;
+            }
+            inner.stats.note_evict();
+            inner.note_session_gone(core.version);
+            false
+        });
+        before - table.sessions.len()
+    }
+
+    /// Evicts the sessions of `table` idle longer than the configured
+    /// timeout, and drops its tombstones as old. Returns how many
+    /// sessions went.
+    pub fn sweep(&self, table: &mut BatchScratch) -> usize {
+        let (now, idle) = (Instant::now(), self.inner.cfg.idle_timeout);
+        table
+            .closed
+            .retain(|_, last| now.duration_since(*last) < idle);
+        self.evict(table, |core| now.duration_since(core.last_active) >= idle)
+    }
+
+    /// Ends every session of `table`, as when its connection drops.
+    pub fn end_sessions(&self, table: &mut BatchScratch) {
+        table.closed.clear();
+        self.evict(table, |_| true);
+    }
+
+    /// The configured idle timeout, for transports that schedule
+    /// [`Gateway::sweep`].
+    pub(crate) fn idle_timeout(&self) -> Duration {
+        self.inner.cfg.idle_timeout
     }
 
     /// Stops admitting frames: from here on every frame bounces with
@@ -560,10 +487,11 @@ impl Gateway {
         self.inner.hello_reply(session, peer_hash, peer_version)
     }
 
-    /// Accounts a frame a *transport* refused before submission (e.g.
-    /// the per-connection session cap) and builds the rejection reply.
-    /// Keeps transport-side rejects indistinguishable from gateway-side
-    /// ones in the stats: the frame is counted, the reason is counted.
+    /// Accounts a frame a *transport* refused before submission (a
+    /// connection that skipped negotiation) and builds the rejection
+    /// reply. Keeps transport-side rejects indistinguishable from
+    /// gateway-side ones in the stats: the frame is counted, the
+    /// reason is counted.
     pub(crate) fn transport_reject(&self, session: u64, reason: RejectReason) -> Reply {
         self.inner.stats.note_frame();
         self.inner.stats.note_reject(reason);
@@ -575,25 +503,25 @@ impl Gateway {
         self.inner.stats.snapshot(self.inner.codec.table())
     }
 
-    /// Sessions currently resident in the table.
+    /// Sessions currently resident in all connections' tables: the
+    /// `sessions.active` gauge.
     pub fn resident_sessions(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap().len())
-            .sum()
+        self.stats().sessions_active as usize
     }
 }
 
-/// Applies one admitted operation to a session under its shard lock.
-fn process(inner: &GatewayInner, core: &mut SessionCore, session: u64, op: SessionOp) -> Reply {
+/// Applies one admitted operation to a live session: its reply, and
+/// whether the operation ended the session.
+fn process(
+    inner: &GatewayInner,
+    core: &mut SessionCore,
+    session: u64,
+    op: SessionOp,
+) -> (Reply, bool) {
     let reject = |reason: RejectReason| {
         inner.stats.note_reject(reason);
         Reply::Rejected { session, reason }
     };
-    if core.closed {
-        return reject(RejectReason::Closed);
-    }
     // Frame budget: an event/stall stream past the configured cap
     // expels the session — convict-or-evict, never serve an abusive
     // session forever. `Close` is always admitted (it releases state).
@@ -601,41 +529,39 @@ fn process(inner: &GatewayInner, core: &mut SessionCore, session: u64, op: Sessi
         let budget = inner.cfg.session_frame_budget;
         core.frames_seen += 1;
         if budget > 0 && core.frames_seen > budget {
-            core.closed = true;
             inner.stats.note_expel();
-            return reject(RejectReason::ResourceLimit);
+            return (reject(RejectReason::ResourceLimit), true);
         }
     }
     let already = core.guard.convicted().is_some();
     let verdict = match op {
         SessionOp::Event(event) => {
             if inner.codec.event_of(event).is_none() {
-                return reject(RejectReason::UnknownEvent);
+                return (reject(RejectReason::UnknownEvent), false);
             }
             core.guard
                 .observe(event)
                 .map(|()| inner.stats.note_accept(event))
         }
         SessionOp::Stall => core.guard.attest_stall(),
-        SessionOp::Close => {
-            core.closed = true;
-            return Reply::Accepted { session };
-        }
+        SessionOp::Close => return (Reply::Accepted { session }, true),
     };
-    match verdict {
+    let reply = match verdict {
         Ok(()) => Reply::Accepted { session },
         Err(_) if already => reject(RejectReason::Convicted),
         Err(conviction) => {
             inner.stats.note_conviction();
             reject(conviction.reject_reason())
         }
-    }
+    };
+    (reply, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protoquot_spec::SpecBuilder;
+    use crate::codec::ReplyBuffer;
+    use protoquot_spec::{EventId, SpecBuilder};
 
     fn relay_system() -> (Spec, Spec) {
         let mut b = SpecBuilder::new("impl");
@@ -661,32 +587,48 @@ mod tests {
         unreachable!("call_batch answers every frame inline")
     }
 
+    fn ev(gw: &Gateway, session: u64, name: &str) -> Frame {
+        gw.codec().event_frame(session, EventId::new(name)).unwrap()
+    }
+
+    /// Every reply `call_batch` encodes for `frames`, in order.
+    fn batch(gw: &Gateway, table: &mut BatchScratch, frames: &[Frame]) -> Vec<Reply> {
+        let mut out = Vec::new();
+        gw.call_batch(frames, table, &mut out, &mut no_slow);
+        let mut rdec = ReplyBuffer::new();
+        rdec.extend(&out);
+        std::iter::from_fn(|| rdec.next_reply().unwrap()).collect()
+    }
+
+    /// One frame's reply: `call_batch` on a one-frame slice.
+    fn call(gw: &Gateway, table: &mut BatchScratch, frame: Frame) -> Reply {
+        let replies = batch(gw, table, &[frame]);
+        assert_eq!(replies.len(), 1, "one frame, one reply");
+        replies[0]
+    }
+
+    fn rejected(session: u64, reason: RejectReason) -> Reply {
+        Reply::Rejected { session, reason }
+    }
+
     #[test]
     fn sessions_are_isolated_and_ordered() {
         let gw = gateway(GatewayConfig::default());
-        let acc = gw
-            .codec()
-            .event_frame(1, protoquot_spec::EventId::new("acc"));
-        let acc = acc.unwrap();
-        assert_eq!(gw.call(acc), Reply::Accepted { session: 1 });
+        let mut t = BatchScratch::new();
+        assert_eq!(
+            call(&gw, &mut t, ev(&gw, 1, "acc")),
+            Reply::Accepted { session: 1 }
+        );
         // Session 2 starts fresh: `del` first is a service violation
         // there, while session 1 can take it.
-        let del2 = gw
-            .codec()
-            .event_frame(2, protoquot_spec::EventId::new("del"))
-            .unwrap();
         assert_eq!(
-            gw.call(del2),
-            Reply::Rejected {
-                session: 2,
-                reason: RejectReason::NotATrace,
-            }
+            call(&gw, &mut t, ev(&gw, 2, "del")),
+            rejected(2, RejectReason::NotATrace)
         );
-        let del1 = gw
-            .codec()
-            .event_frame(1, protoquot_spec::EventId::new("del"))
-            .unwrap();
-        assert_eq!(gw.call(del1), Reply::Accepted { session: 1 });
+        assert_eq!(
+            call(&gw, &mut t, ev(&gw, 1, "del")),
+            Reply::Accepted { session: 1 }
+        );
         assert_eq!(gw.resident_sessions(), 2);
         let snap = gw.stats();
         assert_eq!(snap.sessions_opened, 2);
@@ -696,71 +638,82 @@ mod tests {
         gw.drain();
     }
 
+    /// `Close` ends the session at once and leaves a tombstone: later
+    /// frames on the id answer `closed` until the sweep drops it, and
+    /// the id then opens a fresh session.
     #[test]
-    fn close_then_evict_removes_the_session() {
-        let cfg = GatewayConfig {
+    fn close_ends_the_session_and_its_tombstone_answers_until_swept() {
+        let gw = gateway(GatewayConfig {
             idle_timeout: Duration::from_millis(0),
             ..GatewayConfig::default()
-        };
-        let gw = gateway(cfg);
+        });
+        let mut t = BatchScratch::new();
         assert_eq!(
-            gw.call(Frame::Close { session: 9 }),
+            call(&gw, &mut t, ev(&gw, 9, "acc")),
             Reply::Accepted { session: 9 }
         );
-        let acc = gw
-            .codec()
-            .event_frame(9, protoquot_spec::EventId::new("acc"))
-            .unwrap();
+        let close = Frame::Close { session: 9 };
+        assert_eq!(call(&gw, &mut t, close), Reply::Accepted { session: 9 });
+        assert_eq!((gw.resident_sessions(), gw.stats().sessions_closed), (0, 1));
+        assert_eq!(gw.stats().version_sessions, vec![]);
         assert_eq!(
-            gw.call(acc),
-            Reply::Rejected {
-                session: 9,
-                reason: RejectReason::Closed,
-            }
+            call(&gw, &mut t, ev(&gw, 9, "del")),
+            rejected(9, RejectReason::Closed)
         );
-        assert_eq!(gw.evict_idle(), 1);
-        assert_eq!(gw.resident_sessions(), 0);
+        assert_eq!(gw.sweep(&mut t), 0, "a tombstone is not a session");
+        assert_eq!(
+            call(&gw, &mut t, ev(&gw, 9, "acc")),
+            Reply::Accepted { session: 9 }
+        );
+        assert_eq!(gw.stats().sessions_opened, 2);
+    }
+
+    /// Ending a table evicts its live sessions whatever their idle
+    /// time; a closed one was already counted at its `Close`.
+    #[test]
+    fn ending_a_table_ends_its_sessions() {
+        let gw = gateway(GatewayConfig::default());
+        let mut t = BatchScratch::new();
+        call(&gw, &mut t, ev(&gw, 1, "acc"));
+        call(&gw, &mut t, ev(&gw, 2, "acc"));
+        call(&gw, &mut t, Frame::Close { session: 2 });
+        assert_eq!(gw.sweep(&mut t), 0, "nothing is idle for 30 s yet");
+        gw.end_sessions(&mut t);
         let snap = gw.stats();
-        assert_eq!(snap.sessions_closed, 1);
+        assert_eq!((snap.sessions_active, snap.sessions_closed), (0, 1));
+        assert_eq!(snap.sessions_evicted, 1);
+        assert_eq!(snap.version_sessions, vec![]);
     }
 
     #[test]
     fn draining_rejects_new_frames() {
         let gw = gateway(GatewayConfig::default());
         gw.drain();
-        let acc = gw
-            .codec()
-            .event_frame(3, protoquot_spec::EventId::new("acc"))
-            .unwrap();
         assert_eq!(
-            gw.call(acc),
-            Reply::Rejected {
-                session: 3,
-                reason: RejectReason::Draining,
-            }
+            call(&gw, &mut BatchScratch::new(), ev(&gw, 3, "acc")),
+            rejected(3, RejectReason::Draining)
         );
+        assert_eq!(gw.stats().sessions_opened, 0);
     }
 
     #[test]
     fn unknown_event_indices_bounce() {
         let gw = gateway(GatewayConfig::default());
+        let frame = Frame::Event {
+            session: 4,
+            event: 999,
+        };
         assert_eq!(
-            gw.call(Frame::Event {
-                session: 4,
-                event: 999
-            }),
-            Reply::Rejected {
-                session: 4,
-                reason: RejectReason::UnknownEvent,
-            }
+            call(&gw, &mut BatchScratch::new(), frame),
+            rejected(4, RejectReason::UnknownEvent)
         );
         gw.drain();
     }
 
     /// A session that overruns its frame budget is expelled: the
-    /// overrunning frame bounces with `ResourceLimit`, later frames see
-    /// `Closed`, other sessions are untouched, and the idle sweep
-    /// removes the expelled core.
+    /// overrunning frame bounces with `ResourceLimit` and ends the
+    /// session, later frames see `Closed`, and other sessions are
+    /// untouched.
     #[test]
     fn frame_budget_expels_abusive_sessions() {
         let cfg = GatewayConfig {
@@ -768,85 +721,103 @@ mod tests {
             idle_timeout: Duration::from_millis(0),
         };
         let gw = gateway(cfg);
-        let acc = |s| {
-            gw.codec()
-                .event_frame(s, protoquot_spec::EventId::new("acc"))
-                .unwrap()
-        };
-        let del = |s| {
-            gw.codec()
-                .event_frame(s, protoquot_spec::EventId::new("del"))
-                .unwrap()
-        };
+        let mut t = BatchScratch::new();
         for _ in 0..2 {
-            assert_eq!(gw.call(acc(1)), Reply::Accepted { session: 1 });
-            assert_eq!(gw.call(del(1)), Reply::Accepted { session: 1 });
+            assert_eq!(
+                call(&gw, &mut t, ev(&gw, 1, "acc")),
+                Reply::Accepted { session: 1 }
+            );
+            assert_eq!(
+                call(&gw, &mut t, ev(&gw, 1, "del")),
+                Reply::Accepted { session: 1 }
+            );
         }
         assert_eq!(
-            gw.call(acc(1)),
-            Reply::Rejected {
-                session: 1,
-                reason: RejectReason::ResourceLimit,
-            }
+            call(&gw, &mut t, ev(&gw, 1, "acc")),
+            rejected(1, RejectReason::ResourceLimit)
         );
         assert_eq!(
-            gw.call(del(1)),
-            Reply::Rejected {
-                session: 1,
-                reason: RejectReason::Closed,
-            }
+            call(&gw, &mut t, ev(&gw, 1, "del")),
+            rejected(1, RejectReason::Closed)
         );
         // A well-behaved session is unaffected.
-        assert_eq!(gw.call(acc(2)), Reply::Accepted { session: 2 });
+        assert_eq!(
+            call(&gw, &mut t, ev(&gw, 2, "acc")),
+            Reply::Accepted { session: 2 }
+        );
         let snap = gw.stats();
         assert_eq!(snap.sessions_expelled, 1);
         assert!(snap.rejects.contains(&("resource_limit", 1)));
-        gw.drain();
-        assert_eq!(gw.evict_idle(), 2);
-        assert_eq!(gw.resident_sessions(), 0);
-        // The expelled session counts as closed by the sweep, not as an
-        // idle eviction: it was terminated for cause, and `expelled`
+        // The expelled session counts as closed, not as an idle
+        // eviction: it was terminated for cause, and `expelled`
         // already attributes the cause.
-        assert_eq!(gw.stats().sessions_closed, 1);
-    }
-
-    #[test]
-    fn many_sessions_in_parallel_stay_consistent() {
-        let gw = gateway(GatewayConfig::default());
-        let codec = gw.codec().clone();
-        std::thread::scope(|scope| {
-            for session in 0..32u64 {
-                let gw = gw.clone();
-                let codec = codec.clone();
-                scope.spawn(move || {
-                    for _ in 0..50 {
-                        let acc = codec.event_frame(session, protoquot_spec::EventId::new("acc"));
-                        assert_eq!(gw.call(acc.unwrap()), Reply::Accepted { session });
-                        let del = codec.event_frame(session, protoquot_spec::EventId::new("del"));
-                        assert_eq!(gw.call(del.unwrap()), Reply::Accepted { session });
-                    }
-                });
-            }
-        });
-        let snap = gw.stats();
-        assert_eq!(snap.accepted, 32 * 100);
-        assert_eq!(snap.convictions, 0);
+        assert_eq!((snap.sessions_closed, snap.sessions_active), (1, 1));
         gw.drain();
+        assert_eq!(gw.sweep(&mut t), 1);
+        assert_eq!(gw.resident_sessions(), 0);
+        assert_eq!(gw.stats().sessions_evicted, 1);
     }
 
-    /// Batched execution is observationally equivalent to per-frame
-    /// execution: for every session, the reply sequence produced by
-    /// `call_batch` over an interleaved multi-session batch matches
-    /// what sequential `call`s produce, and the stats agree.
+    /// A capped table bounces the session past its cap at open, while
+    /// known sessions and `Close` frames pass; a closed or expelled
+    /// session frees its slot.
+    #[test]
+    fn capped_table_bounces_sessions_past_the_cap() {
+        let gw = gateway(GatewayConfig {
+            session_frame_budget: 2,
+            ..GatewayConfig::default()
+        });
+        let mut t = BatchScratch::capped(2);
+        let limit = |s| rejected(s, RejectReason::ResourceLimit);
+        let replies = batch(
+            &gw,
+            &mut t,
+            &[
+                ev(&gw, 1, "acc"),
+                ev(&gw, 2, "acc"),
+                ev(&gw, 3, "acc"),
+                ev(&gw, 1, "del"),
+                Frame::Close { session: 4 },
+                Frame::Close { session: 1 },
+                ev(&gw, 3, "acc"),
+            ],
+        );
+        let accepted = |session| Reply::Accepted { session };
+        assert_eq!(
+            replies,
+            [
+                accepted(1),
+                accepted(2),
+                limit(3),
+                accepted(1),
+                accepted(4),
+                accepted(1),
+                accepted(3),
+            ]
+        );
+        // Session 2 overruns its budget of two frames and is expelled,
+        // which frees its slot for session 5.
+        let replies = batch(
+            &gw,
+            &mut t,
+            &[
+                ev(&gw, 6, "acc"),
+                ev(&gw, 2, "del"),
+                ev(&gw, 2, "acc"),
+                ev(&gw, 5, "acc"),
+            ],
+        );
+        assert_eq!(replies, [limit(6), accepted(2), limit(2), accepted(5)]);
+        assert!(gw.stats().rejects.contains(&("resource_limit", 3)));
+    }
+
+    /// Batched execution is per-frame execution: the replies `call_batch`
+    /// gives an interleaved multi-session batch are, in order, the
+    /// replies one-frame calls give, and the stats agree.
     #[test]
     fn call_batch_matches_per_frame_replies() {
         let batched = gateway(GatewayConfig::default());
         let oracle = gateway(GatewayConfig::default());
-        let ev = |gw: &Gateway, s, name| {
-            gw.codec()
-                .event_frame(s, protoquot_spec::EventId::new(name))
-                .unwrap()
-        };
         let frames: Vec<Frame> = vec![
             ev(&batched, 1, "acc"),
             ev(&batched, 2, "del"), // fresh-session violation: convicts 2
@@ -856,28 +827,9 @@ mod tests {
             ev(&batched, 1, "acc"),
             Frame::Close { session: 3 },
         ];
-        let mut per_session: HashMap<u64, Vec<Reply>> = HashMap::new();
-        for &frame in &frames {
-            per_session
-                .entry(frame.session())
-                .or_default()
-                .push(oracle.call(frame));
-        }
-        let mut scratch = BatchScratch::new();
-        let mut out = Vec::new();
-        batched.call_batch(&frames, &mut scratch, &mut out, &mut no_slow);
-        // Replies come back grouped by session; per-session order must
-        // match the oracle's.
-        let mut rdec = crate::codec::ReplyBuffer::new();
-        rdec.extend(&out);
-        let mut batched_per_session: HashMap<u64, Vec<Reply>> = HashMap::new();
-        while let Some(reply) = rdec.next_reply().unwrap() {
-            batched_per_session
-                .entry(reply.session())
-                .or_default()
-                .push(reply);
-        }
-        assert_eq!(batched_per_session, per_session);
+        let mut t = BatchScratch::new();
+        let want: Vec<Reply> = frames.iter().map(|&f| call(&oracle, &mut t, f)).collect();
+        assert_eq!(batch(&batched, &mut BatchScratch::new(), &frames), want);
         let (a, b) = (batched.stats(), oracle.stats());
         assert_eq!(a.accepted, b.accepted);
         assert_eq!(a.convictions, b.convictions);
@@ -885,26 +837,8 @@ mod tests {
         assert_eq!(a.frames, b.frames);
         assert_eq!(a.batches, 1);
         assert_eq!(a.batch_frames, frames.len() as u64);
-        assert_eq!(a.batch_slow, 0, "one thread never contends a session");
-        // Session 1's three frames: two waited behind its first.
-        assert_eq!(a.queue_high_water, 2);
         batched.drain();
         oracle.drain();
-    }
-
-    /// The mux shape — one frame per session per batch, from one
-    /// thread — keeps both contention gauges at zero.
-    #[test]
-    fn one_frame_per_session_batches_leave_contention_gauges_at_zero() {
-        let gw = gateway(GatewayConfig::default());
-        let (mut scratch, mut out) = (BatchScratch::new(), Vec::new());
-        for _ in 0..4 {
-            let round: Vec<Frame> = (0..256).map(|session| Frame::Stall { session }).collect();
-            gw.call_batch(&round, &mut scratch, &mut out, &mut no_slow);
-        }
-        let snap = gw.stats();
-        assert_eq!((snap.batch_frames, snap.batch_slow), (1024, 0));
-        assert_eq!(snap.queue_high_water, 0);
     }
 
     /// A draining gateway bounces a whole batch with per-frame
@@ -918,136 +852,78 @@ mod tests {
             Frame::Close { session: 8 },
             Frame::Stall { session: 7 },
         ];
-        let mut scratch = BatchScratch::new();
-        let mut out = Vec::new();
-        gw.call_batch(&frames, &mut scratch, &mut out, &mut no_slow);
-        let mut rdec = crate::codec::ReplyBuffer::new();
-        rdec.extend(&out);
-        let mut replies = Vec::new();
-        while let Some(reply) = rdec.next_reply().unwrap() {
-            replies.push(reply);
-        }
-        let rej = |session| Reply::Rejected {
-            session,
-            reason: RejectReason::Draining,
-        };
-        assert_eq!(replies, vec![rej(7), rej(8), rej(7)]);
+        let rej = |session| rejected(session, RejectReason::Draining);
+        assert_eq!(
+            batch(&gw, &mut BatchScratch::new(), &frames),
+            vec![rej(7), rej(8), rej(7)]
+        );
     }
 
-    /// Two threads batch 1000 stalls each into one session under a
-    /// 1500-frame budget. Whatever the interleaving, the session lock
-    /// serializes them: exactly 1500 accepted, the 1501st expels the
-    /// session, and the 499 after it see `closed`.
+    /// One id in two tables is two sessions. Two threads batch 1000
+    /// stalls each into session 1 of their own table under a
+    /// 1500-frame budget: neither session sees the other's frames, so
+    /// each stays under its budget and accepts all 1000.
     #[test]
-    fn contended_session_is_serialized_by_its_lock() {
+    fn one_id_in_two_tables_is_two_sessions() {
         let gw = gateway(GatewayConfig {
             session_frame_budget: 1500,
             ..GatewayConfig::default()
         });
         let frames = vec![Frame::Stall { session: 1 }; 1000];
-        let outs: Vec<Vec<u8>> = std::thread::scope(|scope| {
+        let tallies: Vec<Vec<Reply>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
                 .map(|_| {
                     let (gw, frames) = (&gw, &frames);
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        gw.call_batch(frames, &mut BatchScratch::new(), &mut out, &mut no_slow);
-                        out
-                    })
+                    scope.spawn(move || batch(gw, &mut BatchScratch::new(), frames))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let mut tally: HashMap<&str, u32> = HashMap::new();
-        let mut rdec = crate::codec::ReplyBuffer::new();
-        for out in &outs {
-            rdec.extend(out);
+        for replies in tallies {
+            assert_eq!(replies, vec![Reply::Accepted { session: 1 }; 1000]);
         }
-        while let Some(reply) = rdec.next_reply().unwrap() {
-            let name = match reply {
-                Reply::Accepted { .. } => "accepted",
-                Reply::Rejected { reason, .. } => reason.name(),
-                Reply::HelloAck { .. } => "hello_ack",
-            };
-            *tally.entry(name).or_default() += 1;
-        }
-        let want: HashMap<&str, u32> = [("accepted", 1500), ("resource_limit", 1), ("closed", 499)]
-            .into_iter()
-            .collect();
-        assert_eq!(tally, want);
         let snap = gw.stats();
         assert_eq!(snap.batch_frames, 2000);
-        // A group is contended as a whole or not at all.
-        assert!(
-            [0, 1000, 2000].contains(&snap.batch_slow),
-            "{}",
-            snap.batch_slow
-        );
-        assert_eq!(snap.queue_high_water, 999);
-        assert_eq!(snap.sessions_expelled, 1);
+        assert_eq!(snap.sessions_opened, 2);
+        assert_eq!(snap.sessions_expelled, 0);
     }
 
-    /// Negotiation through `call_batch` is connection-level exactly as
-    /// through `call`: a hello is answered from the wire identity and
-    /// opens no session, so it cannot hold a version open against the
-    /// next swap. A hello sharing a batch with its session's frames
-    /// keeps its place in that session's reply order.
+    /// Negotiation through `call_batch` is connection-level: a hello
+    /// is answered from the wire identity and opens no session, so it
+    /// cannot hold a version open against the next swap. Mixed with
+    /// session work, it answers in arrival order.
     #[test]
     fn call_batch_answers_hellos_without_opening_sessions() {
-        let batched = gateway(GatewayConfig::default());
-        let oracle = gateway(GatewayConfig::default());
-        let hash = batched.table_hash();
+        let gw = gateway(GatewayConfig::default());
+        let hash = gw.table_hash();
         let hello = |table_hash| Frame::Hello {
             session: 0,
             table_hash,
             version: 0,
         };
-        let mut scratch = BatchScratch::new();
-        let mut out = Vec::new();
-        batched.call_batch(
-            &[hello(hash), hello(hash ^ 1)],
-            &mut scratch,
-            &mut out,
-            &mut no_slow,
-        );
-        let mut rdec = crate::codec::ReplyBuffer::new();
-        rdec.extend(&out);
-        for frame in [hello(hash), hello(hash ^ 1)] {
-            assert_eq!(rdec.next_reply().unwrap(), Some(oracle.call(frame)));
-        }
-        assert_eq!(rdec.next_reply().unwrap(), None);
-        for gw in [&batched, &oracle] {
-            assert_eq!(gw.resident_sessions(), 0);
-            assert_eq!(gw.stats().sessions_opened, 0);
-        }
-        // Mixed with session work, the hello answers in arrival order.
-        let acc = batched
-            .codec()
-            .event_frame(0, protoquot_spec::EventId::new("acc"))
-            .unwrap();
-        out.clear();
-        batched.call_batch(
-            &[acc, hello(hash), acc],
-            &mut scratch,
-            &mut out,
-            &mut no_slow,
-        );
-        rdec.extend(&out);
         let ack = Reply::HelloAck {
             session: 0,
             table_hash: hash,
             version: 1,
         };
-        let not_a_trace = Reply::Rejected {
-            session: 0,
-            reason: RejectReason::NotATrace,
-        };
-        for want in [Reply::Accepted { session: 0 }, ack, not_a_trace] {
-            assert_eq!(rdec.next_reply().unwrap(), Some(want));
-        }
-        assert_eq!(batched.stats().sessions_opened, 1);
-        batched.drain();
-        oracle.drain();
+        let mut t = BatchScratch::new();
+        assert_eq!(
+            batch(&gw, &mut t, &[hello(hash), hello(hash ^ 1)]),
+            [ack, rejected(0, RejectReason::VersionMismatch)]
+        );
+        assert_eq!(gw.resident_sessions(), 0);
+        assert_eq!(gw.stats().sessions_opened, 0);
+        let acc = ev(&gw, 0, "acc");
+        assert_eq!(
+            batch(&gw, &mut t, &[acc, hello(hash), acc]),
+            [
+                Reply::Accepted { session: 0 },
+                ack,
+                rejected(0, RejectReason::NotATrace)
+            ]
+        );
+        assert_eq!(gw.stats().sessions_opened, 1);
+        gw.drain();
     }
 
     /// A behaviourally identical implementation with renamed states:
@@ -1069,56 +945,32 @@ mod tests {
         let gw = gateway(GatewayConfig::default());
         let hash = gw.table_hash();
         assert_ne!(hash, 0);
+        let mut t = BatchScratch::new();
+        let mut hello = |table_hash, version| {
+            call(
+                &gw,
+                &mut t,
+                Frame::Hello {
+                    session: 0,
+                    table_hash,
+                    version,
+                },
+            )
+        };
+        let ack = Reply::HelloAck {
+            session: 0,
+            table_hash: hash,
+            version: 1,
+        };
         // Matching hash, unpinned version: ack with our identity.
-        assert_eq!(
-            gw.call(Frame::Hello {
-                session: 0,
-                table_hash: hash,
-                version: 0,
-            }),
-            Reply::HelloAck {
-                session: 0,
-                table_hash: hash,
-                version: 1,
-            }
-        );
+        assert_eq!(hello(hash, 0), ack);
         // Pinning the active version also acks.
-        assert_eq!(
-            gw.call(Frame::Hello {
-                session: 0,
-                table_hash: hash,
-                version: 1,
-            }),
-            Reply::HelloAck {
-                session: 0,
-                table_hash: hash,
-                version: 1,
-            }
-        );
+        assert_eq!(hello(hash, 1), ack);
         // A peer speaking a different event table is turned away.
-        assert_eq!(
-            gw.call(Frame::Hello {
-                session: 0,
-                table_hash: hash ^ 1,
-                version: 0,
-            }),
-            Reply::Rejected {
-                session: 0,
-                reason: RejectReason::VersionMismatch,
-            }
-        );
+        let mismatch = rejected(0, RejectReason::VersionMismatch);
+        assert_eq!(hello(hash ^ 1, 0), mismatch);
         // So is one pinned to a version we no longer (or never) serve.
-        assert_eq!(
-            gw.call(Frame::Hello {
-                session: 0,
-                table_hash: hash,
-                version: 7,
-            }),
-            Reply::Rejected {
-                session: 0,
-                reason: RejectReason::VersionMismatch,
-            }
-        );
+        assert_eq!(hello(hash, 7), mismatch);
         // Negotiation is connection-level: no session state was made.
         assert_eq!(gw.resident_sessions(), 0);
         let snap = gw.stats();
@@ -1131,30 +983,30 @@ mod tests {
 
     #[test]
     fn hot_swap_binds_new_sessions_and_drains_old_before_retiring() {
-        let cfg = GatewayConfig {
+        let gw = gateway(GatewayConfig {
             idle_timeout: Duration::from_millis(0),
             ..GatewayConfig::default()
-        };
-        let gw = gateway(cfg);
-        let acc = |s| {
-            gw.codec()
-                .event_frame(s, protoquot_spec::EventId::new("acc"))
-                .unwrap()
-        };
+        });
+        let mut t = BatchScratch::new();
         // Session 1 opens on version 1.
-        assert_eq!(gw.call(acc(1)), Reply::Accepted { session: 1 });
+        assert_eq!(
+            call(&gw, &mut t, ev(&gw, 1, "acc")),
+            Reply::Accepted { session: 1 }
+        );
         // Swap in the rev: same event table, new program, version 2.
         let (impl2, service) = relay_system_v2();
         let prog2 = Arc::new(GuardProgram::new(&[&impl2], &service).unwrap());
         gw.swap(2, Arc::clone(&prog2)).unwrap();
         assert_eq!(gw.active_version(), 2);
         // Session 1 keeps draining on v1; session 2 binds v2.
-        let del1 = gw
-            .codec()
-            .event_frame(1, protoquot_spec::EventId::new("del"))
-            .unwrap();
-        assert_eq!(gw.call(del1), Reply::Accepted { session: 1 });
-        assert_eq!(gw.call(acc(2)), Reply::Accepted { session: 2 });
+        assert_eq!(
+            call(&gw, &mut t, ev(&gw, 1, "del")),
+            Reply::Accepted { session: 1 }
+        );
+        assert_eq!(
+            call(&gw, &mut t, ev(&gw, 2, "acc")),
+            Reply::Accepted { session: 2 }
+        );
         let snap = gw.stats();
         assert_eq!(snap.active_version, 2);
         assert_eq!(snap.swaps, 1);
@@ -1175,18 +1027,17 @@ mod tests {
         let other_svc = b.build().unwrap();
         let alien = Arc::new(GuardProgram::new(&[&other], &other_svc).unwrap());
         assert!(matches!(gw.swap(3, alien), Err(GatewayError::Swap(_))));
-        // Drain v1: close its session, sweep it out — v1 retires and
-        // the next swap is admitted.
-        assert_eq!(
-            gw.call(Frame::Close { session: 1 }),
-            Reply::Accepted { session: 1 }
-        );
+        // Drain v1: closing its session retires it at once, and the
+        // next swap is admitted.
+        let close = Frame::Close { session: 1 };
+        assert_eq!(call(&gw, &mut t, close), Reply::Accepted { session: 1 });
+        assert_eq!(gw.stats().versions_retired, 1);
         gw.drain();
-        gw.evict_idle();
+        gw.sweep(&mut t);
         let snap = gw.stats();
-        assert_eq!(snap.versions_retired, 1);
-        // The zero-timeout sweep also evicted session 2, so no version
+        // The zero-timeout sweep evicted session 2, so no version
         // holds sessions — but the *active* version never retires.
+        assert_eq!(snap.versions_retired, 1);
         assert_eq!(snap.version_sessions, vec![]);
         gw.swap(3, prog2).unwrap();
         assert_eq!(gw.active_version(), 3);

@@ -16,14 +16,14 @@
 //!   one transition-table row; the subset-replaying interpreter
 //!   ([`SessionGuardReference`]) is retained as the guard-level
 //!   differential oracle;
-//! * [`gateway`] — a sharded, session-multiplexed relay that answers
-//!   every frame inline on the thread that hands it in: striped
-//!   session table whose shard lock is the session lock, idle
-//!   eviction, per-session frame budgets, drain; transports hand it
-//!   whole readiness batches via [`Gateway::call_batch`] — one shard
-//!   lock and one contiguous guard-DFA run per session per batch,
-//!   replies encoded zero-copy into the caller's outbound buffer;
-//!   [`Gateway::call`] is the same step for one frame;
+//! * [`gateway`] — a session-multiplexed relay that answers every
+//!   frame inline on the thread that hands it in: converter versions,
+//!   per-session frame budgets, idle sweeps, drain. Each connection
+//!   owns its session table ([`BatchScratch`]); transports hand the
+//!   gateway whole readiness batches via [`Gateway::call_batch`] —
+//!   frames answered in arrival order, one table lookup and one
+//!   guard-DFA row each, no lock, replies encoded zero-copy into the
+//!   caller's outbound buffer;
 //! * [`transport`] — carriers of the same bytes: the in-memory
 //!   loopback and the non-blocking epoll reactor ([`ReactorServer`]),
 //!   which serves every connection from a fixed pool of event loops

@@ -88,8 +88,9 @@ macro_rules! stats {
 stats! {
     counters {
         (sessions_opened, "sessions.opened", "Sessions ever created."),
-        (sessions_evicted, "sessions.evicted", "Sessions removed by the idle sweeper."),
-        (sessions_closed, "sessions.closed", "Sessions removed after a `Close` frame."),
+        (sessions_evicted, "sessions.evicted",
+            "Sessions evicted, by the idle sweep or with their connection, before a `Close`."),
+        (sessions_closed, "sessions.closed", "Sessions ended by a `Close` frame or an expulsion."),
         (sessions_active, "sessions.active", "Sessions currently resident."),
         (sessions_expelled, "sessions.expelled", "Sessions expelled over their frame budget."),
         (connections_opened, "connections.opened",
@@ -99,11 +100,11 @@ stats! {
         (accepted, "accepted", "Event frames accepted by the guard."),
         (convictions, "convictions", "Sessions convicted by the online guard."),
         (queue_high_water, "queue_high_water",
-            "Most frames of one session queued behind its own earlier frame in one batch."),
+            "Reads 0: frames are answered in arrival order. Kept while the benchmark reads it."),
         (batches, "batching.batches", "Batches taken through `Gateway::call_batch`."),
         (batch_frames, "batching.frames", "Frames carried by those batches."),
         (batch_slow, "batching.slow_path",
-            "Batched frames whose session's shard lock another thread held."),
+            "Reads 0: no lock sits on the frame path. Kept while the benchmark reads it."),
         (bytes_in, "bytes.in", "Raw bytes read off transport sockets."),
         (bytes_out, "bytes.out", "Raw bytes written back to transport sockets."),
         (swaps, "registry.swaps", "Completed hot-swaps."),
@@ -218,13 +219,14 @@ impl RuntimeStats {
         *self.versions().entry(version).or_insert(0) += 1;
     }
 
-    /// A session was evicted by the idle sweeper.
+    /// A session was evicted before its `Close`: idle, or with its
+    /// connection.
     pub fn note_evict(&self) {
         self.counters.sessions_evicted.fetch_add(1, Relaxed);
         self.counters.sessions_active.fetch_sub(1, Relaxed);
     }
 
-    /// A session was closed and removed.
+    /// A session ended on its `Close` frame or an expulsion.
     pub fn note_close(&self) {
         self.counters.sessions_closed.fetch_add(1, Relaxed);
         self.counters.sessions_active.fetch_sub(1, Relaxed);
@@ -275,24 +277,11 @@ impl RuntimeStats {
         self.counters.convictions.fetch_add(1, Relaxed);
     }
 
-    /// Once per batch: its largest session group waited `frames` frames
-    /// behind that session's first frame.
-    pub fn note_batch_backlog(&self, frames: usize) {
-        self.counters
-            .queue_high_water
-            .fetch_max(frames as u64, Relaxed);
-    }
-
     /// One `call_batch` of `frames` frames entered the gateway.
     pub fn note_batch(&self, frames: usize) {
         self.counters.batches.fetch_add(1, Relaxed);
         self.counters.batch_frames.fetch_add(frames as u64, Relaxed);
         self.batch_hist[batch_bucket(frames)].fetch_add(1, Relaxed);
-    }
-
-    /// `n` batched frames waited for a shard lock another thread held.
-    pub fn note_batch_slow(&self, n: usize) {
-        self.counters.batch_slow.fetch_add(n as u64, Relaxed);
     }
 
     /// `n` raw bytes arrived from a transport socket.
@@ -599,8 +588,6 @@ mod tests {
         stats.note_frame();
         stats.note_reject(RejectReason::Closed);
         stats.note_conviction();
-        stats.note_batch_backlog(5);
-        stats.note_batch_backlog(3);
         stats.note_close();
 
         let snap = stats.snapshot(&table);
@@ -612,7 +599,6 @@ mod tests {
         assert_eq!(snap.accepted, 1);
         assert_eq!(snap.rejects, vec![("closed", 1)]);
         assert_eq!(snap.convictions, 1);
-        assert_eq!(snap.queue_high_water, 5);
         let first = EventId::new("acc");
         assert_eq!(snap.per_event[table.idx(first) as usize].1, 1);
 
@@ -625,13 +611,13 @@ mod tests {
             Value::Int(2)
         );
         assert!(snap.to_json().contains("\"accepted\":1"));
-        assert!(format!("{snap}").contains("queue high-water 5"));
+        assert!(format!("{snap}").contains("queue high-water 0"));
         assert!(format!("{snap}").contains("connections opened=2 closed=1"));
         assert!(snap.to_json().contains("\"guard_build\""));
     }
 
     /// Each `note_*` call bumps its own counter, and each counter lands
-    /// under its own JSON path.
+    /// under its own JSON path; the two no call writes read 0.
     #[test]
     fn every_counter_bumps_its_own_field() {
         let table = EventTable::new(&Alphabet::from_names(["acc"]));
@@ -646,11 +632,8 @@ mod tests {
         times(40, &|| stats.note_frame());
         times(30, &|| stats.note_accept(0));
         times(4, &|| stats.note_conviction());
-        stats.note_batch_backlog(9);
-        stats.note_batch_backlog(2);
         stats.note_batch(16);
         stats.note_batch(17);
-        stats.note_batch_slow(10);
         stats.note_bytes_in(4096);
         stats.note_bytes_out(1234);
         times(15, &|| stats.note_swap());
@@ -670,10 +653,10 @@ mod tests {
                 ("frames", 40),
                 ("accepted", 30),
                 ("convictions", 4),
-                ("queue_high_water", 9),
+                ("queue_high_water", 0),
                 ("batching.batches", 2),
                 ("batching.frames", 33),
-                ("batching.slow_path", 10),
+                ("batching.slow_path", 0),
                 ("bytes.in", 4096),
                 ("bytes.out", 1234),
                 ("registry.swaps", 15),
@@ -844,14 +827,13 @@ mod tests {
         stats.note_batch(1);
         stats.note_batch(3);
         stats.note_batch(256);
-        stats.note_batch_slow(5);
         stats.note_bytes_in(4096);
         stats.note_bytes_out(1234);
 
         let snap = stats.snapshot(&table);
         assert_eq!(snap.batches, 3);
         assert_eq!(snap.batch_frames, 260);
-        assert_eq!(snap.batch_slow, 5);
+        assert_eq!(snap.batch_slow, 0);
         assert_eq!(snap.batch_hist.len(), BATCH_BUCKETS);
         assert!(snap.batch_hist.contains(&("1", 1)));
         assert!(snap.batch_hist.contains(&("2", 1)));
@@ -863,7 +845,7 @@ mod tests {
         let b = value.as_obj().unwrap()["batching"].as_obj().unwrap();
         assert_eq!(b["batches"], Value::Int(3));
         assert_eq!(b["frames"], Value::Int(260));
-        assert_eq!(b["slow_path"], Value::Int(5));
+        assert_eq!(b["slow_path"], Value::Int(0));
         assert_eq!(b["sizes"].as_obj().unwrap()["128+"], Value::Int(1));
         assert_eq!(b["sizes"].as_obj().unwrap()["64"], Value::Int(0));
         let w = value.as_obj().unwrap()["bytes"].as_obj().unwrap();
@@ -871,7 +853,7 @@ mod tests {
         assert_eq!(w["out"], Value::Int(1234));
 
         let text = format!("{snap}");
-        assert!(text.contains("batches 3 | batched frames 260 (slow 5)"));
+        assert!(text.contains("batches 3 | batched frames 260 (slow 0)"));
         assert!(text.contains("bytes in 4096 out 1234"));
     }
 

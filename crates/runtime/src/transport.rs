@@ -27,9 +27,10 @@
 //! through per-loop inboxes, waking the target loop. Per readiness
 //! wakeup a loop reads what the socket has, feeds a [`FrameBuffer`],
 //! and hands every complete frame to [`Gateway::call_batch`] as one
-//! batch. Every frame is answered on the loop that read it: the
-//! replies land in the connection's outbound buffer, which the loop
-//! owns outright, and are flushed at once. `EPOLLOUT` interest is
+//! batch, against the connection's own session table. Every frame is
+//! answered on the loop that read it: the replies land in the
+//! connection's outbound buffer, which the loop owns outright, and are
+//! flushed at once. `EPOLLOUT` interest is
 //! registered only while flushed-behind bytes remain, and a connection
 //! whose outbound buffer outgrows [`ReactorConfig::outbuf_cap`] (a
 //! client that stopped reading) is dropped as a counted
@@ -37,7 +38,10 @@
 //! without bound. Each readiness event reads a bounded number of
 //! chunks so a firehosing peer cannot starve its loop's other
 //! connections or defer that cap; [`ConnLimits`] adds the per-
-//! connection session cap and the torn-frame read deadline.
+//! connection session cap and the torn-frame read deadline. A session
+//! id is scoped to its connection: the connection owns its sessions,
+//! and they end when it drops. One timer per loop enforces the read
+//! deadline and sweeps the loop's idle sessions.
 
 use crate::codec::{
     decode_frame, decode_reply, encode_frame, encode_reply, read_payload, write_frame, Frame,
@@ -46,7 +50,7 @@ use crate::codec::{
 use crate::gateway::{BatchScratch, Gateway};
 use crate::stats::ConnEvictReason;
 use reactor::{Events, Interest, Poll, Token, Waker};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -66,10 +70,10 @@ use std::time::{Duration, Instant};
 /// serving everyone else.
 #[derive(Clone, Copy, Debug)]
 pub struct ConnLimits {
-    /// Live sessions one connection may hold at once (a `Close` frees
-    /// its slot). Frames naming a session beyond the cap bounce with
-    /// [`RejectReason::ResourceLimit`] without touching the gateway.
-    /// `0` disables the cap — the default, because multiplexed
+    /// Live sessions one connection may hold at once (a `Close` or a
+    /// budget expulsion frees its slot). A frame that would open a
+    /// session beyond the cap bounces with
+    /// [`RejectReason::ResourceLimit`]. `0` disables the cap — the default, because multiplexed
     /// campaigns legitimately hold 100k+ sessions on one socket.
     pub max_sessions_per_conn: usize,
     /// How long a connection may sit *mid-frame* (length prefix or
@@ -98,79 +102,6 @@ impl Default for ConnLimits {
     }
 }
 
-/// What the reactor does with one decoded frame, as decided by
-/// [`ConnSessions::gate`].
-enum Gate {
-    /// Submit the frame to the gateway.
-    Forward,
-    /// Answer `reply` at the transport; keep the connection.
-    Reply(Reply),
-    /// Answer `reply`, then cut the connection.
-    Refuse(Reply),
-}
-
-/// Tracks the live-session set of one connection against
-/// [`ConnLimits::max_sessions_per_conn`], plus whether the connection
-/// has completed hello negotiation.
-#[derive(Default)]
-struct ConnSessions {
-    live: HashSet<u64>,
-    /// Whether a hello was acked on this connection.
-    hello_done: bool,
-}
-
-impl ConnSessions {
-    /// Admits `frame` against the cap: `Ok(())` to forward it to the
-    /// gateway, `Err(reason)` to bounce it at the transport.
-    fn admit(&mut self, frame: &Frame, cap: usize) -> Result<(), RejectReason> {
-        match frame {
-            Frame::Close { session } => {
-                self.live.remove(session);
-                Ok(())
-            }
-            Frame::Event { session, .. } | Frame::Stall { session } => {
-                if self.live.contains(session) {
-                    return Ok(());
-                }
-                if cap > 0 && self.live.len() >= cap {
-                    return Err(RejectReason::ResourceLimit);
-                }
-                self.live.insert(*session);
-                Ok(())
-            }
-            // Hello is connection-level: it never holds a session slot.
-            Frame::Hello { .. } => Ok(()),
-        }
-    }
-
-    /// Connection-level admission for one decoded frame: hello
-    /// negotiation first, then the session cap.
-    fn gate(&mut self, gateway: &Gateway, frame: &Frame, limits: &ConnLimits) -> Gate {
-        match frame {
-            Frame::Hello {
-                session,
-                table_hash,
-                version,
-            } => {
-                let reply = gateway.hello(*session, *table_hash, *version);
-                if matches!(reply, Reply::HelloAck { .. }) {
-                    self.hello_done = true;
-                    Gate::Reply(reply)
-                } else {
-                    Gate::Refuse(reply)
-                }
-            }
-            _ if limits.require_hello && !self.hello_done => Gate::Refuse(
-                gateway.transport_reject(frame.session(), RejectReason::VersionMismatch),
-            ),
-            _ => match self.admit(frame, limits.max_sessions_per_conn) {
-                Ok(()) => Gate::Forward,
-                Err(reason) => Gate::Reply(gateway.transport_reject(frame.session(), reason)),
-            },
-        }
-    }
-}
-
 /// One side of a frame/reply conversation with a gateway.
 pub trait Conn {
     /// Sends `frame` and blocks for its reply.
@@ -178,9 +109,11 @@ pub trait Conn {
 }
 
 /// In-process transport: encodes, decodes, and calls the gateway
-/// directly — the wire format without the socket.
+/// directly — the wire format without the socket. Like a socket, it
+/// holds its own session table, whose sessions end when it drops.
 pub struct LoopbackConn {
     gateway: Gateway,
+    table: BatchScratch,
     buf: Vec<u8>,
 }
 
@@ -189,6 +122,7 @@ impl LoopbackConn {
     pub fn new(gateway: Gateway) -> LoopbackConn {
         LoopbackConn {
             gateway,
+            table: BatchScratch::new(),
             buf: Vec::with_capacity(32),
         }
     }
@@ -199,10 +133,16 @@ impl Conn for LoopbackConn {
         self.buf.clear();
         encode_frame(frame, &mut self.buf);
         let decoded = decode_frame(&self.buf[4..])?;
-        let reply = self.gateway.call(decoded);
         self.buf.clear();
-        encode_reply(&reply, &mut self.buf);
+        self.gateway
+            .call_batch(&[decoded], &mut self.table, &mut self.buf, &mut |_| {});
         Ok(decode_reply(&self.buf[4..])?)
+    }
+}
+
+impl Drop for LoopbackConn {
+    fn drop(&mut self) {
+        self.gateway.end_sessions(&mut self.table);
     }
 }
 
@@ -337,18 +277,17 @@ struct ReactorConn {
     out: OutBuf,
     /// Whether the registration currently includes `EPOLLOUT`.
     write_interest: bool,
-    /// Live sessions on this connection, for the per-connection cap.
-    sessions: ConnSessions,
+    /// Whether a hello was acked on this connection.
+    hello_done: bool,
+    /// This connection's sessions, capped at
+    /// [`ConnLimits::max_sessions_per_conn`].
+    table: BatchScratch,
     /// First byte of an unfinished inbound message, for the read
     /// deadline sweep.
     mid_since: Option<Instant>,
     /// Frames decoded from the current readiness event, reused across
     /// events.
     batch: Vec<Frame>,
-    /// Admitted run being accumulated for [`Gateway::call_batch`].
-    admitted: Vec<Frame>,
-    /// Session-grouping scratch for [`Gateway::call_batch`].
-    scratch: BatchScratch,
 }
 
 /// A non-blocking TCP acceptor in front of a gateway: all connections
@@ -430,7 +369,7 @@ impl ReactorServer {
     }
 
     /// Stops every event loop and joins it; live connections are
-    /// dropped (their sessions stay in the gateway until evicted).
+    /// dropped, ending their sessions.
     pub fn stop(&mut self) {
         for l in &self.loops {
             l.stop.store(true, Ordering::Release);
@@ -463,12 +402,18 @@ fn event_loop(
     let mut conns: HashMap<usize, ReactorConn> = HashMap::new();
     let mut next_token = TOKEN_CONN_BASE;
     let mut chunk = vec![0u8; READ_CHUNK];
-    // Read-deadline sweep cadence: often enough to cut a dripper soon
-    // after its deadline, rarely enough to stay off the hot path even
-    // when readiness events keep the loop from ever hitting the poll
-    // timeout.
+    // One sweep timer cuts connections stuck mid-frame past the read
+    // deadline and removes sessions idle past the gateway's timeout.
+    // Cadence: often enough to act soon after either limit, rarely
+    // enough to stay off the hot path even when readiness events keep
+    // the loop from ever hitting the poll timeout.
     let deadline = cfg.limits.read_deadline;
-    let sweep_every = (deadline / 4).clamp(Duration::from_millis(25), Duration::from_secs(1));
+    let limit = [deadline, gateway.idle_timeout()]
+        .into_iter()
+        .filter(|d| !d.is_zero())
+        .min()
+        .unwrap_or_default();
+    let sweep_every = (limit / 4).clamp(Duration::from_millis(25), Duration::from_secs(1));
     let mut last_sweep = Instant::now();
     loop {
         // The timeout is a safety net for a lost wakeup; every real
@@ -527,20 +472,22 @@ fn event_loop(
                     &mut next_token,
                     poll,
                     gateway,
+                    cfg,
                 );
             }
         }
         // Register connections handed over by the acceptor loop.
         let handed: Vec<TcpStream> = std::mem::take(&mut *shared.inbox.lock().unwrap());
         for stream in handed {
-            register_conn(poll, &mut conns, &mut next_token, stream, gateway);
+            register_conn(poll, &mut conns, &mut next_token, stream, gateway, cfg);
         }
-        // Read-deadline sweep: cut connections stuck mid-frame.
-        if !deadline.is_zero() && last_sweep.elapsed() >= sweep_every {
+        if last_sweep.elapsed() >= sweep_every {
             last_sweep = Instant::now();
             let expired: Vec<usize> = conns
                 .iter()
-                .filter(|(_, c)| c.mid_since.is_some_and(|s| s.elapsed() >= deadline))
+                .filter(|(_, c)| {
+                    !deadline.is_zero() && c.mid_since.is_some_and(|s| s.elapsed() >= deadline)
+                })
                 .map(|(&t, _)| t)
                 .collect();
             for t in expired {
@@ -548,6 +495,9 @@ fn event_loop(
                     .runtime_stats()
                     .note_conn_evict(ConnEvictReason::SlowRead);
                 drop_conn(gateway, poll, &mut conns, t);
+            }
+            for conn in conns.values_mut() {
+                gateway.sweep(&mut conn.table);
             }
         }
     }
@@ -570,6 +520,7 @@ fn accept_all(
     next_token: &mut usize,
     poll: &Poll,
     gateway: &Gateway,
+    cfg: &ReactorConfig,
 ) {
     loop {
         match listener.accept() {
@@ -577,7 +528,7 @@ fn accept_all(
                 gateway.runtime_stats().note_conn_open();
                 let target = next.fetch_add(1, Ordering::Relaxed) % peers.len();
                 if Arc::ptr_eq(&peers[target], shared) {
-                    register_conn(poll, conns, next_token, stream, gateway);
+                    register_conn(poll, conns, next_token, stream, gateway, cfg);
                 } else {
                     peers[target].inbox.lock().unwrap().push(stream);
                     let _ = peers[target].waker.wake();
@@ -597,6 +548,7 @@ fn register_conn(
     next_token: &mut usize,
     stream: TcpStream,
     gateway: &Gateway,
+    cfg: &ReactorConfig,
 ) {
     let token = *next_token;
     *next_token += 1;
@@ -616,11 +568,10 @@ fn register_conn(
             frames: FrameBuffer::new(),
             out: OutBuf::default(),
             write_interest: false,
-            sessions: ConnSessions::default(),
+            hello_done: false,
+            table: BatchScratch::capped(cfg.limits.max_sessions_per_conn),
             mid_since: None,
             batch: Vec::new(),
-            admitted: Vec::new(),
-            scratch: BatchScratch::new(),
         },
     );
 }
@@ -638,7 +589,7 @@ fn read_conn(
 ) -> bool {
     let mut keep = read_into_batch(gateway, conn, chunk);
     if !conn.batch.is_empty() {
-        keep = process_batch(gateway, conn, cfg) && keep;
+        keep = process_batch(gateway, conn, &cfg.limits) && keep;
         conn.batch.clear();
     }
     keep
@@ -707,41 +658,53 @@ fn read_into_batch(gateway: &Gateway, conn: &mut ReactorConn, chunk: &mut [u8]) 
     }
 }
 
-/// Runs one readiness event's decoded frames through the
-/// connection-level gate and [`Gateway::call_batch`]: one
-/// session-grouped DFA pass, replies appended straight to the
-/// connection's outbound buffer, which the caller flushes once
-/// afterwards. Returns `false` when the connection must be cut (hello
-/// negotiation refused); the refusal reply is already in the buffer.
-fn process_batch(gateway: &Gateway, conn: &mut ReactorConn, cfg: &ReactorConfig) -> bool {
+/// Runs one readiness event's decoded frames through
+/// [`Gateway::call_batch`] against the connection's session table,
+/// replies appended straight to the connection's outbound buffer,
+/// which the caller flushes once afterwards. Negotiation is the
+/// connection's own: the reactor answers each hello itself, and a
+/// refused hello — or, under [`ConnLimits::require_hello`], a first
+/// frame that is not a hello — is answered and cuts the connection,
+/// leaving the frames after it unanswered. Returns `false` on a cut.
+fn process_batch(gateway: &Gateway, conn: &mut ReactorConn, limits: &ConnLimits) -> bool {
     let ReactorConn {
         batch,
-        admitted,
-        scratch,
-        sessions,
+        table,
         out,
+        hello_done,
         ..
     } = conn;
-    admitted.clear();
-    for &frame in batch.iter() {
-        let (reply, cut) = match sessions.gate(gateway, &frame, &cfg.limits) {
-            Gate::Forward => {
-                admitted.push(frame);
-                continue;
-            }
-            Gate::Reply(reply) => (reply, false),
-            Gate::Refuse(reply) => (reply, true),
+    for run in batch.split_inclusive(|f| matches!(f, Frame::Hello { .. })) {
+        let (frames, hello) = match run.split_last() {
+            Some((
+                &Frame::Hello {
+                    session,
+                    table_hash,
+                    version,
+                },
+                frames,
+            )) => (frames, Some((session, table_hash, version))),
+            _ => (run, None),
         };
-        // Answer the admitted run first so a bounced session's earlier
-        // replies keep their order in the buffer.
-        gateway.call_batch(admitted, scratch, &mut out.buf, &mut |_| {});
-        admitted.clear();
-        encode_reply(&reply, &mut out.buf);
-        if cut {
-            return false;
+        match frames.first() {
+            Some(first) if limits.require_hello && !*hello_done => {
+                let reply =
+                    gateway.transport_reject(first.session(), RejectReason::VersionMismatch);
+                encode_reply(&reply, &mut out.buf);
+                return false;
+            }
+            _ => {}
+        }
+        gateway.call_batch(frames, table, &mut out.buf, &mut |_| {});
+        if let Some((session, table_hash, version)) = hello {
+            let reply = gateway.hello(session, table_hash, version);
+            encode_reply(&reply, &mut out.buf);
+            if !matches!(reply, Reply::HelloAck { .. }) {
+                return false;
+            }
+            *hello_done = true;
         }
     }
-    gateway.call_batch(admitted, scratch, &mut out.buf, &mut |_| {});
     true
 }
 
@@ -799,15 +762,16 @@ fn flush_conn(
     Ok(())
 }
 
-/// Deregisters and forgets one connection.
+/// Deregisters and forgets one connection, ending its sessions.
 fn drop_conn(
     gateway: &Gateway,
     poll: &Poll,
     conns: &mut HashMap<usize, ReactorConn>,
     token: usize,
 ) {
-    if let Some(conn) = conns.remove(&token) {
+    if let Some(mut conn) = conns.remove(&token) {
         let _ = poll.deregister(conn.stream.as_raw_fd());
+        gateway.end_sessions(&mut conn.table);
         gateway.runtime_stats().note_conn_close();
     }
 }
@@ -965,14 +929,15 @@ impl MuxTransport for MuxClient {
 /// whole burst through [`Gateway::call_batch`] and decodes the reply
 /// bytes from a reused wire buffer. Every queued frame is answered by
 /// the exchange that flushes it. The socket-free counterpart of
-/// [`MuxClient`] for tests and benchmarks.
+/// [`MuxClient`] for tests and benchmarks; its sessions end when it
+/// drops.
 pub struct LoopbackMux {
     gateway: Gateway,
     buf: Vec<u8>,
     /// Decoded frames awaiting the next exchange.
     queued: Vec<Frame>,
-    /// Session-grouping scratch for [`Gateway::call_batch`].
-    scratch: BatchScratch,
+    /// This connection's sessions.
+    table: BatchScratch,
     /// Reused reply wire buffer.
     wire: Vec<u8>,
     /// Reused reply decoder.
@@ -986,7 +951,7 @@ impl LoopbackMux {
             gateway,
             buf: Vec::with_capacity(32),
             queued: Vec::new(),
-            scratch: BatchScratch::new(),
+            table: BatchScratch::new(),
             wire: Vec::new(),
             rdec: ReplyBuffer::new(),
         }
@@ -1006,13 +971,19 @@ impl MuxTransport for LoopbackMux {
     fn exchange(&mut self, _wait: bool, replies: &mut Vec<Reply>) -> io::Result<()> {
         self.wire.clear();
         self.gateway
-            .call_batch(&self.queued, &mut self.scratch, &mut self.wire, &mut |_| {});
+            .call_batch(&self.queued, &mut self.table, &mut self.wire, &mut |_| {});
         self.queued.clear();
         self.rdec.extend(&self.wire);
         while let Some(r) = self.rdec.next_reply()? {
             replies.push(r);
         }
         Ok(())
+    }
+}
+
+impl Drop for LoopbackMux {
+    fn drop(&mut self) {
+        self.gateway.end_sessions(&mut self.table);
     }
 }
 

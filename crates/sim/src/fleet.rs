@@ -102,14 +102,13 @@ impl Counterexample {
     }
 }
 
-/// Configuration of a soak fleet.
+/// What each seeded, monitored [`Execution`] of a campaign is: the
+/// parameters soak ([`FleetConfig`]) and the wire driver
+/// (`protoquot_runtime::DriveConfig`) share, each with its own
+/// defaults.
 #[derive(Clone, Debug)]
-pub struct FleetConfig {
-    /// Number of independent runs.
-    pub runs: u64,
-    /// Worker threads (1 = run inline on the caller).
-    pub threads: usize,
-    /// Fleet-level seed; run `i` uses `derive_seed(seed, i)`.
+pub struct RunParams {
+    /// Campaign seed; run `i` uses `derive_seed(seed, i)`.
     pub seed: u64,
     /// Step budget per run.
     pub max_steps: u64,
@@ -119,6 +118,31 @@ pub struct FleetConfig {
     pub quiescence_threshold: u64,
     /// Global states explored per watchdog probe.
     pub probe_budget: usize,
+}
+
+impl RunParams {
+    /// Fault-free runs of `seed` with `max_steps` steps each and the
+    /// watchdog's usual limits (64 quiet steps, 20 000 probe states).
+    pub fn new(seed: u64, max_steps: u64) -> RunParams {
+        RunParams {
+            seed,
+            max_steps,
+            faults: FaultPlan::none(),
+            quiescence_threshold: 64,
+            probe_budget: 20_000,
+        }
+    }
+}
+
+/// Configuration of a soak fleet.
+#[derive(Clone, Debug)]
+pub struct FleetConfig {
+    /// Number of independent runs.
+    pub runs: u64,
+    /// Worker threads (1 = run inline on the caller).
+    pub threads: usize,
+    /// What each run is.
+    pub params: RunParams,
     /// Keep at most this many (lowest-run-index) counterexamples.
     pub max_counterexamples: usize,
     /// Minimize failing schedules with ddmin before reporting.
@@ -130,11 +154,7 @@ impl Default for FleetConfig {
         FleetConfig {
             runs: 1_000,
             threads: 1,
-            seed: 0xC0FFEE,
-            max_steps: 2_000,
-            faults: FaultPlan::none(),
-            quiescence_threshold: 64,
-            probe_budget: 20_000,
+            params: RunParams::new(0xC0FFEE, 2_000),
             max_counterexamples: 3,
             shrink: true,
         }
@@ -321,8 +341,8 @@ impl FleetRunner {
         let mut report = SoakReport {
             runs: config.runs,
             threads,
-            seed: config.seed,
-            faults: config.faults.to_string(),
+            seed: config.params.seed,
+            faults: config.params.faults.to_string(),
             conforming: 0,
             safety: 0,
             deadlock: 0,
@@ -395,6 +415,7 @@ pub type Halt = (RunVerdict, Vec<String>);
 /// [`Execution::settle`] judges it, so a caller may put the action's
 /// event on the wire in between; [`Execution::run`] loops the two.
 pub struct Execution {
+    max_steps: u64,
     runner: Runner,
     monitor: ServiceMonitor,
     watchdog: ProgressWatchdog,
@@ -402,25 +423,19 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// Run `seed` of `components` (wired by event-name sharing,
-    /// external events always enabled), biased by `faults` and
-    /// monitored against `service`; the watchdog probes after
-    /// `quiescence_threshold` service-silent steps, exploring at most
-    /// `probe_budget` global states.
-    pub fn new(
-        components: &[Spec],
-        service: &Spec,
-        seed: u64,
-        faults: &FaultPlan,
-        quiescence_threshold: u64,
-        probe_budget: usize,
-    ) -> Execution {
+    /// Run `run` of a campaign of `params` over `components` (wired
+    /// by event-name sharing, external events always enabled),
+    /// seeded `derive_seed(params.seed, run)` and monitored against
+    /// `service`.
+    pub fn new(components: &[Spec], service: &Spec, params: &RunParams, run: u64) -> Execution {
+        let seed = derive_seed(params.seed, run);
         let system = System::new(components.to_vec(), ExternalPolicy::AlwaysEnabled);
         Execution {
+            max_steps: params.max_steps,
             runner: Runner::new(system, seed),
             monitor: ServiceMonitor::new(service),
-            watchdog: ProgressWatchdog::new(quiescence_threshold, probe_budget),
-            fault: faults.start(seed),
+            watchdog: ProgressWatchdog::new(params.quiescence_threshold, params.probe_budget),
+            fault: params.faults.start(seed),
         }
     }
 
@@ -464,11 +479,11 @@ impl Execution {
         }
     }
 
-    /// Acts and settles until `max_steps` steps or a halt, appending
-    /// every action taken to `schedule`. `None` means the run conformed
-    /// for its whole budget.
-    pub fn run(&mut self, max_steps: u64, schedule: &mut Vec<Action>) -> Option<Halt> {
-        while self.steps() < max_steps {
+    /// Acts and settles until the step budget is spent or the run
+    /// halts, appending every action taken to `schedule`. `None` means
+    /// the run conformed for its whole budget.
+    pub fn run(&mut self, schedule: &mut Vec<Action>) -> Option<Halt> {
+        while !self.exhausted() {
             let action = match self.act() {
                 Ok(action) => action,
                 Err(halt) => return Some(halt),
@@ -487,6 +502,11 @@ impl Execution {
         self.runner.steps()
     }
 
+    /// Whether the run has taken its whole step budget.
+    pub fn exhausted(&self) -> bool {
+        self.steps() >= self.max_steps
+    }
+
     /// The system being run.
     pub fn system(&self) -> &System {
         self.runner.system()
@@ -495,17 +515,9 @@ impl Execution {
 
 /// One fully monitored, fault-injected run.
 fn soak_run(components: &[Spec], service: &Spec, config: &FleetConfig, run: u64) -> RunResult {
-    let seed = derive_seed(config.seed, run);
-    let mut exec = Execution::new(
-        components,
-        service,
-        seed,
-        &config.faults,
-        config.quiescence_threshold,
-        config.probe_budget,
-    );
+    let mut exec = Execution::new(components, service, &config.params, run);
     let mut schedule: Vec<Action> = Vec::new();
-    let Some((verdict, pinpoint)) = exec.run(config.max_steps, &mut schedule) else {
+    let Some((verdict, pinpoint)) = exec.run(&mut schedule) else {
         return RunResult {
             steps: exec.steps(),
             verdict: RunVerdict::Conforming,
@@ -539,7 +551,7 @@ fn soak_run(components: &[Spec], service: &Spec, config: &FleetConfig, run: u64)
         verdict,
         counterexample: Some(Counterexample {
             run,
-            seed,
+            seed: derive_seed(config.params.seed, run),
             verdict,
             schedule: rendered,
             events,
@@ -575,7 +587,10 @@ mod tests {
         let fleet = FleetRunner::new(components, service);
         let report = fleet.run(&FleetConfig {
             runs: 50,
-            max_steps: 200,
+            params: RunParams {
+                max_steps: 200,
+                ..FleetConfig::default().params
+            },
             ..FleetConfig::default()
         });
         assert!(report.is_conforming(), "{report}");
@@ -593,7 +608,10 @@ mod tests {
         let fleet = FleetRunner::new(vec![broken], service);
         let report = fleet.run(&FleetConfig {
             runs: 20,
-            max_steps: 200,
+            params: RunParams {
+                max_steps: 200,
+                ..FleetConfig::default().params
+            },
             ..FleetConfig::default()
         });
         assert!(!report.is_conforming());
@@ -628,7 +646,10 @@ mod tests {
         let fleet = FleetRunner::new(vec![broken], service);
         let base = FleetConfig {
             runs: 40,
-            max_steps: 100,
+            params: RunParams {
+                max_steps: 100,
+                ..FleetConfig::default().params
+            },
             ..FleetConfig::default()
         };
         let one = fleet.run(&FleetConfig {

@@ -43,7 +43,7 @@ pub use engine::{derive_seed, Action, ExternalPolicy, Runner, System};
 pub use explore::{explore, ExploreResult};
 pub use fault::{redirect_transition, Fault, FaultPlan, FaultState};
 pub use fleet::{
-    Counterexample, Execution, FleetConfig, FleetRunner, Halt, RunVerdict, SoakReport,
+    Counterexample, Execution, FleetConfig, FleetRunner, Halt, RunParams, RunVerdict, SoakReport,
 };
 pub use harness::{run_monitored, run_traced, RunReport, SimConfig};
 pub use log::{render_msc, TraceEntry, TraceEvent};

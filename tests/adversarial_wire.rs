@@ -191,8 +191,8 @@ fn session_flood_is_evicted_not_stalled_at_any_loop_count() {
         let addr = server.local_addr();
         let mut conn = TcpConn::connect(addr).expect("connect");
         // 64 fresh sessions on one connection, lockstep. The first 8
-        // are admitted; 56 bounce at the transport with
-        // `resource_limit` before ever touching the gateway table.
+        // are admitted; 56 bounce with `resource_limit` at the
+        // connection's full session table, opening no session.
         for s in 0..64u64 {
             let reply = conn
                 .call(&Frame::Event {

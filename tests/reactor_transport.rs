@@ -12,30 +12,35 @@
 //! i.e. conviction outcomes agree across carriers frame for frame.
 //! The loopback, which never touches a socket, is the oracle for the
 //! reactor.
+//!
+//! A session id is scoped to its connection: the same id on two
+//! connections names two sessions, and a connection's sessions end
+//! when it drops.
 
 use protoquot_core::{converter_verdict, solve};
 use protoquot_protocols::{colocated_configuration, exactly_once};
 use protoquot_runtime::{
-    drive, DriveConfig, DriveReport, Gateway, GatewayConfig, LoopbackMux, MuxClient, MuxTransport,
-    ReactorConfig, ReactorServer,
+    drive, Conn, DriveConfig, DriveReport, Frame, Gateway, GatewayConfig, LoopbackMux, MuxClient,
+    MuxTransport, ReactorConfig, ReactorServer, Reply, TcpConn,
 };
-use protoquot_sim::{redirect_transition, FaultPlan};
-use protoquot_spec::Spec;
+use protoquot_sim::{redirect_transition, FaultPlan, RunParams};
+use protoquot_spec::{EventId, Spec};
+use std::time::{Duration, Instant};
 
 fn config(runs: u64, threads: usize, sessions_per_conn: u64) -> DriveConfig {
     DriveConfig {
         runs,
         threads,
-        seed: 0x5EAC_7012,
-        max_steps: 400,
-        faults: FaultPlan::parse("loss,dup,reorder").unwrap(),
+        params: RunParams {
+            faults: FaultPlan::parse("loss,dup,reorder").unwrap(),
+            ..RunParams::new(0x5EAC_7012, 400)
+        },
         sessions_per_conn,
         ..DriveConfig::default()
     }
 }
 
-/// A fresh gateway per campaign: closed sessions are tombstoned until
-/// idle eviction, and every campaign reuses run indices as session ids.
+/// A fresh gateway per campaign, so each campaign's stats are its own.
 fn gateway(components: &[Spec], service: &Spec) -> Gateway {
     let parts: Vec<&Spec> = components.iter().collect();
     Gateway::new(&parts, service, GatewayConfig::default())
@@ -145,9 +150,10 @@ fn reactor_sustains_a_thousand_sessions_per_connection() {
     let cfg = DriveConfig {
         runs: 2000,
         threads: 2,
-        seed: 0x1000_5E55,
-        max_steps: 120,
-        faults: FaultPlan::parse("loss").unwrap(),
+        params: RunParams {
+            faults: FaultPlan::parse("loss").unwrap(),
+            ..RunParams::new(0x1000_5E55, 120)
+        },
         sessions_per_conn: 1000,
         ..DriveConfig::default()
     };
@@ -171,4 +177,91 @@ fn reactor_sustains_a_thousand_sessions_per_connection() {
         snap.connections_opened
     );
     assert_eq!(snap.sessions_opened, 2000, "every run is one session");
+}
+
+/// The colocated system's derived converter behind a reactor, and two
+/// plain connections to it.
+fn two_connections() -> (Gateway, ReactorServer, TcpConn, TcpConn) {
+    let system = colocated_configuration();
+    let service = exactly_once();
+    let q = solve(&system.b, &service, &system.int).expect("colocated converter derives");
+    let gw = gateway(&[system.b, q.converter], &service);
+    let server =
+        ReactorServer::bind(gw.clone(), "127.0.0.1:0", ReactorConfig::default()).expect("bind");
+    let a = TcpConn::connect(server.local_addr()).expect("connect A");
+    let b = TcpConn::connect(server.local_addr()).expect("connect B");
+    (gw, server, a, b)
+}
+
+fn event(gw: &Gateway, session: u64, name: &str) -> Frame {
+    gw.codec()
+        .event_frame(session, EventId::new(name))
+        .expect("event on the wire")
+}
+
+/// Polls `gw`'s stats until `pred` holds or five seconds pass.
+fn eventually(gw: &Gateway, pred: impl Fn(&protoquot_runtime::StatsSnapshot) -> bool) -> bool {
+    let until = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < until {
+        if pred(&gw.stats()) {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    false
+}
+
+/// B's `acc` on the id of A's open session is judged on B's own fresh
+/// session, so it is accepted and leaves A's session as it was.
+#[test]
+fn same_id_on_two_connections_is_two_sessions() {
+    let (gw, mut server, mut a, mut b) = two_connections();
+    let accepted = Ok(Reply::Accepted { session: 5 });
+    assert_eq!(a.call(&event(&gw, 5, "acc")).map_err(drop), accepted);
+    assert_eq!(b.call(&event(&gw, 5, "acc")).map_err(drop), accepted);
+    assert_eq!(a.call(&event(&gw, 5, "del")).map_err(drop), accepted);
+    assert_eq!(b.call(&event(&gw, 5, "del")).map_err(drop), accepted);
+    server.stop();
+    let snap = gw.stats();
+    assert_eq!((snap.sessions_opened, snap.convictions), (2, 0));
+}
+
+/// A `Close` from B on the id of A's session closes B's own session
+/// and touches nothing of A's.
+#[test]
+fn foreign_close_touches_nothing() {
+    let (gw, mut server, mut a, mut b) = two_connections();
+    let accepted = Ok(Reply::Accepted { session: 6 });
+    assert_eq!(a.call(&event(&gw, 6, "acc")).map_err(drop), accepted);
+    assert_eq!(b.call(&Frame::Close { session: 6 }).map_err(drop), accepted);
+    assert_eq!(a.call(&event(&gw, 6, "del")).map_err(drop), accepted);
+    server.stop();
+}
+
+/// Dropping a connection ends its open sessions at once, so the
+/// converter version they drained retires without any idle sweep (the
+/// gateway's idle timeout is the default 30 s).
+#[test]
+fn dropping_a_connection_ends_its_sessions() {
+    let (gw, mut server, mut a, b) = two_connections();
+    for session in 1..=3 {
+        let reply = a.call(&event(&gw, session, "acc")).expect("acc answered");
+        assert_eq!(reply, Reply::Accepted { session });
+    }
+    let reply = a
+        .call(&Frame::Close { session: 3 })
+        .expect("close answered");
+    assert_eq!(reply, Reply::Accepted { session: 3 });
+    gw.swap(2, gw.program()).expect("swap to v2");
+    assert_eq!(gw.stats().version_sessions, vec![(1, 2)]);
+    drop((a, b));
+    assert!(
+        eventually(&gw, |s| s.sessions_active == 0 && s.versions_retired == 1),
+        "sessions outlived their connection: {}",
+        gw.stats()
+    );
+    let snap = gw.stats();
+    assert_eq!((snap.sessions_closed, snap.sessions_evicted), (1, 2));
+    assert_eq!(snap.version_sessions, vec![]);
+    server.stop();
 }

@@ -19,7 +19,7 @@ use protoquot_runtime::{
     GatewayConfig, GuardProgram, MuxClient, MuxTransport, ReactorConfig, ReactorServer,
     RegistryError, StatsSnapshot, TcpConn,
 };
-use protoquot_sim::redirect_transition;
+use protoquot_sim::{redirect_transition, RunParams};
 use protoquot_spec::{EventTable, Spec};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -66,17 +66,7 @@ fn sessions_on(snap: &StatsSnapshot, version: u32) -> u64 {
 fn verified_swap_under_load_is_invisible() {
     let (components, service) = derived_system();
     let parts: Vec<&Spec> = components.iter().collect();
-    // A short idle timeout so finished campaign sessions can be swept
-    // by `evict_idle` once the drive completes.
-    let gw = Gateway::new(
-        &parts,
-        &service,
-        GatewayConfig {
-            idle_timeout: Duration::from_millis(50),
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("gateway");
+    let gw = Gateway::new(&parts, &service, GatewayConfig::default()).expect("gateway");
     let hash = table_hash(&EventTable::new(service.alphabet()));
     assert_eq!(
         gw.table_hash(),
@@ -118,8 +108,7 @@ fn verified_swap_under_load_is_invisible() {
     let cfg = DriveConfig {
         runs: 120,
         threads: 4,
-        seed: 0xD0_5EED,
-        max_steps: 400,
+        params: RunParams::new(0xD0_5EED, 400),
         ..DriveConfig::default()
     };
     let driver = {
@@ -172,12 +161,12 @@ fn verified_swap_under_load_is_invisible() {
     pinned
         .call(&Frame::Close { session: PINNED })
         .expect("pinned session closes");
+    drop(pinned);
 
-    // v1 retires once its last session is closed or swept: drive the
-    // idle sweep until the drained version is released.
+    // v1 retires once its last session is gone: every session ends
+    // with its connection, no idle sweep needed.
     let until = Instant::now() + Duration::from_secs(10);
     loop {
-        gw.evict_idle();
         let s = gw.stats();
         if s.versions_retired == 1 && sessions_on(&s, 1) == 0 {
             break;

@@ -28,7 +28,7 @@ use protoquot_runtime::{
     drive, DriveConfig, DriveReport, Frame, Gateway, GatewayConfig, GuardProgram, LoopbackMux,
     MuxTransport, Reply, SessionGuard, SessionGuardReference,
 };
-use protoquot_sim::{redirect_transition, FaultPlan};
+use protoquot_sim::{redirect_transition, FaultPlan, RunParams};
 use protoquot_spec::{compose_all, has_trace, Alphabet, EventId, Spec, SpecBuilder};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -41,9 +41,10 @@ fn config(threads: usize) -> DriveConfig {
     DriveConfig {
         runs: 40,
         threads,
-        seed: 0x50AB_A6EE,
-        max_steps: 600,
-        faults: FaultPlan::parse("loss,dup,reorder").unwrap(),
+        params: RunParams {
+            faults: FaultPlan::parse("loss,dup,reorder").unwrap(),
+            ..RunParams::new(0x50AB_A6EE, 600)
+        },
         ..DriveConfig::default()
     }
 }

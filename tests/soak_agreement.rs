@@ -23,7 +23,7 @@ use protoquot_protocols::{
 };
 use protoquot_runtime::{drive, DriveConfig, Gateway, GatewayConfig, LoopbackMux, MuxTransport};
 use protoquot_sim::{
-    derive_seed, redirect_transition, Execution, FaultPlan, FleetConfig, FleetRunner, RunVerdict,
+    redirect_transition, Execution, FaultPlan, FleetConfig, FleetRunner, RunParams, RunVerdict,
 };
 use protoquot_spec::{Alphabet, Spec};
 
@@ -33,9 +33,10 @@ fn config(threads: usize) -> FleetConfig {
     FleetConfig {
         runs: 40,
         threads,
-        seed: 0x50AB_A6EE,
-        max_steps: 600,
-        faults: FaultPlan::parse("loss,dup,reorder").unwrap(),
+        params: RunParams {
+            faults: FaultPlan::parse("loss,dup,reorder").unwrap(),
+            ..RunParams::new(0x50AB_A6EE, 600)
+        },
         ..FleetConfig::default()
     }
 }
@@ -224,9 +225,10 @@ fn mutated_converter_yields_short_minimized_counterexample() {
 fn drive_sessions_run_the_soak_executions() {
     let cfg = DriveConfig {
         runs: 200,
-        seed: 7,
-        max_steps: 600,
-        faults: FaultPlan::parse("loss,reorder").unwrap(),
+        params: RunParams {
+            faults: FaultPlan::parse("loss,reorder").unwrap(),
+            ..RunParams::new(7, 600)
+        },
         ..DriveConfig::default()
     };
     for (name, system) in [
@@ -254,16 +256,9 @@ fn drive_sessions_run_the_soak_executions() {
                 if cut {
                     continue;
                 }
-                let mut alone = Execution::new(
-                    &components,
-                    &service,
-                    derive_seed(cfg.seed, o.run),
-                    &cfg.faults,
-                    cfg.quiescence_threshold,
-                    cfg.probe_budget,
-                );
+                let mut alone = Execution::new(&components, &service, &cfg.params, o.run);
                 let verdict = alone
-                    .run(cfg.max_steps, &mut Vec::new())
+                    .run(&mut Vec::new())
                     .map_or(RunVerdict::Conforming, |(v, _)| v);
                 assert_eq!(
                     (o.steps, o.local_verdict),
