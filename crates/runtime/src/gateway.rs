@@ -360,8 +360,9 @@ impl Gateway {
 
     /// Applies `op` to `session` in `table`: one lookup for a live
     /// session. An unknown id is looked up once more among the
-    /// tombstones, then opened unless the table's cap is reached. A
-    /// session the operation ends leaves a tombstone.
+    /// tombstones, then opened unless the table's cap is reached or the
+    /// operation is a `Close`. A session the operation ends leaves a
+    /// tombstone.
     fn step(&self, table: &mut BatchScratch, session: u64, op: SessionOp, now: Instant) -> Reply {
         let inner = &*self.inner;
         let reject = |reason: RejectReason| {
@@ -376,12 +377,14 @@ impl Gateway {
                     *last = now;
                     return reject(RejectReason::Closed);
                 }
-                // A `Close` needs no slot: it opens a session only to
-                // end it.
-                if full && !matches!(op, SessionOp::Close) {
-                    return reject(RejectReason::ResourceLimit);
+                match op {
+                    // A `Close` on an id the table never opened ends
+                    // nothing: answered, it leaves no session and no
+                    // tombstone, so it cannot grow the table.
+                    SessionOp::Close => return Reply::Accepted { session },
+                    _ if full => return reject(RejectReason::ResourceLimit),
+                    _ => e.insert_entry(inner.open(now)),
                 }
-                e.insert_entry(inner.open(now))
             }
         };
         let core = entry.get_mut();
@@ -759,8 +762,8 @@ mod tests {
     }
 
     /// A capped table bounces the session past its cap at open, while
-    /// known sessions and `Close` frames pass; a closed or expelled
-    /// session frees its slot.
+    /// known sessions and `Close` frames pass (a `Close` on an unknown
+    /// id opens nothing); a closed or expelled session frees its slot.
     #[test]
     fn capped_table_bounces_sessions_past_the_cap() {
         let gw = gateway(GatewayConfig {
@@ -811,6 +814,53 @@ mod tests {
         assert!(gw.stats().rejects.contains(&("resource_limit", 3)));
     }
 
+    /// A flood of `Close` frames on ids the table never opened is
+    /// answered frame by frame and leaves the table empty: no session
+    /// opens and no tombstone stays behind, cap or no cap.
+    #[test]
+    fn closes_on_unknown_ids_leave_the_table_empty() {
+        let gw = gateway(GatewayConfig::default());
+        for mut t in [BatchScratch::capped(8), BatchScratch::new()] {
+            let frames: Vec<Frame> = (0..10_000)
+                .map(|session| Frame::Close { session })
+                .collect();
+            let replies = batch(&gw, &mut t, &frames);
+            let want: Vec<Reply> = (0..10_000)
+                .map(|session| Reply::Accepted { session })
+                .collect();
+            assert_eq!(replies, want);
+            assert_eq!((t.sessions.len(), t.closed.len()), (0, 0));
+        }
+        let snap = gw.stats();
+        assert_eq!((snap.sessions_opened, snap.sessions_closed), (0, 0));
+    }
+
+    /// 32 threads share one gateway, each stepping a session of its own
+    /// table through 100 accepted events: the shared counters add up.
+    #[test]
+    fn many_sessions_in_parallel_stay_consistent() {
+        let gw = gateway(GatewayConfig::default());
+        std::thread::scope(|scope| {
+            for session in 0..32u64 {
+                let gw = &gw;
+                scope.spawn(move || {
+                    let mut t = BatchScratch::new();
+                    for _ in 0..50 {
+                        let acc = ev(gw, session, "acc");
+                        assert_eq!(call(gw, &mut t, acc), Reply::Accepted { session });
+                        let del = ev(gw, session, "del");
+                        assert_eq!(call(gw, &mut t, del), Reply::Accepted { session });
+                    }
+                });
+            }
+        });
+        let snap = gw.stats();
+        assert_eq!(snap.accepted, 32 * 100);
+        assert_eq!(snap.convictions, 0);
+        assert_eq!(snap.sessions_opened, 32);
+        gw.drain();
+    }
+
     /// Batched execution is per-frame execution: the replies `call_batch`
     /// gives an interleaved multi-session batch are, in order, the
     /// replies one-frame calls give, and the stats agree.
@@ -839,6 +889,21 @@ mod tests {
         assert_eq!(a.batch_frames, frames.len() as u64);
         batched.drain();
         oracle.drain();
+    }
+
+    /// The mux shape — one frame per session per batch, from one
+    /// thread — counts every frame and opens each session once.
+    #[test]
+    fn one_frame_per_session_batches_count_every_frame() {
+        let gw = gateway(GatewayConfig::default());
+        let (mut t, mut out) = (BatchScratch::new(), Vec::new());
+        for _ in 0..4 {
+            let round: Vec<Frame> = (0..256).map(|session| Frame::Stall { session }).collect();
+            gw.call_batch(&round, &mut t, &mut out, &mut no_slow);
+        }
+        let snap = gw.stats();
+        assert_eq!((snap.batches, snap.batch_frames), (4, 1024));
+        assert_eq!((snap.sessions_opened, snap.sessions_active), (256, 256));
     }
 
     /// A draining gateway bounces a whole batch with per-frame

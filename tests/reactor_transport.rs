@@ -226,8 +226,8 @@ fn same_id_on_two_connections_is_two_sessions() {
     assert_eq!((snap.sessions_opened, snap.convictions), (2, 0));
 }
 
-/// A `Close` from B on the id of A's session closes B's own session
-/// and touches nothing of A's.
+/// A `Close` from B on the id of A's session is answered on B's own
+/// table, where the id names no session, and touches nothing of A's.
 #[test]
 fn foreign_close_touches_nothing() {
     let (gw, mut server, mut a, mut b) = two_connections();
