@@ -3,10 +3,15 @@
 //!
 //! Run with: `cargo run -p protoquot-bench --bin report --release`
 //!
-//! `--quick` instead runs only the CI smoke gate: times the
-//! nfa-blowup-11 safety+progress derivation, writes `BENCH_smoke.json`,
-//! and exits nonzero if the wall time regressed more than 2× against
-//! the committed baseline (`crates/bench/BENCH_BASELINE.json`).
+//! `--quick` instead runs only the CI smoke gate: it measures seven
+//! values, writes them to `BENCH_smoke.json`, and exits nonzero if any
+//! regressed more than 2× against the committed baseline
+//! (`crates/bench/BENCH_BASELINE.json`). They are the nfa-blowup-11
+//! safety+progress derivation (`total_ms`), the EXP-W literal
+//! verification (`verify_ms`), the gateway and reactor pumps
+//! (`serve_events_per_sec`, `reactor_events_per_sec`), the EXP-W guard
+//! build (`guard_build_ms`), and the nfa-blowup-11 registry admission
+//! (`admit_ms`) and system compile (`compile_ms`).
 
 use protoquot_baselines::submodule_construction;
 use protoquot_bench::paper_report;
@@ -29,7 +34,7 @@ use protoquot_runtime::{
 use protoquot_sim::{
     redirect_transition, run_monitored, FaultPlan, FleetConfig, FleetRunner, RunParams, SimConfig,
 };
-use protoquot_spec::{minimize, normalize, Alphabet, CompiledSystem, Spec};
+use protoquot_spec::{minimize, normalize, verify_system, Alphabet, CompiledSystem, Spec};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,17 +77,18 @@ fn nfa_blowup_11_phase_times() -> (f64, f64) {
 /// Best-of-3 wall time (ms) of the compiled verification engine on the
 /// EXP-W verified-converter check: the 173-state converter the §5
 /// symmetric configuration yields against the weakened at-least-once
-/// service, re-verified with [`converter_verdict_with`] at one worker
-/// thread (the interpreted reference `compose` + `satisfies` takes
-/// ~22 ms on this workload — the figure EXPERIMENTS.md EXP-W records).
+/// service, verified on the literal parts with [`verify_system`], the
+/// 3,452-state `B ‖ C` the gate's baseline was set on. (The interpreted
+/// reference `compose` + `satisfies` takes ~22 ms on this workload — the
+/// figure EXPERIMENTS.md EXP-W records; `converter_verdict_with`, which
+/// checks the parts' bisimulation minima, is timed beside it in EXP-C5.)
 fn exp_w_verify_time() -> f64 {
     let cfg = symmetric_configuration();
     let service = at_least_once();
     let q = solve(&cfg.b, &service, &cfg.int).expect("EXP-W converter exists");
-    let (verify_ms, (verdict, _)) = best_of_3(|| {
-        converter_verdict_with(&cfg.b, &service, &q.converter, 1).expect("interfaces line up")
-    });
-    assert!(verdict.is_ok(), "EXP-W converter must verify");
+    let (verify_ms, out) =
+        best_of_3(|| verify_system(&[&cfg.b, &q.converter], &service).expect("interfaces line up"));
+    assert!(out.verdict.is_ok(), "EXP-W converter must verify");
     verify_ms
 }
 
@@ -435,7 +441,7 @@ fn quick_smoke() -> i32 {
         "smoke: nfa-blowup-11 safety {safety_ms:.3} ms + progress {progress_ms:.3} ms \
          = {total_ms:.3} ms"
     );
-    println!("smoke: EXP-W verified-converter check (engine, 1 thread) {verify_ms:.3} ms");
+    println!("smoke: EXP-W verified-converter check (literal engine) {verify_ms:.3} ms");
     println!("smoke: gateway capacity pump {serve_events_per_sec:.0} accepted events/s");
     println!("smoke: reactor mux pump {reactor_events_per_sec:.0} accepted events/s");
     println!("smoke: EXP-W guard DFA build {guard_build_ms:.3} ms");
@@ -842,7 +848,7 @@ fn main() {
 
     println!("\n== EXP-C5: compiled verification engine vs reference oracle ==");
     println!(
-        "{:>14} {:>10} {:>10} {:>10} {:>8} {:>8} {:>6} {:>8} {:>10}",
+        "{:>14} {:>10} {:>10} {:>10} {:>8} {:>8} {:>6} {:>8} {:>10} {:>10} {:>8}",
         "instance",
         "ref ms",
         "engine ms",
@@ -851,7 +857,9 @@ fn main() {
         "trans",
         "hubs",
         "pairs",
-        "arena KiB"
+        "arena KiB",
+        "minimal ms",
+        "states"
     );
     {
         let colocated = protoquot_protocols::colocated_configuration();
@@ -882,11 +890,15 @@ fn main() {
             let (ref_ms, reference) =
                 best_of_3(|| converter_verdict_reference(&b, &service, &q.converter).unwrap());
             assert!(reference.is_ok(), "{label}: derived converter must verify");
-            let (eng_ms, (verdict, stats)) =
+            let (eng_ms, literal) =
+                best_of_3(|| verify_system(&[&b, &q.converter], &service).unwrap());
+            assert!(literal.verdict.is_ok(), "{label}: engines must agree");
+            let (min_ms, (verdict, minimal)) =
                 best_of_3(|| converter_verdict_with(&b, &service, &q.converter, 1).unwrap());
-            assert!(verdict.is_ok(), "{label}: engines must agree");
+            assert!(verdict.is_ok(), "{label}: the minimal check must agree");
+            let stats = literal.stats;
             println!(
-                "{:>14} {:>10.3} {:>10.3} {:>9.2}x {:>8} {:>8} {:>6} {:>8} {:>10.1}",
+                "{:>14} {:>10.3} {:>10.3} {:>9.2}x {:>8} {:>8} {:>6} {:>8} {:>10.1} {:>10.3} {:>8}",
                 label,
                 ref_ms,
                 eng_ms,
@@ -895,7 +907,9 @@ fn main() {
                 stats.transitions,
                 stats.hubs,
                 stats.pairs,
-                stats.arena_bytes as f64 / 1024.0
+                stats.arena_bytes as f64 / 1024.0,
+                min_ms,
+                minimal.states
             );
         }
     }

@@ -8,57 +8,44 @@
 //! check repeats until a fixpoint; removing the initial state means no
 //! converter exists.
 //!
-//! τ*⟨b,c⟩ is computed on the reachable product `B ‖ C0`, compiled by
-//! the verify engine ([`CompiledComposite::product`]): internal edges
-//! are B's λ moves plus `Int`-synchronised moves of B and C0, external
-//! edges are B's `Ext` moves (C0 has no `Ext` events), so a node's
-//! local offer is `τ.b ∩ Ext`. Fig. 6 only ever asks about `⟨b, c⟩`
-//! with `(a, b) ∈ f.c`, and `f.c` is closed under B's λ and `Ext` moves
-//! and stepped by `Int`, so those nodes are exactly the reachable ones;
-//! the rest of `S_B × S_C0` is never built.
+//! τ*⟨b,c⟩ is computed on the reachable product `B ‖ C0`, read off the
+//! safety phase's pair sets rather than explored: `f.c` is closed under
+//! B's λ and `Ext` moves and stepped by `Int`, so the reachable nodes
+//! are exactly the `⟨b, c⟩` with `(a, b) ∈ f.c`. Node `⟨b, c⟩` is `c`'s
+//! offset plus the rank of `b` among `f.c`'s B-states, so no tuple is
+//! hashed. Internal edges are B's λ moves and B's `Int` moves paired
+//! with C0's; external edges are B's `Ext` moves, inside `c` (C0 has no
+//! `Ext` events), so a node's local offer is `τ.b ∩ Ext`.
 //!
 //! ## The incremental engine
 //!
-//! The fixpoint is driven by an incremental engine instead of a
-//! naive re-run of Figure 6's recompute step:
-//!
-//! * The product is compiled **once**, plus a reverse CSR of its
-//!   internal edges. An edge is *live* iff the converter state of its
-//!   target is still alive (a recomputed node's own state always is),
-//!   so deletion never rewrites the graph.
+//! * The product is built **once**, plus a reverse CSR of its internal
+//!   edges. An edge is *live* iff the converter state of its target is
+//!   still alive (a recomputed node's own state always is), so deletion
+//!   never rewrites the graph.
 //! * τ* rows are bitsets over the `Ext` event table, computed by the
-//!   verify engine's one τ* routine ([`TauStar`]): the first pass over
-//!   every node, as for verification. After a deletion round only the
-//!   **backward slice** — the nodes that could reach a deleted node over
-//!   the previous graph, found by a worklist over the reverse CSR — can
-//!   change. Those are reopened and the routine runs on them alone,
-//!   reading the final rows of untouched neighbours as boundary
-//!   constants. τ* only ever shrinks, so rows outside the slice stay
-//!   exact.
-//! * Only converter states owning a recomputed product node are
-//!   re-checked for badness; everything else is provably unchanged.
-//!   (Each node is some pair's: every reachable `⟨b, c⟩` has an
-//!   `(a, b) ∈ f.c`. A re-check of an unchanged state is harmless: it
-//!   finds the same pairs good as before.)
+//!   verify engine's τ* routine ([`TauStar`]), first over every node.
+//!   After a deletion round only the **backward slice** — the nodes that
+//!   could reach a deleted node over the previous graph, found over the
+//!   reverse CSR — can change, since τ* only ever shrinks. The routine
+//!   reruns on the slice alone, reading untouched rows as constants.
+//! * Only converter states owning a recomputed node are re-checked for
+//!   badness (a re-check of an unchanged state finds the same pairs
+//!   good as before).
 //!
-//! The pre-incremental implementation is retained as
-//! [`progress_phase_reference_with`] so equivalence is *tested* (see
-//! `tests/progress_differential.rs`), not assumed.
+//! [`progress_phase_reference_with`] keeps the pre-incremental
+//! implementation, so equivalence is *tested*
+//! (`tests/progress_differential.rs`), not assumed.
 //!
 //! ## Strategies
 //!
-//! * [`ProgressStrategy::FullProduct`] — the paper's Figure 6 verbatim:
-//!   every `(a, b) ∈ f.c` is checked, with τ* computed over the whole
-//!   product (the definition is forward-looking, so this is always
-//!   well-defined).
-//! * [`ProgressStrategy::ReachableProduct`] — an ablation this
-//!   implementation adds: as deletions make parts of the composite
-//!   unreachable, pairs whose product node can no longer occur are
-//!   *skipped* rather than checked against stale τ* values. This is a
-//!   sound refinement — unreachable states cannot cause a violation —
-//!   and can only keep **more** converter behaviour than Figure 6
-//!   (every output still passes independent verification; see the
-//!   tests and `tests/properties.rs`).
+//! * [`ProgressStrategy::FullProduct`] — Figure 6 verbatim: every
+//!   `(a, b) ∈ f.c` is checked against τ* over the whole product.
+//! * [`ProgressStrategy::ReachableProduct`] — an ablation: pairs whose
+//!   product node deletions have made unreachable are *skipped*. This is
+//!   sound (unreachable states cannot cause a violation) and can only
+//!   keep **more** converter behaviour than Figure 6; every output still
+//!   passes independent verification (`tests/properties.rs`).
 
 use crate::safety::SafetyPhase;
 use protoquot_spec::{
@@ -159,12 +146,12 @@ struct Engine {
     comp: CompiledComposite,
     /// The `Ext` events: the product's interface and the rows' bits.
     table: EventTable,
-    /// Converter state per product node.
+    /// The nodes of converter state `c` are `off[c]..off[c + 1]`, one per
+    /// B-state of `f.c`, ascending; `b_of` holds each node's B-state and
+    /// `conv` its converter state.
+    off: Vec<u32>,
+    b_of: Vec<u32>,
     conv: Vec<u32>,
-    /// `(B-state, node)` for the nodes of converter state `c`, ascending,
-    /// are `bucket[bucket_off[c]..bucket_off[c + 1]]`.
-    bucket_off: Vec<u32>,
-    bucket: Vec<(u32, u32)>,
     /// Reverse CSR of the product's internal edges.
     rev_off: Vec<u32>,
     rev_src: Vec<u32>,
@@ -182,34 +169,59 @@ struct Engine {
     stats: ProgressEngineStats,
 }
 
+/// The node `⟨bs, c⟩` of the product laid out by [`Engine::new`].
+fn node(off: &[u32], b_of: &[u32], bs: u32, c: u32) -> u32 {
+    let (from, to) = (off[c as usize], off[c as usize + 1]);
+    let rank = b_of[from as usize..to as usize].binary_search(&bs);
+    from + rank.expect("every reachable ⟨b, c⟩ has b in f.c") as u32
+}
+
 impl Engine {
     fn new(b: &Spec, na: &NormalSpec, safety: &SafetyPhase) -> Engine {
-        let ext = b.alphabet().difference(safety.c0.alphabet());
+        let c0 = &safety.c0;
+        let ext = b.alphabet().difference(c0.alphabet());
         let table = EventTable::new(&ext);
-        // No budget of its own: every reachable ⟨b, c⟩ has some
-        // `(a, b) ∈ f.c`, so the product is no larger than the pair sets
-        // the safety phase already holds, and its `max_states` budget
-        // bounds both.
-        let comp = CompiledComposite::product(&[b, &safety.c0], &table);
-        let (n, nc) = (comp.n, safety.c0.num_states());
-        let conv: Vec<u32> = (0..n).map(|i| comp.tuple(i)[1]).collect();
-
-        let mut bucket_off = vec![0u32; nc + 1];
-        for &c in &conv {
-            bucket_off[c as usize + 1] += 1;
+        // Nodes `{c} × proj_B(f.c)` (see the module docs). No budget of
+        // its own: the safety phase's `max_states` bounds the pair sets.
+        let (mut off, mut b_of, mut conv, mut row) = (vec![0u32], Vec::new(), Vec::new(), vec![]);
+        for (c, f) in safety.f.iter().enumerate() {
+            row.clear();
+            row.extend(f.iter().map(|(_, bs)| bs.0));
+            row.sort_unstable();
+            row.dedup();
+            b_of.extend_from_slice(&row);
+            conv.resize(b_of.len(), c as u32);
+            off.push(b_of.len() as u32);
         }
-        for c in 0..nc {
-            bucket_off[c + 1] += bucket_off[c];
+        // B's `Ext` moves, by event-table index, stay inside `c`; its λ
+        // moves and its `Int` moves paired with C0's are internal edges.
+        let (mut ext_off, mut ext_ev, mut ext_tgt) = (vec![0u32], Vec::new(), Vec::new());
+        let (mut int_off, mut int_tgt) = (vec![0u32], Vec::new());
+        let ext_move = |&(e, t): &(EventId, StateId)| Some((table.lookup(e)?, t.0));
+        let moves: Vec<Vec<(u32, u32)>> = (b.states())
+            .map(|s| b.external_from(s).iter().filter_map(ext_move).collect())
+            .collect();
+        for (&bs, &c) in b_of.iter().zip(&conv) {
+            for &(ev, t) in &moves[bs as usize] {
+                ext_ev.push(ev);
+                ext_tgt.push(node(&off, &b_of, t, c));
+            }
+            let c_moves = c0.external_from(StateId(c));
+            for &(e, t) in b.external_from(StateId(bs)) {
+                if let Some(&(_, ct)) = c_moves.iter().find(|&&(f, _)| f == e) {
+                    int_tgt.push(node(&off, &b_of, t.0, ct.0));
+                }
+            }
+            for &t in b.internal_from(StateId(bs)) {
+                int_tgt.push(node(&off, &b_of, t.0, c));
+            }
+            ext_off.push(ext_ev.len() as u32);
+            int_off.push(int_tgt.len() as u32);
         }
-        let mut bucket = vec![(0u32, 0u32); n];
-        let mut cursor = bucket_off.clone();
-        for (i, &c) in conv.iter().enumerate() {
-            bucket[cursor[c as usize] as usize] = (comp.tuple(i)[0], i as u32);
-            cursor[c as usize] += 1;
-        }
-        for c in 0..nc {
-            bucket[bucket_off[c] as usize..bucket_off[c + 1] as usize].sort_unstable();
-        }
+        let initial = node(&off, &b_of, b.initial().0, c0.initial().0);
+        let comp =
+            CompiledComposite::from_csr(initial, (ext_off, ext_ev, ext_tgt), (int_off, int_tgt));
+        let n = comp.n;
         let (rev_off, rev_src) = comp.reverse_internal();
 
         let acceptance = (0..na.num_hubs())
@@ -220,42 +232,27 @@ impl Engine {
                     .collect()
             })
             .collect();
-        let stats = ProgressEngineStats {
-            product_nodes: n,
-            product_edges: comp.int_tgt.len(),
-            ..ProgressEngineStats::default()
-        };
         Engine {
             tau: TauStar::new(n, table.words()),
+            stats: ProgressEngineStats {
+                product_nodes: n,
+                product_edges: comp.int_tgt.len(),
+                ..ProgressEngineStats::default()
+            },
             comp,
             table,
+            off,
+            b_of,
             conv,
-            bucket_off,
-            bucket,
             rev_off,
             rev_src,
             acceptance,
-            alive: vec![true; nc],
+            alive: vec![true; c0.num_states()],
             epoch: 0,
             mark: vec![0; n],
             queue: Vec::new(),
             dirty: Vec::new(),
-            stats,
         }
-    }
-
-    /// `(B-state, node)` for every node of converter state `cs`.
-    fn bucket(&self, cs: usize) -> &[(u32, u32)] {
-        &self.bucket[self.bucket_off[cs] as usize..self.bucket_off[cs + 1] as usize]
-    }
-
-    /// The product node `⟨bs, cs⟩` of a pair `(a, bs) ∈ f.cs`.
-    fn node(&self, bs: StateId, cs: usize) -> u32 {
-        let row = self.bucket(cs);
-        let at = row
-            .binary_search_by_key(&bs.0, |&(b, _)| b)
-            .expect("every pair of f.c occurs in the reachable B ‖ C0");
-        row[at].1
     }
 
     /// Backward slice: every still-alive product node that could reach
@@ -268,8 +265,7 @@ impl Engine {
         self.queue.clear();
         self.dirty.clear();
         for &cs in removed_cs {
-            for i in self.bucket_off[cs]..self.bucket_off[cs + 1] {
-                let n = self.bucket[i as usize].1;
+            for n in self.off[cs]..self.off[cs + 1] {
                 self.mark[n as usize] = epoch;
                 self.queue.push(n);
             }
@@ -383,7 +379,7 @@ impl Engine {
                     continue;
                 }
                 let bad = safety.f[cs].iter().find_map(|(hub, bs)| {
-                    let n = self.node(bs, cs);
+                    let n = node(&self.off, &self.b_of, bs.0, cs as u32);
                     if strategy == ProgressStrategy::ReachableProduct
                         && self.mark[n as usize] != reach_epoch
                     {
@@ -724,8 +720,17 @@ fn propagate_tau_star(adj: &[Vec<usize>], local: &[u64]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairset::PairSet;
     use crate::safety::{safety_phase, SafetyLimits};
-    use protoquot_spec::{compose, normalize, satisfies, SpecBuilder};
+    use protoquot_protocols::{
+        at_least_once, colocated_configuration, connection_service, exactly_once,
+        frontman_configuration, gateway_configuration, nfa_blowup, symmetric_configuration,
+        symmetric_gateway, two_client_service,
+    };
+    use protoquot_spec::{
+        compose, compose_all_nway, normalize, satisfies, spec_from_parts, CompiledSystem,
+        SpecBuilder,
+    };
 
     fn service() -> Spec {
         let mut sb = SpecBuilder::new("S");
@@ -890,6 +895,121 @@ mod tests {
         bb.event("decoy");
         bb.event("del");
         (bb.build().unwrap(), Alphabet::from_names(["decoy"]))
+    }
+
+    /// A row of `c` as sorted `(event, target)` and target lists, its
+    /// targets renamed by `to`.
+    fn sorted_row(c: &CompiledComposite, s: u32, to: impl Fn(u32) -> u32) -> [Vec<(u32, u32)>; 2] {
+        let (ext, int) = (c.ext_edges(), c.int_edges());
+        let row = |off: &[u32]| off[s as usize] as usize..off[s as usize + 1] as usize;
+        let mut e: Vec<_> = row(ext.off).map(|k| (ext.ev[k], to(ext.tgt[k]))).collect();
+        let mut i: Vec<_> = row(int.off).map(|k| (0, to(int.tgt[k]))).collect();
+        e.sort_unstable();
+        i.sort_unstable();
+        [e, i]
+    }
+
+    /// Fig. 6's product, laid out from `f.c`, is the n-way composite
+    /// `B ‖ C0` up to renumbering: node `⟨b, c⟩` of one is node `⟨b, c⟩`
+    /// of the other, with the same initial node and the same external
+    /// and internal edges, duplicates included.
+    fn assert_laid_out_is_the_composite(label: &str, b: &Spec, service: &Spec, s: &SafetyPhase) {
+        let engine = Engine::new(b, &normalize(service), s);
+        let system = CompiledSystem::new(&[b, &s.c0], service).unwrap();
+        let (nway, laid) = (system.composite(), &engine.comp);
+        let nway_spec = compose_all_nway(&[b, &s.c0]).unwrap();
+        assert_eq!(
+            (nway.n, nway_spec.num_states()),
+            (laid.n, laid.n),
+            "{label}"
+        );
+        let to_laid = |i: u32| {
+            let t = nway.tuple(i as usize);
+            node(&engine.off, &engine.b_of, t[0], t[1])
+        };
+        assert_eq!(to_laid(nway.initial), laid.initial, "{label}: initial node");
+        for i in 0..nway.n as u32 {
+            let (t, j) = (nway.tuple(i as usize), to_laid(i) as usize);
+            assert_eq!([engine.b_of[j], engine.conv[j]], t, "{label}: node {j}");
+            let want = sorted_row(nway, i, to_laid);
+            assert_eq!(
+                sorted_row(laid, j as u32, |x| x),
+                want,
+                "{label}: edges of {t:?}"
+            );
+        }
+    }
+
+    /// `spec` with `extra` unreachable, transition-free states appended.
+    fn pad(spec: &Spec, extra: usize) -> Spec {
+        let pads = (0..extra).map(|i| format!("pad{i}"));
+        let names = spec.states().map(|s| spec.state_name(s).to_owned());
+        let (ext, int) = (spec.external_transitions(), spec.internal_transitions());
+        let (name, alphabet) = (spec.name().to_owned(), spec.alphabet().clone());
+        let names = names.chain(pads).collect();
+        spec_from_parts(
+            name,
+            alphabet,
+            names,
+            spec.initial(),
+            ext.collect(),
+            int.collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn laid_out_product_is_the_nway_composite() {
+        let mut problems: Vec<(String, Spec, Alphabet, Spec)> = (1..=11)
+            .map(|n| {
+                let (b, int) = nfa_blowup(n);
+                (format!("nfa-blowup({n})"), b, int, exactly_once())
+            })
+            .collect();
+        for (name, cfg, service) in [
+            ("colocated", colocated_configuration(), exactly_once()),
+            ("symmetric", symmetric_configuration(), exactly_once()),
+            (
+                "symmetric/at-least-once",
+                symmetric_configuration(),
+                at_least_once(),
+            ),
+            ("gateway", gateway_configuration(), connection_service()),
+            (
+                "symmetric-gateway",
+                symmetric_gateway(),
+                connection_service(),
+            ),
+            ("frontman", frontman_configuration(), two_client_service()),
+        ] {
+            problems.push((name.to_owned(), cfg.b, cfg.int, service));
+        }
+        for (label, b, int, service) in &problems {
+            let na = normalize(service);
+            for vacuous in [false, true] {
+                let s = safety_phase(b, &na, int, vacuous, SafetyLimits::default())
+                    .unwrap()
+                    .unwrap();
+                assert_laid_out_is_the_composite(&format!("{label}/{vacuous}"), b, service, &s);
+            }
+        }
+
+        // Padding `B` and `C0` past the `u32` grid with unreachable states
+        // (whose `f.c` is empty) adds no node.
+        let (cfg, service) = (colocated_configuration(), exactly_once());
+        let na = normalize(&service);
+        let s = safety_phase(&cfg.b, &na, &cfg.int, false, SafetyLimits::default())
+            .unwrap()
+            .unwrap();
+        let (mut f, side) = (s.f.clone(), 1usize << 16);
+        f.resize(side, PairSet::empty());
+        let padded = SafetyPhase {
+            c0: pad(&s.c0, side - s.c0.num_states()),
+            f,
+            includes_vacuous: false,
+        };
+        let b = pad(&cfg.b, side - cfg.b.num_states());
+        assert_laid_out_is_the_composite("padded colocated", &b, &service, &padded);
     }
 
     #[test]

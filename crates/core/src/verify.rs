@@ -1,12 +1,15 @@
 //! Independent verification that a candidate converter actually works:
-//! composes `B ‖ C` and runs the full satisfaction check against `A`.
+//! composes `B ‖ C` and runs the full satisfaction check against `A`,
+//! on each part's bisimulation minimum first and on the literal parts
+//! only to name a failure's witness.
 //!
 //! The quotient algorithm is proven correct in the paper, but this crate
 //! re-checks every derivation in tests and benches — the implementation,
 //! not the theorem, is what could be wrong.
 
 use protoquot_spec::{
-    compose, satisfies, verify_system, Spec, SpecError, VerifyEngineStats, Violation,
+    compose, satisfies, verify_system, CompiledSystem, Spec, SpecError, VerifyEngineStats,
+    Violation,
 };
 
 /// Result of a verification: `Ok(())`, a counterexample, or a malformed
@@ -77,15 +80,25 @@ pub fn converter_verdict(
 
 /// [`converter_verdict`] on the compiled verification engine, also
 /// returning the engine counters. The verdict (and any witness inside
-/// it) is bit identical to the reference. `threads` is ignored: the
-/// check runs on the calling thread.
+/// it) is bit identical to the reference.
+///
+/// The check runs on the compositional minimum
+/// ([`CompiledSystem::minimal`]), whose verdict is the literal one. Only
+/// when it fails is the literal `B ‖ C` walked again, so that the
+/// witness is the reference's. The stats are those of the system whose
+/// verdict is returned: the minimized composite on `Ok`, the literal one
+/// on `Err`. `threads` is ignored: the check runs on the calling thread.
 pub fn converter_verdict_with(
     b: &Spec,
     a: &Spec,
     converter: &Spec,
     _threads: usize,
 ) -> Result<(Result<(), Violation>, VerifyEngineStats), SpecError> {
-    let out = verify_system(&[b, converter], a)?;
+    let out = CompiledSystem::minimal(&[b, converter], a)?.verify();
+    let out = match out.verdict {
+        Ok(()) => out,
+        Err(_) => verify_system(&[b, converter], a)?,
+    };
     Ok((out.verdict, out.stats))
 }
 

@@ -27,6 +27,7 @@ use crate::guard::{GuardProgram, SessionGuard};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use protoquot_spec::{Spec, SpecError};
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -100,12 +101,18 @@ impl Default for GatewayConfig {
 pub struct BatchScratch {
     /// Live sessions.
     sessions: HashMap<u64, SessionCore>,
-    /// Ended sessions (closed or expelled) and the time of their last
-    /// frame: a later frame on the id answers `Closed` until the sweep
-    /// drops the tombstone. An id and a time, not a core, so a closed
-    /// session holds no guard and no converter version.
-    closed: HashMap<u64, Instant>,
-    /// Most live sessions the table may hold; `0` is unbounded.
+    /// Ended sessions (closed or expelled), the time of their last frame
+    /// and the stamp of that write: a later frame on the id answers
+    /// `Closed` until the sweep, or a capped table's bound, drops the
+    /// tombstone. An id and a time, not a core, so a closed session
+    /// holds no guard and no converter version.
+    closed: HashMap<u64, (Instant, u64)>,
+    /// Capped tables only: `(id, stamp)` per tombstone write, oldest
+    /// first. An entry whose stamp `closed` no longer holds is stale.
+    order: VecDeque<(u64, u64)>,
+    stamp: u64,
+    /// Most live sessions, and most tombstones, the table may hold; `0`
+    /// is unbounded.
     cap: usize,
 }
 
@@ -117,11 +124,42 @@ impl BatchScratch {
 
     /// An empty table holding at most `cap` live sessions (`0`: no
     /// cap). A frame that would open one more bounces with
-    /// [`RejectReason::ResourceLimit`]; a `Close` frees its slot.
+    /// [`RejectReason::ResourceLimit`]; a `Close` frees its slot. The
+    /// table also keeps at most `cap` tombstones: past that it forgets
+    /// the one whose last frame is oldest, and its id is fresh again.
     pub(crate) fn capped(cap: usize) -> BatchScratch {
         BatchScratch {
             cap,
             ..BatchScratch::default()
+        }
+    }
+
+    /// Writes `session`'s tombstone with last-frame time `now`; a capped
+    /// table then forgets its oldest tombstones down to the cap. Each
+    /// write queues one `order` entry and the queue is compacted once it
+    /// holds twice the cap, so a write costs amortized O(1).
+    fn bury(&mut self, session: u64, now: Instant) {
+        self.stamp += 1;
+        self.closed.insert(session, (now, self.stamp));
+        if self.cap == 0 {
+            return;
+        }
+        self.order.push_back((session, self.stamp));
+        let closed = &mut self.closed;
+        let current = |closed: &HashMap<u64, (Instant, u64)>, &(id, stamp): &(u64, u64)| {
+            closed.get(&id).is_some_and(|&(_, s)| s == stamp)
+        };
+        while closed.len() > self.cap {
+            let oldest = self
+                .order
+                .pop_front()
+                .expect("a tombstone's write is queued");
+            if current(closed, &oldest) {
+                closed.remove(&oldest.0);
+            }
+        }
+        if self.order.len() > 2 * self.cap {
+            self.order.retain(|entry| current(closed, entry));
         }
     }
 }
@@ -373,8 +411,8 @@ impl Gateway {
         let mut entry = match table.sessions.entry(session) {
             Entry::Occupied(e) => e,
             Entry::Vacant(e) => {
-                if let Some(last) = table.closed.get_mut(&session) {
-                    *last = now;
+                if table.closed.contains_key(&session) {
+                    table.bury(session, now);
                     return reject(RejectReason::Closed);
                 }
                 match op {
@@ -393,7 +431,7 @@ impl Gateway {
         if ended {
             inner.stats.note_close();
             inner.note_session_gone(entry.remove().version);
-            table.closed.insert(session, now);
+            table.bury(session, now);
         }
         reply
     }
@@ -453,13 +491,14 @@ impl Gateway {
         let (now, idle) = (Instant::now(), self.inner.cfg.idle_timeout);
         table
             .closed
-            .retain(|_, last| now.duration_since(*last) < idle);
+            .retain(|_, (last, _)| now.duration_since(*last) < idle);
         self.evict(table, |core| now.duration_since(core.last_active) >= idle)
     }
 
     /// Ends every session of `table`, as when its connection drops.
     pub fn end_sessions(&self, table: &mut BatchScratch) {
         table.closed.clear();
+        table.order.clear();
         self.evict(table, |_| true);
     }
 
@@ -833,6 +872,48 @@ mod tests {
         }
         let snap = gw.stats();
         assert_eq!((snap.sessions_opened, snap.sessions_closed), (0, 0));
+    }
+
+    /// A capped table keeps at most its cap of tombstones: 100,000
+    /// open-and-close pairs on fresh ids leave the last 8, an id whose
+    /// tombstone was forgotten opens a fresh session, and a frame on a
+    /// tombstone makes it the newest. An uncapped table keeps them all.
+    #[test]
+    fn capped_table_forgets_its_oldest_tombstones() {
+        let gw = gateway(GatewayConfig::default());
+        let mut t = BatchScratch::capped(8);
+        for chunk in (0..100_000u64).collect::<Vec<_>>().chunks(1_000) {
+            let frames: Vec<Frame> = (chunk.iter())
+                .flat_map(|&s| [ev(&gw, s, "acc"), Frame::Close { session: s }])
+                .collect();
+            let replies = batch(&gw, &mut t, &frames);
+            assert!(replies.iter().all(|r| matches!(r, Reply::Accepted { .. })));
+        }
+        assert_eq!((t.sessions.len(), t.closed.len()), (0, 8));
+        assert!(t.order.len() <= 16, "stale order entries are compacted");
+        let closed = |s| rejected(s, RejectReason::Closed);
+        assert_eq!(call(&gw, &mut t, ev(&gw, 99_992, "del")), closed(99_992));
+        let fresh = batch(
+            &gw,
+            &mut t,
+            &[ev(&gw, 5, "acc"), Frame::Close { session: 5 }],
+        );
+        let accepted = Reply::Accepted { session: 5 };
+        assert_eq!(fresh, [accepted; 2], "5 was forgotten");
+        assert_eq!(call(&gw, &mut t, ev(&gw, 99_992, "del")), closed(99_992));
+        assert_eq!(
+            call(&gw, &mut t, ev(&gw, 99_993, "acc")),
+            Reply::Accepted { session: 99_993 },
+            "99,993 was the oldest tombstone once 5 was buried"
+        );
+        assert_eq!(t.closed.len(), 8);
+
+        let mut open = BatchScratch::new();
+        let frames: Vec<Frame> = (0..1_000u64)
+            .flat_map(|s| [ev(&gw, s, "acc"), Frame::Close { session: s }])
+            .collect();
+        batch(&gw, &mut open, &frames);
+        assert_eq!((open.closed.len(), open.order.len()), (1_000, 0));
     }
 
     /// 32 threads share one gateway, each stepping a session of its own

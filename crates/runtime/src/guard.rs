@@ -38,18 +38,14 @@
 //! reachable `(state, hub)` pair satisfies containment, so no genuine
 //! trace can ever convict.
 //!
-//! Minimizing the parts changes sizes, not verdicts. Strong bisimulation
-//! is a congruence for `‖` and keeps traces, τ* and acceptance sets, so
-//! the minimized `B ‖ C` satisfies the service iff the literal one does,
-//! and a DFA state's subset is the image of the literal subset: empty,
-//! all-failing or some-failing exactly when that one is. Composite state
-//! ids, `possible_states` and subset sizes count states of the minimized
-//! composite (on nfa-blowup(11), 13 rather than the literal 14,338).
+//! The parts are minimized by [`CompiledSystem::minimal`], which says
+//! why that changes sizes, not verdicts. A DFA state's subset is the
+//! image of the literal subset: empty, all-failing or some-failing
+//! exactly when that one is. Composite state ids, `possible_states` and
+//! subset sizes count states of the minimized composite.
 
 use crate::codec::RejectReason;
-use protoquot_spec::{
-    minimize, CompiledSystem, EventId, EventTable, Spec, SpecError, SubsetKernel,
-};
+use protoquot_spec::{CompiledSystem, EventId, EventTable, Spec, SpecError, SubsetKernel};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -190,19 +186,16 @@ pub struct GuardProgram {
 
 impl GuardProgram {
     /// Compiles each part's strong-bisimulation minimum against
-    /// `service` and subset-constructs the per-frame check into a DFA.
-    ///
-    /// Strong bisimulation is a congruence for `‖` and keeps traces, τ*
-    /// and acceptance sets, so every verdict equals the one the literal
-    /// parts would give; only the composite, and so the DFA, is smaller.
-    /// Validation is [`CompiledSystem::new`]'s: no event may be shared
-    /// by more than two components, and the solo (externally visible)
-    /// alphabet of the composition must equal the service alphabet.
+    /// `service` ([`CompiledSystem::minimal`]) and subset-constructs the
+    /// per-frame check into a DFA. Every verdict equals the one the
+    /// literal parts would give; only the composite, and so the DFA, is
+    /// smaller. Validation is [`CompiledSystem::new`]'s: no event may be
+    /// shared by more than two components, and the solo (externally
+    /// visible) alphabet of the composition must equal the service
+    /// alphabet.
     pub fn new(parts: &[&Spec], service: &Spec) -> Result<GuardProgram, SpecError> {
         let t0 = Instant::now();
-        let minimal: Vec<Spec> = parts.iter().map(|p| minimize(p)).collect();
-        let refs: Vec<&Spec> = minimal.iter().collect();
-        let system = CompiledSystem::new(&refs, service)?;
+        let system = CompiledSystem::minimal(parts, service)?;
         Ok(GuardProgram::determinized(system, t0))
     }
 

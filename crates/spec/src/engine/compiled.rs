@@ -138,12 +138,31 @@ pub struct CompiledComposite {
 }
 
 impl CompiledComposite {
-    /// The reachable product `P_0 ‖ … ‖ P_{n-1}`, explored from the
-    /// initial tuple with ids in first-reach order. `table` must hold
-    /// every event owned by exactly one part (those label the external
-    /// edges), and no event may be shared by more than two parts.
-    pub fn product(parts: &[&Spec], table: &EventTable) -> CompiledComposite {
-        build_nway(parts, table)
+    /// A composite whose caller already laid its states out: `initial`
+    /// plus the external CSR `(ext_off, ext_ev, ext_tgt)`, `ext_ev`
+    /// holding event-table indices, and the internal CSR
+    /// `(int_off, int_tgt)`, both with `n + 1` row offsets. It has no
+    /// tuples.
+    pub fn from_csr(
+        initial: u32,
+        (ext_off, ext_ev, ext_tgt): (Vec<u32>, Vec<u32>, Vec<u32>),
+        (int_off, int_tgt): (Vec<u32>, Vec<u32>),
+    ) -> CompiledComposite {
+        let mut c = CompiledComposite {
+            n: ext_off.len() - 1,
+            initial,
+            ext_off,
+            ext_ev,
+            ext_tgt,
+            int_off,
+            int_tgt,
+            dedup_hits: 0,
+            arena_bytes: 0,
+            tuples: Vec::new(),
+            stride: 0,
+        };
+        c.finish_arena();
+        c
     }
 
     /// The internal edges reversed, as CSR `(off, src)`: row `t` lists
@@ -230,21 +249,11 @@ pub(crate) fn build_single(b: &Spec, tbl: &EventTable) -> CompiledComposite {
         ext_off.push(ext_ev.len() as u32);
         int_off.push(int_tgt.len() as u32);
     }
-    let mut c = CompiledComposite {
-        n,
-        initial: b.initial().0,
-        ext_off,
-        ext_ev,
-        ext_tgt,
-        int_off,
-        int_tgt,
-        dedup_hits: 0,
-        arena_bytes: 0,
-        tuples: Vec::new(),
-        stride: 0,
-    };
-    c.finish_arena();
-    c
+    CompiledComposite::from_csr(
+        b.initial().0,
+        (ext_off, ext_ev, ext_tgt),
+        (int_off, int_tgt),
+    )
 }
 
 /// How one component edge participates in the composite.

@@ -13,12 +13,10 @@ use crate::spec::{spec_from_parts, Spec, StateId};
 
 /// `specs` side by side as one labelled graph: each spec's states follow
 /// the ones before it, an external edge is labelled by its event's rank
-/// among the events on edges, and an internal edge by one label more.
+/// among the events of the alphabets, and an internal edge by one label
+/// more.
 fn graph(specs: &[&Spec]) -> (Vec<u32>, Vec<u32>, Vec<u32>, usize) {
-    let mut events: Vec<EventId> = specs
-        .iter()
-        .flat_map(|s| s.external_transitions().map(|(_, e, _)| e))
-        .collect();
+    let mut events: Vec<EventId> = specs.iter().flat_map(|s| s.alphabet().iter()).collect();
     events.sort_unstable();
     events.dedup();
     let (mut off, mut ev, mut tgt, mut base) = (vec![0], Vec::new(), Vec::new(), 0);

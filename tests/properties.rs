@@ -8,15 +8,21 @@
 //! * serde and speclang round-trips are exact;
 //! * **every** quotient the solver derives on random problems passes
 //!   independent verification, and every "no converter" answer is
-//!   corroborated by the safety-only baseline or a genuine conflict.
+//!   corroborated by the safety-only baseline or a genuine conflict;
+//! * the verification of a converter, which checks each part's
+//!   bisimulation minimum, gives the literal verdict and the reference
+//!   witness on every mutant of the derived converter.
 
 use proptest::prelude::*;
 use protoquot_core::{
-    solve, solve_with, verify_converter, ProgressStrategy, QuotientError, QuotientOptions,
+    converter_verdict, converter_verdict_reference, solve, solve_with, verify_converter,
+    ProgressStrategy, QuotientError, QuotientOptions,
 };
+use protoquot_sim::redirect_transition;
 use protoquot_spec::trace::traces_up_to;
 use protoquot_spec::{
-    bisimilar, compose, is_normal_form, minimize, normalize, satisfies, Alphabet, Spec, SpecBuilder,
+    bisimilar, compose, is_normal_form, minimize, normalize, satisfies, verify_system, Alphabet,
+    CompiledSystem, Spec, SpecBuilder,
 };
 
 /// A random specification over up to `max_states` states and the given
@@ -183,6 +189,43 @@ proptest! {
             Err(QuotientError::StateBudgetExceeded { .. }) => {
                 // Cannot happen at these sizes.
                 prop_assert!(false, "budget exceeded on a tiny problem");
+            }
+        }
+    }
+
+    #[test]
+    fn minimal_verdict_matches_the_literal((b, a, int) in arb_quotient_problem()) {
+        // The derived converter, or the safety output progress emptied,
+        // and every `redirect_transition` mutant of it.
+        let c = match solve(&b, &a, &int) {
+            Ok(q) => Some(q.converter),
+            Err(QuotientError::NoProgressingConverter { safety_output, .. }) => Some(*safety_output),
+            Err(_) => None,
+        };
+        let mutants = c.iter().flat_map(|c| {
+            std::iter::once(c.clone()).chain((0..).map_while(|k| redirect_transition(c, k)))
+        });
+        for m in mutants {
+            match (converter_verdict(&b, &a, &m), converter_verdict_reference(&b, &a, &m)) {
+                (Ok(checked), Ok(reference)) => {
+                    prop_assert_eq!(format!("{checked:?}"), format!("{reference:?}"));
+                }
+                (Err(checked), Err(reference)) => {
+                    prop_assert_eq!(checked.to_string(), reference.to_string());
+                }
+                (checked, reference) => {
+                    prop_assert!(false, "setup differs: {checked:?} vs {reference:?}");
+                }
+            }
+            match (verify_system(&[&b, &m], &a), CompiledSystem::minimal(&[&b, &m], &a)) {
+                (Ok(literal), Ok(minimal)) => prop_assert_eq!(
+                    literal.verdict.is_ok(),
+                    minimal.verify().verdict.is_ok()
+                ),
+                (Err(literal), Err(minimal)) => {
+                    prop_assert_eq!(literal.to_string(), minimal.to_string());
+                }
+                _ => prop_assert!(false, "setup differs"),
             }
         }
     }

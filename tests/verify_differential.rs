@@ -18,16 +18,25 @@
 //! So are the compiled τ* rows: every composite state's row must equal
 //! the reference [`protoquot_spec::Closures`] τ* of the materialized
 //! `compose_all` composite.
+//!
+//! The derive path's check, `converter_verdict_with`, verifies each
+//! part's bisimulation minimum ([`protoquot_spec::CompiledSystem::minimal`])
+//! and walks the literal parts only on failure. On every
+//! `redirect_transition` mutant of the builtins' and nfa-blowup(1..8)'s
+//! derived converters it must give the literal `Ok`/`Err`, setup error
+//! and counters, and on `Err` the reference's witness.
 
-use protoquot_core::{converter_verdict_reference, solve};
+use protoquot_core::{converter_verdict_reference, converter_verdict_with, solve, QuotientError};
 use protoquot_protocols::{
-    ab_to_nak_configuration, colocated_configuration, exactly_once, nfa_blowup, random_component,
-    relay_chain, symmetric_configuration, toggle_puzzle, windowed, Configuration, RandomParams,
+    ab_to_nak_configuration, at_least_once, colocated_configuration, exactly_once, nfa_blowup,
+    random_component, relay_chain, symmetric_configuration, toggle_puzzle, windowed, Configuration,
+    RandomParams,
 };
 use protoquot_runtime::GuardProgram;
+use protoquot_sim::redirect_transition;
 use protoquot_spec::{
-    compose, compose_all, compose_all_nway, verify_system, Alphabet, Closures, CompiledSystem,
-    Spec, SpecBuilder, StateId, Violation, DENSE_TUPLE_SLOTS,
+    compose, compose_all, compose_all_nway, minimize, verify_system, Alphabet, Closures,
+    CompiledSystem, Spec, SpecBuilder, StateId, Violation, DENSE_TUPLE_SLOTS,
 };
 
 /// A converter over `int` that declares every interface event but
@@ -317,6 +326,128 @@ fn engine_and_guard_counters_are_pinned_on_nfa_blowup() {
             i + 1
         );
     }
+}
+
+/// `converter_verdict_with` checks the compositional minimum
+/// ([`CompiledSystem::minimal`]) and walks the literal `B ‖ C` only on
+/// failure. Against the literal `verify_system` it must give the same
+/// setup error, or the same `Ok`/`Err` and, on `Err`, the literal
+/// witness and counters; the minimum's own verdict (over `min_b`, the
+/// minimized `b`) must already be the literal `Ok`/`Err`. With
+/// `reference`, an `Err`'s witness is also held to
+/// `converter_verdict_reference`. Returns the verdict, `None` on a setup
+/// error.
+fn minimal_agrees(
+    label: &str,
+    (b, min_b): (&Spec, &Spec),
+    service: &Spec,
+    c: &Spec,
+    reference: bool,
+) -> Option<bool> {
+    let (literal, checked) = (
+        verify_system(&[b, c], service),
+        converter_verdict_with(b, service, c, 1),
+    );
+    let (literal, (verdict, stats)) = match (literal, checked) {
+        (Ok(literal), Ok(checked)) => (literal, checked),
+        (Err(l), Err(m)) => {
+            assert_eq!(l.to_string(), m.to_string(), "{label}: setup error");
+            return None;
+        }
+        (l, m) => panic!("{label}: setup differs (literal {l:?}, checked {m:?})"),
+    };
+    let minimal = CompiledSystem::new(&[min_b, &minimize(c)], service).unwrap();
+    let minimal_ok = minimal.verify().verdict.is_ok();
+    let label = format!("{label} (literal {})", literal.stats.states);
+    assert_eq!(
+        minimal_ok,
+        literal.verdict.is_ok(),
+        "{label}: minimal verdict"
+    );
+    match (verdict, &literal.verdict) {
+        (Ok(()), Ok(())) => assert_eq!(stats.states, minimal.composite().n, "{label}: states"),
+        (Err(v), Err(lv)) => {
+            assert_violation_eq(&label, lv, &v);
+            assert_eq!(
+                stats, literal.stats,
+                "{label}: a failure reports the literal"
+            );
+            if reference {
+                let r = converter_verdict_reference(b, service, c).unwrap();
+                assert_violation_eq(&label, &r.expect_err("literal fails"), &v);
+            }
+        }
+        (v, l) => panic!("{label}: verdict differs (checked {v:?}, literal {l:?})"),
+    }
+    Some(minimal_ok)
+}
+
+/// [`minimal_agrees`] on `c` and each of its `redirect_transition`
+/// mutants, the reference witness checked on every `stride`-th; counts
+/// `(accepted, rejected)` into `tally`.
+fn mutants_agree(
+    label: &str,
+    (b, service): (&Spec, &Spec),
+    c: &Spec,
+    stride: usize,
+    tally: &mut (usize, usize),
+) {
+    let min_b = minimize(b);
+    let mutants = (0..).map_while(|k| redirect_transition(c, k));
+    for (k, m) in std::iter::once(c.clone()).chain(mutants).enumerate() {
+        let label = format!("{label}/mut{k}");
+        match minimal_agrees(&label, (b, &min_b), service, &m, k % stride == 0) {
+            Some(true) => tally.0 += 1,
+            Some(false) => tally.1 += 1,
+            None => {}
+        }
+    }
+}
+
+/// The converter `solve` derives, or the safety phase's output when
+/// progress empties it.
+fn derived_or_safe(b: &Spec, service: &Spec, int: &Alphabet) -> Option<Spec> {
+    match solve(b, service, int) {
+        Ok(q) => Some(q.converter),
+        Err(QuotientError::NoProgressingConverter { safety_output, .. }) => Some(*safety_output),
+        Err(_) => None,
+    }
+}
+
+/// Every `redirect_transition` mutant of the colocated and ab-nak
+/// builtins' and of nfa-blowup(1..8)'s derived converters gets the
+/// literal verdict from the minimal check.
+#[test]
+fn minimal_verdict_matches_the_literal_on_mutants() {
+    let mut tally = (0, 0);
+    let colocated = colocated_configuration();
+    let ab_nak = ab_to_nak_configuration();
+    for (name, cfg) in [("colocated", colocated), ("ab-nak", ab_nak)] {
+        let c = derived_or_safe(&cfg.b, &exactly_once(), &cfg.int).expect("a builtin derives");
+        mutants_agree(name, (&cfg.b, &exactly_once()), &c, 1, &mut tally);
+    }
+    let service = exactly_once();
+    for n in 1..=8 {
+        let (b, int) = nfa_blowup(n);
+        let c = derived_or_safe(&b, &service, &int).expect("nfa-blowup derives");
+        let label = format!("nfa-blowup({n})");
+        mutants_agree(&label, (&b, &service), &c, 1, &mut tally);
+    }
+    assert_eq!(tally, (1046, 24), "(accepted, rejected) converters");
+}
+
+/// The same on the symmetric builtin (at-least-once service). Its
+/// 173-state converter has 689 mutants whose reference check takes up
+/// to 0.1 s each in a release build, so the reference sees every 64th;
+/// the literal engine sees all, and is held to the reference on this
+/// configuration by `engine_agrees_on_paper_configurations`.
+#[test]
+fn minimal_verdict_matches_the_literal_on_symmetric_mutants() {
+    let (cfg, service) = (symmetric_configuration(), at_least_once());
+    let c = derived_or_safe(&cfg.b, &service, &cfg.int).expect("symmetric derives");
+    let mut tally = (0, 0);
+    mutants_agree("symmetric", (&cfg.b, &service), &c, 64, &mut tally);
+    assert_eq!(tally, (456, 234), "(accepted, rejected) converters");
 }
 
 #[test]
