@@ -419,7 +419,7 @@ fn cmd_solve(p: &Parsed) -> Result<String, CliError> {
     if let Some(name) = p.value("--builtin") {
         builtin_only(p, &["--problem", "--service", "--int", "--b"])?;
         let (cfg, service) = builtin_configuration(name)?;
-        return solve_system(p, cfg.b, &service, &cfg.int);
+        return solve_system(p, &[&cfg.b], &service, &cfg.int);
     }
     let [file] = &p.positional[..] else {
         return p.misuse();
@@ -472,18 +472,32 @@ fn cmd_solve(p: &Parsed) -> Result<String, CliError> {
     if parts.is_empty() {
         return err("no fixed components: give --b or add specs to the file");
     }
-    let b = if parts.len() == 1 {
-        parts[0].clone()
-    } else {
-        compose_all(&parts).map_err(|e| CliError(e.to_string()))?
-    };
-    let srv = srv.clone();
-    solve_system(p, b, &srv, &int)
+    solve_system(p, &parts, srv, &int)
 }
 
 /// The shared back half of `solve`: derives the converter for one
-/// resolved quotient problem and renders/emits it per the flags.
-fn solve_system(p: &Parsed, b: Spec, srv: &Spec, int: &Alphabet) -> Result<String, CliError> {
+/// resolved quotient problem over its fixed `parts` and renders/emits
+/// it per the flags. `--emit compiled` serves and ships the parts as
+/// given plus the converter, `[parts…, C]`.
+fn solve_system(
+    p: &Parsed,
+    parts: &[&Spec],
+    srv: &Spec,
+    int: &Alphabet,
+) -> Result<String, CliError> {
+    // Both output flags are checked before solving, so a bad one fails
+    // whether or not a converter exists.
+    let emit = match p.value("--emit") {
+        Some("compiled") => true,
+        Some(other) => {
+            return err(format!(
+                "--emit: unknown format `{other}` (known: compiled)"
+            ))
+        }
+        None if p.value("--out").is_some() => return err("--out needs --emit compiled"),
+        None => false,
+    };
+    let b = compose_all(parts).map_err(|e| CliError(e.to_string()))?;
     let options = QuotientOptions {
         include_vacuous: p.has("--vacuous"),
         strategy: if p.has("--reachable") {
@@ -561,39 +575,38 @@ fn solve_system(p: &Parsed, b: Spec, srv: &Spec, int: &Alphabet) -> Result<Strin
                 }
             }
             out.push('\n');
-            match p.value("--emit") {
-                Some("compiled") => {
-                    // The dump is the system the guard serves, each part
-                    // minimized; with `--out`, the same guard feeds the
-                    // artifact's tables digest.
-                    let parts = [&b, &converter];
-                    let prog =
-                        GuardProgram::new(&parts, srv).map_err(|e| CliError(e.to_string()))?;
-                    out.push_str(&emit_compiled(prog.system())?);
-                    out.push('\n');
-                    if let Some(path) = p.value("--out") {
-                        out.push_str(&emit_artifact(&parts, srv, &prog, path)?);
-                    }
+            if emit {
+                // The dump is the system the guard serves, each part
+                // minimized; with `--out`, the same guard feeds the
+                // artifact's tables digest.
+                let system: Vec<&Spec> = parts.iter().copied().chain([&converter]).collect();
+                let prog = GuardProgram::new(&system, srv).map_err(|e| CliError(e.to_string()))?;
+                out.push_str(&emit_compiled(prog.system())?);
+                out.push('\n');
+                if let Some(path) = p.value("--out") {
+                    out.push_str(&emit_artifact(&system, srv, &prog, path)?);
                 }
-                Some(other) => {
-                    return err(format!(
-                        "--emit: unknown format `{other}` (known: compiled)"
-                    ))
-                }
-                None if p.value("--out").is_some() => {
-                    return err("--out needs --emit compiled");
-                }
-                None => out.push_str(&if p.has("--json") {
+            } else {
+                out.push_str(&if p.has("--json") {
                     protoquot_spec::serde_impl::to_json(&converter)
                 } else if p.has("--dot") {
                     to_dot(&converter)
                 } else {
                     to_text(&converter)
-                }),
+                });
             }
             Ok(out)
         }
         Err(e) => {
+            if let Some(path) = p.value("--out") {
+                let problem = p
+                    .value("--problem")
+                    .or(p.value("--builtin"))
+                    .unwrap_or(srv.name());
+                return err(format!(
+                    "no converter for `{problem}`: {e}; nothing written to `{path}`"
+                ));
+            }
             out.push_str(&format!("no converter: {e}\n"));
             if let protoquot_core::QuotientError::NoProgressingConverter {
                 witness: Some(w), ..
@@ -1731,6 +1744,61 @@ mod tests {
                 .to_string()
                 .contains("unknown format"));
         })
+    }
+
+    const PAPER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/paper.pq");
+
+    /// `--emit` and `--out` are checked before solving, so a bad flag
+    /// fails on fig9 (no converter) as it does on a solvable problem,
+    /// and asking for an artifact that cannot exist writes nothing.
+    #[test]
+    fn solve_checks_output_flags_when_no_converter_exists() {
+        let out = temp_path("fig9.pqca");
+        let out = out.to_str().unwrap();
+        let nothing_written = format!("nothing written to `{out}`");
+        for (flags, expect) in [
+            (&["--emit", "nope"][..], vec!["unknown format `nope`"]),
+            (&["--out", out][..], vec!["--out needs --emit compiled"]),
+            (
+                &["--emit", "compiled", "--out", out][..],
+                vec!["no converter for `fig9`", &nothing_written],
+            ),
+        ] {
+            let args: Vec<String> = ["solve", PAPER, "--problem", "fig9"]
+                .iter()
+                .chain(flags)
+                .map(|s| s.to_string())
+                .collect();
+            let e = run(&args).unwrap_err().to_string();
+            for part in expect {
+                assert!(e.contains(part), "{flags:?}: {e}");
+            }
+        }
+        assert!(!std::path::Path::new(out).exists());
+    }
+
+    /// A FILE-derived artifact ships the problem's parts as written,
+    /// then the converter.
+    #[test]
+    fn solve_out_ships_the_parts_as_written() {
+        let path = temp_path("fig13.pqca");
+        let path = path.to_str().unwrap();
+        run_ok(&[
+            "solve",
+            PAPER,
+            "--problem",
+            "fig13",
+            "--emit",
+            "compiled",
+            "--out",
+            path,
+        ]);
+        let artifact = CompiledArtifact::decode(&std::fs::read(path).unwrap()).unwrap();
+        let _ = std::fs::remove_file(path);
+        let names: Vec<&str> = artifact.parts.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names[..3], ["A0", "Ach", "N1"]);
+        assert_eq!(names.len(), 4);
+        artifact.instantiate().expect("the parts artifact rebuilds");
     }
 
     #[test]

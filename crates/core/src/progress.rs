@@ -728,8 +728,8 @@ mod tests {
         symmetric_gateway, two_client_service,
     };
     use protoquot_spec::{
-        compose, compose_all_nway, normalize, satisfies, spec_from_parts, CompiledSystem,
-        SpecBuilder,
+        compose, compose_all, compose_all_reference, normalize, satisfies, spec_from_parts,
+        CompiledSystem, SpecBuilder,
     };
 
     fn service() -> Spec {
@@ -917,7 +917,11 @@ mod tests {
         let engine = Engine::new(b, &normalize(service), s);
         let system = CompiledSystem::new(&[b, &s.c0], service).unwrap();
         let (nway, laid) = (system.composite(), &engine.comp);
-        let nway_spec = compose_all_nway(&[b, &s.c0]).unwrap();
+        let nway_spec = compose_all(&[b, &s.c0]).unwrap();
+        assert!(
+            nway_spec == compose_all_reference(&[b, &s.c0]).unwrap(),
+            "{label}: the n-way composite is the fold's"
+        );
         assert_eq!(
             (nway.n, nway_spec.num_states()),
             (laid.n, laid.n),

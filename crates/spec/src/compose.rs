@@ -180,24 +180,22 @@ pub fn compose_full(a: &Spec, b: &Spec) -> Spec {
     .expect("composition preserves validity")
 }
 
-/// N-ary composition by left fold, with the safety check that no event
-/// appears in more than two component alphabets — the binary `‖` hides a
+/// The reference n-ary composition: the binary [`compose`] folded left
+/// over `parts`. It is the oracle for [`crate::compose_all`], which builds
+/// the same `Spec` (state numbering, names and adjacency order) in one
+/// n-way product exploration; `tests/verify_differential.rs` pins the
+/// two against each other.
+///
+/// Events shared by more than two components are refused
+/// ([`SpecError::EventSharedByMoreThanTwo`]): the binary `‖` hides a
 /// shared event after its first pair, so a third component would
-/// silently fail to synchronise (see [`SpecError::EventSharedByMoreThanTwo`]).
-pub fn compose_all(parts: &[&Spec]) -> Result<Spec, SpecError> {
+/// silently fail to synchronise.
+pub fn compose_all_reference(parts: &[&Spec]) -> Result<Spec, SpecError> {
     assert!(
         !parts.is_empty(),
-        "compose_all needs at least one component"
+        "compose_all_reference needs at least one component"
     );
-    let mut counts: HashMap<EventId, usize> = HashMap::new();
-    for p in parts {
-        for e in p.alphabet().iter() {
-            *counts.entry(e).or_insert(0) += 1;
-        }
-    }
-    if let Some((e, _)) = counts.iter().find(|&(_, &c)| c > 2) {
-        return Err(SpecError::EventSharedByMoreThanTwo(e.name()));
-    }
+    crate::engine::event_counts(parts)?;
     if parts.len() == 1 {
         return Ok(parts[0].clone());
     }
@@ -329,7 +327,7 @@ mod tests {
         let s1 = sender();
         let s2 = sender().with_name("S2");
         let s3 = sender().with_name("S3");
-        let err = compose_all(&[&s1, &s2, &s3]).unwrap_err();
+        let err = compose_all_reference(&[&s1, &s2, &s3]).unwrap_err();
         assert!(matches!(err, SpecError::EventSharedByMoreThanTwo(_)));
     }
 
@@ -342,7 +340,7 @@ mod tests {
         let d = rb.state("d");
         rb.ext(w, "get", d);
         let r = rb.build().unwrap();
-        let sys = compose_all(&[&s, &b, &r]).unwrap();
+        let sys = compose_all_reference(&[&s, &b, &r]).unwrap();
         // Everything synchronises away: closed system.
         assert!(sys.alphabet().is_empty());
         // ready/empty/w -> done/full/w -> done/empty/d.
@@ -586,8 +584,8 @@ mod more_tests {
         b3.ext(r1, "out", r0);
         let r = b3.build().unwrap();
 
-        let folded = compose_all(&[&l, &m, &r]).unwrap();
-        let nway = crate::engine::compose_all_nway(&[&l, &m, &r]).unwrap();
+        let folded = compose_all_reference(&[&l, &m, &r]).unwrap();
+        let nway = crate::engine::compose_all(&[&l, &m, &r]).unwrap();
         assert_eq!(folded.num_states(), nway.num_states());
         assert_eq!(folded.alphabet(), nway.alphabet());
         for s in folded.states() {

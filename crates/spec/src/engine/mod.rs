@@ -1,14 +1,16 @@
 //! A compiled, interned verification engine for the satisfaction check.
 //!
-//! The reference pipeline — [`crate::compose_all`] folding pairwise
-//! products, [`crate::normalize`] building per-hub `HashMap`s, and
+//! The reference pipeline — [`crate::compose_all_reference`] folding
+//! pairwise products, [`crate::normalize`] building per-hub `HashMap`s, and
 //! [`crate::satisfies`] exploring with per-state λ*/τ* DFS — is clear
 //! but allocation-heavy. This module compiles the same §3/§4 objects
 //! into dense CSR form (`u32` state ids, event-indexed step tables,
 //! bitset alphabets) and re-runs the three hot paths on top of it:
 //!
 //! * **composition** — a single n-way reachable product exploration
-//!   ([`compose_all_nway`]) instead of fold-with-materialization;
+//!   instead of fold-with-materialization. [`compose_all`] is the one
+//!   composition every caller runs (CLI, `protocols` configurations,
+//!   verify, guard, admission); the fold is only its oracle;
 //! * **normalization** — subset construction on the [`SubsetKernel`],
 //!   with interned, canonically sorted hub sets and a dense ψ step table;
 //! * **satisfaction** — a depth-first product frontier over a bitmap of
@@ -84,8 +86,8 @@ pub struct EngineVerdict {
 }
 
 /// Counts alphabet owners per event, rejecting events shared by more
-/// than two components (mirrors [`crate::compose_all`]).
-fn event_counts(parts: &[&Spec]) -> Result<HashMap<EventId, usize>, SpecError> {
+/// than two components ([`SpecError::EventSharedByMoreThanTwo`]).
+pub(crate) fn event_counts(parts: &[&Spec]) -> Result<HashMap<EventId, usize>, SpecError> {
     let mut counts: HashMap<EventId, usize> = HashMap::new();
     for p in parts {
         for e in p.alphabet().iter() {
@@ -252,16 +254,21 @@ pub fn verify_system(parts: &[&Spec], service: &Spec) -> Result<EngineVerdict, S
     Ok(CompiledSystem::new(parts, service)?.verify())
 }
 
-/// N-way composition as a single product exploration.
+/// N-ary composition `P_0 ‖ … ‖ P_{n-1}` (§3's `‖` over all parts at
+/// once) as a single reachable product exploration, without
+/// materializing any intermediate composite.
 ///
-/// Produces a `Spec` identical to the reference left fold
-/// `compose_all(parts)` — same state numbering, names, and per-state
-/// adjacency order (modulo the duplicate-edge removal both paths share)
-/// — without materializing any intermediate composite.
-pub fn compose_all_nway(parts: &[&Spec]) -> Result<Spec, SpecError> {
+/// Events shared by more than two components are refused
+/// ([`SpecError::EventSharedByMoreThanTwo`]): `‖` hides a shared event
+/// once its pair synchronises, so a third owner could never join in.
+/// The result is identical to the reference left fold
+/// [`crate::compose_all_reference`] — same state numbering, names, and
+/// per-state adjacency order (modulo the duplicate-edge removal both
+/// paths share).
+pub fn compose_all(parts: &[&Spec]) -> Result<Spec, SpecError> {
     assert!(
         !parts.is_empty(),
-        "compose_all_nway needs at least one component"
+        "compose_all needs at least one component"
     );
     let counts = event_counts(parts)?;
     if parts.len() == 1 {
@@ -307,7 +314,7 @@ pub fn compose_all_nway(parts: &[&Spec]) -> Result<Spec, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compose::{compose, compose_all};
+    use crate::compose::{compose, compose_all_reference};
     use crate::minimize::bisimilar;
     use crate::satisfy::{satisfies, Violation};
     use crate::spec::SpecBuilder;
@@ -335,7 +342,7 @@ mod tests {
         let a = alternator("A", "in", "x");
         let b = alternator("B", "x", "out");
         let reference = compose(&a, &b);
-        let nway = compose_all_nway(&[&a, &b]).unwrap();
+        let nway = compose_all(&[&a, &b]).unwrap();
         assert_eq!(nway.name(), reference.name());
         assert_eq!(nway.alphabet(), reference.alphabet());
         assert_eq!(nway.num_states(), reference.num_states());
@@ -350,8 +357,8 @@ mod tests {
     #[test]
     fn nway_matches_fold_for_three_parts() {
         let (p0, p1, p2) = relay_parts();
-        let folded = compose_all(&[&p0, &p1, &p2]).unwrap();
-        let nway = compose_all_nway(&[&p0, &p1, &p2]).unwrap();
+        let folded = compose_all_reference(&[&p0, &p1, &p2]).unwrap();
+        let nway = compose_all(&[&p0, &p1, &p2]).unwrap();
         assert_eq!(nway.num_states(), folded.num_states());
         assert_eq!(nway.alphabet(), folded.alphabet());
         for s in folded.states() {
@@ -367,7 +374,7 @@ mod tests {
         let p1 = alternator("p1", "e", "y");
         let p2 = alternator("p2", "e", "z");
         assert!(matches!(
-            compose_all_nway(&[&p0, &p1, &p2]),
+            compose_all(&[&p0, &p1, &p2]),
             Err(SpecError::EventSharedByMoreThanTwo(_))
         ));
     }

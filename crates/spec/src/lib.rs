@@ -75,12 +75,11 @@ pub mod stateset;
 pub mod trace;
 
 pub use closure::Closures;
-pub use compose::{compose, compose_all, compose_full, hide, sync_product};
+pub use compose::{compose, compose_all_reference, compose_full, hide, sync_product};
 pub use dot::{to_dot, to_text};
 pub use engine::{
-    bits_subset, compose_all_nway, verify_system, CompiledComposite, CompiledSystem, Csr,
-    EngineVerdict, EventTable, SliceInterner, SubsetKernel, TauStar, VerifyEngineStats,
-    DENSE_TUPLE_SLOTS,
+    bits_subset, compose_all, verify_system, CompiledComposite, CompiledSystem, Csr, EngineVerdict,
+    EventTable, SliceInterner, SubsetKernel, TauStar, VerifyEngineStats, DENSE_TUPLE_SLOTS,
 };
 pub use error::SpecError;
 pub use event::{Alphabet, EventId};

@@ -10,13 +10,15 @@
 //! contents. Its size counters must match the reference composite, and
 //! on nfa-blowup(1..11) the engine and guard counters are pinned.
 //!
-//! The n-way composition the engine explores is pinned too:
-//! [`protoquot_spec::compose_all_nway`] must equal the reference
-//! `compose_all` fold state for state (names, adjacency, initial state)
-//! on random components and on 3- and 4-component relay chains, with
-//! the tuple index on both sides of [`protoquot_spec::DENSE_TUPLE_SLOTS`].
-//! So are the compiled τ* rows: every composite state's row must equal
-//! the reference [`protoquot_spec::Closures`] τ* of the materialized
+//! The one composition every caller runs is pinned too:
+//! [`protoquot_spec::compose_all`] (a single n-way product exploration)
+//! must equal the reference [`protoquot_spec::compose_all_reference`]
+//! fold state for state (names, adjacency, initial state) on random
+//! components, on 3- and 4-component relay chains with the tuple index
+//! on both sides of [`protoquot_spec::DENSE_TUPLE_SLOTS`], on the three
+//! `specs/paper.pq` problems and on the parts behind the builtins. So
+//! are the compiled τ* rows: every composite state's row must equal the
+//! reference [`protoquot_spec::Closures`] τ* of the materialized
 //! `compose_all` composite.
 //!
 //! The derive path's check, `converter_verdict_with`, verifies each
@@ -28,14 +30,15 @@
 
 use protoquot_core::{converter_verdict_reference, converter_verdict_with, solve, QuotientError};
 use protoquot_protocols::{
-    ab_to_nak_configuration, at_least_once, colocated_configuration, exactly_once, nfa_blowup,
+    ab_channel, ab_sender, ab_to_nak_configuration, at_least_once, colocated_configuration,
+    exactly_once, nak::nak_data_channel, nak_receiver, nfa_blowup, ns_channel, ns_receiver,
     random_component, relay_chain, symmetric_configuration, toggle_puzzle, windowed, Configuration,
     RandomParams,
 };
 use protoquot_runtime::GuardProgram;
 use protoquot_sim::redirect_transition;
 use protoquot_spec::{
-    compose, compose_all, compose_all_nway, minimize, verify_system, Alphabet, Closures,
+    compose, compose_all, compose_all_reference, minimize, verify_system, Alphabet, Closures,
     CompiledSystem, Spec, SpecBuilder, StateId, Violation, DENSE_TUPLE_SLOTS,
 };
 
@@ -496,8 +499,8 @@ fn relay_stage(i: usize, k: usize) -> Spec {
 }
 
 fn assert_nway_matches_fold(label: &str, parts: &[&Spec]) {
-    let folded = compose_all(parts);
-    let nway = compose_all_nway(parts);
+    let folded = compose_all_reference(parts);
+    let nway = compose_all(parts);
     let (folded, nway) = match (folded, nway) {
         (Ok(f), Ok(n)) => (f, n),
         (Err(f), Err(n)) => {
@@ -549,6 +552,27 @@ fn nway_composition_matches_the_fold() {
         assert_nway_matches_fold(&format!("relay({k})"), &parts);
         let reversed: Vec<&Spec> = stages.iter().rev().collect();
         assert_nway_matches_fold(&format!("relay({k})/reversed"), &reversed);
+    }
+    let source = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/specs/paper.pq"))
+        .expect("specs/paper.pq ships with the repo");
+    let file = protoquot_speclang::parse_source(&source).expect("specs/paper.pq parses");
+    for name in ["fig13", "fig9", "fig9_weakened"] {
+        let problem = file.problem(name).expect("the paper problem is declared");
+        let parts: Vec<&Spec> = problem
+            .components
+            .iter()
+            .map(|c| file.spec(c).expect("the component is declared"))
+            .collect();
+        assert_nway_matches_fold(&format!("specs/paper.pq {name}"), &parts);
+    }
+    let (a0, ach, nch, n1) = (ab_sender(), ab_channel(), ns_channel(), ns_receiver());
+    let (kd, k1) = (nak_data_channel(), nak_receiver());
+    for (label, parts) in [
+        ("colocated", vec![&a0, &ach, &n1]),
+        ("symmetric", vec![&a0, &ach, &nch, &n1]),
+        ("ab-nak", vec![&a0, &ach, &kd, &k1]),
+    ] {
+        assert_nway_matches_fold(label, &parts);
     }
 }
 
